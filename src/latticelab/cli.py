@@ -198,9 +198,14 @@ def cmd_tile(args):
     dims = _parse_dims(args.dims)
     try:
         t = tiling_mod.tile_rectangle(F, dims)
-    except ValueError as exc:
-        print("untileable: %s" % exc, file=sys.stderr)
-        return EXIT_NEGATIVE
+    except ValueError:
+        # not certified by a construction: decide it by the exact search
+        t = tiling_mod.find_tiling(F, lattice.rectangle(dims),
+                                   budget=args.budget)
+        if t is None:
+            print("untileable: the %s rectangle has no tiling by %s"
+                  % (args.dims, args.tileset), file=sys.stderr)
+            return EXIT_NEGATIVE
     t.validate()
     text = canonical_json({"seed": args.seed,
                            "tiling": tiling_mod.tiling_to_json(t)}) + "\n"
@@ -254,7 +259,6 @@ def cmd_count(args):
         F = _load_tileset(args)
         dims = _parse_dims(args.dims)
         value = tiling_mod.count_tilings(F, lattice.rectangle(dims),
-                                         workers=args.workers,
                                          budget=args.budget)
         params = {"what": "tilings", "tileset": args.tileset,
                   "dims": list(dims)}

@@ -1,55 +1,114 @@
 """Exact counting and entropy estimation for patterns on strips, boxes, tori.
 
 Transfer operators over valid column states give exact integer counts for
-two-dimensional boxes and tori and numerical per-site entropies for strips;
-domino counts come from both a profile dynamic program (exact integers) and
-the classical Kasteleyn double product (extended-precision floats, rounded
+two-dimensional boxes and tori and numerical per-site entropies for strips.
+An operator keeps its states as a uint8 array and its transitions as
+sparse neighbour lists, and counts with Python-int object arrays, so the
+cost follows the number of compatible column pairs; the dense matrix is
+built only for the float power iteration of strip_entropy.  Domino counts
+come from both a profile dynamic program (exact integers) and the
+classical Kasteleyn double product (extended-precision floats, rounded
 under an integrality guard).
 """
 
-import itertools
+import functools
 import math
 
 import numpy as np
 
-from .lattice import box_F, rectangle
-from .homshift import (Pattern, PatternSet, count_hom_dfs, hat_set,
-                       marker_set)
-from .util import BudgetCounter
+from .lattice import box_F
+from .homshift import count_hom_dfs, hat_set, marker_set
 
 MAX_TRANSFER_STATES = 200_000
+GATHER_LIMIT = 1 << 20  # object entries gathered at once by trace_power
 
 
-def _column_states(H, width, periodic):
-    """All vertical colorings of one column, as value tuples in lex order."""
+def _column_count(H, width, periodic):
+    """Number of valid columns, from walk counts in H (nothing enumerated).
+
+    A free column is a walk of width - 1 steps; a periodic one is a closed
+    walk of width steps (a self-loop when width = 1).
+    """
     if width < 1:
         raise ValueError("width must be positive")
-    states = []
-    stack = [(v,) for v in range(H.n)]
-    out = []
-    for prefix in stack:
-        _extend_column(H, prefix, width, out)
-    if periodic and width > 1:
-        out = [s for s in out if H.has_edge(s[-1], s[0])]
-    elif periodic and width == 1:
-        out = [s for s in out if H.has_edge(s[0], s[0])]
-    return out
+    if not periodic:
+        walks = [1] * H.n
+        for _ in range(width - 1):
+            walks = [sum(walks[u] for u in H.adj[v]) for v in range(H.n)]
+        return sum(walks)
+    total = 0
+    for start in range(H.n):
+        walks = [int(v == start) for v in range(H.n)]
+        for _ in range(width):
+            walks = [sum(walks[u] for u in H.adj[v]) for v in range(H.n)]
+        total += walks[start]
+    return total
 
 
-def _extend_column(H, prefix, width, out):
-    if len(prefix) == width:
-        out.append(prefix)
-        return
-    for v in H.adj[prefix[-1]]:
-        _extend_column(H, prefix + (v,), width, out)
+def _segments(counts):
+    """For segments of the given lengths laid end to end: the segment and
+    the offset within it of every slot."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    first = np.cumsum(counts) - counts
+    return owner, np.arange(len(owner)) - first[owner]
+
+
+def _compatible_columns(H, width):
+    """The free columns of the given width, as an S x w uint8 array in
+    lexicographic order, and every compatible pair of them, as two index
+    arrays (left, right).
+
+    Both are grown one row at a time: a prefix pair extends by every pair
+    of neighbour slots whose values are adjacent, so the work follows the
+    number of compatible pairs, not S**2.
+    """
+    q = H.n
+    deg = np.array([len(nbrs) for nbrs in H.adj], dtype=np.intp)
+    nbr = np.array([v for nbrs in H.adj for v in nbrs], dtype=np.intp)
+    nbr_start = np.cumsum(deg) - deg
+    # For each pair (x, y) of row values, the pairs (i, j) of neighbour
+    # slots with H.adj[x][i] ~ H.adj[y][j]: the ways two compatible
+    # columns ending in x and y extend by one compatible row.
+    steps = [[(i, j) for i, u in enumerate(H.adj[x])
+              for j, v in enumerate(H.adj[y]) if H.has_edge(u, v)]
+             for x in range(q) for y in range(q)]
+    step_count = np.array([len(s) for s in steps], dtype=np.intp)
+    step_start = np.cumsum(step_count) - step_count
+    step_i = np.array([i for s in steps for i, _ in s], dtype=np.intp)
+    step_j = np.array([j for s in steps for _, j in s], dtype=np.intp)
+
+    # Prefixes of length 1 are the vertices, and compatible prefix
+    # pairs are the edges; prefix indices follow lexicographic order.
+    columns = np.arange(q, dtype=np.uint8)[:, None]
+    left = np.repeat(np.arange(q), deg)
+    right = nbr.copy()
+    for _ in range(width - 1):
+        last = columns[:, -1].astype(np.intp)
+        children = deg[last]
+        child_start = np.cumsum(children) - children
+        owner, slot = _segments(children)
+        columns = np.hstack([columns[owner],
+                             nbr[nbr_start[last[owner]] + slot]
+                             .astype(np.uint8)[:, None]])
+        kind = last[left] * q + last[right]
+        owner, slot = _segments(step_count[kind])
+        pick = step_start[kind[owner]] + slot
+        left, right = (child_start[left[owner]] + step_i[pick],
+                       child_start[right[owner]] + step_j[pick])
+    return columns, left, right
 
 
 class TransferOperator:
-    """Column-to-column transfer matrix of a width-w strip.
+    """Column-to-column transfer matrix of a width-w strip, stored sparse.
 
     States are the valid single-column colorings (a path for free vertical
-    boundary, a cycle for periodic); the matrix entry is 1 when two columns
-    may sit side by side.  All arithmetic on the integer matrix is exact.
+    boundary, a cycle for periodic), kept in lexicographic order as the
+    rows of the S x w uint8 array `states`.  Two columns are neighbours
+    when they may sit side by side; the neighbour lists are stored as CSR
+    arrays `indptr` and `indices`.  The state count is checked against
+    MAX_TRANSFER_STATES before anything is built.  Counts are gathers and
+    segment sums over object arrays, so every entry stays an exact Python
+    int.
     """
 
     def __init__(self, H, width, boundary="free"):
@@ -58,53 +117,92 @@ class TransferOperator:
         self.H = H
         self.width = width
         self.boundary = boundary
-        states = _column_states(H, width, boundary == "periodic")
-        if not states:
+        periodic = boundary == "periodic"
+        count = _column_count(H, width, periodic)
+        if not count:
             raise ValueError("no valid column states for width %d (%s)"
                              % (width, boundary))
-        if len(states) > MAX_TRANSFER_STATES:
+        if count > MAX_TRANSFER_STATES:
             raise ValueError("transfer state space too large: %d states"
-                             % len(states))
-        self.state_values = states
-        column = rectangle((1, width))
-        self.states = PatternSet(column, [Pattern(column, bytes(s))
-                                          for s in states])
-        adj = H.adj_sets
-        self.matrix = [[1 if all(a[i] in adj[b[i]] for i in range(width)) else 0
-                        for b in states] for a in states]
+                             % count)
+        columns, left, right = _compatible_columns(H, width)
+        if periodic:
+            keep = H.matrix()[columns[:, -1], columns[:, 0]]
+            renumber = np.cumsum(keep) - 1
+            both = keep[left] & keep[right]
+            columns = columns[keep]
+            left, right = renumber[left[both]], renumber[right[both]]
+        order = np.lexsort((right, left))
+        self.states = columns
+        self.indices = right[order]
+        self.indptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(left, minlength=len(columns)))))
+        self._nonempty = self.indptr[:-1] < self.indptr[1:]
+        self._row_starts = self.indptr[:-1][self._nonempty]
 
     def size(self):
-        return len(self.state_values)
+        return len(self.states)
+
+    @property
+    def state_values(self):
+        """The states as value tuples, in lexicographic order."""
+        return [tuple(s) for s in self.states.tolist()]
+
+    @functools.cached_property
+    def matrix(self):
+        """The dense 0/1 transfer matrix, built on first use."""
+        size = self.size()
+        dense = np.zeros((size, size), dtype=np.uint8)
+        rows = np.repeat(np.arange(size), np.diff(self.indptr))
+        dense[rows, self.indices] = 1
+        return dense
 
     def apply(self, vec):
-        """Exact integer matrix-vector product."""
-        return [sum(row[j] * vec[j] for j in range(len(vec)) if vec[j])
-                for row in self.matrix]
+        """Exact integer product T @ vec, for a vector or a matrix.
+
+        Rows without neighbours are left at 0: np.add.reduceat would give
+        them the next row's first term.
+        """
+        vec = np.asarray(vec, dtype=object)
+        out = np.zeros(vec.shape, dtype=object)
+        out[self._nonempty] = np.add.reduceat(vec[self.indices],
+                                              self._row_starts, axis=0)
+        return out
 
     def count_strip(self, length):
         """Number of colorings of the width x length strip."""
         if length < 1:
             raise ValueError("length must be positive")
-        vec = [1] * self.size()
+        vec = np.ones(self.size(), dtype=object)
         for _ in range(length - 1):
             vec = self.apply(vec)
-        return sum(vec)
+        return int(vec.sum())
 
     def trace_power(self, length):
-        """trace(T^length): colorings with periodic horizontal boundary."""
+        """trace(T^length): colorings with periodic horizontal boundary.
+
+        With P = T^ceil(length/2) and Q = T^floor(length/2), both powered
+        from the identity, the trace is sum_ij P_ij Q_ji.  T is symmetric
+        (H is undirected), so Q_ji = Q_ij and the sum splits over blocks
+        of columns; a block is sized so that one gather stays under
+        GATHER_LIMIT entries.
+        """
         if length < 1:
             raise ValueError("length must be positive")
-        power = [row[:] for row in self.matrix]
-        for _ in range(length - 1):
-            power = [self.apply_t(row) for row in power]
-        return sum(power[i][i] for i in range(self.size()))
-
-    def apply_t(self, vec):
-        # matrix is symmetric for undirected H, so row and column action agree
-        return self.apply(vec)
-
-    def float_matrix(self):
-        return np.array(self.matrix, dtype=np.float64)
+        size = self.size()
+        block = max(1, GATHER_LIMIT // max(1, len(self.indices)))
+        total = 0
+        for lo in range(0, size, block):
+            cols = min(block, size - lo)
+            power = np.zeros((size, cols), dtype=object)
+            power[np.arange(lo, lo + cols), np.arange(cols)] = 1
+            for _ in range(length // 2):
+                power = self.apply(power)
+            half = power
+            if length % 2:
+                power = self.apply(power)
+            total += int((power * half).sum())
+        return total
 
 
 # ---------------------------------------------------------------------------
@@ -141,11 +239,7 @@ def count_hom_torus(H, n, d=2):
         raise ValueError("torus needs n >= 1")
     side = 2 * n
     if d == 1:
-        op = TransferOperator(H, 1, "free")
-        power = [row[:] for row in op.matrix]
-        for _ in range(side - 1):
-            power = [op.apply(row) for row in power]
-        return sum(power[i][i] for i in range(op.size()))
+        return TransferOperator(H, 1, "free").trace_power(side)
     if d == 2:
         op = TransferOperator(H, side, "periodic")
         return op.trace_power(side)
@@ -248,8 +342,7 @@ def strip_entropy(H, width, boundary="free", tol=1e-12, max_iter=100_000):
     (the shift makes the iteration aperiodic; Perron-Frobenius gives
     convergence for the connected case).
     """
-    op = TransferOperator(H, width, boundary)
-    T = op.float_matrix()
+    T = TransferOperator(H, width, boundary).matrix.astype(np.float64)
     size = T.shape[0]
     vec = np.full(size, 1.0 / math.sqrt(size))
     lam = 0.0

@@ -7,15 +7,19 @@ complements split into such rectangles; prescribed sub-tilings can be
 realized simultaneously inside a larger box; and for tile sets with at
 least two prototiles there is a marker family of box tilings recognizable
 by two single-tile boundary rings.
+
+Any region, rectangle or not, is counted exactly by a frontier dynamic
+program over its sites in lexicographic order; find_tiling decides with
+it whether a region has a tiling and then reads one off, so a region
+with none is a certified negative.
 """
 
 import itertools
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 
 from . import lattice
-from .lattice import Region, box_B, rectangle
+from .lattice import box_B, rectangle
 from .util import BudgetCounter
 
 
@@ -432,61 +436,112 @@ def flexible_tile_fill(F, n, k, K, W):
 # counting
 
 
-def _first_uncovered(region, covered):
-    for s in region.sites:
-        if s not in covered:
-            return s
-    return None
+def _placement_masks(F, region):
+    """For each site position, the prototiles that fit with that site as
+    their least cell, as (proto index, mask) pairs.  Bit k of a mask is the
+    site k positions after the anchor."""
+    if region.sites and region.d != F.d:
+        raise ValueError("dimension mismatch: %d-dimensional tiles on a "
+                         "%d-dimensional region" % (F.d, region.d))
+    index = {s: i for i, s in enumerate(region.sites)}
+    shapes = [list(itertools.product(*(range(c) for c in proto)))
+              for proto in F.protos]
+    out = []
+    for pos, site in enumerate(region.sites):
+        fits = []
+        for k, shape in enumerate(shapes):
+            mask = 0
+            for x in shape:
+                cell = index.get(tuple(a + b for a, b in zip(site, x)))
+                if cell is None:
+                    break
+                mask |= 1 << (cell - pos)
+            else:
+                fits.append((k, mask))
+        out.append(fits)
+    return out
 
 
-def _count_rec(F, region, covered, counter):
-    site = _first_uncovered(region, covered)
-    if site is None:
-        return 1
-    counter.tick()
-    total = 0
-    d = F.d
-    for proto in F.protos:
-        cells = [tuple(site[t] + x[t] for t in range(d))
-                 for x in itertools.product(*(range(c) for c in proto))]
-        if all(c in region and c not in covered for c in cells):
-            covered.update(cells)
-            total += _count_rec(F, region, covered, counter)
-            covered.difference_update(cells)
-    return total
+def _advance(p, mask, tile):
+    """The state reached from (p, mask) by placing `tile` (relative to p)."""
+    covered = mask | tile
+    skip = ((covered + 1) & ~covered).bit_length() - 1
+    return p + skip, covered >> skip
 
 
-def _count_branch(args):
-    F, region_sites, first_cells, budget = args
-    region = Region(region_sites)
-    counter = BudgetCounter(budget)
-    covered = set(first_cells)
-    return _count_rec(F, region, covered, counter)
+def _frontier_count(F, region, counter):
+    """Exact tiling count by a frontier dynamic program over site positions.
+
+    A state is (p, mask): sites before position p are covered, site p is
+    not, and bit k of mask marks site p + k covered.  The tile covering
+    site p has p as its least cell, so every tiling is counted once.  The
+    states of each p sit in one dict, mask -> ways, and positions are
+    expanded in increasing order.  A region whose size is not a multiple
+    of the gcd of the tile volumes has no tiling, and no state is expanded.
+    """
+    fits = _placement_masks(F, region)
+    size = len(region)
+    if size % math.gcd(*(math.prod(proto) for proto in F.protos)):
+        return 0
+    frontier = {0: {0: 1}}
+    for p in range(size):
+        layer = frontier.pop(p, None)
+        if not layer:
+            continue
+        for mask, ways in layer.items():
+            counter.tick()
+            for _, tile in fits[p]:
+                if not mask & tile:
+                    q, key = _advance(p, mask, tile)
+                    nxt = frontier.setdefault(q, {})
+                    nxt[key] = nxt.get(key, 0) + ways
+    return frontier.get(size, {}).get(0, 0)
 
 
 def count_tilings(F, region, workers=1, budget=None):
-    """Exact number of perfect tilings of the region (backtracking search).
+    """Exact number of perfect tilings of the region (frontier DP).
 
-    The tile covering the first uncovered site always has that site as its
-    lexicographically least cell, so each tiling is counted once.
+    Each expanded frontier state ticks the search budget.  `workers` is
+    accepted for call compatibility; the count always runs in-process,
+    because the branches at the first site share most frontier states.
     """
-    counter = BudgetCounter(budget)
-    site = _first_uncovered(region, set())
-    if site is None:
-        return 1
-    if workers <= 1:
-        return _count_rec(F, region, set(), counter)
-    jobs = []
-    d = F.d
-    for proto in F.protos:
-        cells = [tuple(site[t] + x[t] for t in range(d))
-                 for x in itertools.product(*(range(c) for c in proto))]
-        if all(c in region for c in cells):
-            jobs.append((F, region.sites, tuple(cells), counter.budget))
-    if not jobs:
-        return 0
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(_count_branch, jobs))
+    return _frontier_count(F, region, BudgetCounter(budget))
+
+
+def find_tiling(F, region, budget=None):
+    """A perfect tiling of the region, or None when it has none.
+
+    The frontier DP of count_tilings decides existence, so None is an
+    exact negative, not a search giving up.  The tiling is then read off
+    depth-first over the same states, trying prototiles in order and
+    remembering dead states, so it is the first one in that order.  The
+    walk expands each state at most once, and only states the count
+    expanded, so it needs no budget of its own; it keeps only the current
+    branch and the dead states, not a parent pointer for every state.
+    """
+    if not _frontier_count(F, region, BudgetCounter(budget)):
+        return None
+    fits = _placement_masks(F, region)
+    size = len(region)
+    dead = set()
+    branch = [(0, 0, 0)]  # (p, mask, index of the next fit to try)
+    while branch[-1][0] < size:
+        p, mask, i = branch.pop()
+        for j in range(i, len(fits[p])):
+            tile = fits[p][j][1]
+            if mask & tile:
+                continue
+            child = _advance(p, mask, tile)
+            if child not in dead:
+                branch += [(p, mask, j + 1), child + (0,)]
+                break
+        else:
+            dead.add((p, mask))
+    placements = [(fits[p][i - 1][0], tuple(c - 1 for c in region.sites[p]))
+                  for p, _, i in branch[:-1]]
+    tiling = Tiling(F, region, placements)
+    tiling.validate()
+    return tiling
 
 
 # ---------------------------------------------------------------------------

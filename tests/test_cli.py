@@ -110,6 +110,31 @@ def test_tile_untileable_exits_one(capsys):
     assert "untileable" in stderr
 
 
+def test_tile_uncertified_rectangle_by_search(tmp_path, capsys):
+    # 40 is not a multiple of M = 30 and 40x1 has a short side, so no
+    # construction certifies it; twenty 2x1 bars still tile it
+    out = tmp_path / "bars.json"
+    code, stdout, _ = run(capsys, ["tile", "--tileset", "bars235",
+                                   "--dims", "40x1", "--out", str(out)])
+    assert code == 0
+    assert "tiled dims=40x1" in stdout
+    code, stdout, _ = run(capsys, ["verify", "tiling", "--file", str(out)])
+    assert code == 0
+    assert '"ok":true' in stdout
+
+
+def test_count_tilings_long_strip(capsys):
+    code, stdout, _ = run(capsys, ["count", "tilings", "--tileset", "dominoes",
+                                   "--dims", "3000x2"])
+    assert code == 0
+    ways = [1, 1]  # domino tilings of the 0x2 and 1x2 strips
+    while len(ways) <= 3000:
+        ways.append(ways[-1] + ways[-2])
+    count = json.loads(stdout)["count"]
+    assert count == ways[3000]
+    assert len(str(count)) == 627
+
+
 def test_verify_tiling_corrupted_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ this is not json")

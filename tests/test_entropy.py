@@ -9,6 +9,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from latticelab import entropy as en
 from latticelab import homshift as hs
@@ -82,6 +84,140 @@ def test_transfer_rejects_bad_boundary():
 
 
 # ---------------------------------------------------------------------------
+# the sparse operator against the dense list-of-lists operator it replaced
+
+
+def oracle_column_states(H, width, periodic):
+    """All vertical colorings of one column, as value tuples in lex order."""
+    if width < 1:
+        raise ValueError("width must be positive")
+    out = []
+    for prefix in [(v,) for v in range(H.n)]:
+        oracle_extend_column(H, prefix, width, out)
+    if periodic and width > 1:
+        out = [s for s in out if H.has_edge(s[-1], s[0])]
+    elif periodic and width == 1:
+        out = [s for s in out if H.has_edge(s[0], s[0])]
+    return out
+
+
+def oracle_extend_column(H, prefix, width, out):
+    if len(prefix) == width:
+        out.append(prefix)
+        return
+    for v in H.adj[prefix[-1]]:
+        oracle_extend_column(H, prefix + (v,), width, out)
+
+
+class ListTransfer:
+    """Dense transfer matrix as a Python list of lists, exact ints."""
+
+    def __init__(self, H, width, boundary="free"):
+        if boundary not in ("free", "periodic"):
+            raise ValueError("boundary must be 'free' or 'periodic'")
+        states = oracle_column_states(H, width, boundary == "periodic")
+        if not states:
+            raise ValueError("no valid column states for width %d (%s)"
+                             % (width, boundary))
+        if len(states) > en.MAX_TRANSFER_STATES:
+            raise ValueError("transfer state space too large: %d states"
+                             % len(states))
+        self.state_values = states
+        adj = H.adj_sets
+        self.matrix = [[1 if all(a[i] in adj[b[i]] for i in range(width)) else 0
+                        for b in states] for a in states]
+
+    def size(self):
+        return len(self.state_values)
+
+    def apply(self, vec):
+        return [sum(row[j] * vec[j] for j in range(len(vec)) if vec[j])
+                for row in self.matrix]
+
+    def count_strip(self, length):
+        if length < 1:
+            raise ValueError("length must be positive")
+        vec = [1] * self.size()
+        for _ in range(length - 1):
+            vec = self.apply(vec)
+        return sum(vec)
+
+    def trace_power(self, length):
+        if length < 1:
+            raise ValueError("length must be positive")
+        power = [row[:] for row in self.matrix]
+        for _ in range(length - 1):
+            power = [self.apply(row) for row in power]
+        return sum(power[i][i] for i in range(self.size()))
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return (type(err), str(err))
+
+
+# a path 0-1-2 with a loop at 2, and the isolated vertex 3
+LOOPED_PATH = hs.TargetGraph(["0", "1", "2", "3"], [(0, 1), (1, 2), (2, 2)])
+GRAPHS = [hs.graph_preset(name)
+          for name in ("K3", "K4", "C4", "C5", "petersen", "full2")]
+GRAPHS.append(LOOPED_PATH)
+
+
+@given(st.sampled_from(GRAPHS), st.integers(1, 5),
+       st.sampled_from(["free", "periodic"]), st.integers(1, 6))
+@settings(max_examples=150, deadline=None)
+def test_operator_matches_list_operator(H, width, boundary, length):
+    want = outcome(ListTransfer, H, width, boundary)
+    if isinstance(want, tuple):
+        assert outcome(en.TransferOperator, H, width, boundary) == want
+        return
+    assume(want.size() <= 120)
+    op = en.TransferOperator(H, width, boundary)
+    assert op.size() == want.size()
+    assert op.state_values == want.state_values
+    assert op.matrix.tolist() == want.matrix
+    assert op.count_strip(length) == want.count_strip(length)
+    assert type(op.count_strip(length)) is int
+    if want.size() <= 64:
+        assert op.trace_power(length) == want.trace_power(length)
+    assert outcome(op.count_strip, 0) == outcome(want.count_strip, 0)
+    assert outcome(op.trace_power, 0) == outcome(want.trace_power, 0)
+
+
+def test_operator_errors_match_list_operator():
+    cases = [(K3, 1, "periodic"), (K3, 3, "wrapped"), (K3, 0, "free"),
+             (hs.cycle_graph(4), 3, "periodic"),
+             (hs.TargetGraph(["0", "1"], []), 2, "free")]
+    for H, width, boundary in cases:
+        assert (outcome(en.TransferOperator, H, width, boundary)
+                == outcome(ListTransfer, H, width, boundary))
+
+
+def test_state_guard_fires_before_any_neighbour_list(monkeypatch):
+    K5 = hs.complete_graph(5)
+    want = outcome(ListTransfer, K5, 9, "free")
+    assert "too large: 327680 states" in want[1]
+
+    def no_lists(H, width):
+        raise AssertionError("neighbour lists built past the state guard")
+
+    monkeypatch.setattr(en, "_compatible_columns", no_lists)
+    assert outcome(en.TransferOperator, K5, 9, "free") == want
+    # far beyond anything that could be enumerated
+    with pytest.raises(ValueError, match="too large"):
+        en.TransferOperator(K3, 60, "periodic")
+
+
+def test_apply_leaves_rows_without_neighbours_at_zero():
+    op = en.TransferOperator(LOOPED_PATH, 1, "free")
+    assert op.state_values == [(0,), (1,), (2,), (3,)]
+    assert op.apply([5, 7, 11, 13]).tolist() == [7, 16, 18, 0]
+
+
+# ---------------------------------------------------------------------------
 # box counts
 
 
@@ -98,6 +234,11 @@ def test_box_count_frozen_values():
     assert en.count_hom_box(K3, 0, 2) == 3
     assert en.count_hom_box(K3, 1, 2) == 246
     assert en.count_hom_box(K3, 2, 2) == 580986
+
+
+def test_box_count_transfer_goldens():
+    assert en.count_hom_box(K3, 4, 2) == 93574975249028022
+    assert en.count_hom_box(K3, 5, 2) == 6529777647254616589112172
 
 
 def test_box_count_d1_and_d3():
@@ -119,6 +260,10 @@ def test_torus_count_matches_oracle():
     assert en.count_hom_torus(K3, 1) == torus_oracle(K3, 2) == 18
     assert en.count_hom_torus(K3, 2) == torus_oracle(K3, 4) == 2970
     assert en.count_hom_torus(C5, 1) == torus_oracle(C5, 2)
+
+
+def test_torus_count_golden():
+    assert en.count_hom_torus(K3, 4) == 2901094068042
 
 
 def test_torus_count_d1_is_cycle_count():

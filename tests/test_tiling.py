@@ -8,14 +8,17 @@ arithmetic for every constructed tiling.
 
 import itertools
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticelab import homshift as hs
 from latticelab import lattice
 from latticelab import tiling as tl
 from latticelab.lattice import Region, box_B, rectangle
-from latticelab.util import BudgetError
+from latticelab.util import BudgetCounter, BudgetError
 
 DOM = tl.dominoes()
 
@@ -326,6 +329,87 @@ def test_count_matches_exhaustive_placement_oracle():
             if union == target and sum(len(s) for s in subset) == len(target):
                 count += 1
     assert tl.count_tilings(DOM, region) == count == 2
+
+
+def test_count_tilings_rejects_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        tl.count_tilings(DOM, rectangle((2, 2, 2)))
+
+
+def test_find_tiling_reads_back_a_valid_tiling():
+    bars = tl.tile_preset("bars235")
+    t = tl.find_tiling(bars, rectangle((40, 1)))
+    assert t.validate() and t.region == rectangle((40, 1))
+    assert t == tl.find_tiling(bars, rectangle((40, 1)))
+    assert tl.find_tiling(DOM, rectangle((3, 3))) is None
+    assert tl.find_tiling(DOM, Region([])).placements == ()
+    with pytest.raises(BudgetError):
+        tl.find_tiling(DOM, rectangle((6, 6)), budget=10)
+
+
+# ---------------------------------------------------------------------------
+# the frontier DP against the backtracking search it replaced
+
+
+def oracle_first_uncovered(region, covered):
+    for s in region.sites:
+        if s not in covered:
+            return s
+    return None
+
+
+def oracle_count(F, region, covered, counter):
+    site = oracle_first_uncovered(region, covered)
+    if site is None:
+        return 1
+    counter.tick()
+    total = 0
+    d = F.d
+    for proto in F.protos:
+        cells = [tuple(site[t] + x[t] for t in range(d))
+                 for x in itertools.product(*(range(c) for c in proto))]
+        if all(c in region and c not in covered for c in cells):
+            covered.update(cells)
+            total += oracle_count(F, region, covered, counter)
+            covered.difference_update(cells)
+    return total
+
+
+@st.composite
+def tiling_cases(draw):
+    """A random rectangular tile set and a small region of its dimension:
+    a box, or a site set (often disconnected)."""
+    d = draw(st.integers(1, 3))
+    side = {1: 12, 2: 4, 3: 2}[d]
+    protos = draw(st.lists(st.tuples(*[st.integers(1, 3)] * d),
+                           min_size=1, max_size=3, unique=True))
+    if draw(st.booleans()):
+        dims = tuple(draw(st.integers(1, side)) for _ in range(d))
+        offset = tuple(draw(st.integers(-2, 2)) for _ in range(d))
+        region = rectangle(dims, offset)
+    else:
+        cells = list(itertools.product(range(side), repeat=d))
+        region = Region(draw(st.sets(st.sampled_from(cells))))
+    return tl.TileSet(protos), region
+
+
+@given(tiling_cases())
+@settings(max_examples=300, deadline=None)
+def test_count_matches_backtracking(case):
+    F, region = case
+    counter = BudgetCounter()
+    want = oracle_count(F, region, set(), counter)
+    assert tl.count_tilings(F, region) == want
+    # the DP expands at most one state per backtracking node
+    assert tl.count_tilings(F, region, budget=max(1, counter.nodes)) == want
+    biggest = max(math.prod(p) for p in F.protos)
+    if want and len(region) > biggest:
+        with pytest.raises(BudgetError):
+            tl.count_tilings(F, region, budget=1)
+    found = tl.find_tiling(F, region)
+    assert (found is None) == (want == 0)
+    if found is not None:
+        assert found.region == region and found.validate()
 
 
 # ---------------------------------------------------------------------------
