@@ -143,16 +143,13 @@ def cmd_enumerate(args):
     n, d = args.n, args.d
     if args.family == "box":
         ps = homshift.enumerate_hom(H, lattice.box_F(n, d),
-                                    workers=args.workers, budget=args.budget)
+                                    budget=args.budget)
     elif args.family == "checker":
         v0, v1, _ = _marker_colors(H, args)
-        ps = homshift.checkerboard_set(H, v0, v1, n, d,
-                                       workers=args.workers,
-                                       budget=args.budget)
+        ps = homshift.checkerboard_set(H, v0, v1, n, d, budget=args.budget)
     elif args.family == "tilde":
         v0, v1, v2 = _marker_colors(H, args)
-        ps = homshift.marker_set(H, v0, v1, v2, n, d,
-                                 workers=args.workers, budget=args.budget)
+        ps = homshift.marker_set(H, v0, v1, v2, n, d, budget=args.budget)
     else:
         ps = homshift.hat_set(H, n, d, budget=args.budget)
     text = homshift.pattern_set_to_jsonl(ps, H, seed=args.seed)
@@ -165,12 +162,17 @@ def cmd_extend(args):
     H = _load_graph(args)
     try:
         with open(args.infile, "r", encoding="utf-8") as fh:
-            ps, _ = homshift.pattern_set_from_jsonl(fh.read())
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+            ps, header = homshift.pattern_set_from_jsonl(fh.read())
+    except (OSError, ValueError, KeyError, TypeError,
+            json.JSONDecodeError) as exc:
         raise UsageError("cannot read pattern file %s: %s"
                          % (args.infile, exc))
     if len(ps) == 0:
         raise UsageError("pattern file %s holds no patterns" % args.infile)
+    if len(header["alphabet"]) > H.n:
+        raise UsageError("pattern file %s has a %d-letter alphabet but the "
+                         "graph has %d vertices"
+                         % (args.infile, len(header["alphabet"]), H.n))
     extended = []
     for p in ps:
         if args.op == "path":
@@ -323,7 +325,6 @@ def cmd_verify(args):
             raise UsageError("marker family index must be >= 1")
         v0, v1, v2 = _marker_colors(H, args)
         family = homshift.marker_set(H, v0, v1, v2, args.n - 1, args.d,
-                                     workers=args.workers,
                                      budget=args.budget)
         spacing = args.n - 1
         hit = homshift.verify_marker_spacing(family, spacing)
@@ -342,8 +343,7 @@ def cmd_verify(args):
         H = _load_graph(args)
         hit = height_mod.ufp_window_check(H, args.M, args.n,
                                           buffer=args.buffer, mode=args.mode,
-                                          d=args.d, workers=args.workers,
-                                          budget=args.budget)
+                                          d=args.d, budget=args.budget)
         if hit is None:
             _emit(args, _record(args, {"check": "ufp", "ok": True,
                                        "M": args.M, "n": args.n,
@@ -413,7 +413,8 @@ def cmd_height(args):
         try:
             with open(args.infile, "r", encoding="utf-8") as fh:
                 ps, _ = homshift.pattern_set_from_jsonl(fh.read())
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError,
+                json.JSONDecodeError) as exc:
             raise UsageError("cannot read pattern file %s: %s"
                              % (args.infile, exc))
         base = _parse_site(args.base)
@@ -441,7 +442,7 @@ def _add_common(sub, out=True):
     sub.add_argument("--budget", type=_positive, default=None,
                      help="search node budget (default from environment)")
     sub.add_argument("--workers", type=_positive, default=1,
-                     help="parallel worker count (default 1)")
+                     help="accepted for compatibility; has no effect")
     if out:
         sub.add_argument("--out", default=None,
                          help="output file (default stdout)")

@@ -12,7 +12,6 @@ across a thin annulus.
 """
 
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 
 from . import lattice
 from .homshift import Pattern, is_hom, enumerate_hom, _dfs_collect
@@ -42,14 +41,15 @@ class HeightField:
         """Raise unless base height is zero, steps are unit, mod 3 holds."""
         if self.heights.get(self.base) != 0:
             raise ValueError("height at base %r is not zero" % (self.base,))
-        for site in self.region:
+        sites = self.region.sites
+        for site, nbrs in zip(sites, self.region.neighbor_table()):
             if site not in self.heights:
                 raise ValueError("no height at %r" % (site,))
             h = self.heights[site]
-            for nb in lattice.neighbors(site):
-                if nb in self.region and abs(h - self.heights[nb]) != 1:
+            for j in nbrs:
+                if abs(h - self.heights[sites[j]]) != 1:
                     raise ValueError("non-unit height step %r -> %r"
-                                     % (site, nb))
+                                     % (site, sites[j]))
         if self.coloring is not None:
             c0 = self.coloring.value(self.base)
             for site in self.region:
@@ -270,22 +270,7 @@ def _lipschitz_glue(H, box, x, y):
     return glued
 
 
-def _exhaustive_branch(args):
-    """Worker entry: glue one slice of center patterns against all rings."""
-    H, box, inner, ring, inner_vals, ring_vals, budget = args
-    counter = BudgetCounter(budget)
-    ring_sites = ring.sites
-    for xv in inner_vals:
-        fixed = dict(zip(inner.sites, xv))
-        for yv in ring_vals:
-            fixed.update(zip(ring_sites, yv))
-            if _first_hom(H, box, fixed, counter) is None:
-                return (xv, yv)
-    return None
-
-
-def ufp_window_check(H, M, n, buffer=1, mode="targeted", d=2, workers=1,
-                     budget=None):
+def ufp_window_check(H, M, n, buffer=1, mode="targeted", d=2, budget=None):
     """Can every center pattern meet every surround across a margin M?
 
     Window version of the uniform filling property on the box
@@ -329,22 +314,13 @@ def ufp_window_check(H, M, n, buffer=1, mode="targeted", d=2, workers=1,
         everything = enumerate_hom(H, box, budget=budget)
         inner_vals = sorted(set(p.restrict(inner).values for p in everything))
         ring_vals = sorted(set(p.restrict(ring).values for p in everything))
-        if workers > 1 and len(inner_vals) > 1:
-            chunks = [inner_vals[i::workers] for i in range(workers)]
-            args = [(H, box, inner, ring, chunk, ring_vals, budget)
-                    for chunk in chunks if chunk]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = [r for r in pool.map(_exhaustive_branch, args)
-                           if r is not None]
-            if not results:
-                return None
-            xv, yv = min(results)
-        else:
-            hit = _exhaustive_branch(
-                (H, box, inner, ring, inner_vals, ring_vals, budget))
-            if hit is None:
-                return None
-            xv, yv = hit
-        return (Pattern(inner, xv), Pattern(ring, yv))
+        counter = BudgetCounter(budget)
+        for xv in inner_vals:
+            fixed = dict(zip(inner.sites, xv))
+            for yv in ring_vals:
+                fixed.update(zip(ring.sites, yv))
+                if _first_hom(H, box, fixed, counter) is None:
+                    return (Pattern(inner, xv), Pattern(ring, yv))
+        return None
     raise ValueError("mode must be 'targeted' or 'exhaustive', got %r"
                      % (mode,))

@@ -10,14 +10,13 @@ periodic-shell patterns to checkerboard-shell ones.  Every operation's
 output can be re-validated from scratch.
 """
 
+import functools
 import itertools
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 
 from . import lattice
-from .lattice import (add, box_F, neg, norm_1, norm_inf, parity, shell_F, sub,
-                      unit)
+from .lattice import add, box_F, norm_inf, parity, shell_F, sub, unit
 from .util import BudgetCounter
 
 
@@ -136,12 +135,6 @@ def cycle_graph(q):
     return TargetGraph(labels, edges)
 
 
-def path_graph(q):
-    labels = [str(i) for i in range(q)]
-    edges = [(i, i + 1) for i in range(q - 1)]
-    return TargetGraph(labels, edges)
-
-
 def full_shift_graph(q):
     """All pairs adjacent, self-loops included: no constraints at all."""
     labels = [str(i) for i in range(q)]
@@ -241,31 +234,13 @@ class PatternSet:
 
 def is_hom(H, pattern):
     """True iff every edge internal to the region maps to an edge of H."""
-    region = pattern.region
-    if region.d is not None and region.is_box() and region.d <= 3:
-        import numpy as np
-        lo, hi = region.bounds()
-        dims = tuple(hi[t] - lo[t] + 1 for t in range(region.d))
-        grid = np.frombuffer(pattern.values, dtype=np.uint8).reshape(dims)
-        A = H.matrix()
-        for axis in range(region.d):
-            if dims[axis] < 2:
-                continue
-            head = [slice(None)] * region.d
-            tail = [slice(None)] * region.d
-            head[axis] = slice(0, -1)
-            tail[axis] = slice(1, None)
-            if not A[grid[tuple(head)], grid[tuple(tail)]].all():
-                return False
-        return True
     values = pattern.values
-    for pos, site in enumerate(region.sites):
-        u = values[pos]
-        for t in range(region.d):
-            nb = tuple(c + 1 if s == t else c for s, c in enumerate(site))
-            if nb in region:
-                if not H.has_edge(u, values[region.index(nb)]):
-                    return False
+    adj_sets = H.adj_sets
+    for pos, earlier in enumerate(pattern.region.earlier_neighbor_table()):
+        allowed = adj_sets[values[pos]]
+        for j in earlier:
+            if values[j] not in allowed:
+                return False
     return True
 
 
@@ -307,44 +282,19 @@ def _dfs_collect(H, region, fixed, counter, sink):
     rec(0)
 
 
-def _enumerate_branch(args):
-    """Worker entry: enumerate one branch of the first free site."""
-    H, region, fixed, budget = args
-    counter = BudgetCounter(budget)
-    found = []
-    _dfs_collect(H, region, fixed, counter, found.append)
-    return found
-
-
-def enumerate_hom(H, region, boundary=None, workers=1, budget=None):
+def enumerate_hom(H, region, boundary=None, budget=None):
     """All graph homomorphisms region -> H consistent with the boundary.
 
     The boundary is a partial assignment {site: vertex}.  An assignment that
     violates an internal edge simply yields the empty set.  Results are in
-    canonical order regardless of worker count.
+    canonical order.
     """
     fixed = dict(boundary or {})
     for site in fixed:
         if site not in region:
             raise ValueError("boundary site %r outside region" % (site,))
-    counter = BudgetCounter(budget)
-    first_free = None
-    for site in region.sites:
-        if site not in fixed:
-            first_free = site
-            break
-    if workers <= 1 or first_free is None or H.n < 2:
-        found = []
-        _dfs_collect(H, region, fixed, counter, found.append)
-        return PatternSet(region, [Pattern(region, v) for v in found])
-    jobs = []
-    for v in range(H.n):
-        branch_fixed = dict(fixed)
-        branch_fixed[first_free] = v
-        jobs.append((H, region, branch_fixed, counter.budget))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(_enumerate_branch, jobs))
-    found = [vals for branch in results for vals in branch]
+    found = []
+    _dfs_collect(H, region, fixed, BudgetCounter(budget), found.append)
     return PatternSet(region, [Pattern(region, v) for v in found])
 
 
@@ -375,14 +325,14 @@ def checkerboard_shell(v0, v1, n, d):
     return {s: (v0 if parity(s) == 0 else v1) for s in shell_F(n, d)}
 
 
-def checkerboard_set(H, v0, v1, n, d, workers=1, budget=None):
+def checkerboard_set(H, v0, v1, n, d, budget=None):
     """C_n^(v0,v1): homomorphisms on F_n with a (v0,v1)-checkerboard shell."""
     _require_edge(H, v0, v1, "checkerboard edge")
     if n < 1:
         raise ValueError("checkerboard family needs n >= 1")
     region = box_F(n, d)
     boundary = checkerboard_shell(v0, v1, n, d)
-    ps = enumerate_hom(H, region, boundary, workers=workers, budget=budget)
+    ps = enumerate_hom(H, region, boundary, budget=budget)
     ps.meta.update({"family": "checkerboard", "edge": (v0, v1), "n": n, "d": d})
     return ps
 
@@ -408,7 +358,7 @@ def pure_checkerboard(H, v0, v1, n, d):
     return Pattern(region, vals)
 
 
-def marker_set(H, v0, v1, v2, n, d, workers=1, budget=None):
+def marker_set(H, v0, v1, v2, n, d, budget=None):
     """The marker family on F_{n+1}: (v0,v1) shell outside, (v0,v2) shell on F_n.
 
     Restriction to F_n is a bijection onto C_n^(v0,v2).
@@ -422,7 +372,7 @@ def marker_set(H, v0, v1, v2, n, d, workers=1, budget=None):
     region = box_F(n + 1, d)
     boundary = checkerboard_shell(v0, v1, n + 1, d)
     boundary.update(checkerboard_shell(v0, v2, n, d))
-    ps = enumerate_hom(H, region, boundary, workers=workers, budget=budget)
+    ps = enumerate_hom(H, region, boundary, budget=budget)
     ps.meta.update({"family": "marker", "edge": (v0, v1), "inner_edge": (v0, v2),
                     "n": n + 1, "d": d})
     return ps
@@ -629,20 +579,18 @@ def embed_in_marker(H, a, target, k):
     if k < N + d:
         raise ValueError("extension length too short: k = %d but k >= %d needed"
                          % (k, N + d))
-    big = box_F(2 * d * n, d)
-    amap = a.mapping()
-    cache = {}
-    values = bytearray(len(big))
-    for pos, site in enumerate(big.sites):
-        tgt = cache.get(site)
-        if tgt is None:
-            tgt = tau_n(site, n)
-            cache[site] = tgt
-        values[pos] = amap[tgt]
-    spread = Pattern(big, bytes(values))
-    origin = (0,) * d
-    source = (amap[origin], amap[unit(1, d)])
+    big, positions = _retraction_positions(n, d)
+    spread = Pattern(big, bytes(a.values[i] for i in positions))
+    source = (a.value((0,) * d), a.value(unit(1, d)))
     return path_extend(H, spread, source, target, k)
+
+
+@functools.lru_cache(maxsize=8)
+def _retraction_positions(n, d):
+    """F_{2dn}, and for each of its sites the position of tau_n(site) in F_n."""
+    big = box_F(2 * d * n, d)
+    small = box_F(n, d)
+    return big, tuple(small.index(tau_n(site, n)) for site in big.sites)
 
 
 def flexible_fill(H, target, n, K, W, base, d=None):
@@ -703,34 +651,6 @@ def flexible_fill(H, target, n, K, W, base, d=None):
     return Pattern(region, bytes(values))
 
 
-def _hypercube_homs(H, d):
-    """All maps {0,1}^d -> H preserving hypercube adjacency, in lex order."""
-    residues = list(itertools.product((0, 1), repeat=d))
-    index = {r: i for i, r in enumerate(residues)}
-    prev_edges = []
-    for i, r in enumerate(residues):
-        prevs = []
-        for t in range(d):
-            o = tuple(c ^ (1 if s == t else 0) for s, c in enumerate(r))
-            if index[o] < i:
-                prevs.append(index[o])
-        prev_edges.append(tuple(prevs))
-    out = []
-    assignment = [0] * len(residues)
-
-    def rec(pos):
-        if pos == len(residues):
-            out.append(tuple(assignment))
-            return
-        for v in range(H.n):
-            if all(H.has_edge(v, assignment[j]) for j in prev_edges[pos]):
-                assignment[pos] = v
-                rec(pos + 1)
-
-    rec(0)
-    return residues, out
-
-
 def hat_extend(H, a, k):
     """Extend a periodic-shell pattern to a checkerboard-shell one.
 
@@ -747,20 +667,19 @@ def hat_extend(H, a, k):
     if k < 2 * d:
         raise ValueError("extension length too short: k = %d but k >= %d needed"
                          % (k, 2 * d))
-    residues, layer_pool = _hypercube_homs(H, d)
-    index = {r: i for i, r in enumerate(residues)}
+    # A ring layer is a hom from the residue cube {0,1}^d; in the cube, the
+    # neighbors of a residue are its d single-coordinate flips.
+    cube = lattice.rectangle((2,) * d, (-1,) * d)
+    residues = cube.sites
+    index = cube.index
+    flips = cube.neighbor_table()
+    layer_pool = [p.values for p in enumerate_hom(H, cube)]
     absent = missing_shell_residue(n, d)
     q0 = [None] * len(residues)
     for s in shell_F(n, d):
-        q0[index[tuple(c % 2 for c in s)]] = a.value(s)
-    q0[index[absent]] = a.value((n - 1,) * d)
+        q0[index(tuple(c % 2 for c in s))] = a.value(s)
+    q0[index(absent)] = a.value((n - 1,) * d)
     q0 = tuple(q0)
-
-    flips = []
-    for i, r in enumerate(residues):
-        flips.append(tuple(index[tuple(c ^ (1 if s == t else 0)
-                                       for s, c in enumerate(r))]
-                           for t in range(d)))
 
     def cross_ok(lower, upper, skip=None):
         # Lattice edges between consecutive rings shift the residue by one
@@ -774,8 +693,8 @@ def hat_extend(H, a, k):
                     return False
         return True
 
-    zero = index[(0,) * d]
-    e1 = index[(1,) + (0,) * (d - 1)]
+    zero = index((0,) * d)
+    e1 = index((1,) + (0,) * (d - 1))
     preferred = (q0[zero], q0[e1]) if k % 2 == 0 else (q0[e1], q0[zero])
     candidates = []
     if H.has_edge(*preferred):
@@ -784,7 +703,7 @@ def hat_extend(H, a, k):
         if e not in candidates:
             candidates.append(e)
 
-    skip0 = index[absent]
+    skip0 = index(absent)
     par = [parity(r) for r in residues]
 
     for v0, v1 in candidates:
@@ -813,7 +732,7 @@ def hat_extend(H, a, k):
             if r <= n:
                 values[pos] = amap[site]
             else:
-                values[pos] = chain[r - n][index[tuple(c % 2 for c in site)]]
+                values[pos] = chain[r - n][index(tuple(c % 2 for c in site))]
         out = Pattern(region, bytes(values))
         return (v0, v1), out
     raise RuntimeError("no 2-periodic layer chain of length %d extends this "
@@ -933,14 +852,10 @@ def region_from_descriptor(desc):
     if kind == "F":
         return box_F(desc["n"], desc["d"])
     if kind == "B":
-        return box_B_from_desc(desc)
+        return lattice.box_B(desc["n"], desc["d"])
     if kind == "rect":
         return lattice.rectangle(tuple(desc["dims"]), tuple(desc["offset"]))
     return lattice.Region([tuple(s) for s in desc["sites"]])
-
-
-def box_B_from_desc(desc):
-    return lattice.box_B(desc["n"], desc["d"])
 
 
 def pattern_set_from_jsonl(text):
@@ -950,7 +865,12 @@ def pattern_set_from_jsonl(text):
         raise ValueError("empty pattern file")
     header = json.loads(lines[0])
     region = region_from_descriptor(header["region"])
+    letters = len(header["alphabet"])
     patterns = [Pattern(region, bytes(json.loads(ln)["values"]))
                 for ln in lines[1:]]
+    for p in patterns:
+        if p.values and max(p.values) >= letters:
+            raise ValueError("value %d outside the %d-letter alphabet"
+                             % (max(p.values), letters))
     ps = PatternSet(region, patterns)
     return ps, header

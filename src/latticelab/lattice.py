@@ -169,13 +169,17 @@ class Region:
                 "d": self.d}
 
 
-def box_F(n, d):
-    """The centered box {-n..n}^d."""
+def _centered_sites(n, d):
+    """The sites of {-n..n}^d, in lexicographic order."""
     if not isinstance(n, int) or n < 0:
         raise ValueError("box_F needs n >= 0, got %r" % (n,))
     check_dim(d)
-    sites = itertools.product(range(-n, n + 1), repeat=d)
-    return Region(sites, kind=("F", n))
+    return itertools.product(range(-n, n + 1), repeat=d)
+
+
+def box_F(n, d):
+    """The centered box {-n..n}^d."""
+    return Region(_centered_sites(n, d), kind=("F", n))
 
 
 def box_B(n, d):
@@ -201,10 +205,8 @@ def rectangle(dims, offset=None):
 
 
 def shell_F(n, d):
-    """The outer shell F_n \\ F_{n-1} (all of F_0 when n = 0)."""
-    if n == 0:
-        return list(box_F(0, d))
-    return [s for s in box_F(n, d) if norm_inf(s) == n]
+    """The outer shell F_n \\ F_{n-1} (all of F_0 when n = 0), in site order."""
+    return [s for s in _centered_sites(n, d) if norm_inf(s) == n]
 
 
 def is_K_spaced(points, K):

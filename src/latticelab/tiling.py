@@ -498,12 +498,10 @@ def _frontier_count(F, region, counter):
     return frontier.get(size, {}).get(0, 0)
 
 
-def count_tilings(F, region, workers=1, budget=None):
+def count_tilings(F, region, budget=None):
     """Exact number of perfect tilings of the region (frontier DP).
 
-    Each expanded frontier state ticks the search budget.  `workers` is
-    accepted for call compatibility; the count always runs in-process,
-    because the branches at the first site share most frontier states.
+    Each expanded frontier state ticks the search budget.
     """
     return _frontier_count(F, region, BudgetCounter(budget))
 

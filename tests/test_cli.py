@@ -92,6 +92,32 @@ def test_extend_path_requires_edges(tmp_path, capsys):
     assert "source" in stderr
 
 
+BAD_VALUE_FILE = ('{"alphabet":["0","1","2"],"count":1,'
+                  '"region":{"d":1,"kind":"F","n":1}}\n{"values":[0,7,0]}\n')
+WIDE_ALPHABET_FILE = ('{"alphabet":["0","1","2","3"],"count":1,'
+                      '"region":{"d":1,"kind":"F","n":1}}\n{"values":[0,3,0]}\n')
+NUMBER_ALPHABET_FILE = ('{"alphabet":3,"count":1,'
+                        '"region":{"d":1,"kind":"F","n":1}}\n{"values":[0,1,0]}\n')
+
+
+@pytest.mark.parametrize("op", ["hat", "path"])
+@pytest.mark.parametrize("text, needle",
+                         [(BAD_VALUE_FILE, "outside the 3-letter alphabet"),
+                          (WIDE_ALPHABET_FILE, "4-letter alphabet"),
+                          (NUMBER_ALPHABET_FILE, "cannot read pattern file")],
+                         ids=["value", "alphabet", "malformed"])
+def test_extend_rejects_values_outside_the_graph(tmp_path, capsys, op, text,
+                                                 needle):
+    src = tmp_path / "bad.jsonl"
+    src.write_text(text)
+    code, _, stderr = run(capsys, ["extend", "--graph", "K3", "--op", op,
+                                   "--in", str(src), "--k", "4",
+                                   "--source", "0,1", "--target", "1,2"])
+    assert code == 2
+    assert needle in stderr
+    assert stderr.count("\n") == 1
+
+
 def test_tile_and_verify_roundtrip(tmp_path, capsys):
     out = tmp_path / "t.json"
     code, stdout, _ = run(capsys, ["tile", "--tileset", "dominoes",
@@ -292,6 +318,18 @@ def test_budget_exit_code(capsys):
                                    "--budget", "100"])
     assert code == 3
     assert "budget" in stderr
+
+
+def test_budget_is_the_same_at_every_worker_count(capsys):
+    # Enumerating Hom(F_2, K3) ticks 1 055 224 nodes.  Each branch at the
+    # first site ticks a third of them, under this budget, so a search
+    # that gave every branch the whole budget would finish.
+    for workers in ("1", "2"):
+        code, _, stderr = run(capsys, ["enumerate", "--n", "2",
+                                       "--budget", "703482",
+                                       "--workers", workers])
+        assert code == 3
+        assert "budget" in stderr
 
 
 def test_outputs_byte_identical_across_reruns_and_workers(tmp_path, capsys):

@@ -249,15 +249,6 @@ def test_ufp_exhaustive_finds_adjacent_conflict():
     assert len(enumerate_hom(K3, box_F(2, 1), boundary=fixed)) == 0
 
 
-def test_ufp_exhaustive_workers_agree():
-    serial = ufp_window_check(K3, M=0, n=1, mode="exhaustive", d=1)
-    parallel = ufp_window_check(K3, M=0, n=1, mode="exhaustive", d=1,
-                                workers=2)
-    assert serial is not None and parallel is not None
-    assert serial[0].values == parallel[0].values
-    assert serial[1].values == parallel[1].values
-
-
 def test_ufp_budget_guard():
     with pytest.raises(BudgetError):
         ufp_window_check(K3, M=1, n=2, mode="exhaustive", d=2, budget=2000)

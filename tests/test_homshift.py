@@ -100,13 +100,6 @@ def test_count_k4_square():
     assert hs.count_hom_dfs(K4, region) == len(oracle_enumerate(K4, region))
 
 
-def test_parallel_enumeration_is_identical():
-    region = box_F(1, 2)
-    seq = hs.enumerate_hom(K3, region)
-    par = hs.enumerate_hom(K3, region, workers=2)
-    assert [p.values for p in seq] == [p.values for p in par]
-
-
 def test_budget_is_enforced():
     with pytest.raises(BudgetError):
         hs.count_hom_dfs(K3, box_F(2, 2), budget=50)
@@ -127,6 +120,46 @@ def test_is_hom_dict_path_on_non_box_region():
         p = hs.Pattern(ell, bytes(combo))
         expect = (combo[1] != combo[0]) and (combo[2] != combo[0])
         assert hs.is_hom(K3, p) == expect
+
+
+def brute_is_hom(H, pattern):
+    """Every in-region lattice neighbor pair maps to an edge of H."""
+    region = pattern.region
+    for site, u in zip(region.sites, pattern.values):
+        for nb in lattice.neighbors(site):
+            if nb in region and not H.has_edge(u, pattern.value(nb)):
+                return False
+    return True
+
+
+@st.composite
+def hom_candidates(draw):
+    """A preset graph and a pattern on a box or a holey subset of one.
+
+    The values are a checkerboard of one edge of H with a few sites
+    redrawn, so both homomorphisms and near misses come up.
+    """
+    H = hs.graph_preset(draw(st.sampled_from(sorted(hs.GRAPH_PRESETS))))
+    d = draw(st.integers(1, 4))
+    side = {1: 6, 2: 5}.get(d, 3)
+    dims = tuple(draw(st.integers(1, side)) for _ in range(d))
+    offset = tuple(draw(st.integers(-3, 3)) for _ in range(d))
+    region = lattice.rectangle(dims, offset)
+    if draw(st.booleans()):
+        region = Region(draw(st.sets(st.sampled_from(region.sites),
+                                     min_size=1)))
+    u, v = draw(st.sampled_from(H.ordered_edges()))
+    values = bytearray(u if parity(s) == 0 else v for s in region.sites)
+    for pos in draw(st.lists(st.integers(0, len(region) - 1), max_size=3)):
+        values[pos] = draw(st.integers(0, H.n - 1))
+    return H, hs.Pattern(region, bytes(values))
+
+
+@given(hom_candidates())
+@settings(max_examples=300, deadline=None)
+def test_is_hom_matches_brute_force_edge_check(case):
+    H, pattern = case
+    assert hs.is_hom(H, pattern) == brute_is_hom(H, pattern)
 
 
 # ---------------------------------------------------------------------------

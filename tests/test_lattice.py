@@ -65,10 +65,12 @@ def test_region_index_roundtrip():
 
 
 def test_shell_is_box_difference():
-    for n, d in [(1, 1), (2, 1), (1, 2), (2, 2), (1, 3)]:
-        shell = set(shell_F(n, d))
-        expect = set(box_F(n, d).sites) - set(box_F(n - 1, d).sites)
-        assert shell == expect
+    # the shell lists its sites in the site order of box_F
+    for n in range(5):
+        for d in (1, 2, 3):
+            inner = set(box_F(n - 1, d).sites) if n else set()
+            expect = [s for s in box_F(n, d).sites if s not in inner]
+            assert shell_F(n, d) == expect
 
 
 def test_shell_at_zero_is_origin():

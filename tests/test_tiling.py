@@ -300,12 +300,6 @@ def test_count_tilings_empty_region_is_one():
     assert tl.count_tilings(DOM, Region([])) == 1
 
 
-def test_count_tilings_workers_agree():
-    seq = tl.count_tilings(DOM, box_B(4, 2))
-    par = tl.count_tilings(DOM, box_B(4, 2), workers=2)
-    assert seq == par == 36
-
-
 def test_count_tilings_budget():
     with pytest.raises(BudgetError):
         tl.count_tilings(DOM, rectangle((6, 6)), budget=10)
