@@ -2,7 +2,7 @@
 
 Enumeration and constructive extension of graph-homomorphism patterns on
 boxes of Z^d, rectangular tilings and their marker families, transfer-matrix
-and Pfaffian entropy counts, and height functions for 3-colorings.
+entropy counts and exact dimer counts, and height functions for 3-colorings.
 """
 
 __version__ = "0.1.0"

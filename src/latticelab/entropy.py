@@ -6,9 +6,9 @@ An operator keeps its states as a uint8 array and its transitions as
 sparse neighbour lists, and counts with Python-int object arrays, so the
 cost follows the number of compatible column pairs; the dense matrix is
 built only for the float power iteration of strip_entropy.  Domino counts
-come from both a profile dynamic program (exact integers) and the
-classical Kasteleyn double product (extended-precision floats, rounded
-under an integrality guard).
+come from the Kasteleyn / Temperley-Fisher double product, taken exactly
+as an integer resultant; count_dimer_tilings_dp counts the same rectangles
+with the tiling frontier DP.
 """
 
 import functools
@@ -16,8 +16,9 @@ import math
 
 import numpy as np
 
-from .lattice import box_F
+from .lattice import box_F, rectangle
 from .homshift import count_hom_dfs, hat_set, marker_set
+from .tiling import count_tilings, dominoes
 
 MAX_TRANSFER_STATES = 200_000
 GATHER_LIMIT = 1 << 20  # object entries gathered at once by trace_power
@@ -250,85 +251,67 @@ def count_hom_torus(H, n, d=2):
 # dimer counts
 
 
-def _even_runs(mask, m):
-    """Every maximal run of set bits has even length (vertical dominoes fit)."""
-    run = 0
-    for r in range(m):
-        if mask & (1 << r):
-            run += 1
-        else:
-            if run % 2:
-                return False
-            run = 0
-    return run % 2 == 0
-
-
 def count_dimer_tilings_dp(m, n):
-    """Exact domino tilings of the m x n rectangle, column by column.
-
-    The state is the set of rows protruding horizontally into the next
-    column; a column step is valid when incoming and outgoing protrusions
-    are disjoint and the remaining rows split into vertical dominoes.
-    Integer arithmetic throughout.
-    """
+    """Exact domino tilings of the m x n rectangle by tiling.count_tilings,
+    the longer side along the first axis so the frontier spans the shorter."""
     if m < 0 or n < 0:
         raise ValueError("sides must be nonnegative")
     if m == 0 or n == 0:
         return 1
     if (m * n) % 2 == 1:
         return 0
-    if m > n:
-        m, n = n, m
-    if m > 16:
-        raise ValueError("profile too wide: %d rows" % m)
-    full = (1 << m) - 1
-    compatible = []
-    for s_in in range(1 << m):
-        room = full & ~s_in
-        outs = []
-        s_out = room
-        while True:  # all submasks of room, descending
-            if _even_runs(room & ~s_out, m):
-                outs.append(s_out)
-            if s_out == 0:
-                break
-            s_out = (s_out - 1) & room
-        compatible.append(outs)
-    dp = {0: 1}
-    for _col in range(n):
-        nxt = {}
-        for s_in, ways in dp.items():
-            for s_out in compatible[s_in]:
-                nxt[s_out] = nxt.get(s_out, 0) + ways
-        dp = nxt
-    return dp.get(0, 0)
+    return count_tilings(dominoes(), rectangle((max(m, n), min(m, n))))
+
+
+def _cosine_polynomial(m):
+    """Coefficients, highest first, of the monic integer polynomial with
+    roots 4 cos^2(pi j / (m + 1)), j = 1..ceil(m/2): p_0 = 1, p_1 = y,
+    p_(k+1) = y p_k - p_(k-1) has roots 2 cos(pi j / (m + 1)), j = 1..m,
+    and p_m(y) = y^(m mod 2) E(y^2); this is x^(m mod 2) E(x)."""
+    prev, cur = [1], [1, 0]
+    for _ in range(m - 1):
+        prev, cur = cur, [a - b for a, b in zip(cur + [0], [0, 0] + prev)]
+    return cur[::2] + [0] * (m % 2)
+
+
+def _bareiss_abs_det(rows):
+    """|det| of a square integer matrix, fraction-free (Bareiss 1968): every
+    division is exact, so the entries stay Python ints.  Row swaps only
+    flip the sign, which is dropped."""
+    a = [list(row) for row in rows]
+    size = len(a)
+    prev = 1
+    for k in range(size - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, size) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return abs(a[-1][-1])
 
 
 def count_dimer_tilings_kasteleyn(m, n):
-    """Domino tilings of the m x n rectangle by the Kasteleyn double product.
+    """Domino tilings of the m x n rectangle by the Kasteleyn (1961) /
+    Temperley-Fisher (1961) product, exact.
 
-    Evaluated in extended precision and rounded; raises when the value is
-    too far from an integer to round safely (large sides lose precision).
-    An odd-area rectangle has no tilings: returns 0.
+    The product of (a_j + b_k) over the roots a_j of the m-side cosine
+    polynomial and b_k of the n-side one is, up to sign, the resultant of
+    the first and of the monic polynomial with roots -b_k; it is taken as
+    the determinant of their Sylvester matrix, in integer arithmetic.  An
+    odd-area rectangle has the factor 0 + 0: returns 0.
     """
     if m < 1 or n < 1:
         raise ValueError("sides must be positive")
-    if (m * n) % 2 == 1:
-        return 0
-    pi = np.longdouble(np.pi)
-    total = np.longdouble(1.0)
-    for j in range(1, m // 2 + m % 2 + 1):
-        a = 4 * np.cos(pi * j / (m + 1)) ** 2
-        for k in range(1, n // 2 + n % 2 + 1):
-            b = 4 * np.cos(pi * k / (n + 1)) ** 2
-            total *= a + b
-    value = float(total)
-    nearest = round(value)
-    tol = max(1e-6, abs(value) * 1e-14)
-    if abs(value - nearest) > tol:
-        raise ArithmeticError("product formula value %r too far from an "
-                              "integer to round safely" % value)
-    return int(nearest)
+    f = _cosine_polynomial(m)
+    g = [c * (-1) ** i for i, c in enumerate(_cosine_polynomial(n))]
+    p, q = len(f) - 1, len(g) - 1
+    sylvester = ([[0] * i + f + [0] * (q - 1 - i) for i in range(q)]
+                 + [[0] * i + g + [0] * (p - 1 - i) for i in range(p)])
+    return _bareiss_abs_det(sylvester)
 
 
 # ---------------------------------------------------------------------------

@@ -346,8 +346,10 @@ def in_checkerboard(H, pattern, v0, v1):
     n = region.kind[1]
     if not is_hom(H, pattern):
         return False
-    want = checkerboard_shell(v0, v1, n, region.d)
-    return all(pattern.value(s) == w for s, w in want.items())
+    values = pattern.values
+    return all(values[i] == (v1 if sum(r) % 2 else v0)
+               for r, positions in _shell_classes(n, region.d)
+               for i in positions)
 
 
 def pure_checkerboard(H, v0, v1, n, d):
@@ -383,19 +385,29 @@ def missing_shell_residue(n, d):
     return ((n + 1) % 2,) * d
 
 
+@functools.lru_cache(maxsize=32)
+def _shell_classes(n, d):
+    """The shell of F_n by residue mod 2: (residue, positions in F_n of its
+    shell sites) pairs, in lexicographic order of residue."""
+    index = box_F(n, d).index
+    classes = {}
+    for s in shell_F(n, d):
+        classes.setdefault(tuple(c % 2 for c in s), []).append(index(s))
+    return tuple(sorted((r, tuple(p)) for r, p in classes.items()))
+
+
 def hat_set(H, n, d, budget=None):
     """Patterns on F_n whose shell is (2Z)^d-periodic."""
     if n < 1:
         raise ValueError("periodic-shell family needs n >= 1")
     region = box_F(n, d)
-    shell = shell_F(n, d)
-    absent = missing_shell_residue(n, d)
-    residues = [r for r in itertools.product((0, 1), repeat=d) if r != absent]
+    sites = region.sites
+    classes = _shell_classes(n, d)
     found = []
     counter = BudgetCounter(budget)
-    for assignment in itertools.product(range(H.n), repeat=len(residues)):
-        q = dict(zip(residues, assignment))
-        boundary = {s: q[tuple(c % 2 for c in s)] for s in shell}
+    for assignment in itertools.product(range(H.n), repeat=len(classes)):
+        boundary = {sites[i]: v for (_, positions), v in zip(classes, assignment)
+                    for i in positions}
         _dfs_collect(H, region, boundary, counter, found.append)
     ps = PatternSet(region, [Pattern(region, v) for v in found])
     ps.meta.update({"family": "periodic_shell", "n": n, "d": d})
@@ -410,13 +422,9 @@ def in_hat(H, pattern):
     n = region.kind[1]
     if n < 1 or not is_hom(H, pattern):
         return False
-    by_residue = {}
-    for s in shell_F(n, region.d):
-        r = tuple(c % 2 for c in s)
-        v = pattern.value(s)
-        if by_residue.setdefault(r, v) != v:
-            return False
-    return True
+    values = pattern.values
+    return all(len({values[i] for i in positions}) == 1
+               for _, positions in _shell_classes(n, region.d))
 
 
 # ---------------------------------------------------------------------------
@@ -651,6 +659,13 @@ def flexible_fill(H, target, n, K, W, base, d=None):
     return Pattern(region, bytes(values))
 
 
+@functools.lru_cache(maxsize=8)
+def _ring_layers(H, d):
+    """The residue cube {0,1}^d and the values of its homs to H (ring layers)."""
+    cube = lattice.rectangle((2,) * d, (-1,) * d)
+    return cube, tuple(p.values for p in enumerate_hom(H, cube))
+
+
 def hat_extend(H, a, k):
     """Extend a periodic-shell pattern to a checkerboard-shell one.
 
@@ -667,17 +682,15 @@ def hat_extend(H, a, k):
     if k < 2 * d:
         raise ValueError("extension length too short: k = %d but k >= %d needed"
                          % (k, 2 * d))
-    # A ring layer is a hom from the residue cube {0,1}^d; in the cube, the
-    # neighbors of a residue are its d single-coordinate flips.
-    cube = lattice.rectangle((2,) * d, (-1,) * d)
+    # The cube neighbors of a residue are its d single-coordinate flips.
+    cube, layer_pool = _ring_layers(H, d)
     residues = cube.sites
     index = cube.index
     flips = cube.neighbor_table()
-    layer_pool = [p.values for p in enumerate_hom(H, cube)]
     absent = missing_shell_residue(n, d)
     q0 = [None] * len(residues)
-    for s in shell_F(n, d):
-        q0[index(tuple(c % 2 for c in s))] = a.value(s)
+    for r, positions in _shell_classes(n, d):
+        q0[index(r)] = a.values[positions[0]]
     q0[index(absent)] = a.value((n - 1,) * d)
     q0 = tuple(q0)
 
@@ -842,8 +855,7 @@ def pattern_set_to_jsonl(ps, H, seed=None):
         header["seed"] = seed
     lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
     for p in ps:
-        lines.append(json.dumps({"values": list(p.values)},
-                                separators=(",", ":")))
+        lines.append('{"values":[' + ",".join(map(str, p.values)) + ']}')
     return "\n".join(lines) + "\n"
 
 

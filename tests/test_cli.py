@@ -227,6 +227,26 @@ def test_count_hom_and_dimers(capsys):
     assert json.loads(stdout.splitlines()[0])["count"] == 18
 
 
+@pytest.mark.parametrize("dims, want", [
+    ("8x16", 540061286536921), ("12x12", 53060477521960000),
+    ("14x14", 112202208776036178000000),
+    ("16x16", 2444888770250892795802079170816)])
+def test_count_dimers_past_float_precision(capsys, dims, want):
+    code, stdout, _ = run(capsys, ["count", "dimers", "--dims", dims])
+    assert code == 0
+    assert json.loads(stdout)["count"] == want
+
+
+def test_entropy_dimer_table_to_sixteen(capsys):
+    code, stdout, _ = run(capsys, ["entropy", "dimers", "--max", "16"])
+    assert code == 0
+    lines = stdout.splitlines()
+    assert len(lines) == 2 + 16 * 17 // 2
+    assert "8,16,540061286536921" in lines
+    assert "12,12,53060477521960000" in lines
+    assert lines[-1] == "16,16,2444888770250892795802079170816"
+
+
 def test_entropy_dimer_table(capsys):
     code, stdout, _ = run(capsys, ["entropy", "dimers", "--max", "8"])
     assert code == 0

@@ -1,8 +1,9 @@
 """Counting engines: transfer operators, torus traces, dimer counts, strips.
 
 Independent routes for the same quantity: transfer matrices vs pruned
-search for box counts, Kasteleyn product vs profile scan vs placement
-backtracking for dimers, an inline Cayley-graph search for the torus.
+search for box counts, the exact Kasteleyn product vs the tiling frontier
+DP vs a copy of the old column-profile DP for dimers, an inline
+Cayley-graph search for the torus.
 """
 
 import itertools
@@ -281,11 +282,84 @@ def test_torus_needs_positive_n():
 # dimer counts
 
 
+def profile_dimer_count(m, n):
+    """The column-profile DP count_dimer_tilings_dp used to be: the state is
+    the set of rows protruding into the next column."""
+    full = (1 << m) - 1
+
+    def even_runs(mask):
+        run = 0
+        for r in range(m + 1):
+            if r < m and mask >> r & 1:
+                run += 1
+            elif run % 2:
+                return False
+            else:
+                run = 0
+        return True
+
+    dp = {0: 1}
+    for _col in range(n):
+        nxt = {}
+        for s_in, ways in dp.items():
+            room = full & ~s_in
+            for s_out in range(full + 1):
+                if s_out & ~room == 0 and even_runs(room & ~s_out):
+                    nxt[s_out] = nxt.get(s_out, 0) + ways
+        dp = nxt
+    return dp.get(0, 0)
+
+
+# exact m x n domino tilings (OEIS A004003 for the squares)
+DIMER_GOLDENS = {(8, 16): 540061286536921, (12, 12): 53060477521960000,
+                 (14, 14): 112202208776036178000000,
+                 (16, 16): 2444888770250892795802079170816}
+
+
 def test_dimer_goldens():
     assert en.count_dimer_tilings_kasteleyn(2, 2) == 2
     assert en.count_dimer_tilings_kasteleyn(2, 3) == 3
     assert en.count_dimer_tilings_kasteleyn(4, 4) == 36
     assert en.count_dimer_tilings_kasteleyn(8, 8) == 12988816
+    for (m, n), want in DIMER_GOLDENS.items():
+        assert en.count_dimer_tilings_kasteleyn(m, n) == want
+        assert en.count_dimer_tilings_kasteleyn(n, m) == want
+    assert en.count_dimer_tilings_dp(8, 16) == DIMER_GOLDENS[(8, 16)]
+    assert en.count_dimer_tilings_dp(16, 8) == DIMER_GOLDENS[(8, 16)]
+
+
+def test_dimer_routes_match_profile_oracle():
+    for m in range(1, 9):
+        for n in range(1, 9):
+            want = profile_dimer_count(m, n)
+            assert en.count_dimer_tilings_kasteleyn(m, n) == want, (m, n)
+            assert en.count_dimer_tilings_dp(m, n) == want, (m, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10), st.integers(1, 10))
+def test_dimer_resultant_matches_frontier_count(m, n):
+    assert (en.count_dimer_tilings_kasteleyn(m, n)
+            == tl.count_tilings(tl.dominoes(), rectangle((m, n))))
+
+
+def leibniz_det(a):
+    total = 0
+    for perm in itertools.permutations(range(len(a))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(a))
+                         for j in range(i + 1, len(a)))
+        total += (-1) ** inversions * math.prod(a[i][perm[i]]
+                                                for i in range(len(a)))
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda size: st.lists(
+    st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7]),
+             min_size=size, max_size=size), min_size=size, max_size=size)))
+def test_bareiss_matches_leibniz(a):
+    # zero-heavy entries force row swaps and singular matrices
+    assert en._bareiss_abs_det(a) == abs(leibniz_det(a))
 
 
 def test_dimer_odd_area_is_zero():
@@ -310,6 +384,9 @@ def test_dimer_dp_transpose_symmetry():
 def test_dimer_rejects_nonpositive():
     with pytest.raises(ValueError):
         en.count_dimer_tilings_kasteleyn(0, 4)
+    with pytest.raises(ValueError):
+        en.count_dimer_tilings_dp(-1, 4)
+    assert en.count_dimer_tilings_dp(0, 4) == en.count_dimer_tilings_dp(3, 0) == 1
 
 
 # ---------------------------------------------------------------------------

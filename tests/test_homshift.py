@@ -7,6 +7,7 @@ rest.
 """
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -234,6 +235,53 @@ def test_hat_oracle_equivalence():
         if hs.in_hat(K3, p):
             expect.add(vals)
     assert got == expect
+
+
+def site_in_hat(H, pattern):
+    """in_hat as first written: shell sites looked up one by one."""
+    n = pattern.region.kind[1]
+    if n < 1 or not hs.is_hom(H, pattern):
+        return False
+    by_residue = {}
+    for s in shell_F(n, pattern.region.d):
+        r = tuple(c % 2 for c in s)
+        if by_residue.setdefault(r, pattern.value(s)) != pattern.value(s):
+            return False
+    return True
+
+
+def site_in_checkerboard(H, pattern, v0, v1):
+    """in_checkerboard as first written: the shell dict, site by site."""
+    if not hs.is_hom(H, pattern):
+        return False
+    want = hs.checkerboard_shell(v0, v1, pattern.region.kind[1],
+                                 pattern.region.d)
+    return all(pattern.value(s) == w for s, w in want.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_shell_validators_match_site_lookup(data):
+    # Residue-periodic or checkerboard fills, with a few sites overwritten,
+    # so that both verdicts occur; K3 adds the is_hom gate.
+    H = data.draw(st.sampled_from([K3, hs.full_shift_graph(2),
+                                   hs.full_shift_graph(3)]))
+    d = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(0, 3 if d < 3 else 2))
+    region = box_F(n, d)
+    v0, v1 = data.draw(st.sampled_from(H.ordered_edges()))
+    if data.draw(st.booleans()):
+        by_residue = {r: data.draw(st.integers(0, H.n - 1))
+                      for r in itertools.product((0, 1), repeat=d)}
+        values = [by_residue[tuple(c % 2 for c in s)] for s in region.sites]
+    else:
+        values = [v1 if parity(s) else v0 for s in region.sites]
+    for _ in range(data.draw(st.integers(0, 3))):
+        pos = data.draw(st.integers(0, len(region) - 1))
+        values[pos] = data.draw(st.integers(0, H.n - 1))
+    p = hs.Pattern(region, bytes(values))
+    assert hs.in_hat(H, p) == site_in_hat(H, p)
+    assert hs.in_checkerboard(H, p, v0, v1) == site_in_checkerboard(H, p, v0, v1)
 
 
 def test_hat_contains_marker_family():
@@ -613,6 +661,17 @@ def test_jsonl_round_trip():
     assert header["seed"] == 7
     assert header["alphabet"] == ["0", "1", "2"]
     assert back.region == fam.region
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda size: st.lists(
+    st.binary(min_size=size, max_size=size), min_size=1, max_size=4)))
+def test_jsonl_records_match_json_dumps(arrays):
+    region = Region([(i,) for i in range(len(arrays[0]))])
+    ps = hs.PatternSet(region, [hs.Pattern(region, v) for v in arrays])
+    lines = hs.pattern_set_to_jsonl(ps, hs.full_shift_graph(2)).splitlines()
+    assert lines[1:] == [json.dumps({"values": list(p.values)},
+                                    separators=(",", ":")) for p in ps]
 
 
 def test_jsonl_general_region_round_trip():
