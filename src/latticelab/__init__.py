@@ -26,7 +26,7 @@ from .entropy import (EntropyReport, TransferOperator, count_dimer_tilings_dp,
 from .height import (HeightField, checker_coloring, height_cocycle,
                      lipschitz_check, quasiflat_gap, sample_coloring,
                      striped_coloring, ufp_window_check)
-from .util import BudgetError
+from .util import BudgetError, NegativeResult
 
 __all__ = [
     "Region", "box_B", "box_F", "is_box_spaced", "is_K_spaced", "parity",
@@ -47,6 +47,6 @@ __all__ = [
     "HeightField", "checker_coloring", "height_cocycle", "lipschitz_check",
     "quasiflat_gap", "sample_coloring", "striped_coloring",
     "ufp_window_check",
-    "BudgetError",
+    "BudgetError", "NegativeResult",
     "__version__",
 ]

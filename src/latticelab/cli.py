@@ -1,11 +1,13 @@
 """Command-line surface for the lattice laboratory.
 
 Subcommands: enumerate, extend, fill, tile, count, entropy, verify,
-height.  Exit codes: 0 = pass, 1 = mathematical negative (a
-counterexample or untileable input), 2 = usage error, 3 = search budget
-exceeded.  Every output starts with a header carrying the seed, and
-rerunning any command with the same arguments produces byte-identical
-output regardless of the worker count.
+height.  Exit codes: 0 = pass, 1 = certified negative (a counterexample,
+no tiling, an invalid tiling or fill, no extension), 2 = usage error (bad
+arguments or a malformed file), 3 = search budget exceeded, 4 = precision
+failure, 5 = internal error.  Each failure prints one line on stderr
+(argparse adds a usage line to its own errors).  Every output starts with
+a header carrying the seed, and rerunning any command with the same
+arguments produces byte-identical output regardless of the worker count.
 """
 
 import argparse
@@ -17,16 +19,19 @@ from . import height as height_mod
 from . import homshift
 from . import lattice
 from . import tiling as tiling_mod
-from .util import BudgetError, canonical_json
+from .util import BudgetError, NegativeResult, canonical_json
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
-EXIT_USAGE = 2
-EXIT_BUDGET = 3
 
-
-class UsageError(Exception):
-    """Bad arguments or malformed input files."""
+# How main() reports an exception: the first row whose classes match.
+_EXITS = (
+    (BudgetError, 3, "budget exceeded"),
+    (NegativeResult, 1, "negative result"),
+    ((ValueError, OSError), 2, "usage error"),
+    (ArithmeticError, 4, "precision failure"),
+    (Exception, 5, "internal error"),
+)
 
 
 def _positive(text):
@@ -36,78 +41,77 @@ def _positive(text):
     return value
 
 
-def _parse_pair(text, what):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise UsageError("%s must be 'u,v', got %r" % (what, text))
+def _ints(text, sep, what, form, count=None):
+    """The integers of text split at sep (at whitespace when sep is None);
+    ValueError unless there are count of them, or any number when count
+    is None."""
     try:
-        return (int(parts[0]), int(parts[1]))
+        values = tuple(int(p) for p in text.split(sep))
     except ValueError:
-        raise UsageError("%s must be a pair of integers, got %r"
-                         % (what, text))
-
-
-def _parse_site(text):
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise UsageError("site must be comma-separated integers, got %r"
-                         % (text,))
+        values = ()
+    if not values or (count is not None and len(values) != count):
+        raise ValueError("%s must look like %s, got %r" % (what, form, text))
+    return values
 
 
 def _parse_dims(text):
-    try:
-        dims = tuple(int(p) for p in text.lower().split("x"))
-    except ValueError:
-        raise UsageError("dims must look like 4x4, got %r" % (text,))
-    if not dims or any(a < 1 for a in dims):
-        raise UsageError("dims must be positive, got %r" % (text,))
+    dims = _ints(text.lower(), "x", "dims", "4x4")
+    if any(a < 1 for a in dims):
+        raise ValueError("dims must be positive, got %r" % (text,))
     return dims
 
 
 def _parse_widths(text):
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        try:
-            return list(range(int(lo), int(hi) + 1))
-        except ValueError:
-            raise UsageError("widths range must be like 2..8, got %r"
-                             % (text,))
+        lo, hi = _ints(text, "..", "widths range", "2..8", 2)
+        return list(range(lo, hi + 1))
+    return list(_ints(text, ",", "widths", "2,4,6"))
+
+
+def _read(path, what, parse):
+    """parse(text) of the file at path; any failure is a usage error."""
     try:
-        return [int(p) for p in text.split(",")]
-    except ValueError:
-        raise UsageError("widths must be a range or comma list, got %r"
-                         % (text,))
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
+        raise ValueError("cannot read %s %s: %s" % (what, path, exc))
+
+
+def _parse_edges(text):
+    edges = [_ints(ln, None, "edge", "u v", 2) for ln in text.splitlines()
+             if ln.strip()]
+    if not edges:
+        raise ValueError("no edges")
+    return homshift.TargetGraph(sorted({u for e in edges for u in e}), edges)
 
 
 def _load_graph(args):
-    edges_path = getattr(args, "edges", None)
-    if edges_path:
-        try:
-            with open(edges_path, "r", encoding="utf-8") as fh:
-                lines = [ln.strip() for ln in fh if ln.strip()]
-            edges = []
-            for ln in lines:
-                u, v = ln.split()
-                edges.append((int(u), int(v)))
-        except (OSError, ValueError) as exc:
-            raise UsageError("cannot read edge list %s: %s"
-                             % (edges_path, exc))
-        if not edges:
-            raise UsageError("edge list %s is empty" % edges_path)
-        labels = sorted({u for e in edges for u in e})
-        return homshift.TargetGraph(labels, edges)
-    try:
-        return homshift.graph_preset(args.graph)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    if getattr(args, "edges", None):
+        return _read(args.edges, "edge list", _parse_edges)
+    return homshift.graph_preset(args.graph)
 
 
-def _load_tileset(args):
-    try:
-        return tiling_mod.tile_preset(args.tileset)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+def _load_patterns(path):
+    return _read(path, "pattern file", homshift.pattern_set_from_jsonl)
+
+
+def _parse_tiling(text):
+    obj = json.loads(text)
+    if "tiling" in obj:
+        obj = obj["tiling"]
+    return tiling_mod.tiling_from_json(obj, validate=False)
+
+
+def _parse_blocks(text, d):
+    """(sites in file order, site -> tiling).  A repeated site stays in
+    the list, so that the fill rejects it."""
+    raw = json.loads(text)
+    sites, blocks = [], {}
+    for entry in raw["blocks"] if isinstance(raw, dict) else raw:
+        site = lattice.int_tuple(entry["site"], "block site", d)
+        sites.append(site)
+        blocks[site] = tiling_mod.tiling_from_json(entry["tiling"])
+    return sites, blocks
 
 
 def _marker_colors(H, args):
@@ -138,6 +142,13 @@ def _record(args, payload):
     return canonical_json(rec) + "\n"
 
 
+def _tiling_text(args, t):
+    """The output record of a constructed tiling, validated first."""
+    t.validate()
+    return canonical_json({"seed": args.seed,
+                           "tiling": tiling_mod.tiling_to_json(t)}) + "\n"
+
+
 def cmd_enumerate(args):
     H = _load_graph(args)
     n, d = args.n, args.d
@@ -160,32 +171,26 @@ def cmd_enumerate(args):
 
 def cmd_extend(args):
     H = _load_graph(args)
-    try:
-        with open(args.infile, "r", encoding="utf-8") as fh:
-            ps, header = homshift.pattern_set_from_jsonl(fh.read())
-    except (OSError, ValueError, KeyError, TypeError,
-            json.JSONDecodeError) as exc:
-        raise UsageError("cannot read pattern file %s: %s"
-                         % (args.infile, exc))
+    ps, header = _load_patterns(args.infile)
     if len(ps) == 0:
-        raise UsageError("pattern file %s holds no patterns" % args.infile)
+        raise ValueError("pattern file %s holds no patterns" % args.infile)
     if len(header["alphabet"]) > H.n:
-        raise UsageError("pattern file %s has a %d-letter alphabet but the "
+        raise ValueError("pattern file %s has a %d-letter alphabet but the "
                          "graph has %d vertices"
                          % (args.infile, len(header["alphabet"]), H.n))
     extended = []
     for p in ps:
         if args.op == "path":
             if args.source is None or args.target is None:
-                raise UsageError("op path needs --source and --target")
-            q = homshift.path_extend(H, p, _parse_pair(args.source, "source"),
-                                     _parse_pair(args.target, "target"),
-                                     args.k)
+                raise ValueError("op path needs --source and --target")
+            q = homshift.path_extend(
+                H, p, _ints(args.source, ",", "source", "u,v", 2),
+                _ints(args.target, ",", "target", "u,v", 2), args.k)
         elif args.op == "embed":
             if args.target is None:
-                raise UsageError("op embed needs --target")
+                raise ValueError("op embed needs --target")
             q = homshift.embed_in_marker(
-                H, p, _parse_pair(args.target, "target"), args.k)
+                H, p, _ints(args.target, ",", "target", "u,v", 2), args.k)
         else:
             _, q = homshift.hat_extend(H, p, args.k)
         extended.append(q)
@@ -196,7 +201,7 @@ def cmd_extend(args):
 
 
 def cmd_tile(args):
-    F = _load_tileset(args)
+    F = tiling_mod.tile_preset(args.tileset)
     dims = _parse_dims(args.dims)
     try:
         t = tiling_mod.tile_rectangle(F, dims)
@@ -208,57 +213,39 @@ def cmd_tile(args):
             print("untileable: the %s rectangle has no tiling by %s"
                   % (args.dims, args.tileset), file=sys.stderr)
             return EXIT_NEGATIVE
-    t.validate()
-    text = canonical_json({"seed": args.seed,
-                           "tiling": tiling_mod.tiling_to_json(t)}) + "\n"
-    _emit(args, text, "tiled dims=%s tiles=%d" % (args.dims, len(t.placements)))
+    _emit(args, _tiling_text(args, t),
+          "tiled dims=%s tiles=%d" % (args.dims, len(t.placements)))
     return EXIT_OK
 
 
 def cmd_fill(args):
-    F = _load_tileset(args)
-    sites = []
-    blocks = {}
+    F = tiling_mod.tile_preset(args.tileset)
+    sites, blocks = [], {}
     if args.blocks:
-        try:
-            with open(args.blocks, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-            entries = raw["blocks"] if isinstance(raw, dict) else raw
-            for entry in entries:
-                site = tuple(entry["site"])
-                sites.append(site)
-                blocks[site] = tiling_mod.tiling_from_json(entry["tiling"])
-        except (OSError, ValueError, KeyError, TypeError,
-                json.JSONDecodeError) as exc:
-            raise UsageError("cannot read blocks file %s: %s"
-                             % (args.blocks, exc))
+        sites, blocks = _read(args.blocks, "blocks file",
+                              lambda text: _parse_blocks(text, F.d))
     try:
         t = tiling_mod.flexible_tile_fill(F, args.n, args.k, sites, blocks)
     except ValueError as exc:
         print("no admissible fill: %s" % exc, file=sys.stderr)
         return EXIT_NEGATIVE
-    t.validate()
-    text = canonical_json({"seed": args.seed,
-                           "tiling": tiling_mod.tiling_to_json(t)}) + "\n"
-    _emit(args, text, "filled n=%d k=%d blocks=%d"
+    _emit(args, _tiling_text(args, t), "filled n=%d k=%d blocks=%d"
           % (args.n, args.k, len(sites)))
     return EXIT_OK
 
 
 def cmd_count(args):
-    if args.what == "hom":
+    if args.what in ("hom", "torus"):
         H = _load_graph(args)
-        value = entropy_mod.count_hom_box(H, args.n, args.d,
-                                          budget=args.budget)
-        params = {"what": "hom", "graph": args.graph, "n": args.n,
-                  "d": args.d}
-    elif args.what == "torus":
-        H = _load_graph(args)
-        value = entropy_mod.count_hom_torus(H, args.n, args.d)
-        params = {"what": "torus", "graph": args.graph, "n": args.n,
+        if args.what == "hom":
+            value = entropy_mod.count_hom_box(H, args.n, args.d,
+                                              budget=args.budget)
+        else:
+            value = entropy_mod.count_hom_torus(H, args.n, args.d)
+        params = {"what": args.what, "graph": args.graph, "n": args.n,
                   "d": args.d}
     elif args.what == "tilings":
-        F = _load_tileset(args)
+        F = tiling_mod.tile_preset(args.tileset)
         dims = _parse_dims(args.dims)
         value = tiling_mod.count_tilings(F, lattice.rectangle(dims),
                                          budget=args.budget)
@@ -267,7 +254,7 @@ def cmd_count(args):
     else:
         dims = _parse_dims(args.dims)
         if len(dims) != 2:
-            raise UsageError("dimers need two dims, got %r" % (args.dims,))
+            raise ValueError("dimers need two dims, got %r" % (args.dims,))
         value = entropy_mod.count_dimer_tilings_kasteleyn(dims[0], dims[1])
         params = {"what": "dimers", "dims": list(dims)}
     params["count"] = value
@@ -322,7 +309,7 @@ def cmd_verify(args):
     if args.what == "marker":
         H = _load_graph(args)
         if args.n < 1:
-            raise UsageError("marker family index must be >= 1")
+            raise ValueError("marker family index must be >= 1")
         v0, v1, v2 = _marker_colors(H, args)
         family = homshift.marker_set(H, v0, v1, v2, args.n - 1, args.d,
                                      budget=args.budget)
@@ -354,17 +341,8 @@ def cmd_verify(args):
         return EXIT_NEGATIVE
     if args.what == "tiling":
         if args.file is None:
-            raise UsageError("verify tiling needs --file")
-        try:
-            with open(args.file, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
-            if "tiling" in obj:
-                obj = obj["tiling"]
-            t = tiling_mod.tiling_from_json(obj, validate=False)
-        except (OSError, KeyError, TypeError, IndexError,
-                json.JSONDecodeError) as exc:
-            raise UsageError("cannot read tiling file %s: %s"
-                             % (args.file, exc))
+            raise ValueError("verify tiling needs --file")
+        t = _read(args.file, "tiling file", _parse_tiling)
         try:
             t.validate()
         except ValueError as exc:
@@ -409,15 +387,9 @@ def cmd_height(args):
         return EXIT_OK
     if args.what == "cocycle":
         if args.infile is None:
-            raise UsageError("height cocycle needs --in")
-        try:
-            with open(args.infile, "r", encoding="utf-8") as fh:
-                ps, _ = homshift.pattern_set_from_jsonl(fh.read())
-        except (OSError, ValueError, KeyError, TypeError,
-                json.JSONDecodeError) as exc:
-            raise UsageError("cannot read pattern file %s: %s"
-                             % (args.infile, exc))
-        base = _parse_site(args.base)
+            raise ValueError("height cocycle needs --in")
+        ps, _ = _load_patterns(args.infile)
+        base = _ints(args.base, ",", "base site", "i,j")
         lines = [canonical_json({"seed": args.seed, "base": list(base),
                                  "count": len(ps)})]
         for p in ps:
@@ -559,22 +531,18 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BudgetError as exc:
-        print("budget exceeded: %s" % exc, file=sys.stderr)
-        return EXIT_BUDGET
-    except UsageError as exc:
-        print("usage error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
-        print("usage error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except (RuntimeError, ArithmeticError) as exc:
-        print("negative result: %s" % exc, file=sys.stderr)
-        return EXIT_NEGATIVE
+    except Exception as exc:
+        kinds, code, prefix = next(row for row in _EXITS
+                                   if isinstance(exc, row[0]))
+        message = str(exc)
+        if kinds is Exception:  # a bug: name the exception
+            message = "%s: %s" % (type(exc).__name__, message)
+        print("%s: %s" % (prefix, " ".join(message.splitlines())),
+              file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ import math
 
 from . import lattice
 from .lattice import add, box_F, norm_inf, parity, shell_F, sub, unit
-from .util import BudgetCounter
+from .util import BudgetCounter, NegativeResult
 
 
 # ---------------------------------------------------------------------------
@@ -25,7 +25,8 @@ from .util import BudgetCounter
 
 
 class TargetGraph:
-    """A finite undirected graph H (self-loops allowed)."""
+    """A finite undirected graph H (self-loops allowed).  An edge names
+    each endpoint u by its label: u is the vertex labelled str(u)."""
 
     def __init__(self, labels, edges):
         self.labels = tuple(str(x) for x in labels)
@@ -35,8 +36,9 @@ class TargetGraph:
             raise ValueError("duplicate vertex labels")
         adj = [set() for _ in range(self.n)]
         for u, v in edges:
-            iu = index[str(u)] if not isinstance(u, int) else u
-            iv = index[str(v)] if not isinstance(v, int) else v
+            if str(u) not in index or str(v) not in index:
+                raise ValueError("edge (%r, %r) names no vertex" % (u, v))
+            iu, iv = index[str(u)], index[str(v)]
             adj[iu].add(iv)
             adj[iv].add(iu)
         self.adj = tuple(tuple(sorted(s)) for s in adj)
@@ -110,14 +112,6 @@ class TargetGraph:
                     m[u, v] = True
             self._np_matrix = m
         return self._np_matrix
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state["_np_matrix"] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
 
     def __repr__(self):
         return "TargetGraph(%d vertices, %d edges)" % (self.n, len(self.edge_list()))
@@ -673,7 +667,8 @@ def hat_extend(H, a, k):
     plain checkerboard, each consecutive pair compatible across lattice edges.
     Returns the checkerboard edge together with the extended pattern; the
     preferred edge follows the input's residue values at 0 and e_1, in the
-    orientation given by the parity of k.
+    orientation given by the parity of k.  Raises NegativeResult when the
+    exhaustive search finds no chain.
     """
     n = _family_n(a, "hat_extend input")
     d = a.region.d
@@ -748,8 +743,8 @@ def hat_extend(H, a, k):
                 values[pos] = chain[r - n][index(tuple(c % 2 for c in site))]
         out = Pattern(region, bytes(values))
         return (v0, v1), out
-    raise RuntimeError("no 2-periodic layer chain of length %d extends this "
-                       "pattern to a checkerboard shell" % k)
+    raise NegativeResult("no 2-periodic layer chain of length %d extends "
+                         "this pattern to a checkerboard shell" % k)
 
 
 # ---------------------------------------------------------------------------
@@ -859,30 +854,27 @@ def pattern_set_to_jsonl(ps, H, seed=None):
     return "\n".join(lines) + "\n"
 
 
-def region_from_descriptor(desc):
-    kind = desc["kind"]
-    if kind == "F":
-        return box_F(desc["n"], desc["d"])
-    if kind == "B":
-        return lattice.box_B(desc["n"], desc["d"])
-    if kind == "rect":
-        return lattice.rectangle(tuple(desc["dims"]), tuple(desc["offset"]))
-    return lattice.Region([tuple(s) for s in desc["sites"]])
-
-
 def pattern_set_from_jsonl(text):
     """Inverse of pattern_set_to_jsonl; returns (PatternSet, header dict)."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty pattern file")
     header = json.loads(lines[0])
-    region = region_from_descriptor(header["region"])
-    letters = len(header["alphabet"])
-    patterns = [Pattern(region, bytes(json.loads(ln)["values"]))
-                for ln in lines[1:]]
-    for p in patterns:
-        if p.values and max(p.values) >= letters:
+    region = lattice.region_from_descriptor(header["region"])
+    alphabet = header["alphabet"]
+    if (not isinstance(alphabet, list)
+            or not all(isinstance(a, str) for a in alphabet)):
+        raise ValueError("alphabet must be a list of strings, got %r"
+                         % (alphabet,))
+    patterns = []
+    for ln in lines[1:]:
+        values = json.loads(ln)["values"]
+        if not isinstance(values, list):
+            raise ValueError("pattern values must be a list, got %r"
+                             % (values,))
+        values = bytes(values)
+        if values and max(values) >= len(alphabet):
             raise ValueError("value %d outside the %d-letter alphabet"
-                             % (max(p.values), letters))
-    ps = PatternSet(region, patterns)
-    return ps, header
+                             % (max(values), len(alphabet)))
+        patterns.append(Pattern(region, values))
+    return PatternSet(region, patterns), header

@@ -33,10 +33,6 @@ def sub(i, j):
     return tuple(a - b for a, b in zip(i, j))
 
 
-def neg(i):
-    return tuple(-a for a in i)
-
-
 def norm_inf(i):
     return max(abs(a) for a in i)
 
@@ -167,6 +163,30 @@ class Region:
                     "offset": list(self.kind[2]), "d": self.d}
         return {"kind": "general", "sites": [list(s) for s in self.sites],
                 "d": self.d}
+
+
+def int_tuple(value, what, d=None):
+    """A JSON list of ints (d of them, when d is given) as a tuple."""
+    if (not isinstance(value, (list, tuple))
+            or not all(isinstance(a, int) for a in value)
+            or d is not None and len(value) != d):
+        raise ValueError("%s must be a list of %sints, got %r"
+                         % (what, "" if d is None else "%d " % d, value))
+    return tuple(value)
+
+
+def region_from_descriptor(desc):
+    """The region that Region.kind_descriptor() describes."""
+    kind = desc["kind"]
+    if kind in ("F", "B"):
+        return (box_F if kind == "F" else box_B)(desc["n"], desc["d"])
+    if kind == "rect":
+        dims = int_tuple(desc["dims"], "rect dims")
+        return rectangle(dims, int_tuple(desc["offset"], "rect offset",
+                                         len(dims)))
+    if kind == "general":
+        return Region([int_tuple(s, "site") for s in desc["sites"]])
+    raise ValueError("unknown region kind %r" % (kind,))
 
 
 def _centered_sites(n, d):

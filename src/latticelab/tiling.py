@@ -15,7 +15,6 @@ with none is a certified negative.
 """
 
 import itertools
-import json
 import math
 
 from . import lattice
@@ -675,10 +674,21 @@ def tiling_to_json(t):
 
 
 def tiling_from_json(obj, validate=True):
-    from .homshift import region_from_descriptor
-    tiles = TileSet([tuple(p) for p in obj["tileset"]])
-    region = region_from_descriptor(obj["region"])
-    t = Tiling(tiles, region, [(p, tuple(o)) for p, o in obj["placements"]])
+    """Inverse of tiling_to_json.  Every placement must name a prototile
+    of the set and give a d-coordinate offset; whether the tiles cover the
+    region exactly is checked only when validate is true."""
+    tiles = TileSet([lattice.int_tuple(p, "prototile")
+                     for p in obj["tileset"]])
+    region = lattice.region_from_descriptor(obj["region"])
+    if region.sites and region.d != tiles.d:
+        raise ValueError("a %d-dimensional region for %d-dimensional tiles"
+                         % (region.d, tiles.d))
+    placements = []
+    for p, o in obj["placements"]:
+        if not isinstance(p, int) or not 0 <= p < len(tiles):
+            raise ValueError("placement index %r names no prototile" % (p,))
+        placements.append((p, lattice.int_tuple(o, "tile offset", tiles.d)))
+    t = Tiling(tiles, region, placements)
     if validate:
         t.validate()
     return t

@@ -11,6 +11,11 @@ class BudgetError(RuntimeError):
     """Raised when a search exceeds its node budget."""
 
 
+class NegativeResult(RuntimeError):
+    """A certified negative: an exhaustive search proved that no object
+    of the kind asked for exists."""
+
+
 def default_budget():
     raw = os.environ.get(BUDGET_ENV)
     if raw is None:

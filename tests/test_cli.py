@@ -1,12 +1,21 @@
 """End-to-end runs of the command line: exit codes, files, determinism."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from latticelab import cli, homshift
 from latticelab.cli import main
 from latticelab.homshift import pattern_set_from_jsonl
+from latticelab.lattice import Region
 from latticelab.tiling import dominoes, tile_rectangle, tiling_to_json
+from latticelab.util import NegativeResult
 
 
 def run(capsys, argv):
@@ -368,3 +377,225 @@ def test_usage_error_on_unknown_subcommand(capsys):
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# edge lists name their vertices
+
+
+@pytest.mark.parametrize("text", ["1 2\n2 3\n3 1\n", "-1 0\n0 7\n7 -1\n"],
+                         ids=["one-based", "negative"])
+def test_edge_list_labels_are_names(tmp_path, capsys, text):
+    edges = tmp_path / "triangle.txt"
+    edges.write_text(text)
+    code, stdout, _ = run(capsys, ["count", "hom", "--edges", str(edges),
+                                   "--n", "1"])
+    assert code == 0
+    assert json.loads(stdout)["count"] == 246  # as for K3
+    out = tmp_path / "box.jsonl"
+    code, _, _ = run(capsys, ["enumerate", "--edges", str(edges), "--n", "0",
+                              "--out", str(out)])
+    assert code == 0
+    ps, header = pattern_set_from_jsonl(out.read_text())
+    labels = sorted({int(u) for u in text.split()})
+    assert header["alphabet"] == [str(u) for u in labels]
+    assert len(ps) == 3
+
+
+def test_edge_list_with_a_gap_in_its_labels(tmp_path, capsys):
+    edges = tmp_path / "gap.txt"
+    edges.write_text("0 5\n")
+    code, stdout, _ = run(capsys, ["enumerate", "--edges", str(edges),
+                                   "--n", "0", "--d", "1"])
+    assert code == 0
+    assert "count=2" in stdout
+
+
+def test_fill_rejects_a_repeated_block_site(tmp_path, capsys):
+    block = tiling_to_json(tile_rectangle(dominoes(), (4, 4)))
+    blocks = tmp_path / "blocks.json"
+    blocks.write_text(json.dumps(
+        {"blocks": [{"site": [4, 4], "tiling": block},
+                    {"site": [4, 4], "tiling": block}]}))
+    code, _, stderr = run(capsys, ["fill", "--n", "4", "--k", "1",
+                                   "--blocks", str(blocks)])
+    assert code == 1
+    assert "no admissible fill" in stderr
+
+
+# ---------------------------------------------------------------------------
+# the exit-code table
+
+
+@pytest.mark.parametrize("exc, code, prefix", [
+    (NegativeResult("no chain"), 1, "negative result: no chain"),
+    (ValueError("bad"), 2, "usage error: bad"),
+    (ArithmeticError("no digits"), 4, "precision failure: no digits"),
+    (ZeroDivisionError("x"), 4, "precision failure: x"),
+    (AssertionError("broken"), 5, "internal error: AssertionError: broken"),
+    (RuntimeError("sampler blocked"), 5,
+     "internal error: RuntimeError: sampler blocked"),
+    (KeyError("k"), 5, "internal error: KeyError: 'k'"),
+    (ValueError("two\nlines"), 2, "usage error: two lines"),
+])
+def test_exit_code_table(monkeypatch, capsys, exc, code, prefix):
+    def fail(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(cli.entropy_mod, "strip_entropy", fail)
+    got, stdout, stderr = run(capsys, ["entropy", "strips", "--widths", "2"])
+    assert got == code
+    assert stdout == ""
+    assert stderr == prefix + "\n"
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the file loaders: every malformed file exits 2 with one line
+
+
+def _jsonl(ps, H):
+    """A pattern file without the optional header keys (count, meta)."""
+    lines = homshift.pattern_set_to_jsonl(ps, H).splitlines()
+    header = json.loads(lines[0])
+    for key in ("count", "meta"):
+        header.pop(key, None)
+    if header["region"]["kind"] == "general":
+        del header["region"]["d"]  # not read for a general region
+    return [header] + [json.loads(ln) for ln in lines[1:]]
+
+
+def _bare_tiling(dims):
+    obj = tiling_to_json(tile_rectangle(dominoes(), dims))
+    del obj["region"]["d"]  # not read for a rectangle
+    return obj
+
+
+_K3 = homshift.complete_graph(3)
+_ELL = Region([(0, 0), (1, 0), (0, 1)])
+
+# case -> (argv with FILE for the input path, valid file content); a JSON
+# content is a list of records, one per line
+LOADER_CASES = {
+    "edges": (["enumerate", "--edges", "FILE", "--n", "0", "--d", "1"],
+              "0 1\n1 2\n0 2\n"),
+    "extend": (["extend", "--op", "hat", "--in", "FILE", "--k", "2"],
+               _jsonl(homshift.hat_set(_K3, 1, 1), _K3)),
+    "cocycle": (["height", "cocycle", "--in", "FILE"],
+                _jsonl(homshift.enumerate_hom(_K3, _ELL), _K3)),
+    "blocks": (["fill", "--n", "4", "--k", "1", "--blocks", "FILE"],
+               [{"blocks": [{"site": [4, 4],
+                             "tiling": _bare_tiling((4, 4))}]}]),
+    "tiling": (["verify", "tiling", "--file", "FILE"],
+               [{"tiling": _bare_tiling((4, 4))}]),
+}
+
+
+def _run_case(case, text):
+    argv, _ = LOADER_CASES[case]
+    fd, path = tempfile.mkstemp(suffix=".txt")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([path if a == "FILE" else a for a in argv])
+    finally:
+        os.remove(path)
+    return code, err.getvalue()
+
+
+def _text(case, records):
+    if case == "edges":
+        return records
+    return "".join(json.dumps(r) + "\n" for r in records)
+
+
+def _slots(node):
+    """(container, key) for every value below node, depth first."""
+    keys = node if isinstance(node, dict) else range(len(node))
+    for key in list(keys):
+        yield node, key
+        if isinstance(node[key], (dict, list)):
+            yield from _slots(node[key])
+
+
+_SWAPS = ["x", 0.5, None, [1], {"x": 1}]
+
+
+@st.composite
+def malformed_files(draw):
+    """(case, text) where text is a valid loader input broken by truncation,
+    a swapped type, a dropped key or a coordinate too many or too few."""
+    case = draw(st.sampled_from(sorted(LOADER_CASES)))
+    kind = draw(st.sampled_from(["truncate", "swap", "drop", "dimension"]))
+    valid = LOADER_CASES[case][1]
+    if case == "edges":
+        rows = [ln.split() for ln in valid.splitlines()]
+        i = draw(st.integers(0, len(rows) - 1))
+        if kind == "truncate":
+            rows = rows[:i] + [rows[i][:1]]
+        elif kind == "swap":
+            rows[i][draw(st.integers(0, 1))] = draw(
+                st.sampled_from(["x", "0.5", "[1]", "{}"]))
+        elif kind == "drop":
+            del rows[i][draw(st.integers(0, 1))]
+        else:
+            rows[i].append("0")
+        return case, "".join(" ".join(r) + "\n" for r in rows)
+    records = json.loads(json.dumps(valid))
+    if kind == "truncate":
+        i = draw(st.integers(0, len(records) - 1))
+        line = json.dumps(records[i])
+        cut = draw(st.integers(1, len(line) - 1))
+        return case, _text(case, records[:i]) + line[:cut]
+    slots = list(_slots(records))
+    if kind == "drop":
+        slots = [s for s in slots if isinstance(s[0], dict)]
+    elif kind == "dimension":
+        slots = [s for s in slots if isinstance(s[0][s[1]], list)
+                 and s[0][s[1]]
+                 and all(isinstance(a, int) for a in s[0][s[1]])]
+    node, key = draw(st.sampled_from(slots))
+    if kind == "drop":
+        del node[key]
+    elif kind == "dimension":
+        if draw(st.booleans()):
+            node[key].append(0)
+        else:
+            node[key].pop()
+    else:
+        old = node[key]
+        node[key] = draw(st.sampled_from(
+            [v for v in _SWAPS if type(v) is not type(old)]))
+    return case, _text(case, records)
+
+
+@pytest.mark.parametrize("case", sorted(LOADER_CASES))
+def test_loader_cases_pass_unmutated(case):
+    code, err = _run_case(case, _text(case, LOADER_CASES[case][1]))
+    assert (code, err) == (0, "")
+
+
+@settings(max_examples=300, deadline=None)
+@given(malformed_files().map(lambda case_text: case_text + (2,)))
+@example(("edges", "1 2\n2 3\n3 1\n", 0))
+@example(("tiling", '{"tileset":[[1,2],[2,1]],"region":{"kind":"rect",'
+                    '"dims":[2,2],"offset":[0,0]},"placements":[[0,[1]]]}', 2))
+@example(("tiling", '{"tileset":[[1,2],[2,1]],"region":{"kind":"rect",'
+                    '"dims":[2,2],"offset":[0,0]},"placements":[[5,[0,0]]]}',
+          2))
+@example(("cocycle", '{"alphabet":["0","1","2"],"region":{"kind":"general",'
+                     '"sites":[["a","b"]]}}\n{"values":[0]}\n', 2))
+@example(("blocks", json.dumps(
+    {"blocks": [{"site": [4, 4, 0], "tiling": _bare_tiling((4, 4))}]}), 2))
+def test_loader_inputs_get_their_exit_code_and_one_line(case_text_code):
+    """Malformed files exit 2; the repros of the four tracebacks the
+    loaders once let through are pinned as examples."""
+    case, text, want = case_text_code
+    code, err = _run_case(case, text)
+    assert "Traceback" not in err
+    assert code == want, err
+    if want == 0:
+        assert err == ""
+    else:
+        assert err.startswith("usage error: cannot read ")
+        assert err.count("\n") == 1 and err.endswith("\n")

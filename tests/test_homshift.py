@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from latticelab import lattice
 from latticelab.lattice import Region, box_F, parity, shell_F
 from latticelab import homshift as hs
-from latticelab.util import BudgetError
+from latticelab.util import BudgetError, NegativeResult
 
 K3 = hs.complete_graph(3)
 K4 = hs.complete_graph(4)
@@ -574,6 +574,17 @@ def test_hat_extend_prefers_the_input_edge():
     assert ext.values[ext.region.index((0, 0))] == 0
 
 
+def test_hat_extend_reports_an_exhausted_search_as_a_negative(monkeypatch):
+    # with no ring layers to chain, the exhaustive search finds nothing
+    cube, _ = hs._ring_layers(K3, 2)
+    monkeypatch.setattr(hs, "_ring_layers", lambda H, d: (cube, ()))
+    p = hs.hat_set(K3, 1, 2)[0]
+    with pytest.raises(NegativeResult):
+        hs.hat_extend(K3, p, 4)
+    with pytest.raises(RuntimeError):  # what callers caught before
+        hs.hat_extend(K3, p, 4)
+
+
 def test_hat_extend_rejects_short_and_foreign_input():
     p = hs.hat_set(K3, 1, 2)[0]
     with pytest.raises(ValueError):
@@ -681,3 +692,22 @@ def test_jsonl_general_region_round_trip():
     back, _ = hs.pattern_set_from_jsonl(text)
     assert back.region == ell
     assert [p.values for p in back] == [p.values for p in ps]
+
+
+@pytest.mark.parametrize("header, record", [
+    ('"alphabet":["0","1","2"]', '{"values":3}'),
+    ('"alphabet":"012"', '{"values":[0,1,2]}'),
+    ('"alphabet":["0",1,"2"]', '{"values":[0,1,2]}'),
+], ids=["int-values", "string-alphabet", "int-letter"])
+def test_jsonl_rejects_malformed_records(header, record):
+    text = '{%s,"region":{"d":1,"kind":"F","n":1}}\n%s\n' % (header, record)
+    with pytest.raises(ValueError):
+        hs.pattern_set_from_jsonl(text)
+
+
+def test_target_graph_edges_name_vertices_by_label():
+    one_based = hs.TargetGraph([1, 2, 3], [(1, 2), ("2", 3), (3, 1)])
+    assert one_based.adj == K3.adj
+    assert one_based.labels == ("1", "2", "3")
+    with pytest.raises(ValueError):
+        hs.TargetGraph(["0", "1"], [(-1, 0)])

@@ -1,6 +1,7 @@
 """Geometry primitives: boxes, shells, parity, spacing."""
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -156,3 +157,29 @@ def test_unit_vectors_are_one_based():
 def test_mixed_dimension_rejected():
     with pytest.raises(ValueError):
         Region([(0, 0), (1, 2, 3)])
+
+
+@pytest.mark.parametrize("region", [
+    box_F(1, 2), box_B(2, 3), rectangle((2, 3), (1, -1)),
+    Region([(0, 0), (1, 0), (0, 1)]), Region([])],
+    ids=["F", "B", "rect", "general", "empty"])
+def test_region_descriptor_round_trip(region):
+    desc = json.loads(json.dumps(region.kind_descriptor()))
+    back = lattice.region_from_descriptor(desc)
+    assert back == region
+    assert back.kind_descriptor() == region.kind_descriptor()
+
+
+@pytest.mark.parametrize("desc", [
+    {"kind": "general", "sites": [["a", "b"]]},
+    {"kind": "general", "sites": [[0, 0], [1]]},
+    {"kind": "general", "sites": [3]},
+    {"kind": "rect", "dims": [2, 2], "offset": [0]},
+    {"kind": "rect", "dims": [2, "2"], "offset": [0, 0]},
+    {"kind": "F", "n": "1", "d": 2},
+    {"kind": "torus", "n": 1, "d": 2},
+], ids=["letters", "mixed-dims", "bare-int", "short-offset", "string-dim",
+        "string-n", "unknown-kind"])
+def test_region_descriptor_rejects_malformed(desc):
+    with pytest.raises(ValueError):
+        lattice.region_from_descriptor(desc)

@@ -474,3 +474,17 @@ def test_tiling_json_validates_on_load():
     with pytest.raises(ValueError):
         tl.tiling_from_json(obj)
     assert tl.tiling_from_json(obj, validate=False) is not None
+
+
+@pytest.mark.parametrize("field, value", [
+    ("placements", [[0, [1]]]), ("placements", [[5, [0, 0]]]),
+    ("placements", [[-1, [0, 0]]]), ("placements", [[0, [0, "1"]]]),
+    ("placements", [[0, [0, 0], 1]]), ("tileset", [[1, "2"], [2, 1]]),
+    ("region", {"kind": "rect", "dims": [2, 2, 2], "offset": [0, 0, 0]}),
+], ids=["short-offset", "index-too-big", "negative-index", "string-offset",
+        "long-placement", "string-side", "region-dimension"])
+def test_tiling_json_rejects_malformed_even_unvalidated(field, value):
+    obj = tl.tiling_to_json(tl.tile_rectangle(DOM, (4, 4)))
+    obj[field] = value
+    with pytest.raises(ValueError):
+        tl.tiling_from_json(obj, validate=False)
