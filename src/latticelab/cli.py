@@ -4,10 +4,10 @@ Subcommands: enumerate, extend, fill, tile, count, entropy, verify,
 height.  Exit codes: 0 = pass, 1 = certified negative (a counterexample,
 no tiling, an invalid tiling or fill, no extension), 2 = usage error (bad
 arguments or a malformed file), 3 = search budget exceeded, 4 = precision
-failure, 5 = internal error.  Each failure prints one line on stderr
-(argparse adds a usage line to its own errors).  Every output starts with
-a header carrying the seed, and rerunning any command with the same
-arguments produces byte-identical output regardless of the worker count.
+failure, 5 = internal error.  Each failure, an argument error included,
+prints one line on stderr.  Every output starts with a header carrying
+the seed, and rerunning any command with the same arguments produces
+byte-identical output regardless of the worker count.
 """
 
 import argparse
@@ -242,8 +242,9 @@ def cmd_count(args):
                                               budget=args.budget)
         else:
             value = entropy_mod.count_hom_torus(H, args.n, args.d)
-        params = {"what": args.what, "graph": args.graph, "n": args.n,
-                  "d": args.d}
+        source = "edges" if args.edges else "graph"
+        params = {"what": args.what, source: getattr(args, source),
+                  "n": args.n, "d": args.d}
     elif args.what == "tilings":
         F = tiling_mod.tile_preset(args.tileset)
         dims = _parse_dims(args.dims)
@@ -433,8 +434,15 @@ def _add_colors(sub):
     sub.add_argument("--v2", type=int, default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors, the subparsers' too, are one line and exit 2."""
+
+    def error(self, message):
+        self.exit(2, "usage error: %s\n" % " ".join(message.splitlines()))
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latticelab",
         description="pattern families, tilings, entropy counts and height "
                     "checks on small lattice windows")

@@ -3,15 +3,14 @@
 Transfer operators over valid column states give exact integer counts for
 two-dimensional boxes and tori and numerical per-site entropies for strips.
 An operator keeps its states as a uint8 array and its transitions as
-sparse neighbour lists, and counts with Python-int object arrays, so the
-cost follows the number of compatible column pairs; the dense matrix is
-built only for the float power iteration of strip_entropy.  Domino counts
-come from the Kasteleyn / Temperley-Fisher double product, taken exactly
-as an integer resultant; count_dimer_tilings_dp counts the same rectangles
-with the tiling frontier DP.
+sparse neighbour lists, the only form of the transfer matrix: counts run
+on it with Python-int object arrays and strip_entropy's power iteration
+with float64 vectors, so the cost follows the number of compatible column
+pairs.  Domino counts come from the Kasteleyn / Temperley-Fisher double
+product, taken exactly as an integer resultant; count_dimer_tilings_dp
+counts the same rectangles with the tiling frontier DP.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -21,29 +20,19 @@ from .homshift import count_hom_dfs, hat_set, marker_set
 from .tiling import count_tilings, dominoes
 
 MAX_TRANSFER_STATES = 200_000
+MAX_TRANSFER_PAIRS = 1 << 25  # compatible column pairs built at once
 GATHER_LIMIT = 1 << 20  # object entries gathered at once by trace_power
+POWER_TOL = 1e-12  # relative change that ends strip_entropy's iteration
+POWER_MAX_ITER = 100_000
 
 
-def _column_count(H, width, periodic):
-    """Number of valid columns, from walk counts in H (nothing enumerated).
-
-    A free column is a walk of width - 1 steps; a periodic one is a closed
-    walk of width steps (a self-loop when width = 1).
-    """
-    if width < 1:
-        raise ValueError("width must be positive")
-    if not periodic:
-        walks = [1] * H.n
-        for _ in range(width - 1):
-            walks = [sum(walks[u] for u in H.adj[v]) for v in range(H.n)]
-        return sum(walks)
-    total = 0
-    for start in range(H.n):
-        walks = [int(v == start) for v in range(H.n)]
-        for _ in range(width):
-            walks = [sum(walks[u] for u in H.adj[v]) for v in range(H.n)]
-        total += walks[start]
-    return total
+def _walk_total(nbrs, start, steps):
+    """Number of walks of the given number of steps in an undirected graph,
+    v ~ each u in nbrs[v], with start[v] of them starting at each v."""
+    walks = list(start)
+    for _ in range(steps):
+        walks = [sum(walks[u] for u in row) for row in nbrs]
+    return sum(walks)
 
 
 def _segments(counts):
@@ -54,10 +43,10 @@ def _segments(counts):
     return owner, np.arange(len(owner)) - first[owner]
 
 
-def _compatible_columns(H, width):
+def _compatible_columns(H, width, steps):
     """The free columns of the given width, as an S x w uint8 array in
     lexicographic order, and every compatible pair of them, as two index
-    arrays (left, right).
+    arrays (left, right); steps is the table built by TransferOperator.
 
     Both are grown one row at a time: a prefix pair extends by every pair
     of neighbour slots whose values are adjacent, so the work follows the
@@ -67,12 +56,6 @@ def _compatible_columns(H, width):
     deg = np.array([len(nbrs) for nbrs in H.adj], dtype=np.intp)
     nbr = np.array([v for nbrs in H.adj for v in nbrs], dtype=np.intp)
     nbr_start = np.cumsum(deg) - deg
-    # For each pair (x, y) of row values, the pairs (i, j) of neighbour
-    # slots with H.adj[x][i] ~ H.adj[y][j]: the ways two compatible
-    # columns ending in x and y extend by one compatible row.
-    steps = [[(i, j) for i, u in enumerate(H.adj[x])
-              for j, v in enumerate(H.adj[y]) if H.has_edge(u, v)]
-             for x in range(q) for y in range(q)]
     step_count = np.array([len(s) for s in steps], dtype=np.intp)
     step_start = np.cumsum(step_count) - step_count
     step_i = np.array([i for s in steps for i, _ in s], dtype=np.intp)
@@ -106,8 +89,10 @@ class TransferOperator:
     boundary, a cycle for periodic), kept in lexicographic order as the
     rows of the S x w uint8 array `states`.  Two columns are neighbours
     when they may sit side by side; the neighbour lists are stored as CSR
-    arrays `indptr` and `indices`.  The state count is checked against
-    MAX_TRANSFER_STATES before anything is built.  Counts are gathers and
+    arrays `indptr` and `indices`.  The free columns and their compatible
+    pairs, which are built before the periodic ones are filtered out, are
+    counted as walks and checked against MAX_TRANSFER_STATES and
+    MAX_TRANSFER_PAIRS before anything is built.  Counts are gathers and
     segment sums over object arrays, so every entry stays an exact Python
     int.
     """
@@ -115,24 +100,43 @@ class TransferOperator:
     def __init__(self, H, width, boundary="free"):
         if boundary not in ("free", "periodic"):
             raise ValueError("boundary must be 'free' or 'periodic'")
+        if width < 1:
+            raise ValueError("width must be positive")
         self.H = H
         self.width = width
         self.boundary = boundary
-        periodic = boundary == "periodic"
-        count = _column_count(H, width, periodic)
-        if not count:
-            raise ValueError("no valid column states for width %d (%s)"
-                             % (width, boundary))
-        if count > MAX_TRANSFER_STATES:
+        q = H.n
+        states = _walk_total(H.adj, [1] * q, width - 1)
+        if states > MAX_TRANSFER_STATES:
             raise ValueError("transfer state space too large: %d states"
-                             % count)
-        columns, left, right = _compatible_columns(H, width)
-        if periodic:
+                             % states)
+        # For each pair x ~ y of row values, at x * q + y, the pairs (i, j)
+        # of neighbour slots with H.adj[x][i] ~ H.adj[y][j]: the ways two
+        # compatible columns ending in x and y extend by one compatible row.
+        # Compatible column pairs are the walks on this undirected graph.
+        steps = [[(i, j) for i, u in enumerate(H.adj[x])
+                  for j, v in enumerate(H.adj[y]) if H.has_edge(u, v)]
+                 if H.has_edge(x, y) else []
+                 for x in range(q) for y in range(q)]
+        pair_nbrs = [[H.adj[x][i] * q + H.adj[y][j]
+                      for i, j in steps[x * q + y]]
+                     for x in range(q) for y in range(q)]
+        pairs = _walk_total(pair_nbrs, [int(H.has_edge(x, y))
+                                        for x in range(q) for y in range(q)],
+                            width - 1)
+        if pairs > MAX_TRANSFER_PAIRS:
+            raise ValueError("transfer state space too large: %d compatible "
+                             "column pairs" % pairs)
+        columns, left, right = _compatible_columns(H, width, steps)
+        if boundary == "periodic":
             keep = H.matrix()[columns[:, -1], columns[:, 0]]
             renumber = np.cumsum(keep) - 1
             both = keep[left] & keep[right]
             columns = columns[keep]
             left, right = renumber[left[both]], renumber[right[both]]
+        if not len(columns):
+            raise ValueError("no valid column states for width %d (%s)"
+                             % (width, boundary))
         order = np.lexsort((right, left))
         self.states = columns
         self.indices = right[order]
@@ -149,23 +153,17 @@ class TransferOperator:
         """The states as value tuples, in lexicographic order."""
         return [tuple(s) for s in self.states.tolist()]
 
-    @functools.cached_property
-    def matrix(self):
-        """The dense 0/1 transfer matrix, built on first use."""
-        size = self.size()
-        dense = np.zeros((size, size), dtype=np.uint8)
-        rows = np.repeat(np.arange(size), np.diff(self.indptr))
-        dense[rows, self.indices] = 1
-        return dense
-
     def apply(self, vec):
-        """Exact integer product T @ vec, for a vector or a matrix.
+        """The product T @ vec, for a vector or a matrix: float64 for a
+        float64 input, otherwise exact over Python ints.
 
         Rows without neighbours are left at 0: np.add.reduceat would give
         them the next row's first term.
         """
-        vec = np.asarray(vec, dtype=object)
-        out = np.zeros(vec.shape, dtype=object)
+        vec = np.asarray(vec)
+        if vec.dtype != np.float64:
+            vec = vec.astype(object)
+        out = np.zeros(vec.shape, dtype=vec.dtype)
         out[self._nonempty] = np.add.reduceat(vec[self.indices],
                                               self._row_starts, axis=0)
         return out
@@ -318,29 +316,25 @@ def count_dimer_tilings_kasteleyn(m, n):
 # strip entropy
 
 
-def strip_entropy(H, width, boundary="free", tol=1e-12, max_iter=100_000):
+def strip_entropy(H, width, boundary="free"):
     """Per-site entropy (nats) of the width-w strip: log(lambda_max)/width.
 
     Dominant eigenvalue by power iteration on the shifted operator T + I
     (the shift makes the iteration aperiodic; Perron-Frobenius gives
-    convergence for the connected case).
+    convergence for the connected case), in float64 through
+    TransferOperator.apply.  Each step's (T + I) v also gives the next
+    Rayleigh quotient, so T is applied once per step.
     """
-    T = TransferOperator(H, width, boundary).matrix.astype(np.float64)
-    size = T.shape[0]
-    vec = np.full(size, 1.0 / math.sqrt(size))
+    op = TransferOperator(H, width, boundary)
+    vec = np.full(op.size(), 1.0 / math.sqrt(op.size()))
+    step = op.apply(vec) + vec  # (T + I) v
     lam = 0.0
-    for _ in range(max_iter):
-        nxt = T @ vec + vec  # (T + I) v
-        norm = float(np.linalg.norm(nxt))
-        if norm == 0.0:
-            raise ArithmeticError("transfer operator annihilated the iterate")
-        nxt /= norm
-        new_lam = float(nxt @ (T @ nxt + nxt))
-        if abs(new_lam - lam) <= tol * max(1.0, abs(new_lam)):
-            lam = new_lam
+    for _ in range(POWER_MAX_ITER):
+        vec = step / float(np.linalg.norm(step))  # the norm is >= 1
+        step = op.apply(vec) + vec
+        lam, last = float(vec @ step), lam
+        if abs(lam - last) <= POWER_TOL * max(1.0, abs(lam)):
             break
-        lam = new_lam
-        vec = nxt
     lam -= 1.0  # undo the shift
     if lam <= 0:
         raise ArithmeticError("dominant eigenvalue not positive")

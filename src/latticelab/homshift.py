@@ -459,45 +459,35 @@ def tau_n(site, n):
 # walks in H of exact lengths
 
 
+def _reach_tables(H):
+    """reach[u][v] = a walk of length L from u to v exists, for L = 0, 1, ..."""
+    reach = [[u == v for v in range(H.n)] for u in range(H.n)]
+    while True:
+        yield reach
+        nxt = [[False] * H.n for _ in range(H.n)]
+        for u in range(H.n):
+            for mid in range(H.n):
+                if reach[u][mid]:
+                    for v in H.adj[mid]:
+                        nxt[u][v] = True
+        reach = nxt
+
+
 def min_universal_path_length(H):
     """Smallest N with a walk of every length >= N between any two vertices."""
     if not H.is_connected() or H.is_bipartite():
         raise ValueError("no such N exists: H must be connected and non-bipartite")
-    reach = [[u == v for v in range(H.n)] for u in range(H.n)]
     bound = 4 * H.n * H.n + 4
-    for length in range(1, bound + 1):
-        nxt = [[False] * H.n for _ in range(H.n)]
-        for u in range(H.n):
-            row = reach[u]
-            out = nxt[u]
-            for mid in range(H.n):
-                if row[mid]:
-                    for v in H.adj[mid]:
-                        out[v] = True
-        reach = nxt
+    tables = itertools.islice(_reach_tables(H), 1, bound + 1)
+    for length, reach in enumerate(tables, 1):
         if all(all(row) for row in reach):
             return length
     raise AssertionError("universal walk length not found below %d" % bound)
 
 
-def _walk_tables(H, max_len):
-    """reach[L][u][v] = a walk of length L from u to v exists."""
-    tables = [[[u == v for v in range(H.n)] for u in range(H.n)]]
-    for _ in range(max_len):
-        prev = tables[-1]
-        nxt = [[False] * H.n for _ in range(H.n)]
-        for u in range(H.n):
-            for mid in range(H.n):
-                if prev[u][mid]:
-                    for v in H.adj[mid]:
-                        nxt[u][v] = True
-        tables.append(nxt)
-    return tables
-
-
 def lex_walk(H, u, v, length):
     """The lexicographically least walk u -> v of exactly this length, or None."""
-    tables = _walk_tables(H, length)
+    tables = list(itertools.islice(_reach_tables(H), length + 1))
     if not tables[length][u][v]:
         return None
     walk = [u]
@@ -877,4 +867,7 @@ def pattern_set_from_jsonl(text):
             raise ValueError("value %d outside the %d-letter alphabet"
                              % (max(values), len(alphabet)))
         patterns.append(Pattern(region, values))
+    if "count" in header and header["count"] != len(patterns):
+        raise ValueError("header count %r but %d records"
+                         % (header["count"], len(patterns)))
     return PatternSet(region, patterns), header

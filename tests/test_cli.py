@@ -373,10 +373,18 @@ def test_outputs_byte_identical_across_reruns_and_workers(tmp_path, capsys):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
-def test_usage_error_on_unknown_subcommand(capsys):
+@pytest.mark.parametrize("argv", [
+    ["frobnicate"], ["enumerate", "--n"], ["count", "hom", "--n", "x"],
+    ["enumerate", "--family", "cube", "--n", "1"],
+    ["count", "hom", "--budget", "0"], ["extend", "--op", "hat", "--k", "1"]],
+    ids=["unknown-subcommand", "missing-value", "non-int", "bad-choice",
+         "budget-0", "missing-required-flag"])
+def test_argument_errors_are_one_line(capsys, argv):
     with pytest.raises(SystemExit) as err:
-        main(["frobnicate"])
+        main(argv)
     assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("usage error: ") and stderr.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +399,14 @@ def test_edge_list_labels_are_names(tmp_path, capsys, text):
     code, stdout, _ = run(capsys, ["count", "hom", "--edges", str(edges),
                                    "--n", "1"])
     assert code == 0
-    assert json.loads(stdout)["count"] == 246  # as for K3
+    record = json.loads(stdout)
+    assert record.pop("edges") == str(edges)  # and no "graph" key
+    code, stdout, _ = run(capsys, ["count", "hom", "--n", "1"])
+    assert stdout == ('{"command":"count","count":246,"d":2,"graph":"K3",'
+                      '"n":1,"seed":0,"what":"hom"}\n')
+    preset = json.loads(stdout)
+    del preset["graph"]
+    assert record == preset  # the count 246, as for K3
     out = tmp_path / "box.jsonl"
     code, _, _ = run(capsys, ["enumerate", "--edges", str(edges), "--n", "0",
                               "--out", str(out)])
@@ -471,6 +486,8 @@ def _bare_tiling(dims):
 
 _K3 = homshift.complete_graph(3)
 _ELL = Region([(0, 0), (1, 0), (0, 1)])
+_CHECKER_FILE = homshift.pattern_set_to_jsonl(
+    homshift.checkerboard_set(_K3, 0, 1, 2, 2), _K3)  # 64 patterns
 
 # case -> (argv with FILE for the input path, valid file content); a JSON
 # content is a list of records, one per line
@@ -587,9 +604,11 @@ def test_loader_cases_pass_unmutated(case):
                      '"sites":[["a","b"]]}}\n{"values":[0]}\n', 2))
 @example(("blocks", json.dumps(
     {"blocks": [{"site": [4, 4, 0], "tiling": _bare_tiling((4, 4))}]}), 2))
+@example(("cocycle", "".join(_CHECKER_FILE.splitlines(True)[:5]), 2))
 def test_loader_inputs_get_their_exit_code_and_one_line(case_text_code):
     """Malformed files exit 2; the repros of the four tracebacks the
-    loaders once let through are pinned as examples."""
+    loaders once let through, and a file cut short of its header's count,
+    are pinned as examples."""
     case, text, want = case_text_code
     code, err = _run_case(case, text)
     assert "Traceback" not in err

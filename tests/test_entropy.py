@@ -9,6 +9,7 @@ Cayley-graph search for the torus.
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from latticelab import entropy as en
 from latticelab import homshift as hs
 from latticelab import tiling as tl
+from latticelab.cli import main
 from latticelab.lattice import box_F, rectangle
 
 K3 = hs.complete_graph(3)
@@ -56,11 +58,16 @@ def torus_oracle(H, side):
 # transfer operator
 
 
+def dense_matrix(op):
+    """The 0/1 transfer matrix of op, built from its CSR arrays."""
+    dense = np.zeros((op.size(), op.size()), dtype=np.uint8)
+    dense[np.repeat(np.arange(op.size()), np.diff(op.indptr)), op.indices] = 1
+    return dense
+
+
 def test_transfer_matrix_is_symmetric():
-    op = en.TransferOperator(K3, 3, "free")
-    for i in range(op.size()):
-        for j in range(op.size()):
-            assert op.matrix[i][j] == op.matrix[j][i]
+    matrix = dense_matrix(en.TransferOperator(K3, 3, "free"))
+    assert (matrix == matrix.T).all()
 
 
 def test_transfer_states_are_valid_columns():
@@ -179,7 +186,7 @@ def test_operator_matches_list_operator(H, width, boundary, length):
     op = en.TransferOperator(H, width, boundary)
     assert op.size() == want.size()
     assert op.state_values == want.state_values
-    assert op.matrix.tolist() == want.matrix
+    assert dense_matrix(op).tolist() == want.matrix
     assert op.count_strip(length) == want.count_strip(length)
     assert type(op.count_strip(length)) is int
     if want.size() <= 64:
@@ -197,12 +204,12 @@ def test_operator_errors_match_list_operator():
                 == outcome(ListTransfer, H, width, boundary))
 
 
-def test_state_guard_fires_before_any_neighbour_list(monkeypatch):
+def test_state_guard_fires_before_any_neighbour_list(monkeypatch, capsys):
     K5 = hs.complete_graph(5)
     want = outcome(ListTransfer, K5, 9, "free")
     assert "too large: 327680 states" in want[1]
 
-    def no_lists(H, width):
+    def no_lists(*args):
         raise AssertionError("neighbour lists built past the state guard")
 
     monkeypatch.setattr(en, "_compatible_columns", no_lists)
@@ -210,12 +217,19 @@ def test_state_guard_fires_before_any_neighbour_list(monkeypatch):
     # far beyond anything that could be enumerated
     with pytest.raises(ValueError, match="too large"):
         en.TransferOperator(K3, 60, "periodic")
+    # few enough states, but 6 * 3**16 and 6 * 3**15 compatible pairs
+    for what in ("hom", "torus"):
+        assert main(["count", what, "--n", "8"]) == 2
+        err = capsys.readouterr().err
+        assert "too large" in err and err.count("\n") == 1
 
 
 def test_apply_leaves_rows_without_neighbours_at_zero():
     op = en.TransferOperator(LOOPED_PATH, 1, "free")
     assert op.state_values == [(0,), (1,), (2,), (3,)]
     assert op.apply([5, 7, 11, 13]).tolist() == [7, 16, 18, 0]
+    floats = op.apply(np.array([0.5, 1.0, 2.0, 4.0]))
+    assert floats.dtype == np.float64 and floats.tolist() == [1.0, 2.5, 3.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +429,33 @@ def test_strip_entropy_bounds():
     for w, boundary in [(1, "free"), (3, "free"), (4, "periodic")]:
         h = en.strip_entropy(K3, w, boundary)
         assert 0.0 <= h <= math.log(3)
+
+
+@given(st.sampled_from(GRAPHS), st.integers(1, 6),
+       st.sampled_from(["free", "periodic"]))
+@settings(max_examples=80, deadline=None)
+def test_strip_entropy_matches_eigvalsh(H, width, boundary):
+    op = outcome(en.TransferOperator, H, width, boundary)
+    assume(not isinstance(op, tuple) and op.size() <= 3000)
+    lam = np.linalg.eigvalsh(dense_matrix(op).astype(np.float64))[-1]
+    assert en.strip_entropy(H, width, boundary) == pytest.approx(
+        math.log(lam) / width, abs=1e-9)
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (["--widths", "1..10"],
+     ["1,0.69314718056", "2,0.549306144334", "3,0.505887698228",
+      "4,0.485474125155", "5,0.473728587897", "6,0.466132654048",
+      "7,0.460830690774", "8,0.456925548202", "9,0.453932190993",
+      "10,0.451566073436"]),
+    (["--widths", "2,4,6,8,10", "--boundary", "periodic"],
+     ["2,0.549306144334", "4,0.462989385247", "6,0.4457653504",
+      "8,0.439601098213", "10,0.436715236659"])], ids=["free", "periodic"])
+def test_strip_entropy_table_bytes(capsys, argv, rows):
+    """The benchmark's strip tables, byte for byte."""
+    assert main(["entropy", "strips"] + argv) == 0
+    want = ["# seed=0", "width,entropy"] + rows
+    assert capsys.readouterr().out == "\n".join(want) + "\n"
 
 
 def test_strip_entropy_no_states_error():
