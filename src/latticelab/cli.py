@@ -41,6 +41,10 @@ def _positive(text):
     return value
 
 
+# argparse names the type in "invalid <name> value: 'x'"
+_positive.__name__ = "positive integer"
+
+
 def _ints(text, sep, what, form, count=None):
     """The integers of text split at sep (at whitespace when sep is None);
     ValueError unless there are count of them, or any number when count

@@ -14,7 +14,7 @@ across a thin annulus.
 from collections import deque
 
 from . import lattice
-from .homshift import Pattern, is_hom, enumerate_hom, _dfs_collect
+from .homshift import Pattern, is_hom, enumerate_hom, first_hom
 from .util import BudgetCounter
 
 
@@ -199,22 +199,10 @@ def quasiflat_gap(samples, displacements):
     return gap
 
 
-class _Found(Exception):
-    def __init__(self, values):
-        self.values = values
-
-
-def _raise_found(values):
-    raise _Found(values)
-
-
 def _first_hom(H, region, fixed, counter):
     """First completion of the fixed sites to a hom on region, or None."""
-    try:
-        _dfs_collect(H, region, fixed, counter, _raise_found)
-    except _Found as hit:
-        return Pattern(region, hit.values)
-    return None
+    values = first_hom(H, region, fixed, counter)
+    return None if values is None else Pattern(region, values)
 
 
 def _is_k3(H):

@@ -15,9 +15,11 @@ import itertools
 import json
 import math
 
+import numpy as np
+
 from . import lattice
 from .lattice import add, box_F, norm_inf, parity, shell_F, sub, unit
-from .util import BudgetCounter, NegativeResult
+from .util import BudgetCounter, BudgetError, NegativeResult
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +107,6 @@ class TargetGraph:
     def matrix(self):
         """Boolean adjacency matrix as a numpy array."""
         if self._np_matrix is None:
-            import numpy as np
             m = np.zeros((self.n, self.n), dtype=bool)
             for u in range(self.n):
                 for v in self.adj[u]:
@@ -205,25 +206,53 @@ def pattern_from_mapping(region, mapping):
 
 
 class PatternSet:
-    """A canonically ordered set of patterns sharing one region."""
+    """A canonically ordered set of patterns sharing one region.
+
+    The patterns live in one read-only N x |region| uint8 array, `rows`,
+    one pattern per row in lexicographic order; a Pattern is built from
+    its row when it is asked for.  The constructor takes Pattern objects
+    and sorts and deduplicates them; PatternSet.view wraps rows that are
+    already in that order, as the enumerator produces them.
+    """
 
     def __init__(self, region, patterns, meta=None):
         for p in patterns:
             if p.region != region:
                 raise ValueError("pattern region mismatch")
         uniq = sorted(set(p.values for p in patterns))
+        rows = np.frombuffer(b"".join(uniq), dtype=np.uint8)
+        self._wrap(region, rows.reshape(len(uniq), len(region)), meta)
+
+    @classmethod
+    def view(cls, region, rows, meta=None):
+        """The set whose patterns are the rows of a uint8 array that is
+        already sorted and free of duplicates."""
+        ps = cls.__new__(cls)
+        ps._wrap(region, rows, meta)
+        return ps
+
+    def _wrap(self, region, rows, meta):
+        if rows.dtype != np.uint8 or rows.shape[1:] != (len(region),):
+            raise ValueError("pattern rows must be uint8 of width %d"
+                             % len(region))
+        rows.flags.writeable = False
         self.region = region
-        self.patterns = tuple(Pattern(region, v) for v in uniq)
+        self.rows = rows
         self.meta = dict(meta or {})
 
     def __len__(self):
-        return len(self.patterns)
+        return len(self.rows)
 
     def __iter__(self):
-        return iter(self.patterns)
+        region, m, data = self.region, self.rows.shape[1], self.rows.tobytes()
+        for i in range(len(self.rows)):
+            yield Pattern(region, data[i * m:(i + 1) * m])
 
     def __getitem__(self, i):
-        return self.patterns[i]
+        if isinstance(i, slice):
+            return tuple(Pattern(self.region, row.tobytes())
+                         for row in self.rows[i])
+        return Pattern(self.region, self.rows[i].tobytes())
 
 
 def is_hom(H, pattern):
@@ -242,38 +271,73 @@ def is_hom(H, pattern):
 # enumeration
 
 
-def _dfs_collect(H, region, fixed, counter, sink):
-    """Depth-first fill in canonical site order with forward checking."""
-    sites = region.sites
-    m = len(sites)
-    if m == 0:
-        sink(b"")
-        return
-    prevs = region.earlier_neighbor_table()
-    fixed_vals = [fixed.get(s) for s in sites]
-    adj_sets = H.adj_sets
-    values = bytearray(m)
-    all_vertices = range(H.n)
+# Rows a search step extends at once; the rest of a block waits on the stack.
+ENGINE_BLOCK = 1024
 
-    def rec(pos):
+
+def _hom_blocks(H, region, fixed, counter, trail=None):
+    """The homomorphisms region -> H that agree with fixed, in canonical order.
+
+    Yields uint8 arrays of whole rows (one row per homomorphism, one column
+    per site) whose concatenation is lexicographically sorted.  Prefixes
+    are extended one site at a time, in site order, a block of at most
+    ENGINE_BLOCK rows per step: the candidates of a site are every vertex
+    of H, or the one value fixed there, and a candidate survives when it
+    is adjacent to the row's values at all earlier neighbours.  Blocks are
+    expanded depth first, so at most one pending block per site is held.
+    Each step ticks the counter once per row it extends, which is once
+    per node of the scalar depth-first search.  When trail is a list of
+    len(region) slots, trail[pos] is set to the last block extended at pos.
+    """
+    m = len(region)
+    adj = H.matrix()
+    vertices = np.arange(H.n, dtype=np.uint8)
+    forced = [fixed.get(site) for site in region.sites]
+    earlier = region.earlier_neighbor_table()
+    stack = [(0, np.zeros((1, m), dtype=np.uint8))]
+    while stack:
+        pos, rows = stack.pop()
         if pos == m:
-            sink(bytes(values))
-            return
-        counter.tick()
-        forced = fixed_vals[pos]
-        candidates = (forced,) if forced is not None else all_vertices
-        pn = prevs[pos]
-        for v in candidates:
-            ok = True
-            for j in pn:
-                if v not in adj_sets[values[j]]:
-                    ok = False
-                    break
-            if ok:
-                values[pos] = v
-                rec(pos + 1)
+            yield rows
+            continue
+        if len(rows) > ENGINE_BLOCK:
+            stack.append((pos, rows[ENGINE_BLOCK:]))
+            rows = rows[:ENGINE_BLOCK]
+        counter.tick(len(rows))
+        if trail is not None:
+            trail[pos] = rows
+        v = forced[pos]
+        cands, allowed = ((vertices, adj) if v is None
+                          else (vertices[v:v + 1], adj[:, v:v + 1]))
+        prev = earlier[pos]
+        if prev:
+            ok = allowed[rows[:, prev[0]]]
+            for j in prev[1:]:
+                ok &= allowed[rows[:, j]]
+        else:
+            ok = np.ones((len(rows), len(cands)), dtype=bool)
+        parent, choice = np.nonzero(ok)
+        if len(parent):
+            child = rows[parent]
+            child[:, pos] = cands[choice]
+            stack.append((pos + 1, child))
 
-    rec(0)
+
+def _check_boundary(H, region, boundary):
+    fixed = dict(boundary or {})
+    for site, v in fixed.items():
+        if site not in region:
+            raise ValueError("boundary site %r outside region" % (site,))
+        if not (isinstance(v, (int, np.integer)) and 0 <= v < H.n):
+            raise ValueError("boundary value %r at %r is not a vertex of H"
+                             % (v, site))
+    return fixed
+
+
+def _stack_rows(blocks, m):
+    blocks = list(blocks)
+    return (np.concatenate(blocks) if blocks
+            else np.empty((0, m), dtype=np.uint8))
 
 
 def enumerate_hom(H, region, boundary=None, budget=None):
@@ -283,26 +347,64 @@ def enumerate_hom(H, region, boundary=None, budget=None):
     violates an internal edge simply yields the empty set.  Results are in
     canonical order.
     """
-    fixed = dict(boundary or {})
-    for site in fixed:
-        if site not in region:
-            raise ValueError("boundary site %r outside region" % (site,))
-    found = []
-    _dfs_collect(H, region, fixed, BudgetCounter(budget), found.append)
-    return PatternSet(region, [Pattern(region, v) for v in found])
+    fixed = _check_boundary(H, region, boundary)
+    rows = _stack_rows(_hom_blocks(H, region, fixed, BudgetCounter(budget)),
+                       len(region))
+    return PatternSet.view(region, rows)
 
 
 def count_hom_dfs(H, region, boundary=None, budget=None):
     """Count homomorphisms without materializing them."""
-    fixed = dict(boundary or {})
-    counter = BudgetCounter(budget)
-    total = [0]
+    fixed = _check_boundary(H, region, boundary)
+    return sum(len(rows) for rows in
+               _hom_blocks(H, region, fixed, BudgetCounter(budget)))
 
-    def sink(_):
-        total[0] += 1
 
-    _dfs_collect(H, region, fixed, counter, sink)
-    return total[0]
+class _Tally:
+    """A node count that raises BudgetError past a limit, like
+    BudgetCounter, for searches whose count is charged afterwards."""
+
+    def __init__(self, limit):
+        self.limit = limit
+        self.nodes = 0
+
+    def tick(self, amount=1):
+        self.nodes += amount
+        if self.nodes > self.limit:
+            raise BudgetError("search exceeded the node budget")
+
+
+def first_hom(H, region, fixed, counter):
+    """The least completion of fixed to a homomorphism region -> H, as
+    bytes, or None when there is none.
+
+    The counter is charged what a scalar depth-first search charges when
+    it stops at its first hit: every prefix that comes before the hit in
+    depth-first order.  The engine extends whole blocks, so it may look
+    at up to one block per site past the hit; those rows are taken off
+    again, and the search runs at most that much past the budget.
+    """
+    m = len(region)
+    slack = m * ENGINE_BLOCK
+    tally = _Tally(counter.budget - counter.nodes + slack)
+    trail = [None] * m
+    try:
+        hit = next(_hom_blocks(H, region, fixed, tally, trail), None)
+    except BudgetError:
+        counter.tick(tally.nodes - slack)
+        raise
+    if hit is None:
+        counter.tick(tally.nodes)
+        return None
+    hit = hit[0]
+    past = 0
+    for pos, rows in enumerate(trail):
+        # rows is sorted and holds hit[:pos] once; the rows after it
+        # come after the hit in depth-first order
+        at = np.flatnonzero((rows[:, :pos] == hit[:pos]).all(axis=1))[0]
+        past += len(rows) - 1 - at
+    counter.tick(tally.nodes - past)
+    return hit.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -397,15 +499,17 @@ def hat_set(H, n, d, budget=None):
     region = box_F(n, d)
     sites = region.sites
     classes = _shell_classes(n, d)
-    found = []
+    blocks = []
     counter = BudgetCounter(budget)
     for assignment in itertools.product(range(H.n), repeat=len(classes)):
         boundary = {sites[i]: v for (_, positions), v in zip(classes, assignment)
                     for i in positions}
-        _dfs_collect(H, region, boundary, counter, found.append)
-    ps = PatternSet(region, [Pattern(region, v) for v in found])
-    ps.meta.update({"family": "periodic_shell", "n": n, "d": d})
-    return ps
+        blocks.extend(_hom_blocks(H, region, boundary, counter))
+    rows = _stack_rows(blocks, len(region))
+    # each shell assignment is sorted, but their union is not
+    rows = rows[np.lexsort(rows.T[::-1])]
+    return PatternSet.view(region, rows, {"family": "periodic_shell",
+                                          "n": n, "d": d})
 
 
 def in_hat(H, pattern):
@@ -826,6 +930,38 @@ def finite_entropy_estimate(family, n):
 # serialization
 
 
+# Each byte value as the JSON text ",<digits>", NUL-padded to four bytes.
+_VALUE_TOKENS = np.array([list((",%d" % v).encode().ljust(4, b"\0"))
+                          for v in range(256)], dtype=np.uint8)
+_RECORD_HEAD = np.frombuffer(b'{"values":[', dtype=np.uint8)
+_RECORD_TAIL = np.frombuffer(b"]}\n", dtype=np.uint8)
+# Rows encoded per block, so that the block's scratch stays small.
+ENCODE_BLOCK = 8192
+
+
+def _encode_rows(rows):
+    """The records '{"values":[v,...]}' of the rows, one line each.
+
+    Every value becomes its token ",<digits>", cut to the width of the
+    longest token the rows use; the NUL padding of shorter tokens and the
+    comma before each row's first value are then dropped in one pass.
+    """
+    n, m = rows.shape
+    width = len(str(rows.max())) + 1 if rows.size else 1
+    tokens = np.ascontiguousarray(_VALUE_TOKENS[:, :width])
+    head, tail = len(_RECORD_HEAD), len(_RECORD_TAIL)
+    body = slice(head, head + width * m)
+    out = np.empty((n, head + width * m + tail), dtype=np.uint8)
+    out[:, :head] = _RECORD_HEAD
+    out[:, body] = tokens.view("V%d" % width)[rows, 0].view(np.uint8).reshape(
+        n, width * m)
+    out[:, body.stop:] = _RECORD_TAIL
+    keep = out != 0
+    if m:
+        keep[:, head] = False
+    return out[keep].tobytes()
+
+
 def pattern_set_to_jsonl(ps, H, seed=None):
     """Line-delimited JSON: one header record, then one record per pattern."""
     header = {
@@ -838,25 +974,29 @@ def pattern_set_to_jsonl(ps, H, seed=None):
                           for k, v in ps.meta.items()}
     if seed is not None:
         header["seed"] = seed
-    lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
-    for p in ps:
-        lines.append('{"values":[' + ",".join(map(str, p.values)) + ']}')
-    return "\n".join(lines) + "\n"
+    parts = [json.dumps(header, sort_keys=True, separators=(",", ":")).encode(),
+             b"\n"]
+    for start in range(0, len(ps), ENCODE_BLOCK):
+        parts.append(_encode_rows(ps.rows[start:start + ENCODE_BLOCK]))
+    return b"".join(parts).decode("ascii")
 
 
 def pattern_set_from_jsonl(text):
-    """Inverse of pattern_set_to_jsonl; returns (PatternSet, header dict)."""
+    """Inverse of pattern_set_to_jsonl; returns (PatternSet, header dict).
+
+    A box region is built only once the first record has as many values
+    as the box the header states has sites.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty pattern file")
     header = json.loads(lines[0])
-    region = lattice.region_from_descriptor(header["region"])
     alphabet = header["alphabet"]
     if (not isinstance(alphabet, list)
             or not all(isinstance(a, str) for a in alphabet)):
         raise ValueError("alphabet must be a list of strings, got %r"
                          % (alphabet,))
-    patterns = []
+    records = []
     for ln in lines[1:]:
         values = json.loads(ln)["values"]
         if not isinstance(values, list):
@@ -866,7 +1006,13 @@ def pattern_set_from_jsonl(text):
         if values and max(values) >= len(alphabet):
             raise ValueError("value %d outside the %d-letter alphabet"
                              % (max(values), len(alphabet)))
-        patterns.append(Pattern(region, values))
+        records.append(values)
+    size = lattice.descriptor_size(header["region"])
+    if records and size is not None and size != len(records[0]):
+        raise ValueError("header region has %d sites but the first record "
+                         "has %d values" % (size, len(records[0])))
+    region = lattice.region_from_descriptor(header["region"])
+    patterns = [Pattern(region, values) for values in records]
     if "count" in header and header["count"] != len(patterns):
         raise ValueError("header count %r but %d records"
                          % (header["count"], len(patterns)))

@@ -8,7 +8,9 @@ map each site position to the positions of its in-region neighbors, and
 are built on first use.
 """
 
+import functools
 import itertools
+import math
 
 MAX_DIM = 4
 
@@ -189,26 +191,50 @@ def region_from_descriptor(desc):
     raise ValueError("unknown region kind %r" % (kind,))
 
 
+def descriptor_size(desc):
+    """The number of sites a box descriptor states, without building the
+    box; None for a general region, whose file lists its sites."""
+    kind = desc["kind"]
+    if kind == "F":
+        return (2 * _box_arg(desc["n"], desc["d"], 0, "box_F") + 1) ** desc["d"]
+    if kind == "B":
+        return _box_arg(desc["n"], desc["d"], 1, "box_B") ** desc["d"]
+    if kind == "rect":
+        return math.prod(int_tuple(desc["dims"], "rect dims"))
+    return None
+
+
+def _box_arg(n, d, least, what):
+    """n, once n is checked to be an int >= least and d a dimension."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < least:
+        raise ValueError("%s needs n >= %d, got %r" % (what, least, n))
+    check_dim(d)
+    return n
+
+
 def _centered_sites(n, d):
     """The sites of {-n..n}^d, in lexicographic order."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("box_F needs n >= 0, got %r" % (n,))
-    check_dim(d)
+    _box_arg(n, d, 0, "box_F")
     return itertools.product(range(-n, n + 1), repeat=d)
 
 
 def box_F(n, d):
-    """The centered box {-n..n}^d."""
-    return Region(_centered_sites(n, d), kind=("F", n))
+    """The centered box {-n..n}^d, built once per (n, d)."""
+    _box_arg(n, d, 0, "box_F")
+    return _box(n, d, "F")
 
 
 def box_B(n, d):
-    """The corner box {1..n}^d."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("box_B needs n >= 1, got %r" % (n,))
-    check_dim(d)
-    sites = itertools.product(range(1, n + 1), repeat=d)
-    return Region(sites, kind=("B", n))
+    """The corner box {1..n}^d, built once per (n, d)."""
+    _box_arg(n, d, 1, "box_B")
+    return _box(n, d, "B")
+
+
+@functools.lru_cache(maxsize=32)
+def _box(n, d, kind):
+    if kind == "F":
+        return Region(_centered_sites(n, d), kind=("F", n))
+    return Region(itertools.product(range(1, n + 1), repeat=d), kind=("B", n))
 
 
 def rectangle(dims, offset=None):

@@ -1,9 +1,12 @@
 """End-to-end runs of the command line: exit codes, files, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -376,15 +379,71 @@ def test_outputs_byte_identical_across_reruns_and_workers(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["frobnicate"], ["enumerate", "--n"], ["count", "hom", "--n", "x"],
     ["enumerate", "--family", "cube", "--n", "1"],
-    ["count", "hom", "--budget", "0"], ["extend", "--op", "hat", "--k", "1"]],
+    ["count", "hom", "--budget", "0"], ["extend", "--op", "hat", "--k", "1"],
+    ["count", "hom", "--budget", "x"]],
     ids=["unknown-subcommand", "missing-value", "non-int", "bad-choice",
-         "budget-0", "missing-required-flag"])
+         "budget-0", "missing-required-flag", "budget-not-int"])
 def test_argument_errors_are_one_line(capsys, argv):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
     stderr = capsys.readouterr().err
     assert stderr.startswith("usage error: ") and stderr.count("\n") == 1
+
+
+def test_argument_errors_name_the_type(capsys):
+    with pytest.raises(SystemExit):
+        main(["count", "hom", "--budget", "x"])
+    assert "invalid positive integer value: 'x'" in capsys.readouterr().err
+
+
+# SHA-256 of `enumerate --out` at seed 0, as the per-pattern scalar search
+# and the per-record encoder wrote them
+ENUMERATE_SHA256 = {
+    "--family box --n 2":
+        "5b1008abbef53149fbffd07415852cb0740308e7e4e37dcbe4441f64ca55f278",
+    "--family checker --n 3":
+        "0ceec03b903139247b4a7db4989b50800ee1de90838451d3b7d521adc14a3104",
+    "--family hat --n 2":
+        "0c0f26fa3c0042277867c3dd7aafdbc0e705b7b0489806dad80bc2d1bc359220",
+    "--family tilde --n 2":
+        "f993105db1a75c91b5f5886db602e593d1d1f995abe2295bbe13e73f456e95c0",
+    "--family box --n 1 --d 3":
+        "8e87d10fc4841bb9d2465a8a883f1f9935a237fccf20b5b205ac6871c4e0111c",
+    "--family checker --n 2 --graph petersen":
+        "e7e3dd6b45e3086198870dae8558daeaf83ea59f600c93bb4bf77605b0ae7038",
+}
+
+
+@pytest.mark.parametrize("args", sorted(ENUMERATE_SHA256))
+def test_enumerate_output_bytes_are_pinned(tmp_path, capsys, args):
+    out = tmp_path / "family.jsonl"
+    code, _, _ = run(capsys, ["enumerate"] + args.split() +
+                     ["--seed", "0", "--out", str(out)])
+    assert code == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == ENUMERATE_SHA256[args]
+
+
+def test_count_hom_d3_runs_out_of_budget_in_bounded_memory():
+    # F_2 in d = 3 has far more than 10^7 prefixes: the search must stop
+    # at the default budget holding one block per site, not the patterns
+    probe = ("import resource, subprocess, sys\n"
+             "rc = subprocess.run([sys.executable, '-m', 'latticelab.cli', "
+             "'count', 'hom', '--n', '2', '--d', '3'], "
+             "capture_output=True).returncode\n"
+             "print(rc, resource.getrusage(resource.RUSAGE_CHILDREN)"
+             ".ru_maxrss)\n")
+    env = dict(os.environ)
+    env.pop("LATTICELAB_BUDGET", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__))] +
+        ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    rc, peak_kb = (int(x) for x in out.split())
+    assert rc == 3
+    assert peak_kb <= 64 * 1024
 
 
 # ---------------------------------------------------------------------------
