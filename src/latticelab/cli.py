@@ -11,6 +11,7 @@ byte-identical output regardless of the worker count.
 """
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -22,7 +23,6 @@ from . import tiling as tiling_mod
 from .util import BudgetError, NegativeResult, canonical_json
 
 EXIT_OK = 0
-EXIT_NEGATIVE = 1
 
 # How main() reports an exception: the first row whose classes match.
 _EXITS = (
@@ -119,23 +119,17 @@ def _parse_blocks(text, d):
 
 
 def _marker_colors(H, args):
-    v0, v1, v2 = entropy_mod.canonical_marker_triple(H)
-    if args.v0 is not None:
-        v0 = args.v0
-    if args.v1 is not None:
-        v1 = args.v1
-    if args.v2 is not None:
-        v2 = args.v2
-    return v0, v1, v2
+    return tuple(c if given is None else given for c, given in zip(
+        entropy_mod.canonical_marker_triple(H), (args.v0, args.v1, args.v2)))
 
 
 def _emit(args, text, summary=None):
+    """Write text, a str or ASCII byte blocks, to --out or stdout."""
     out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with (open(out, "w", encoding="utf-8") if out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.writelines([text] if isinstance(text, str)
+                      else (block.decode("ascii") for block in text))
     if summary is not None:
         print(summary)
 
@@ -167,9 +161,8 @@ def cmd_enumerate(args):
         ps = homshift.marker_set(H, v0, v1, v2, n, d, budget=args.budget)
     else:
         ps = homshift.hat_set(H, n, d, budget=args.budget)
-    text = homshift.pattern_set_to_jsonl(ps, H, seed=args.seed)
-    _emit(args, text, "count=%d family=%s n=%d d=%d"
-          % (len(ps), args.family, n, d))
+    _emit(args, homshift.pattern_set_jsonl_blocks(ps, H, seed=args.seed),
+          "count=%d family=%s n=%d d=%d" % (len(ps), args.family, n, d))
     return EXIT_OK
 
 
@@ -199,8 +192,8 @@ def cmd_extend(args):
             _, q = homshift.hat_extend(H, p, args.k)
         extended.append(q)
     out = homshift.PatternSet(extended[0].region, extended)
-    text = homshift.pattern_set_to_jsonl(out, H, seed=args.seed)
-    _emit(args, text, "count=%d op=%s k=%d" % (len(out), args.op, args.k))
+    _emit(args, homshift.pattern_set_jsonl_blocks(out, H, seed=args.seed),
+          "count=%d op=%s k=%d" % (len(out), args.op, args.k))
     return EXIT_OK
 
 
@@ -214,9 +207,8 @@ def cmd_tile(args):
         t = tiling_mod.find_tiling(F, lattice.rectangle(dims),
                                    budget=args.budget)
         if t is None:
-            print("untileable: the %s rectangle has no tiling by %s"
-                  % (args.dims, args.tileset), file=sys.stderr)
-            return EXIT_NEGATIVE
+            raise NegativeResult("untileable: the %s rectangle has no tiling "
+                                 "by %s" % (args.dims, args.tileset))
     _emit(args, _tiling_text(args, t),
           "tiled dims=%s tiles=%d" % (args.dims, len(t.placements)))
     return EXIT_OK
@@ -231,8 +223,7 @@ def cmd_fill(args):
     try:
         t = tiling_mod.flexible_tile_fill(F, args.n, args.k, sites, blocks)
     except ValueError as exc:
-        print("no admissible fill: %s" % exc, file=sys.stderr)
-        return EXIT_NEGATIVE
+        raise NegativeResult("no admissible fill: %s" % exc)
     _emit(args, _tiling_text(args, t), "filled n=%d k=%d blocks=%d"
           % (args.n, args.k, len(sites)))
     return EXIT_OK
@@ -330,7 +321,7 @@ def cmd_verify(args):
                                    "n": args.n, "d": args.d,
                                    "spacing": spacing,
                                    "offset": list(hit[2])}))
-        return EXIT_NEGATIVE
+        raise NegativeResult("marker patterns agree at offset %r" % (hit[2],))
     if args.what == "ufp":
         H = _load_graph(args)
         hit = height_mod.ufp_window_check(H, args.M, args.n,
@@ -343,7 +334,7 @@ def cmd_verify(args):
                                        "mode": args.mode}))
             return EXIT_OK
         _emit(args, _ufp_records(args, hit))
-        return EXIT_NEGATIVE
+        raise NegativeResult("a center and a ring do not glue")
     if args.what == "tiling":
         if args.file is None:
             raise ValueError("verify tiling needs --file")
@@ -353,7 +344,7 @@ def cmd_verify(args):
         except ValueError as exc:
             _emit(args, _record(args, {"check": "tiling", "ok": False,
                                        "reason": str(exc)}))
-            return EXIT_NEGATIVE
+            raise NegativeResult("invalid tiling: %s" % exc)
         _emit(args, _record(args, {"check": "tiling", "ok": True,
                                    "tiles": len(t.placements)}))
         return EXIT_OK
@@ -372,7 +363,7 @@ def cmd_verify(args):
                                        "sample_seed": seed,
                                        "site": list(site), "height": h,
                                        "bound": bound}))
-            return EXIT_NEGATIVE
+            raise NegativeResult("height bound broken at seed %d" % seed)
     _emit(args, _record(args, {"check": "lipschitz", "ok": True,
                                "n": args.n, "d": args.d,
                                "samples": args.samples,
@@ -386,9 +377,9 @@ def cmd_height(args):
         region = lattice.box_F(args.n, args.d)
         p = height_mod.sample_coloring(region, args.seed)
         ps = homshift.PatternSet(region, [p])
-        text = homshift.pattern_set_to_jsonl(ps, homshift.complete_graph(3),
-                                             seed=args.seed)
-        _emit(args, text, "sampled n=%d d=%d" % (args.n, args.d))
+        _emit(args, homshift.pattern_set_jsonl_blocks(
+            ps, homshift.complete_graph(3), seed=args.seed),
+            "sampled n=%d d=%d" % (args.n, args.d))
         return EXIT_OK
     if args.what == "cocycle":
         if args.infile is None:

@@ -13,6 +13,8 @@ across a thin annulus.
 
 from collections import deque
 
+import numpy as np
+
 from . import lattice
 from .homshift import Pattern, is_hom, enumerate_hom, first_hom
 from .util import BudgetCounter
@@ -199,10 +201,15 @@ def quasiflat_gap(samples, displacements):
     return gap
 
 
-def _first_hom(H, region, fixed, counter):
-    """First completion of the fixed sites to a hom on region, or None."""
-    values = first_hom(H, region, fixed, counter)
-    return None if values is None else Pattern(region, values)
+def _distinct_rows(cols):
+    """The distinct rows of cols, sorted, and each row's index among them."""
+    order = np.lexsort(cols.T[::-1])
+    cols = cols[order]
+    new = np.ones(len(cols), dtype=bool)
+    new[1:] = (cols[1:] != cols[:-1]).any(axis=1)
+    ids = np.empty(len(cols), dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return cols[new], ids
 
 
 def _is_k3(H):
@@ -271,8 +278,10 @@ def ufp_window_check(H, M, n, buffer=1, mode="targeted", d=2, budget=None):
     striped center against checkerboard ring - first by direct height
     interpolation and, failing that, by exhaustive search over the free
     annulus.  mode "exhaustive" tests every pair of restrictions of
-    full-box homs; sizes beyond a few sites explode, and the budget
-    guard raises rather than run forever.
+    full-box homs, centers then rings in lexicographic order, off one
+    enumeration of the box: a pair glues exactly when some row
+    restricts to it.  The budget counts that enumeration's nodes; sizes
+    beyond a few sites explode, and the guard raises.
     """
     if M < 0:
         raise ValueError("margin M must be >= 0, got %r" % (M,))
@@ -291,24 +300,22 @@ def ufp_window_check(H, M, n, buffer=1, mode="targeted", d=2, budget=None):
         y = checker_coloring(ring)
         if _lipschitz_glue(H, box, x, y) is not None:
             return None
-        counter = BudgetCounter(budget)
-        fixed = x.mapping()
-        fixed.update(y.mapping())
-        if _first_hom(H, box, fixed, counter) is not None:
+        fixed = {**x.mapping(), **y.mapping()}
+        if first_hom(H, box, fixed, BudgetCounter(budget)) is not None:
             return None
         return (x, y)
     if mode == "exhaustive":
         box, inner, ring = _window_regions(M, n, buffer, d)
-        everything = enumerate_hom(H, box, budget=budget)
-        inner_vals = sorted(set(p.restrict(inner).values for p in everything))
-        ring_vals = sorted(set(p.restrict(ring).values for p in everything))
-        counter = BudgetCounter(budget)
-        for xv in inner_vals:
-            fixed = dict(zip(inner.sites, xv))
-            for yv in ring_vals:
-                fixed.update(zip(ring.sites, yv))
-                if _first_hom(H, box, fixed, counter) is None:
-                    return (Pattern(inner, xv), Pattern(ring, yv))
-        return None
+        rows = enumerate_hom(H, box, budget=budget).rows
+        centers, cid = _distinct_rows(rows[:, [box.index(s) for s in inner]])
+        rings, rid = _distinct_rows(rows[:, [box.index(s) for s in ring]])
+        # pair k = (centers[k // R], rings[k % R]) glues iff some row has it;
+        # the first missing pair is the number of codes k equal to their index
+        glued = np.unique(cid * len(rings) + rid)
+        k = np.count_nonzero(glued == np.arange(len(glued)))
+        if k == len(centers) * len(rings):
+            return None
+        return (Pattern(inner, centers[k // len(rings)].tobytes()),
+                Pattern(ring, rings[k % len(rings)].tobytes()))
     raise ValueError("mode must be 'targeted' or 'exhaustive', got %r"
                      % (mode,))

@@ -275,26 +275,25 @@ def is_hom(H, pattern):
 ENGINE_BLOCK = 1024
 
 
-def _hom_blocks(H, region, fixed, counter, trail=None):
-    """The homomorphisms region -> H that agree with fixed, in canonical order.
+def _hom_blocks(H, region, root, source, counter, trail=None):
+    """The homomorphisms region -> H that follow source, in canonical order.
 
-    Yields uint8 arrays of whole rows (one row per homomorphism, one column
-    per site) whose concatenation is lexicographically sorted.  Prefixes
-    are extended one site at a time, in site order, a block of at most
-    ENGINE_BLOCK rows per step: the candidates of a site are every vertex
-    of H, or the one value fixed there, and a candidate survives when it
-    is adjacent to the row's values at all earlier neighbours.  Blocks are
-    expanded depth first, so at most one pending block per site is held.
-    Each step ticks the counter once per row it extends, which is once
-    per node of the scalar depth-first search.  When trail is a list of
-    len(region) slots, trail[pos] is set to the last block extended at pos.
+    Yields uint8 arrays of whole rows (one per homomorphism, one column
+    per site), lexicographically sorted when concatenated.  Prefixes grow
+    from the row root one site at a time, a block of at most ENGINE_BLOCK
+    rows per step: site pos takes every vertex of H (source[pos] == -1),
+    the root's value (== pos) or the row's value at site source[pos] < pos,
+    if it is adjacent to the row's values at all earlier neighbours.  Blocks
+    go depth first, one pending block per site at most.  Each step ticks
+    one node per row it extends, as the scalar depth-first search did;
+    trail, a list of len(region) slots, gets the last block extended at pos.
     """
     m = len(region)
     adj = H.matrix()
+    flat = adj.ravel()
     vertices = np.arange(H.n, dtype=np.uint8)
-    forced = [fixed.get(site) for site in region.sites]
     earlier = region.earlier_neighbor_table()
-    stack = [(0, np.zeros((1, m), dtype=np.uint8))]
+    stack = [(0, root.reshape(1, m))]
     while stack:
         pos, rows = stack.pop()
         if pos == m:
@@ -306,32 +305,43 @@ def _hom_blocks(H, region, fixed, counter, trail=None):
         counter.tick(len(rows))
         if trail is not None:
             trail[pos] = rows
-        v = forced[pos]
-        cands, allowed = ((vertices, adj) if v is None
-                          else (vertices[v:v + 1], adj[:, v:v + 1]))
         prev = earlier[pos]
-        if prev:
-            ok = allowed[rows[:, prev[0]]]
-            for j in prev[1:]:
-                ok &= allowed[rows[:, j]]
-        else:
-            ok = np.ones((len(rows), len(cands)), dtype=bool)
-        parent, choice = np.nonzero(ok)
-        if len(parent):
+        if source[pos] < 0:
+            if prev:
+                ok = adj[rows[:, prev[0]]]
+                for j in prev[1:]:
+                    ok &= adj[rows[:, j]]
+            else:
+                ok = np.ones((len(rows), H.n), dtype=bool)
+            parent, choice = np.nonzero(ok)
             child = rows[parent]
-            child[:, pos] = cands[choice]
+            child[:, pos] = vertices[choice]
+        else:
+            # flat[v * H.n + u] is adj[v, u]; v is the value source[pos] gives
+            offsets = rows[:, source[pos]].astype(np.intp) * H.n
+            ok = np.ones(len(rows), dtype=bool)
+            for j in prev:
+                ok &= flat[offsets + rows[:, j]]
+            child = rows[ok]
+            child[:, pos] = child[:, source[pos]]
+        if len(child):
             stack.append((pos + 1, child))
 
 
 def _check_boundary(H, region, boundary):
-    fixed = dict(boundary or {})
-    for site, v in fixed.items():
+    """The engine's (root, source) for a partial assignment {site: vertex}."""
+    root = np.zeros(len(region), dtype=np.uint8)
+    source = [-1] * len(region)
+    for site, v in dict(boundary or {}).items():
         if site not in region:
             raise ValueError("boundary site %r outside region" % (site,))
         if not (isinstance(v, (int, np.integer)) and 0 <= v < H.n):
             raise ValueError("boundary value %r at %r is not a vertex of H"
                              % (v, site))
-    return fixed
+        pos = region.index(site)
+        root[pos] = v
+        source[pos] = pos
+    return root, source
 
 
 def _stack_rows(blocks, m):
@@ -347,17 +357,15 @@ def enumerate_hom(H, region, boundary=None, budget=None):
     violates an internal edge simply yields the empty set.  Results are in
     canonical order.
     """
-    fixed = _check_boundary(H, region, boundary)
-    rows = _stack_rows(_hom_blocks(H, region, fixed, BudgetCounter(budget)),
-                       len(region))
+    rows = _stack_rows(_hom_blocks(H, region, *_check_boundary(H, region, boundary),
+                                   BudgetCounter(budget)), len(region))
     return PatternSet.view(region, rows)
 
 
 def count_hom_dfs(H, region, boundary=None, budget=None):
     """Count homomorphisms without materializing them."""
-    fixed = _check_boundary(H, region, boundary)
-    return sum(len(rows) for rows in
-               _hom_blocks(H, region, fixed, BudgetCounter(budget)))
+    return sum(len(rows) for rows in _hom_blocks(
+        H, region, *_check_boundary(H, region, boundary), BudgetCounter(budget)))
 
 
 class _Tally:
@@ -389,7 +397,8 @@ def first_hom(H, region, fixed, counter):
     tally = _Tally(counter.budget - counter.nodes + slack)
     trail = [None] * m
     try:
-        hit = next(_hom_blocks(H, region, fixed, tally, trail), None)
+        hit = next(_hom_blocks(H, region, *_check_boundary(H, region, fixed),
+                               tally, trail), None)
     except BudgetError:
         counter.tick(tally.nodes - slack)
         raise
@@ -483,8 +492,8 @@ def missing_shell_residue(n, d):
 
 @functools.lru_cache(maxsize=32)
 def _shell_classes(n, d):
-    """The shell of F_n by residue mod 2: (residue, positions in F_n of its
-    shell sites) pairs, in lexicographic order of residue."""
+    """The shell of F_n by residue mod 2: (residue, ascending positions in
+    F_n of its shell sites) pairs, in lexicographic order of residue."""
     index = box_F(n, d).index
     classes = {}
     for s in shell_F(n, d):
@@ -493,21 +502,17 @@ def _shell_classes(n, d):
 
 
 def hat_set(H, n, d, budget=None):
-    """Patterns on F_n whose shell is (2Z)^d-periodic."""
+    """Patterns on F_n whose shell is (2Z)^d-periodic: one search, in
+    which each shell site is tied to the first shell site of its class."""
     if n < 1:
         raise ValueError("periodic-shell family needs n >= 1")
     region = box_F(n, d)
-    sites = region.sites
-    classes = _shell_classes(n, d)
-    blocks = []
-    counter = BudgetCounter(budget)
-    for assignment in itertools.product(range(H.n), repeat=len(classes)):
-        boundary = {sites[i]: v for (_, positions), v in zip(classes, assignment)
-                    for i in positions}
-        blocks.extend(_hom_blocks(H, region, boundary, counter))
-    rows = _stack_rows(blocks, len(region))
-    # each shell assignment is sorted, but their union is not
-    rows = rows[np.lexsort(rows.T[::-1])]
+    source = [-1] * len(region)
+    for _, positions in _shell_classes(n, d):
+        for i in positions[1:]:
+            source[i] = positions[0]
+    rows = _stack_rows(_hom_blocks(H, region, np.zeros(len(region), np.uint8),
+                                   source, BudgetCounter(budget)), len(region))
     return PatternSet.view(region, rows, {"family": "periodic_shell",
                                           "n": n, "d": d})
 
@@ -787,23 +792,14 @@ def hat_extend(H, a, k):
         # Lattice edges between consecutive rings shift the residue by one
         # coordinate: every upper value must be adjacent to all its shifted
         # lower values (the absent class of the inner shell is exempt).
-        for i in range(len(residues)):
-            if skip is not None and i == skip:
-                continue
-            for j in flips[i]:
-                if not H.has_edge(lower[i], upper[j]):
-                    return False
-        return True
+        return all(H.has_edge(lower[i], upper[j]) for i in range(len(residues))
+                   if i != skip for j in flips[i])
 
     zero = index((0,) * d)
     e1 = index((1,) + (0,) * (d - 1))
     preferred = (q0[zero], q0[e1]) if k % 2 == 0 else (q0[e1], q0[zero])
-    candidates = []
-    if H.has_edge(*preferred):
-        candidates.append(preferred)
-    for e in H.ordered_edges():
-        if e not in candidates:
-            candidates.append(e)
+    candidates = ([preferred] if H.has_edge(*preferred) else []) + [
+        e for e in H.ordered_edges() if e != preferred]
 
     skip0 = index(absent)
     par = [parity(r) for r in residues]
@@ -823,7 +819,7 @@ def hat_extend(H, a, k):
                         return res
             return None
 
-        chain = search([q0]) if k > 1 else ([q0, goal] if cross_ok(q0, goal, skip=skip0) else None)
+        chain = search([q0])
         if chain is None:
             continue
         region = box_F(n + k, d)
@@ -962,8 +958,9 @@ def _encode_rows(rows):
     return out[keep].tobytes()
 
 
-def pattern_set_to_jsonl(ps, H, seed=None):
-    """Line-delimited JSON: one header record, then one record per pattern."""
+def pattern_set_jsonl_blocks(ps, H, seed=None):
+    """The bytes of the pattern file: the header line, then the records
+    of at most ENCODE_BLOCK patterns at a time."""
     header = {
         "alphabet": list(H.labels),
         "count": len(ps),
@@ -974,11 +971,14 @@ def pattern_set_to_jsonl(ps, H, seed=None):
                           for k, v in ps.meta.items()}
     if seed is not None:
         header["seed"] = seed
-    parts = [json.dumps(header, sort_keys=True, separators=(",", ":")).encode(),
-             b"\n"]
+    yield json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n"
     for start in range(0, len(ps), ENCODE_BLOCK):
-        parts.append(_encode_rows(ps.rows[start:start + ENCODE_BLOCK]))
-    return b"".join(parts).decode("ascii")
+        yield _encode_rows(ps.rows[start:start + ENCODE_BLOCK])
+
+
+def pattern_set_to_jsonl(ps, H, seed=None):
+    """Line-delimited JSON: one header record, then one record per pattern."""
+    return b"".join(pattern_set_jsonl_blocks(ps, H, seed)).decode("ascii")
 
 
 def pattern_set_from_jsonl(text):

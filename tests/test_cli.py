@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import unittest.mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -425,13 +426,12 @@ def test_enumerate_output_bytes_are_pinned(tmp_path, capsys, args):
     assert digest == ENUMERATE_SHA256[args]
 
 
-def test_count_hom_d3_runs_out_of_budget_in_bounded_memory():
-    # F_2 in d = 3 has far more than 10^7 prefixes: the search must stop
-    # at the default budget holding one block per site, not the patterns
+def _child_run(*argv):
+    """(exit code, peak RSS in kB) of `latticelab argv` run in a child
+    process at the default budget."""
     probe = ("import resource, subprocess, sys\n"
-             "rc = subprocess.run([sys.executable, '-m', 'latticelab.cli', "
-             "'count', 'hom', '--n', '2', '--d', '3'], "
-             "capture_output=True).returncode\n"
+             "rc = subprocess.run([sys.executable, '-m', 'latticelab.cli'] "
+             "+ sys.argv[1:], capture_output=True).returncode\n"
              "print(rc, resource.getrusage(resource.RUSAGE_CHILDREN)"
              ".ru_maxrss)\n")
     env = dict(os.environ)
@@ -439,11 +439,28 @@ def test_count_hom_d3_runs_out_of_budget_in_bounded_memory():
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.dirname(os.path.dirname(cli.__file__))] +
         ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run([sys.executable, "-c", probe], env=env,
+    out = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
                          capture_output=True, text=True, check=True).stdout
-    rc, peak_kb = (int(x) for x in out.split())
+    return tuple(int(x) for x in out.split())
+
+
+def test_count_hom_d3_runs_out_of_budget_in_bounded_memory():
+    # F_2 in d = 3 has far more than 10^7 prefixes: the search must stop
+    # at the default budget holding one block per site, not the patterns
+    rc, peak_kb = _child_run("count", "hom", "--n", "2", "--d", "3")
     assert rc == 3
     assert peak_kb <= 64 * 1024
+
+
+def test_enumerate_writes_its_file_in_bounded_memory(tmp_path):
+    # the 580 986 patterns of F_2 take 14.5 MB as rows and 35 MB as a
+    # file: the file must be written block by block, never held whole
+    out = tmp_path / "box.jsonl"
+    rc, peak_kb = _child_run("enumerate", "--n", "2", "--out", str(out))
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        ENUMERATE_SHA256["--family box --n 2"]
+    assert peak_kb <= 80 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -677,3 +694,107 @@ def test_loader_inputs_get_their_exit_code_and_one_line(case_text_code):
     else:
         assert err.startswith("usage error: cannot read ")
         assert err.count("\n") == 1 and err.endswith("\n")
+
+
+# ---------------------------------------------------------------------------
+# fuzzing argv: every mutated command line exits 0-5, a failure with one line
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """(folder, name -> path) of the input files the base command lines
+    name."""
+    folder = tmp_path_factory.mktemp("fuzz")
+    files = {"PATTERNS": folder / "checker.jsonl",
+             "TILING": folder / "tiling.json",
+             "BLOCKS": folder / "blocks.json"}
+    files["PATTERNS"].write_text(homshift.pattern_set_to_jsonl(
+        homshift.checkerboard_set(_K3, 0, 1, 1, 2), _K3))
+    files["TILING"].write_text(json.dumps({"tiling": _bare_tiling((4, 4))}))
+    files["BLOCKS"].write_text(json.dumps(
+        [{"site": [4, 4], "tiling": _bare_tiling((4, 4))}]))
+    return folder, {k: str(v) for k, v in files.items()}
+
+
+# a valid command line for every subcommand and every `what`
+FUZZ_BASES = [
+    "enumerate --family hat --n 1 --d 2 --graph K3 --out OUT",
+    "enumerate --family tilde --n 1 --v0 0 --v1 1 --v2 2",
+    "extend --op path --in PATTERNS --k 3 --source 0,1 --target 1,2",
+    "extend --op hat --in PATTERNS --k 4",
+    "tile --tileset dominoes --dims 2x3 --out OUT",
+    "fill --n 4 --k 1 --blocks BLOCKS",
+    "count hom --n 1 --d 2",
+    "count torus --n 2 --d 1 --graph C5",
+    "count tilings --dims 2x2 --tileset dominoes",
+    "count dimers --dims 2x3",
+    "entropy strips --widths 1..3 --boundary free",
+    "entropy dimers --max 3",
+    "entropy ratio --nmax 1",
+    "verify marker --n 2 --d 2",
+    "verify ufp --mode exhaustive --M 1 --n 1 --d 1 --buffer 1",
+    "verify ufp --mode targeted --M 1 --n 1",
+    "verify tiling --file TILING",
+    "verify lipschitz --n 2 --samples 3 --seed 1",
+    "height sample --n 2 --d 2 --out OUT",
+    "height cocycle --in PATTERNS --base 0,0",
+    "height gap --n 2",
+]
+_JUNK = ["", "-1", "0", "x", "1x", "2..1", "1,,2", "3"]
+
+
+def _run_argv(argv, fuzz_files):
+    """(exit code, stderr) of main(argv) at a budget of 10 000 nodes."""
+    folder, files = fuzz_files
+    argv = [files.get(a, a) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(folder)  # --out and relative junk paths land here
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                unittest.mock.patch.dict(os.environ,
+                                         {"LATTICELAB_BUDGET": "10000"}):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("base", FUZZ_BASES)
+def test_fuzz_bases_pass_unmutated(fuzz_files, base):
+    assert _run_argv(base.split(), fuzz_files) == (0, "")
+
+
+@st.composite
+def mutated_argv(draw):
+    """A base command line after one to three drops, flag duplications
+    and swaps of a token for a junk value."""
+    argv = draw(st.sampled_from(FUZZ_BASES)).split()
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["drop", "duplicate", "swap"]))
+        flags = [i for i, a in enumerate(argv) if a.startswith("--")]
+        if kind == "duplicate" and flags:
+            i = draw(st.sampled_from(flags))
+            argv += argv[i:i + 2]
+        elif argv:
+            i = draw(st.integers(0, len(argv) - 1))
+            if kind == "drop":
+                del argv[i]
+            else:
+                argv[i] = draw(st.sampled_from(_JUNK))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_argv())
+@example([])
+@example("verify ufp --mode exhaustive --M 0 --n 1 --d 1".split())
+def test_mutated_argv_exits_with_a_code_and_one_line(fuzz_files, argv):
+    code, stderr = _run_argv(argv, fuzz_files)
+    assert "Traceback" not in stderr
+    assert code in range(6), (argv, stderr)
+    if code:
+        assert stderr.count("\n") == 1 and stderr.endswith("\n"), (argv, stderr)

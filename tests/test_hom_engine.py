@@ -2,9 +2,12 @@
 
 The oracle is the scalar search the engine replaced: it fills the sites
 one at a time in canonical order, tries each vertex of H (or the one value
-the boundary fixes), and ticks one node per prefix it extends.  The engine
-must give the same rows in the same order and tick the same nodes, so
-that a budget runs out exactly where the scalar one did.
+the boundary fixes, or the value of the earlier site a tied site copies),
+and ticks one node per prefix it extends.  The engine must give the same
+rows in the same order and tick the same nodes, so that a budget runs out
+exactly where the scalar one did.  The periodic-shell family and the
+exhaustive window check are each checked against the many small searches
+they replaced.
 """
 
 import itertools
@@ -16,6 +19,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from latticelab import height as ht
 from latticelab import homshift as hs
 from latticelab import lattice
 from latticelab.lattice import Region, box_F
@@ -30,15 +34,18 @@ class _Stop(Exception):
     pass
 
 
-def scalar_dfs(H, region, fixed, first=False):
+def scalar_dfs(H, region, fixed, first=False, ties=None):
     """(rows, nodes) of the scalar search; with first, it stops at its
-    first row.  None past MAX_NODES nodes."""
+    first row.  ties maps a site to an earlier site whose value it takes.
+    None past MAX_NODES nodes."""
     sites = region.sites
     m = len(sites)
     if m == 0:
         return [b""], 0
     prevs = region.earlier_neighbor_table()
     fixed_vals = [fixed.get(s) for s in sites]
+    tied = [region.index(ties[s]) if s in (ties or {}) else None
+            for s in sites]
     values = bytearray(m)
     rows = []
     nodes = [0]
@@ -52,7 +59,8 @@ def scalar_dfs(H, region, fixed, first=False):
         nodes[0] += 1
         if nodes[0] > MAX_NODES:
             raise _Stop
-        forced = fixed_vals[pos]
+        forced = (fixed_vals[pos] if tied[pos] is None
+                  else values[tied[pos]])
         for v in (forced,) if forced is not None else range(H.n):
             if all(v in H.adj_sets[values[j]] for j in prevs[pos]):
                 values[pos] = v
@@ -71,9 +79,10 @@ def scalar_dfs(H, region, fixed, first=False):
 
 
 @st.composite
-def graphs(draw):
-    """A graph on 1..11 vertices: loops allowed, edgeless allowed."""
-    n = draw(st.integers(1, 11))
+def graphs(draw, max_vertices=11):
+    """A graph on 1..max_vertices vertices: loops allowed, edgeless
+    allowed."""
+    n = draw(st.integers(1, max_vertices))
     pairs = [(u, v) for u in range(n) for v in range(u, n)]
     density = draw(st.sampled_from([0.0, 0.3, 0.6, 1.0]))
     edges = [e for e in pairs if draw(st.floats(0, 1)) < density]
@@ -108,10 +117,13 @@ def instances(draw):
     return H, region, fixed
 
 
-def count_ticks(H, region, fixed):
+def count_ticks(H, region, fixed, ties=None):
     counter = BudgetCounter(10 ** 9)
-    rows = [r.tobytes() for block in hs._hom_blocks(H, region, fixed, counter)
-            for r in block]
+    root, source = hs._check_boundary(H, region, fixed)
+    for site, earlier in (ties or {}).items():
+        source[region.index(site)] = region.index(earlier)
+    rows = [r.tobytes() for block in
+            hs._hom_blocks(H, region, root, source, counter) for r in block]
     return rows, counter.nodes
 
 
@@ -176,13 +188,114 @@ def test_engine_blocks_stay_bounded_and_in_order():
     # F_2 needs many blocks per site: they must still come out in order,
     # and no block may grow past one step's children
     H = hs.complete_graph(3)
-    blocks = list(hs._hom_blocks(H, box_F(2, 2), {}, BudgetCounter(10 ** 9)))
+    root, source = hs._check_boundary(H, box_F(2, 2), {})
+    blocks = list(hs._hom_blocks(H, box_F(2, 2), root, source,
+                                 BudgetCounter(10 ** 9)))
     assert max(len(b) for b in blocks) <= hs.ENGINE_BLOCK * H.n
     rows = np.concatenate(blocks)
     assert len(rows) == 580986
     later = rows[1:].astype(int) - rows[:-1]
     first_change = later[np.arange(len(later)), (later != 0).argmax(axis=1)]
     assert (first_change > 0).all()
+
+
+@st.composite
+def tied_instances(draw):
+    """An instance whose free sites may copy the value of an earlier site."""
+    H, region, fixed = draw(instances())
+    ties = {}
+    for pos, site in enumerate(region.sites):
+        if pos and site not in fixed and draw(st.booleans()):
+            ties[site] = region.sites[draw(st.integers(0, pos - 1))]
+    return H, region, fixed, ties
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_instances())
+@example((hs.complete_graph(3), box_F(1, 2), {(0, 0): 1},
+          {(0, 1): (-1, -1), (1, 1): (0, 0), (1, -1): (0, 1)}))
+@example((hs.complete_graph(3), Region([(0,), (1,), (2,)]), {},
+          {(1,): (0,)}))
+def test_engine_with_tied_sites_matches_scalar_search(case):
+    H, region, fixed, ties = case
+    oracle = scalar_dfs(H, region, fixed, ties=ties)
+    assume(oracle is not None)
+    assert count_ticks(H, region, fixed, ties) == oracle
+
+
+def hat_by_assignment(H, n, d):
+    """The periodic-shell family as the union of one search per shell
+    assignment, sorted afterwards."""
+    region = box_F(n, d)
+    classes = hs._shell_classes(n, d)
+    rows = set()
+    for assignment in itertools.product(range(H.n), repeat=len(classes)):
+        boundary = {region.sites[i]: v
+                    for (_, positions), v in zip(classes, assignment)
+                    for i in positions}
+        rows.update(r.tobytes()
+                    for r in hs.enumerate_hom(H, region, boundary).rows)
+    return sorted(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+    graphs(max_vertices=5 if d < 3 else 3), st.integers(1, 2 if d < 3 else 1),
+    st.just(d))))
+@example((hs.complete_graph(3), 1, 3))
+@example((hs.cycle_graph(5), 2, 2))
+def test_hat_set_is_the_union_over_shell_assignments(case):
+    H, n, d = case
+    try:
+        ps = hs.hat_set(H, n, d, budget=20_000)
+    except BudgetError:
+        ps = None
+    assume(ps is not None)
+    assert [p.values for p in ps] == hat_by_assignment(H, n, d)
+    assert all(hs.in_hat(H, p) for p in ps)
+
+
+def test_hat_set_counts_the_nodes_of_one_search():
+    K3 = hs.complete_graph(3)
+    assert len(hs.hat_set(K3, 1, 3, budget=1828)) == 114
+    with pytest.raises(BudgetError):
+        hs.hat_set(K3, 1, 3, budget=1827)
+
+
+def window_by_pairs(H, box, inner, ring, everything):
+    """The exhaustive window check as one first-hit search per (center,
+    ring) pair of restrictions of the box's homomorphisms, in sorted
+    order; None when there are too many pairs to try."""
+    centers = sorted({p.restrict(inner).values for p in everything})
+    rings = sorted({p.restrict(ring).values for p in everything})
+    if len(centers) * len(rings) > 400:
+        return None
+    for xv in centers:
+        for yv in rings:
+            fixed = dict(zip(inner.sites, xv))
+            fixed.update(zip(ring.sites, yv))
+            if hs.first_hom(H, box, fixed, BudgetCounter(10 ** 9)) is None:
+                return xv, yv
+    return "glues"
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(max_vertices=5), st.integers(0, 3), st.integers(1, 3),
+       st.integers(1, 3))
+@example(hs.complete_graph(3), 0, 1, 1)
+@example(hs.complete_graph(3), 1, 2, 1)
+@example(hs.full_shift_graph(2), 1, 1, 1)
+def test_exhaustive_window_check_matches_the_pair_loop(H, M, n, buffer):
+    box, inner, ring = ht._window_regions(M, n, buffer, 1)
+    try:
+        everything = hs.enumerate_hom(H, box, budget=20_000)
+    except BudgetError:
+        everything = None
+    assume(everything is not None)
+    want = window_by_pairs(H, box, inner, ring, everything)
+    assume(want is not None)
+    hit = ht.ufp_window_check(H, M, n, buffer, mode="exhaustive", d=1)
+    assert ("glues" if hit is None else (hit[0].values, hit[1].values)) == want
 
 
 def test_boundary_values_must_be_vertices():
