@@ -175,19 +175,20 @@ def cmd_extend(args):
         raise ValueError("pattern file %s has a %d-letter alphabet but the "
                          "graph has %d vertices"
                          % (args.infile, len(header["alphabet"]), H.n))
+    if args.op == "path":
+        if args.source is None or args.target is None:
+            raise ValueError("op path needs --source and --target")
+        source = _ints(args.source, ",", "source", "u,v", 2)
+    elif args.op == "embed" and args.target is None:
+        raise ValueError("op embed needs --target")
+    if args.op != "hat":
+        target = _ints(args.target, ",", "target", "u,v", 2)
     extended = []
     for p in ps:
         if args.op == "path":
-            if args.source is None or args.target is None:
-                raise ValueError("op path needs --source and --target")
-            q = homshift.path_extend(
-                H, p, _ints(args.source, ",", "source", "u,v", 2),
-                _ints(args.target, ",", "target", "u,v", 2), args.k)
+            q = homshift.path_extend(H, p, source, target, args.k)
         elif args.op == "embed":
-            if args.target is None:
-                raise ValueError("op embed needs --target")
-            q = homshift.embed_in_marker(
-                H, p, _ints(args.target, ",", "target", "u,v", 2), args.k)
+            q = homshift.embed_in_marker(H, p, target, args.k)
         else:
             _, q = homshift.hat_extend(H, p, args.k)
         extended.append(q)

@@ -6,7 +6,9 @@ module enumerates such patterns on boxes, builds the checkerboard-boundary
 families and their marker refinements, and implements the constructive
 extension operations between families: exact-length path extension,
 full-support embedding, simultaneous block filling, and extension of
-periodic-shell patterns to checkerboard-shell ones.  Every operation's
+periodic-shell patterns to checkerboard-shell ones.  The extension
+operations gather their outputs from per-ring layer tables over one cached
+ring layout of centred boxes, and every operation's
 output can be re-validated from scratch.
 """
 
@@ -368,20 +370,6 @@ def count_hom_dfs(H, region, boundary=None, budget=None):
         H, region, *_check_boundary(H, region, boundary), BudgetCounter(budget)))
 
 
-class _Tally:
-    """A node count that raises BudgetError past a limit, like
-    BudgetCounter, for searches whose count is charged afterwards."""
-
-    def __init__(self, limit):
-        self.limit = limit
-        self.nodes = 0
-
-    def tick(self, amount=1):
-        self.nodes += amount
-        if self.nodes > self.limit:
-            raise BudgetError("search exceeded the node budget")
-
-
 def first_hom(H, region, fixed, counter):
     """The least completion of fixed to a homomorphism region -> H, as
     bytes, or None when there is none.
@@ -394,7 +382,7 @@ def first_hom(H, region, fixed, counter):
     """
     m = len(region)
     slack = m * ENGINE_BLOCK
-    tally = _Tally(counter.budget - counter.nodes + slack)
+    tally = BudgetCounter(counter.budget - counter.nodes + slack)
     trail = [None] * m
     try:
         hit = next(_hom_blocks(H, region, *_check_boundary(H, region, fixed),
@@ -623,6 +611,44 @@ def _family_n(pattern, what):
     return region.kind[1]
 
 
+@functools.lru_cache(maxsize=32)
+def _rings(n, k, d):
+    """The ring layout of F_n inside F_{n+k}: (F_{n+k}, the positions of
+    F_n's sites in it, in order, and each site's slot).  A site s has slot
+    t * 2^d + c, where t = |s|_inf - n (0 inside F_n) and c is the index of
+    s mod 2 in the residue cube of _ring_layers."""
+    region = box_F(n + k, d)
+    sites = np.array(region.sites, dtype=np.intp)
+    ring = np.maximum(np.abs(sites).max(axis=1) - n, 0)
+    residue = (sites % 2) @ (1 << np.arange(d - 1, -1, -1))
+    inner, slot = np.flatnonzero(ring == 0), ring << d | residue
+    inner.flags.writeable = slot.flags.writeable = False
+    return region, inner, slot
+
+
+def _fill_rings(a, k, layers):
+    """a, a pattern on F_n, extended by k rings: a site of ring t takes its
+    residue class's value in layers[t], a (k+1) x 2^d table."""
+    region, inner, slot = _rings(a.region.kind[1], k, a.region.d)
+    values = np.frombuffer(b"".join(map(bytes, layers)), dtype=np.uint8)[slot]
+    values[inner] = np.frombuffer(a.values, dtype=np.uint8)
+    return Pattern(region, values.tobytes())
+
+
+@functools.lru_cache(maxsize=32)
+def _walk_layers(H, source, target, k, d):
+    """path_extend's ring layers: ring t is the checkerboard of steps t and
+    t + 1 of the lexicographically least walk that starts along source and
+    ends along target, in the orientation matching the parity of k."""
+    end = target if k % 2 == 0 else target[::-1]
+    # path_extend checks k >= N + 1, so a walk of length k - 1 >= N exists
+    middle = lex_walk(H, source[1], end[0], k - 1)
+    walk = np.array([source[0]] + middle + [end[1]], dtype=np.uint8)
+    par = np.array([sum(r) % 2 for r in itertools.product((0, 1), repeat=d)])
+    t = np.arange(k + 1)[:, None]
+    return tuple(map(bytes, np.where(par == t % 2, walk[t], walk[t + 1])))
+
+
 def path_extend(H, a, source, target, k):
     """Extend a checkerboard-shell pattern by k rings to a new shell edge.
 
@@ -635,32 +661,14 @@ def path_extend(H, a, source, target, k):
     w0, w1 = target
     _require_edge(H, v0, v1, "source edge")
     _require_edge(H, w0, w1, "target edge")
-    n = _family_n(a, "path_extend input")
-    d = a.region.d
+    _family_n(a, "path_extend input")
     N = min_universal_path_length(H)
     if k < N + 1:
         raise ValueError("extension length too short: k = %d but k >= %d needed"
                          % (k, N + 1))
     if not in_checkerboard(H, a, v0, v1):
         raise ValueError("input does not lie in the stated checkerboard family")
-    # Walk w[0..k+1]: starts along the source edge, ends along the target
-    # edge in the orientation matching the parity of k.
-    end = (w0, w1) if k % 2 == 0 else (w1, w0)
-    middle = lex_walk(H, v1, end[0], k - 1)
-    if middle is None:
-        raise AssertionError("no walk of length %d from %d to %d" % (k - 1, v1, end[0]))
-    walk = [v0] + middle + [end[1]]
-    region = box_F(n + k, d)
-    values = bytearray(len(region))
-    amap = a.mapping()
-    for pos, site in enumerate(region.sites):
-        r = norm_inf(site)
-        if r <= n:
-            values[pos] = amap[site]
-        else:
-            t = r - n
-            values[pos] = walk[t] if parity(site) == t % 2 else walk[t + 1]
-    return Pattern(region, bytes(values))
+    return _fill_rings(a, k, _walk_layers(H, (v0, v1), (w0, w1), k, a.region.d))
 
 
 def embed_in_marker(H, a, target, k):
@@ -727,6 +735,8 @@ def flexible_fill(H, target, n, K, W, base, d=None):
             raise ValueError("blocks live on different boxes")
         if not in_checkerboard(H, W[i], v0, v1):
             raise ValueError("block at %r is not in the stated family" % (i,))
+        if not len(i) == d == W[i].region.d:
+            raise ValueError("block at %r is not %d-dimensional" % (i, d))
     N = min_universal_path_length(H)
     pad = k + N + 1
     for a_pos in range(len(K)):
@@ -740,16 +750,17 @@ def flexible_fill(H, target, n, K, W, base, d=None):
         if norm_inf(i) > limit:
             raise ValueError("block at %r does not fit: need sup-norm <= %d"
                              % (i, limit))
-    region = box_F(n, d)
-    values = bytearray(w0 if parity(s) == 0 else w1 for s in region.sites)
+    region, inner, _ = _rings(pad, n - pad, d)
+    origin = region.index((0,) * d)
+    values = np.array(bytearray(pure_checkerboard(H, w0, w1, n, d).values))
     for i in K:
         # Pad the block so its own boundary ring agrees with the ambient
         # checkerboard: the padding target depends on the parity of i.
         block_target = (w0, w1) if parity(i) == 0 else (w1, w0)
         padded = path_extend(H, W[i], (v0, v1), block_target, N + 1)
-        for site, val in zip(padded.region.sites, padded.values):
-            values[region.index(add(site, i))] = val
-    return Pattern(region, bytes(values))
+        # in a box, the shift by i moves every position by the same amount
+        values[inner + (region.index(i) - origin)] = list(padded.values)
+    return Pattern(region, values.tobytes())
 
 
 @functools.lru_cache(maxsize=8)
@@ -802,10 +813,8 @@ def hat_extend(H, a, k):
         e for e in H.ordered_edges() if e != preferred]
 
     skip0 = index(absent)
-    par = [parity(r) for r in residues]
-
     for v0, v1 in candidates:
-        goal = tuple(v0 if par[i] == 0 else v1 for i in range(len(residues)))
+        goal = tuple(v1 if parity(r) else v0 for r in residues)
 
         def search(chain):
             depth = len(chain) - 1
@@ -820,19 +829,8 @@ def hat_extend(H, a, k):
             return None
 
         chain = search([q0])
-        if chain is None:
-            continue
-        region = box_F(n + k, d)
-        amap = a.mapping()
-        values = bytearray(len(region))
-        for pos, site in enumerate(region.sites):
-            r = norm_inf(site)
-            if r <= n:
-                values[pos] = amap[site]
-            else:
-                values[pos] = chain[r - n][index(tuple(c % 2 for c in site))]
-        out = Pattern(region, bytes(values))
-        return (v0, v1), out
+        if chain is not None:
+            return (v0, v1), _fill_rings(a, k, chain)
     raise NegativeResult("no 2-periodic layer chain of length %d extends "
                          "this pattern to a checkerboard shell" % k)
 

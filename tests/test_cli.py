@@ -426,6 +426,33 @@ def test_enumerate_output_bytes_are_pinned(tmp_path, capsys, args):
     assert digest == ENUMERATE_SHA256[args]
 
 
+# SHA-256 of `extend --out` at seed 0 on the `enumerate --out` file of
+# the first argument, as the per-site ring loops wrote them
+EXTEND_SHA256 = {
+    ("--family checker --n 2", "--op path --source 0,1 --target 1,2 --k 3"):
+        "be30d01f3aeeb87fe83c9fed5588d6ad1df9173353f9959ddff35ef6ccdb18a9",
+    ("--family checker --n 2", "--op embed --target 2,0 --k 4"):
+        "1cc162ac4c32b1d8cb21aa91cdd86da0409f4bbee72b29ddd3e3da7661c42592",
+    ("--family hat --n 2", "--op hat --k 4"):
+        "a37090055f6d002de5c034d412cb1b0d6db2c4ed1f04af6f509dcf1b3eeb6339",
+    ("--family hat --n 1 --d 3", "--op hat --k 6"):
+        "e5a452e1d6ef5777ec870edd2e0e195908418d5538c625bd2bfd57f37eeab7d0",
+}
+
+
+@pytest.mark.parametrize("family, op", sorted(EXTEND_SHA256))
+def test_extend_output_bytes_are_pinned(tmp_path, capsys, family, op):
+    src, out = tmp_path / "family.jsonl", tmp_path / "extended.jsonl"
+    code, _, _ = run(capsys, ["enumerate"] + family.split() +
+                     ["--seed", "0", "--out", str(src)])
+    assert code == 0
+    code, _, _ = run(capsys, ["extend"] + op.split() +
+                     ["--in", str(src), "--seed", "0", "--out", str(out)])
+    assert code == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == EXTEND_SHA256[family, op]
+
+
 def _child_run(*argv):
     """(exit code, peak RSS in kB) of `latticelab argv` run in a child
     process at the default budget."""

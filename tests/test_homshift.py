@@ -533,6 +533,15 @@ def test_flexible_fill_rejects_foreign_blocks():
         hs.flexible_fill(K3, (0, 1), 6, [(0, 0)], {(0, 0): block}, (0, 1))
 
 
+def test_flexible_fill_rejects_blocks_of_another_dimension():
+    block = hs.checkerboard_set(K3, 0, 1, 1, 2)[0]
+    with pytest.raises(ValueError, match="not 3-dimensional"):
+        hs.flexible_fill(K3, (0, 1), 12, [(0, 0)], {(0, 0): block}, (0, 1), d=3)
+    with pytest.raises(ValueError, match="not 3-dimensional"):
+        hs.flexible_fill(K3, (0, 1), 12, [(0, 0, 0)], {(0, 0, 0): block},
+                         (0, 1))
+
+
 def test_flexible_fill_c5():
     blocks = hs.checkerboard_set(C5, 0, 1, 1, 2)
     n = 1 + 4 + 1 + 2  # smallest box the containment bound allows
@@ -602,6 +611,216 @@ def test_hat_extend_larger_box():
         assert hs.is_hom(K3, ext)
         assert hs.in_checkerboard(K3, ext, *edge)
         assert ext.restrict(box_F(2, 2)) == p
+
+
+# ---------------------------------------------------------------------------
+# one ring layout: the extension ops against their per-site versions
+
+
+RING_GRAPHS = {name: hs.graph_preset(name)
+               for name in ("K3", "C5", "petersen", "full2")}
+
+
+def oracle_path_extend(H, a, source, target, k):
+    """path_extend's output as it was built site by site."""
+    v0, v1 = source
+    w0, w1 = target
+    n, d = a.region.kind[1], a.region.d
+    end = (w0, w1) if k % 2 == 0 else (w1, w0)
+    walk = [v0] + hs.lex_walk(H, v1, end[0], k - 1) + [end[1]]
+    region = box_F(n + k, d)
+    values = bytearray(len(region))
+    amap = a.mapping()
+    for pos, site in enumerate(region.sites):
+        r = lattice.norm_inf(site)
+        if r <= n:
+            values[pos] = amap[site]
+        else:
+            t = r - n
+            values[pos] = walk[t] if parity(site) == t % 2 else walk[t + 1]
+    return hs.Pattern(region, bytes(values))
+
+
+def oracle_embed_in_marker(H, a, target, k):
+    n, d = a.region.kind[1], a.region.d
+    big, positions = hs._retraction_positions(n, d)
+    spread = hs.Pattern(big, bytes(a.values[i] for i in positions))
+    source = (a.value((0,) * d), a.value(lattice.unit(1, d)))
+    return oracle_path_extend(H, spread, source, target, k)
+
+
+def oracle_hat_extend(H, a, k):
+    """hat_extend's layer-chain search, with its output built site by site."""
+    n, d = a.region.kind[1], a.region.d
+    cube, layer_pool = hs._ring_layers(H, d)
+    residues, index, flips = cube.sites, cube.index, cube.neighbor_table()
+    absent = hs.missing_shell_residue(n, d)
+    q0 = [None] * len(residues)
+    for r, positions in hs._shell_classes(n, d):
+        q0[index(r)] = a.values[positions[0]]
+    q0[index(absent)] = a.value((n - 1,) * d)
+    q0 = tuple(q0)
+
+    def cross_ok(lower, upper, skip=None):
+        return all(H.has_edge(lower[i], upper[j]) for i in range(len(residues))
+                   if i != skip for j in flips[i])
+
+    zero, e1 = index((0,) * d), index((1,) + (0,) * (d - 1))
+    preferred = (q0[zero], q0[e1]) if k % 2 == 0 else (q0[e1], q0[zero])
+    candidates = ([preferred] if H.has_edge(*preferred) else []) + [
+        e for e in H.ordered_edges() if e != preferred]
+    for v0, v1 in candidates:
+        goal = tuple(v0 if parity(r) == 0 else v1 for r in residues)
+
+        def search(chain):
+            depth = len(chain) - 1
+            if depth == k - 1:
+                return chain + [goal] if cross_ok(chain[-1], goal) else None
+            skip = index(absent) if depth == 0 else None
+            for layer in layer_pool:
+                if cross_ok(chain[-1], layer, skip=skip):
+                    res = search(chain + [layer])
+                    if res is not None:
+                        return res
+            return None
+
+        chain = search([q0])
+        if chain is None:
+            continue
+        region = box_F(n + k, d)
+        amap = a.mapping()
+        values = bytearray(len(region))
+        for pos, site in enumerate(region.sites):
+            r = lattice.norm_inf(site)
+            if r <= n:
+                values[pos] = amap[site]
+            else:
+                values[pos] = chain[r - n][index(tuple(c % 2 for c in site))]
+        return (v0, v1), hs.Pattern(region, bytes(values))
+    raise NegativeResult("no chain")
+
+
+def oracle_flexible_fill(H, target, n, K, W, base, d):
+    w0, w1 = target
+    region = box_F(n, d)
+    values = bytearray(w0 if parity(s) == 0 else w1 for s in region.sites)
+    pad_k = hs.min_universal_path_length(H) + 1
+    for i in K:
+        block_target = (w0, w1) if parity(i) == 0 else (w1, w0)
+        padded = oracle_path_extend(H, W[i], base, block_target, pad_k)
+        for site, val in zip(padded.region.sites, padded.values):
+            values[region.index(lattice.add(site, i))] = val
+    return hs.Pattern(region, bytes(values))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NegativeResult:
+        return NegativeResult
+
+
+def redraw(H, pattern, inner, rnd):
+    """pattern with each site of inner, in random order, redrawn among the
+    vertices adjacent to its neighbours' current values."""
+    region = pattern.region
+    values = bytearray(pattern.values)
+    nbrs = region.neighbor_table()
+    positions = [region.index(s) for s in inner]
+    rnd.shuffle(positions)
+    for pos in positions:
+        values[pos] = rnd.choice([v for v in range(H.n) if all(
+            H.has_edge(v, values[j]) for j in nbrs[pos])])
+    return hs.Pattern(region, bytes(values))
+
+
+def random_checker_member(H, edge, n, d, rnd):
+    start = hs.pure_checkerboard(H, *edge, n, d)
+    return redraw(H, start, [s for s in start.region.sites
+                             if lattice.norm_inf(s) < n], rnd)
+
+
+def random_periodic_hom(H, n, d, rnd, redraw_shell):
+    """A 2-periodic layer spread over F_n, its interior (and its shell too
+    when redraw_shell) redrawn."""
+    cube, layers = hs._ring_layers(H, d)
+    layer = rnd.choice(layers)
+    region = box_F(n, d)
+    start = hs.Pattern(region, bytes(
+        layer[cube.index(tuple(c % 2 for c in s))] for s in region.sites))
+    return redraw(H, start, [s for s in region.sites
+                             if redraw_shell or lattice.norm_inf(s) < n], rnd)
+
+
+@pytest.mark.parametrize("op", ["path", "embed", "hat", "fill"])
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_extension_ops_match_their_per_site_versions(op, data):
+    name = data.draw(st.sampled_from(sorted(RING_GRAPHS)), label="graph")
+    H = RING_GRAPHS[name]
+    # hat_extend's layer-chain search has no memo of dead ends: at d = 3 it
+    # runs for minutes on some C5 and petersen inputs, so those stop at d = 2
+    slow_chain = op == "hat" and name in ("C5", "petersen")
+    d = data.draw(st.integers(1, 2 if slow_chain else 3), label="d")
+    n = data.draw(st.integers(1, 2), label="n")
+    extra = data.draw(st.integers(0, 3), label="k - minimum")
+    rnd = data.draw(st.randoms(use_true_random=False))
+    edges = H.ordered_edges()
+    N = hs.min_universal_path_length(H)
+    if op == "path":
+        source = data.draw(st.sampled_from(edges), label="source")
+        target = data.draw(st.sampled_from(edges), label="target")
+        a = random_checker_member(H, source, n, d, rnd)
+        args = (H, a, source, target, N + 1 + extra)
+        got, want = hs.path_extend(*args), oracle_path_extend(*args)
+    elif op == "embed":
+        target = data.draw(st.sampled_from(edges), label="target")
+        a = random_periodic_hom(H, n, d, rnd, redraw_shell=True)
+        args = (H, a, target, N + d + extra)
+        got, want = hs.embed_in_marker(*args), oracle_embed_in_marker(*args)
+    elif op == "hat":
+        a = random_periodic_hom(H, n, d, rnd, redraw_shell=False)
+        args = (H, a, 2 * d + extra)
+        got, want = outcome(hs.hat_extend, *args), outcome(oracle_hat_extend, *args)
+    else:
+        base = data.draw(st.sampled_from(edges), label="base")
+        target = data.draw(st.sampled_from(edges), label="target")
+        pad = n + N + 1
+        K = [(0,) * d]
+        if data.draw(st.booleans(), label="two blocks"):
+            K.append(((2 * pad + 1),) + (0,) * (d - 1))
+        W = {i: random_checker_member(H, base, n, d, rnd) for i in K}
+        size = max(lattice.norm_inf(i) for i in K) + pad + 1 + extra
+        args = (H, target, size, K, W, base)
+        got = hs.flexible_fill(*args)
+        want = oracle_flexible_fill(*args, d)
+    assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(1, 3))
+def test_ring_slots_decode_to_ring_and_residue(n, k, d):
+    region, inner, slot = hs._rings(n, k, d)
+    assert region == box_F(n + k, d)
+    cube, _ = hs._ring_layers(K3, d)
+    for s, v in zip(region.sites, slot):
+        ring, residue = divmod(int(v), 2 ** d)
+        assert ring == max(lattice.norm_inf(s) - n, 0)
+        assert residue == cube.index(tuple(c % 2 for c in s))
+    assert [region.sites[i] for i in inner] == list(box_F(n, d).sites)
+
+
+def test_path_extend_cache_keys_are_complete():
+    # two targets and two graphs in one process, against fresh calls
+    a3 = hs.checkerboard_set(K3, 0, 1, 1, 2)[0]
+    a5 = hs.checkerboard_set(C5, 0, 1, 1, 2)[0]
+    calls = [(K3, a3, (0, 1), (1, 2), 5), (K3, a3, (0, 1), (2, 0), 5),
+             (C5, a5, (0, 1), (1, 2), 5), (C5, a5, (0, 1), (2, 3), 5)]
+    warm = [hs.path_extend(*c) for c in calls]
+    for c, got in zip(calls, warm):
+        hs._walk_layers.cache_clear()
+        hs._rings.cache_clear()
+        assert hs.path_extend(*c) == got == oracle_path_extend(*c)
 
 
 # ---------------------------------------------------------------------------
