@@ -140,6 +140,14 @@ def _record(args, payload):
     return canonical_json(rec) + "\n"
 
 
+# Sites held per block of rows that the height commands lift or sample.
+_BLOCK_SITES = 1 << 16
+
+
+def _block_rows(region):
+    return max(1, _BLOCK_SITES // max(1, len(region)))
+
+
 def _tiling_text(args, t):
     """The output record of a constructed tiling, validated first."""
     t.validate()
@@ -349,22 +357,27 @@ def cmd_verify(args):
         _emit(args, _record(args, {"check": "tiling", "ok": True,
                                    "tiles": len(t.placements)}))
         return EXIT_OK
-    # lipschitz: height bound on freshly sampled colorings
+    # lipschitz: height bound on freshly sampled colorings, a block of
+    # seeds at a time.  On a box the sampler never blocks and every sample
+    # lifts, so the first seed breaking the bound is the first failure.
     region = lattice.box_F(args.n, args.d)
     base = (0,) * args.d
-    for i in range(args.samples):
-        seed = args.seed + i
-        field = height_mod.height_cocycle(
-            height_mod.sample_coloring(region, seed), base)
-        bad = height_mod.lipschitz_check(field)
+    step = _block_rows(region)
+    for start in range(0, args.samples, step):
+        seeds = range(args.seed + start,
+                      args.seed + min(start + step, args.samples))
+        heights = height_mod.lift_rows(
+            region, base, height_mod.sample_rows(region, seeds))
+        bad = height_mod.lipschitz_rows(region, base, heights)
         if bad is not None:
-            site, h, bound = bad
+            row, site, h, bound = bad
             _emit(args, _record(args, {"check": "lipschitz", "ok": False,
                                        "n": args.n, "d": args.d,
-                                       "sample_seed": seed,
+                                       "sample_seed": seeds[row],
                                        "site": list(site), "height": h,
                                        "bound": bound}))
-            raise NegativeResult("height bound broken at seed %d" % seed)
+            raise NegativeResult("height bound broken at seed %d"
+                                 % seeds[row])
     _emit(args, _record(args, {"check": "lipschitz", "ok": True,
                                "n": args.n, "d": args.d,
                                "samples": args.samples,
@@ -387,13 +400,14 @@ def cmd_height(args):
             raise ValueError("height cocycle needs --in")
         ps, _ = _load_patterns(args.infile)
         base = _ints(args.base, ",", "base site", "i,j")
-        lines = [canonical_json({"seed": args.seed, "base": list(base),
-                                 "count": len(ps)})]
-        for p in ps:
-            field = height_mod.height_cocycle(p, base)
-            lines.append(canonical_json(
-                {"heights": [field.heights[s] for s in p.region.sites]}))
-        _emit(args, "\n".join(lines) + "\n")
+        blocks = [(canonical_json({"seed": args.seed, "base": list(base),
+                                   "count": len(ps)}) + "\n").encode()]
+        step = _block_rows(ps.region)
+        for start in range(0, len(ps), step):
+            heights = height_mod.lift_rows(ps.region, base,
+                                           ps.rows[start:start + step])
+            blocks.append(homshift.encode_rows(heights, "heights"))
+        _emit(args, blocks)
         return EXIT_OK
     # gap: quasiflat gap of the two reference colorings
     region = lattice.box_F(args.n, args.d)

@@ -4,24 +4,39 @@ A proper 3-coloring of a connected region lifts to a height function:
 one integer per site, zero at a chosen base, stepping by exactly one
 across every lattice edge, and congruent to the coloring mod 3.  The
 lift is path-independent because the signed steps around any unit
-square cancel, so a breadth-first sweep computes it.  Heights turn
-gluing questions about colorings into integer Lipschitz-extension
-questions, which is what the window check below exploits: a steep
-(striped) center pattern cannot meet a flat (checkerboard) surround
-across a thin annulus.
+square cancel.  Heights turn gluing questions about colorings into
+integer Lipschitz-extension questions, which is what the window check
+below exploits: a steep (striped) center pattern cannot meet a flat
+(checkerboard) surround across a thin annulus.
+
+The lift, the sampler and the Lipschitz check work on blocks of rows,
+one coloring per row in site order.  lift_rows sums the signed steps of
+a breadth-first tree from the base, fixed once per (region, base), and
+checks every edge against the sums; sample_rows draws the seeded
+choices of a whole block of seeds with one array splitmix64 and fills
+each row in raster order; lipschitz_rows compares heights with the
+distance to the base.  height_cocycle, sample_coloring, lipschitz_check
+and quasiflat_gap are their one-row (or one-block) calls, and each batch
+call reports its first bad row with the message the one-row call gives.
 """
 
-from collections import deque
+import functools
 
 import numpy as np
 
 from . import lattice
-from .homshift import Pattern, is_hom, enumerate_hom, first_hom
-from .util import BudgetCounter
+from .homshift import (Pattern, _distinct_rows, is_hom, enumerate_hom,
+                       first_hom)
+from .util import _MASK, BudgetCounter
 
 
-# signed height step across an edge, indexed by the color change mod 3
-_STEP = (0, 1, -1)
+# signed height step of an edge from color a to color b, at index a + 256 b
+# (a little-endian uint16 of the two colors): +1 when b = a + 1 mod 3, -1
+# when b = a + 2 mod 3, and 0 for equal colors or a color above 2, so that
+# stepping back along an edge always negates the step.
+_STEP = np.zeros(1 << 16, dtype=np.int8)
+_STEP.reshape(256, 256)[:3, :3] = [[(0, 1, -1)[(b - a) % 3] for a in range(3)]
+                                   for b in range(3)]
 
 
 class HeightField:
@@ -63,49 +78,170 @@ class HeightField:
         return "HeightField(%s, base=%s)" % (self.region.kind, self.base)
 
 
-def height_cocycle(x, base):
-    """Lift the proper 3-coloring x to its height field, zero at base.
+@functools.lru_cache(maxsize=32)
+def _sweep(region, base):
+    """The breadth-first sweep of region from base, fixed once per pair.
 
-    Breadth-first from the base: the step across an edge is +1 when the
-    color increases by 1 mod 3 and -1 when it increases by 2 mod 3.
-    Raises for improper colorings, a disconnected region, a base outside
-    the region, or (impossible for proper colorings) a sweep conflict.
+    Returns (edges, walk, arrive, detours, missing).  edges lists the
+    region's edges that the sweep reaches as (i, j) position pairs, each
+    oriented and ordered as the sweep first crosses it, and missing
+    counts the sites it never reaches.  walk is a closed walk from the
+    base as flat (from, to) position pairs: a loop at the base, then an
+    Euler tour of the sweep's tree that, on arriving at a site i, steps
+    out and back along each edge (i, j) of edges outside the tree.
+    Summing a coloring's signed steps along the walk, the prefix sum at
+    position arrive[s] is the height of site s (0 for the base and for
+    unreached sites), and at position detours[0][t] it is what the edge
+    (i, j) of the t-th detour says the height of j is; that height is
+    the prefix sum at detours[1][t].
     """
-    region = x.region
+    table = region.neighbor_table()
+    start = region.index(base)
+    rank = [None] * len(region)
+    rank[start] = 0
+    order = [start]
+    children = [[] for _ in range(len(region))]
+    others = [[] for _ in range(len(region))]
+    edges = []
+    for i in order:
+        for j in table[i]:
+            if rank[j] is None:
+                rank[j] = len(order)
+                order.append(j)
+                children[i].append(j)
+            elif rank[j] > rank[i]:
+                others[i].append(j)
+            else:
+                continue  # crossed from j's side already
+            edges.append((i, j))
+    walk = [start, start]
+    arrive = [0] * len(region)
+    detours = []
+
+    def step_out(i):
+        for j in others[i]:
+            detours.append((len(walk) // 2, j))
+            walk.extend((i, j, j, i))
+
+    step_out(start)
+    stack = [(start, iter(children[start]))]
+    while stack:
+        i, below = stack[-1]
+        j = next(below, None)
+        if j is None:
+            stack.pop()
+            if stack:
+                walk.extend((i, stack[-1][0]))
+        else:
+            arrive[j] = len(walk) // 2
+            walk.extend((i, j))
+            step_out(j)
+            stack.append((j, iter(children[j])))
+    detours = np.array([[t for t, _ in detours],
+                        [arrive[j] for _, j in detours]],
+                       dtype=np.intp).reshape(2, len(detours))
+    return (tuple(edges), np.array(walk), np.array(arrive), detours,
+            len(region) - len(order))
+
+
+def lift_rows(region, base, colors):
+    """The heights of N colorings of region, zero at base.
+
+    colors is an N x |region| uint8 array, one coloring per row in site
+    order; the result is an N x |region| int32 array.  The heights are
+    the sums of the steps +1 (color up by 1 mod 3) and -1 (up by 2) along
+    the breadth-first tree from the base, and every other edge the sweep
+    reaches must then step by its own color change.  Raises ValueError
+    for an empty region, a base outside the region, or the first row
+    that has no height field (a color above 2, equal colors across an
+    edge, a sweep conflict or a disconnected region), with the message
+    height_cocycle gives that row.
+    """
     if region.d is None:
         raise ValueError("empty region has no heights")
     if base not in region:
         raise ValueError("base %r outside the region" % (base,))
-    if max(x.values) > 2:
+    if colors.dtype != np.uint8 or colors.shape[1:] != (len(region),):
+        raise ValueError("colorings must be uint8 rows of width %d"
+                         % len(region))
+    edges, walk, arrive, detours, missing = _sweep(region, base)
+    steps = _STEP.take(colors.take(walk, axis=1).view("<u2"))
+    sums = np.add.accumulate(steps, axis=1, dtype=np.int32)
+    # each row has one zero step, the loop at the base; any other is an
+    # edge between equal colors or from a color above 2.  Such a color
+    # makes none only at a base without neighbors: the whole region, or
+    # one that leaves sites missing.
+    broken = (steps.size - np.count_nonzero(steps) > len(colors)
+              or np.count_nonzero(sums.take(detours[0], axis=1)
+                                  != sums.take(detours[1], axis=1)))
+    if len(colors) and (broken or missing
+                        or not edges and colors.max() > 2):
+        _raise_first_bad_row(region, base, colors, steps, sums)
+    return sums.take(arrive, axis=1)
+
+
+def _raise_first_bad_row(region, base, colors, steps, sums):
+    """Raise height_cocycle's error for the first row without heights.
+
+    The first bad row's tree heights are those the scalar sweep holds
+    until its first failure, so that failure is at the first edge, in
+    sweep order, with a zero step or a step the heights disagree with.
+    """
+    edges, walk, arrive, detours, missing = _sweep(region, base)
+    bad = (~steps[:, 1:].all(axis=1) | (colors.max(axis=1) > 2)
+           | (sums.take(detours[0], axis=1)
+              != sums.take(detours[1], axis=1)).any(axis=1))
+    r = 0 if missing else int(bad.argmax())
+    values = colors[r].tolist()
+    if max(values) > 2:
         raise ValueError("colors must lie in {0, 1, 2}")
-    sites = region.sites
-    vals = x.values
-    heights = [None] * len(sites)
-    start = region.index(base)
-    heights[start] = 0
-    queue = deque([start])
-    table = region.neighbor_table()
-    while queue:
-        i = queue.popleft()
-        hi = heights[i]
-        ci = vals[i]
-        for j in table[i]:
-            step = _STEP[(vals[j] - ci) % 3]
-            if not step:
-                raise ValueError("equal colors %d across an edge: improper "
-                                 "coloring" % ci)
-            hj = hi + step
-            if heights[j] is None:
-                heights[j] = hj
-                queue.append(j)
-            elif heights[j] != hj:
-                raise ValueError("not a valid 3-coloring height at %r"
-                                 % (sites[j],))
-    missing = sum(1 for h in heights if h is None)
-    if missing:
-        raise ValueError("region is disconnected: %d of %d sites "
-                         "unreachable from %r" % (missing, len(sites), base))
-    return HeightField(region, base, dict(zip(sites, heights)), coloring=x)
+    heights = sums[r].take(arrive).tolist()
+    for i, j in edges:
+        step = (0, 1, -1)[(values[j] - values[i]) % 3]
+        if not step:
+            raise ValueError("equal colors %d across an edge: improper "
+                             "coloring" % values[i])
+        if heights[j] != heights[i] + step:
+            raise ValueError("not a valid 3-coloring height at %r"
+                             % (region.sites[j],))
+    raise ValueError("region is disconnected: %d of %d sites unreachable "
+                     "from %r" % (missing, len(region), base))
+
+
+def height_cocycle(x, base):
+    """Lift the proper 3-coloring x to its height field, zero at base.
+
+    The one-row call of lift_rows: raises for improper colorings, a
+    disconnected region, a base outside the region, or a sweep conflict
+    (impossible for a proper coloring of a simply connected region).
+    """
+    region = x.region
+    row = np.frombuffer(x.values, dtype=np.uint8).reshape(1, len(region))
+    heights = lift_rows(region, base, row)[0].tolist()
+    return HeightField(region, base, zip(region.sites, heights), coloring=x)
+
+
+@functools.lru_cache(maxsize=32)
+def _distances(region, base):
+    """||s - base||_1 for every site s of region, in site order."""
+    return np.abs(np.array(region.sites) - base).sum(axis=1)
+
+
+def lipschitz_rows(region, base, heights):
+    """The first row breaking the height bound, as (row, site, height, bound).
+
+    heights is an N x |region| array of heights relative to base.  Returns
+    None when |height| <= ||site - base||_1 at every site of every row,
+    else the first row that breaks it and its first offending site in
+    canonical site order.  Every lift of a coloring of a box passes.
+    """
+    bound = _distances(region, base)
+    over = np.abs(heights) > bound
+    if not over.any():
+        return None
+    r = int(over.any(axis=1).argmax())
+    j = int(over[r].argmax())
+    return r, region.sites[j], heights[r, j].item(), int(bound[j])
 
 
 def lipschitz_check(field):
@@ -115,27 +251,56 @@ def lipschitz_check(field):
     the first offending (site, height, bound) in canonical site order.
     Every field produced by height_cocycle on a box passes.
     """
-    base = field.base
-    heights = field.heights
-    h0 = heights[base]
-    for site in field.region:
-        h = heights[site] - h0
-        bound = sum(abs(a - b) for a, b in zip(site, base))
-        if abs(h) > bound:
-            return (site, h, bound)
-    return None
+    h0 = field.heights[field.base]
+    row = [[field.heights[s] - h0 for s in field.region.sites]]
+    hit = lipschitz_rows(field.region, field.base, np.array(row))
+    return None if hit is None else hit[1:]
 
 
-def slope_estimate(field, site):
-    """Height gained per unit of path distance from the base.
+def _splitmix64(x):
+    """util.splitmix64 on a uint64 array, which wraps as the scalar masks."""
+    x = x + np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
 
-    A descriptive statistic only: it quantifies how steep the field is
-    toward one site and carries no claim beyond that.
+
+# _PICK[mask][r]: the color of a site whose earlier neighbors use the colors
+# marked in mask, for r = counter_rng(seed, pos) % 6; 3 when none is free.
+# r mod 6 fixes r mod k for each possible number k = 1, 2, 3 of free colors.
+_PICK = tuple(bytes(free[r % len(free)] if free else 3 for r in range(6))
+              for free in ([c for c in range(3) if not mask >> c & 1]
+                           for mask in range(8)))
+
+
+def sample_rows(region, seeds):
+    """One sampled 3-coloring of region per seed, as a uint8 array.
+
+    Row i is sample_coloring(region, seeds[i]).  The seeded draws of the
+    whole block come from one array splitmix64, bit-identical to
+    util.counter_rng; each row is then filled in raster order.
     """
-    dist = lattice.norm_1(lattice.sub(site, field.base))
-    if dist == 0:
-        return 0.0
-    return (field.heights[site] - field.heights[field.base]) / dist
+    seeds = [s & _MASK for s in seeds]
+    m = len(region)
+    keys = _splitmix64(np.array(seeds, dtype=np.uint64))
+    draws = _splitmix64(keys[:, None] + np.arange(m, dtype=np.uint64))
+    draws = (draws % np.uint64(6)).astype(np.uint8).tobytes()
+    earlier = region.earlier_neighbor_table()
+    rows = []
+    for i in range(len(seeds)):
+        r = draws[i * m:(i + 1) * m]
+        values = bytearray(m)
+        for pos, nbrs in enumerate(earlier):
+            mask = 0
+            for j in nbrs:
+                mask |= 1 << values[j]
+            c = _PICK[mask][r[pos]]
+            if c == 3:
+                raise RuntimeError("sampler blocked at %r: all colors used "
+                                   "by neighbors" % (region.sites[pos],))
+            values[pos] = c
+        rows.append(values)
+    return np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(seeds), m)
 
 
 def sample_coloring(region, seed):
@@ -145,19 +310,9 @@ def sample_coloring(region, seed):
     already-assigned neighbors leave free; on a box in one or two
     dimensions at most two neighbors are assigned, so a free color
     always exists.  Reproducible for a fixed seed, not uniform over
-    all colorings.
+    all colorings.  The one-row call of sample_rows.
     """
-    from .util import rng_choice
-
-    values = bytearray(len(region))
-    for pos, earlier in enumerate(region.earlier_neighbor_table()):
-        used = {values[j] for j in earlier}
-        free = [c for c in range(3) if c not in used]
-        if not free:
-            raise RuntimeError("sampler blocked at %r: all colors used by "
-                               "neighbors" % (region.sites[pos],))
-        values[pos] = free[rng_choice(seed, pos, len(free))]
-    return Pattern(region, bytes(values))
+    return Pattern(region, sample_rows(region, (seed,))[0].tobytes())
 
 
 def striped_coloring(region):
@@ -192,24 +347,12 @@ def quasiflat_gap(samples, displacements):
     for i in displacements:
         if i not in region:
             raise ValueError("displacement %r outside the region" % (i,))
-    fields = [height_cocycle(p, base) for p in samples]
-    gap = 0
-    for low in fields:
-        for high in fields:
-            for i in displacements:
-                gap = max(gap, high.heights[i] - low.heights[i])
-    return gap
-
-
-def _distinct_rows(cols):
-    """The distinct rows of cols, sorted, and each row's index among them."""
-    order = np.lexsort(cols.T[::-1])
-    cols = cols[order]
-    new = np.ones(len(cols), dtype=bool)
-    new[1:] = (cols[1:] != cols[:-1]).any(axis=1)
-    ids = np.empty(len(cols), dtype=np.int64)
-    ids[order] = np.cumsum(new) - 1
-    return cols[new], ids
+    rows = np.frombuffer(b"".join(p.values for p in samples), dtype=np.uint8)
+    heights = lift_rows(region, base, rows.reshape(len(samples), len(region)))
+    cols = heights[:, [region.index(i) for i in displacements]]
+    if not cols.size:
+        return 0
+    return max(0, int((cols.max(axis=0) - cols.min(axis=0)).max()))
 
 
 def _is_k3(H):

@@ -15,7 +15,6 @@ output can be re-validated from scratch.
 import functools
 import itertools
 import json
-import math
 
 import numpy as np
 
@@ -203,10 +202,6 @@ class Pattern:
         return "Pattern(%s, %s)" % (self.region.kind, list(self.values))
 
 
-def pattern_from_mapping(region, mapping):
-    return Pattern(region, bytes(mapping[s] for s in region.sites))
-
-
 class PatternSet:
     """A canonically ordered set of patterns sharing one region.
 
@@ -255,6 +250,18 @@ class PatternSet:
             return tuple(Pattern(self.region, row.tobytes())
                          for row in self.rows[i])
         return Pattern(self.region, self.rows[i].tobytes())
+
+
+def _distinct_rows(cols):
+    """The distinct rows of cols, sorted, and each row's index among them."""
+    order = (np.lexsort(cols.T[::-1]) if cols.shape[1]
+             else np.arange(len(cols)))
+    cols = cols[order]
+    new = np.ones(len(cols), dtype=bool)
+    new[1:] = (cols[1:] != cols[:-1]).any(axis=1)
+    ids = np.empty(len(cols), dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return cols[new], ids
 
 
 def is_hom(H, pattern):
@@ -815,17 +822,23 @@ def hat_extend(H, a, k):
     skip0 = index(absent)
     for v0, v1 in candidates:
         goal = tuple(v1 if parity(r) else v0 for r in residues)
+        # (depth, pool index) of the layers from which no chain reaches the
+        # goal: whether one does depends on nothing else, so skipping them
+        # keeps the depth-first order and the first chain found
+        dead = set()
 
         def search(chain):
             depth = len(chain) - 1
             if depth == k - 1:
                 return chain + [goal] if cross_ok(chain[-1], goal) else None
             skip = skip0 if depth == 0 else None
-            for layer in layer_pool:
-                if cross_ok(chain[-1], layer, skip=skip):
+            for i, layer in enumerate(layer_pool):
+                if ((depth + 1, i) not in dead
+                        and cross_ok(chain[-1], layer, skip=skip)):
                     res = search(chain + [layer])
                     if res is not None:
                         return res
+                    dead.add((depth + 1, i))
             return None
 
         chain = search([q0])
@@ -889,70 +902,47 @@ def verify_marker_spacing(family, spacing_n):
 
 
 # ---------------------------------------------------------------------------
-# flexible families and entropy per site
-
-
-class FlexibleFamily:
-    """A finite range of pattern families indexed by n, with a gap function."""
-
-    def __init__(self, sets, gap, marker=False):
-        self.sets = dict(sets)
-        self.gap = gap
-        self.marker = marker
-
-    def gap_ratio_nonincreasing(self):
-        """Check g(n)/n is nonincreasing over the stored range."""
-        ns = sorted(self.sets)
-        ratios = [self.gap(n) / n for n in ns if n > 0]
-        return all(ratios[i + 1] <= ratios[i] + 1e-12 for i in range(len(ratios) - 1))
-
-
-def finite_entropy_estimate(family, n):
-    """log |C_n| / |F_n| in nats; -inf for an empty family."""
-    if isinstance(family, FlexibleFamily):
-        if n not in family.sets:
-            raise ValueError("family has no patterns stored at n = %d" % n)
-        ps = family.sets[n]
-    else:
-        ps = family
-    if len(ps) == 0:
-        return float("-inf")
-    return math.log(len(ps)) / len(ps.region)
-
-
-# ---------------------------------------------------------------------------
 # serialization
 
 
-# Each byte value as the JSON text ",<digits>", NUL-padded to four bytes.
-_VALUE_TOKENS = np.array([list((",%d" % v).encode().ljust(4, b"\0"))
-                          for v in range(256)], dtype=np.uint8)
-_RECORD_HEAD = np.frombuffer(b'{"values":[', dtype=np.uint8)
+_RECORD_HEAD = b'{"values":['
 _RECORD_TAIL = np.frombuffer(b"]}\n", dtype=np.uint8)
-# Rows encoded per block, so that the block's scratch stays small.
+# Rows encoded or decoded per block, so that a block's arrays stay small.
 ENCODE_BLOCK = 8192
 
 
-def _encode_rows(rows):
-    """The records '{"values":[v,...]}' of the rows, one line each.
+@functools.lru_cache(maxsize=8)
+def _value_tokens(lo, hi):
+    """Each value lo..hi as the JSON text ",<digits>", NUL-padded to the
+    longest of them, in one array of fixed-width items."""
+    tokens = [b",%d" % v for v in range(lo, hi + 1)]
+    width = max(map(len, tokens))
+    return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in tokens),
+                         dtype="V%d" % width)
 
-    Every value becomes its token ",<digits>", cut to the width of the
-    longest token the rows use; the NUL padding of shorter tokens and the
-    comma before each row's first value are then dropped in one pass.
+
+def encode_rows(rows, key="values"):
+    """The records '{"<key>":[v,...]}' of the integer rows, one line each.
+
+    Every value becomes its token ",<digits>" from a table over the range
+    of values the rows use, negative ones included, all cut to the width
+    of the longest; the NUL padding of shorter tokens and the comma
+    before each row's first value are then dropped in one pass.  Each
+    record has the bytes of canonical_json({key: row}).
     """
     n, m = rows.shape
-    width = len(str(rows.max())) + 1 if rows.size else 1
-    tokens = np.ascontiguousarray(_VALUE_TOKENS[:, :width])
-    head, tail = len(_RECORD_HEAD), len(_RECORD_TAIL)
-    body = slice(head, head + width * m)
-    out = np.empty((n, head + width * m + tail), dtype=np.uint8)
-    out[:, :head] = _RECORD_HEAD
-    out[:, body] = tokens.view("V%d" % width)[rows, 0].view(np.uint8).reshape(
-        n, width * m)
+    lo, hi = (int(rows.min()), int(rows.max())) if rows.size else (0, 0)
+    tokens = _value_tokens(lo, hi)
+    width = tokens.itemsize
+    head = np.frombuffer(b'{"%s":[' % key.encode(), dtype=np.uint8)
+    body = slice(len(head), len(head) + width * m)
+    out = np.empty((n, body.stop + len(_RECORD_TAIL)), dtype=np.uint8)
+    out[:, :body.start] = head
+    out[:, body] = tokens[rows - lo].view(np.uint8).reshape(n, width * m)
     out[:, body.stop:] = _RECORD_TAIL
     keep = out != 0
     if m:
-        keep[:, head] = False
+        keep[:, body.start] = False
     return out[keep].tobytes()
 
 
@@ -971,7 +961,7 @@ def pattern_set_jsonl_blocks(ps, H, seed=None):
         header["seed"] = seed
     yield json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n"
     for start in range(0, len(ps), ENCODE_BLOCK):
-        yield _encode_rows(ps.rows[start:start + ENCODE_BLOCK])
+        yield encode_rows(ps.rows[start:start + ENCODE_BLOCK])
 
 
 def pattern_set_to_jsonl(ps, H, seed=None):
@@ -979,9 +969,73 @@ def pattern_set_to_jsonl(ps, H, seed=None):
     return b"".join(pattern_set_jsonl_blocks(ps, H, seed)).decode("ascii")
 
 
+def _record_values(line, letters):
+    """The values of one record line, read by json.loads and checked."""
+    values = json.loads(line)["values"]
+    if not isinstance(values, list):
+        raise ValueError("pattern values must be a list, got %r" % (values,))
+    values = bytes(values)
+    if values and max(values) >= letters:
+        raise ValueError("value %d outside the %d-letter alphabet"
+                         % (max(values), letters))
+    return values
+
+
+def _scan_records(lines, m, letters):
+    """Which lines are canonical records of m values, and their values.
+
+    A canonical record is exactly {"values":[v,...]} with m values, each
+    a decimal of at most three digits without sign or leading zero and
+    below min(letters, 256); json.loads reads such a line as a record
+    that _record_values accepts, with the same values.  The lines are
+    scanned as one byte array.  Returns a bool per line and the values
+    of the canonical lines, in line order, as a (count, m) uint8 array.
+    """
+    if not m:
+        return np.zeros(len(lines), dtype=bool), np.empty((0, 0), np.uint8)
+    buf = np.frombuffer(("\n".join(lines) + "\n").encode("utf-8", "replace"),
+                        dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    head = np.frombuffer(_RECORD_HEAD, dtype=np.uint8)
+    at_head = np.minimum(starts[:, None] + np.arange(len(head)), len(buf) - 1)
+    ok = ((ends - starts > len(head) + 2) & (buf[at_head] == head).all(axis=1)
+          & (buf[ends - 2] == ord("]")) & (buf[ends - 1] == ord("}")))
+    # the bytes between the head and the tail of the lines kept so far
+    edge = np.zeros(len(buf), dtype=bool)
+    edge[starts[ok] + len(head)] = edge[ends[ok] - 2] = True
+    body = np.logical_xor.accumulate(edge)
+    digit = body & (buf >= ord("0")) & (buf <= ord("9"))
+    comma = body & (buf == ord(","))
+    # whether the byte before, and the byte after, is a digit
+    before = np.concatenate(([False], digit[:-1]))
+    after = np.concatenate((digit[1:], [False]))
+    # a byte other than a digit or a comma, or a comma beside no value
+    bad = (body & ~digit & ~comma) | (comma & ~(before & after))
+    first = np.flatnonzero(digit & ~before)
+    last = np.flatnonzero(digit & ~after)
+    count = np.diff(np.searchsorted(last, ends), prepend=0)
+    line = np.repeat(np.arange(len(ends)), count)
+    # each value from its last three bytes; a longer one is wrong anyway
+    size = last - first
+    digits = [buf[last - k].astype(np.int16) - ord("0") for k in range(3)]
+    values = digits[0] + (size >= 1) * 10 * digits[1] \
+        + (size >= 2) * 100 * digits[2]
+    wrong = ((size > 2) | (values >= min(letters, 256))
+             | ((size > 0) & (buf[first] == ord("0"))))
+    ok[np.searchsorted(ends, np.flatnonzero(bad))] = False
+    ok[line[wrong]] = False
+    ok &= count == m
+    return ok, values[ok[line]].astype(np.uint8).reshape(-1, m)
+
+
 def pattern_set_from_jsonl(text):
     """Inverse of pattern_set_to_jsonl; returns (PatternSet, header dict).
 
+    The records after the first are read a block of ENCODE_BLOCK lines
+    at a time: the canonical ones, as the encoder writes them, by one
+    byte scan, and any other line by json.loads, which accepts or rejects
+    it exactly as it would the whole file; errors come in file order.
     A box region is built only once the first record has as many values
     as the box the header states has sites.
     """
@@ -994,24 +1048,29 @@ def pattern_set_from_jsonl(text):
             or not all(isinstance(a, str) for a in alphabet)):
         raise ValueError("alphabet must be a list of strings, got %r"
                          % (alphabet,))
-    records = []
-    for ln in lines[1:]:
-        values = json.loads(ln)["values"]
-        if not isinstance(values, list):
-            raise ValueError("pattern values must be a list, got %r"
-                             % (values,))
-        values = bytes(values)
-        if values and max(values) >= len(alphabet):
-            raise ValueError("value %d outside the %d-letter alphabet"
-                             % (max(values), len(alphabet)))
-        records.append(values)
+    records = lines[1:]
+    loose = [_record_values(records[0], len(alphabet))] if records else []
+    m = len(loose[0]) if records else 0
+    scanned = []
+    for start in range(1, len(records), ENCODE_BLOCK):
+        block = records[start:start + ENCODE_BLOCK]
+        canonical, rows = _scan_records(block, m, len(alphabet))
+        scanned.append(rows)
+        loose.extend(_record_values(block[i], len(alphabet))
+                     for i in np.flatnonzero(~canonical))
     size = lattice.descriptor_size(header["region"])
-    if records and size is not None and size != len(records[0]):
+    if records and size is not None and size != m:
         raise ValueError("header region has %d sites but the first record "
-                         "has %d values" % (size, len(records[0])))
+                         "has %d values" % (size, m))
     region = lattice.region_from_descriptor(header["region"])
-    patterns = [Pattern(region, values) for values in records]
-    if "count" in header and header["count"] != len(patterns):
+    # Pattern checks the length of each loose record; every scanned one
+    # has m values, as the first record has
+    for values in loose:
+        Pattern(region, values)
+    if "count" in header and header["count"] != len(records):
         raise ValueError("header count %r but %d records"
-                         % (header["count"], len(patterns)))
-    return PatternSet(region, patterns), header
+                         % (header["count"], len(records)))
+    scanned.append(np.frombuffer(b"".join(loose), dtype=np.uint8).reshape(
+        len(loose), len(region)))
+    rows = _distinct_rows(_stack_rows(scanned, len(region)))[0]
+    return PatternSet.view(region, rows), header

@@ -66,8 +66,10 @@ class Region:
 
     Regions are immutable.  That makes it safe to cache two position
     tables, each built on first use: neighbor_table() and
-    earlier_neighbor_table().  Equality and hashing depend on sites alone,
-    so a region with filled caches equals, and hashes like, a fresh one.
+    earlier_neighbor_table(), and the hash, which the caches keyed by
+    region read on every call.  Equality and hashing depend on sites
+    alone, so a region with filled caches equals, and hashes like, a
+    fresh one.
     """
 
     def __init__(self, sites, kind=("general",)):
@@ -80,6 +82,7 @@ class Region:
             self._lo = self._hi = None
             self._set = frozenset()
             self._neighbor_table = self._earlier_table = None
+            self._hash = hash(self.sites)
             return
         d = len(sites[0])
         check_dim(d)
@@ -94,6 +97,7 @@ class Region:
         self._hi = tuple(max(s[t] for s in sites) for t in range(d))
         self._set = frozenset(sites)
         self._neighbor_table = self._earlier_table = None
+        self._hash = hash(self.sites)
 
     def __len__(self):
         return len(self.sites)
@@ -113,7 +117,7 @@ class Region:
         return isinstance(other, Region) and self.sites == other.sites
 
     def __hash__(self):
-        return hash(self.sites)
+        return self._hash
 
     def index(self, site):
         return self._index[site]

@@ -63,11 +63,6 @@ def counter_rng(seed, counter):
     return splitmix64((splitmix64(seed & _MASK) + counter) & _MASK)
 
 
-def rng_choice(seed, counter, k):
-    """Pick an index in range(k) from the (seed, counter) stream."""
-    return counter_rng(seed, counter) % k
-
-
 def canonical_json(obj):
     """Deterministic single-line JSON encoding."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))

@@ -278,14 +278,22 @@ def test_criterion_09_height_suite():
     homs = hs.enumerate_hom(K3, box2)
     assert len(homs) == 580986
     origin = (0, 0)
-    for p in homs:
-        ht.height_cocycle(p, origin)
+    # the batch calls, a block of rows at a time: every coloring lifts
+    block = hs.ENCODE_BLOCK
+    lifted = 0
+    for start in range(0, len(homs), block):
+        lifted += len(ht.lift_rows(box2, origin,
+                                   homs.rows[start:start + block]))
+    assert lifted == 580986
     box5 = box_F(5, 2)
     first_seed, samples = 1000, 10_000
-    for i in range(samples):
-        field = ht.height_cocycle(
-            ht.sample_coloring(box5, first_seed + i), origin)
-        assert ht.lipschitz_check(field) is None
+    checked = 0
+    for start in range(first_seed, first_seed + samples, block):
+        seeds = range(start, min(start + block, first_seed + samples))
+        heights = ht.lift_rows(box5, origin, ht.sample_rows(box5, seeds))
+        assert ht.lipschitz_rows(box5, origin, heights) is None
+        checked += len(heights)
+    assert checked == samples
     for n in range(1, 9):
         box = box_F(n, 2)
         gap = ht.quasiflat_gap(

@@ -1,24 +1,33 @@
 """Height lifts of 3-colorings: construction, bounds, gaps, window gluing."""
 
 import itertools
+import json
 import pickle
 from collections import deque
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticelab import lattice
+from latticelab import homshift, lattice
 from latticelab.lattice import Region, box_F, rectangle, norm_1, parity
-from latticelab.homshift import (Pattern, complete_graph, full_shift_graph,
-                                 enumerate_hom, is_hom, pattern_from_mapping)
-from latticelab.height import (HeightField, height_cocycle, lipschitz_check,
-                               slope_estimate, sample_coloring,
+from latticelab.homshift import (Pattern, PatternSet, complete_graph,
+                                 full_shift_graph, enumerate_hom, is_hom,
+                                 pattern_set_from_jsonl)
+from latticelab.height import (HeightField, height_cocycle, lift_rows,
+                               lipschitz_check, lipschitz_rows,
+                               sample_coloring, sample_rows,
                                striped_coloring, checker_coloring,
                                quasiflat_gap, ufp_window_check)
-from latticelab.util import BudgetError, rng_choice
+from latticelab.util import BudgetError, counter_rng
 
 K3 = complete_graph(3)
+
+
+def pattern_from_mapping(region, mapping):
+    return Pattern(region, bytes(mapping[s] for s in region.sites))
 
 
 def row_pattern(colors):
@@ -148,14 +157,6 @@ def test_lipschitz_violation_reported():
         bad.validate()
 
 
-def test_slope_estimate():
-    field = height_cocycle(striped_coloring(box_F(2, 2)), (0, 0))
-    assert slope_estimate(field, (2, 2)) == 1.0
-    assert slope_estimate(field, (0, 0)) == 0.0
-    flat = height_cocycle(checker_coloring(box_F(2, 2)), (0, 0))
-    assert slope_estimate(flat, (2, 2)) == 0.0
-
-
 def test_sampler_reproducible_and_proper():
     box = box_F(2, 2)
     a = sample_coloring(box, 7)
@@ -270,7 +271,11 @@ def test_ufp_argument_validation():
 
 
 def tuple_lift(x, base):
-    """Breadth-first lift by tuple arithmetic: lattice.neighbors per edge."""
+    """Breadth-first lift by tuple arithmetic: lattice.neighbors per edge.
+
+    The scalar sweep that lift_rows runs on whole blocks of rows: it
+    fails at the first edge, in sweep order, whose colors are equal or
+    disagree with the heights set so far."""
     region = x.region
     if region.d is None:
         raise ValueError("empty region has no heights")
@@ -311,7 +316,10 @@ def tuple_lift(x, base):
 
 
 def raster_sample(region, seed):
-    """Raster-order sampler by tuple arithmetic: lattice.neighbors per site."""
+    """Raster-order sampler by tuple arithmetic: lattice.neighbors per site.
+
+    The scalar loop that sample_rows runs on a block of seeds: each site
+    takes counter_rng(seed, pos) mod k among its k free colors."""
     values = bytearray(len(region))
     for pos, site in enumerate(region.sites):
         used = set()
@@ -322,7 +330,7 @@ def raster_sample(region, seed):
         if not free:
             raise RuntimeError("sampler blocked at %r: all colors used by "
                                "neighbors" % (site,))
-        values[pos] = free[rng_choice(seed, pos, len(free))]
+        values[pos] = free[counter_rng(seed, pos) % len(free)]
     return bytes(values)
 
 
@@ -412,3 +420,339 @@ def test_region_tables_pinned_and_region_still_pickles():
             assert other == region and hash(other) == hash(region)
         assert copy.neighbor_table() == table
         assert copy.earlier_neighbor_table() == earlier
+
+
+# ---------------------------------------------------------------------------
+# the batch calls against their scalar oracles, a block of rows at a time
+
+
+def tuple_lifts(region, base, rows):
+    """Each row's heights by tuple_lift, in site order; or the index of
+    the first row without heights and its error message."""
+    out = []
+    for r, row in enumerate(rows):
+        try:
+            heights = tuple_lift(Pattern(region, row.tobytes()), base)
+        except ValueError as err:
+            return r, str(err)
+        out.append([heights[s] for s in region.sites])
+    return out
+
+
+# a cycle of eight sites around a hole, and a proper coloring of it that
+# winds once around, so that it has no heights
+RING = [(0, 0), (0, 1), (0, 2), (1, 2), (2, 2), (2, 1), (2, 0), (1, 0)]
+WINDING = [0, 1, 2, 0, 1, 2, 0, 2]
+
+
+@st.composite
+def lift_blocks(draw):
+    """(region, base, rows): one to five colorings, in d = 1..3, of boxes,
+    holey and disconnected site sets and long rows; some improper or
+    with a color above 2, some steep enough for two-digit heights of
+    either sign, and bases that may lie outside."""
+    kind = draw(st.sampled_from(["small", "long", "holey", "ring"]))
+    if kind == "small":
+        region = draw(small_regions())
+    elif kind == "long":
+        d = draw(st.integers(1, 2))
+        dims = tuple(draw(st.integers(4, 40) if d == 1 else st.integers(3, 8))
+                     for _ in range(d))
+        region = rectangle(dims, tuple(draw(st.integers(-25, 5))
+                                       for _ in range(d)))
+    elif kind == "ring":
+        region = Region(RING)
+    else:
+        d = draw(st.integers(2, 3))
+        box = rectangle((5,) * d if d == 2 else (4,) * d)
+        inner = [s for s in box if all(1 < c < 5 - (d == 3) for c in s)]
+        holes = draw(st.sets(st.sampled_from(inner), min_size=1))
+        region = Region([s for s in box if s not in holes])
+    sites = region.sites
+    base = draw(st.sampled_from(sites + ((99,) * region.d,)))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        how = draw(st.sampled_from(
+            ["striped"] * (3 if kind == "long" else 1)
+            + ["checker", "sampled", "random"]
+            + ["winding"] * 2 * (kind == "ring")))
+        shift = draw(st.integers(0, 2))
+        if how == "winding":
+            turn = draw(st.integers(0, len(RING) - 1))
+            around = WINDING[turn:] + WINDING[:turn]
+            values = bytearray(dict(zip(RING, ((shift + c) % 3
+                                               for c in around)))[s]
+                               for s in sites)
+        elif how == "striped":
+            sign = draw(st.sampled_from([1, -1]))
+            values = bytearray((sign * sum(s) + shift) % 3 for s in sites)
+        elif how == "checker":
+            values = bytearray((parity(s) + shift) % 3 for s in sites)
+        elif how == "sampled":
+            try:
+                values = bytearray(raster_sample(region,
+                                                 draw(st.integers(0, 99))))
+            except RuntimeError:
+                values = bytearray(len(sites))
+        else:
+            values = bytearray(draw(st.lists(
+                st.integers(0, 2), min_size=len(sites), max_size=len(sites))))
+        if draw(st.integers(0, 3)) == 0:
+            values[draw(st.integers(0, len(sites) - 1))] = draw(
+                st.integers(0, 5))
+        rows.append(bytes(values))
+    block = np.frombuffer(b"".join(rows), dtype=np.uint8)
+    return region, base, block.reshape(len(rows), len(sites))
+
+
+@given(lift_blocks())
+@settings(max_examples=400, deadline=None)
+def test_lift_rows_match_tuple_lift(case):
+    region, base, rows = case
+    want = tuple_lifts(region, base, rows)
+    if isinstance(want, list):
+        got = lift_rows(region, base, rows)
+        assert got.dtype == np.int32 and got.tolist() == want
+        return
+    # the rows before the first bad one lift, and that row fails first
+    r, message = want
+    if r:
+        assert lift_rows(region, base, rows[:r]).tolist() == \
+            tuple_lifts(region, base, rows[:r])
+    for block in (rows[:r + 1], rows):
+        with pytest.raises(ValueError) as err:
+            lift_rows(region, base, block)
+        assert str(err.value) == message
+
+
+def test_lift_rows_check_the_colors_of_a_lone_base():
+    lone = Region([(0,)])
+    assert lift_rows(lone, (0,), np.array([[2]], dtype=np.uint8)).tolist() \
+        == [[0]]
+    with pytest.raises(ValueError, match=r"colors must lie in \{0, 1, 2\}"):
+        lift_rows(lone, (0,), np.array([[2], [5]], dtype=np.uint8))
+
+
+def test_lift_rows_reach_two_digit_heights_of_either_sign():
+    row = rectangle((40,), (-21,))
+    steep = np.array([[s[0] % 3 for s in row.sites],
+                      [-s[0] % 3 for s in row.sites]], dtype=np.uint8)
+    heights = lift_rows(row, (0,), steep)
+    assert heights.tolist() == [list(range(-20, 20)), list(range(20, -20, -1))]
+    assert heights.tolist() == tuple_lifts(row, (0,), steep)
+
+
+def test_lift_rows_report_the_first_bad_row():
+    """Proper rows, then one winding around a hole, then an improper one."""
+    ring = Region(RING)
+    winding = pattern_from_mapping(ring, dict(zip(RING, WINDING)))
+    flat = pattern_from_mapping(ring, {s: parity(s) for s in RING})
+    improper = Pattern(ring, bytes(len(ring)))
+    rows = np.frombuffer(flat.values * 2 + winding.values + improper.values,
+                         dtype=np.uint8).reshape(4, len(ring))
+    with pytest.raises(ValueError, match="not a valid 3-coloring height"):
+        lift_rows(ring, (0, 0), rows)
+    with pytest.raises(ValueError, match="improper"):
+        lift_rows(ring, (0, 0), rows[[0, 3, 2]])
+    assert lift_rows(ring, (0, 0), rows[:2]).tolist() == \
+        tuple_lifts(ring, (0, 0), rows[:2])
+    assert lift_rows(ring, (0, 0), rows[:0]).shape == (0, len(ring))
+    for wrong in (rows.astype(np.int64), rows[:, 1:]):
+        with pytest.raises(ValueError, match="uint8 rows of width 8"):
+            lift_rows(ring, (0, 0), wrong)
+
+
+SEEDS = st.one_of(st.integers(0, 2 ** 16), st.integers(-2 ** 70, -1),
+                  st.integers(2 ** 63 - 2, 2 ** 70))
+
+
+@given(small_regions(), st.lists(SEEDS, min_size=1, max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_sample_rows_match_raster_sampler(region, seeds):
+    want = []
+    for seed in seeds:
+        try:
+            want.append(raster_sample(region, seed))
+        except RuntimeError as err:
+            with pytest.raises(RuntimeError) as got:
+                sample_rows(region, seeds)
+            assert str(got.value) == str(err)
+            break
+    # the rows before the first blocked seed are the raster samples
+    assert sample_rows(region, seeds[:len(want)]).tobytes() == b"".join(want)
+
+
+def test_sample_rows_report_the_first_blocked_seed():
+    # the cube {0,1}^3 without its corner (0,0,0): three earlier neighbours
+    # of (1,1,1) may take all three colors, which no box allows
+    cube = Region([s for s in itertools.product((0, 1), repeat=3) if any(s)])
+    seeds = [-45, -44, -9, -46]
+    message = "sampler blocked at (1, 1, 1): all colors used by neighbors"
+    for seed in seeds[2:]:
+        assert outcome(raster_sample, cube, seed) == (RuntimeError, message)
+    assert outcome(sample_rows, cube, seeds) == (RuntimeError, message)
+    assert sample_rows(cube, seeds[:2]).tobytes() == \
+        raster_sample(cube, -45) + raster_sample(cube, -44)
+
+
+def test_lipschitz_rows_report_the_first_row_and_site():
+    box = box_F(2, 2)
+    good = lift_rows(box, (0, 0), sample_rows(box, range(3)))
+    bad = good.copy()
+    bad[2, box.index((1, 1))] = 3
+    bad[2, box.index((2, 2))] = 5
+    assert lipschitz_rows(box, (0, 0), good) is None
+    assert lipschitz_rows(box, (0, 0), bad) == (2, (1, 1), 3, 2)
+    field = HeightField(box, (0, 0), zip(box.sites, bad[2].tolist()))
+    assert lipschitz_check(field) == ((1, 1), 3, 2)
+
+
+def json_decode(text):
+    """pattern_set_from_jsonl as it was: json.loads on every line."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty pattern file")
+    header = json.loads(lines[0])
+    alphabet = header["alphabet"]
+    if (not isinstance(alphabet, list)
+            or not all(isinstance(a, str) for a in alphabet)):
+        raise ValueError("alphabet must be a list of strings, got %r"
+                         % (alphabet,))
+    records = []
+    for ln in lines[1:]:
+        values = json.loads(ln)["values"]
+        if not isinstance(values, list):
+            raise ValueError("pattern values must be a list, got %r"
+                             % (values,))
+        values = bytes(values)
+        if values and max(values) >= len(alphabet):
+            raise ValueError("value %d outside the %d-letter alphabet"
+                             % (max(values), len(alphabet)))
+        records.append(values)
+    size = lattice.descriptor_size(header["region"])
+    if records and size is not None and size != len(records[0]):
+        raise ValueError("header region has %d sites but the first record "
+                         "has %d values" % (size, len(records[0])))
+    region = lattice.region_from_descriptor(header["region"])
+    patterns = [Pattern(region, values) for values in records]
+    if "count" in header and header["count"] != len(patterns):
+        raise ValueError("header count %r but %d records"
+                         % (header["count"], len(patterns)))
+    return PatternSet(region, patterns), header
+
+
+def decoded(decode, text):
+    """What decode makes of text: the set and header, or the error."""
+    try:
+        ps, header = decode(text)
+    except (ValueError, KeyError, TypeError, IndexError) as err:
+        return type(err), str(err)
+    return ps.region, ps.rows.shape, ps.rows.tobytes(), header
+
+
+READABLE_FORMS = ["canonical"] * 4 + ["spaced", "extra key", "reordered",
+                                      "padded"]
+BROKEN_FORMS = ["leading zero", "negative", "float", "string", "no values",
+                "bare list", "too long", "too short", "empty", "double comma",
+                "leading comma", "trailing comma"]
+
+
+@st.composite
+def pattern_files(draw):
+    """Pattern files of canonical records, some lines rewritten in forms
+    json.loads reads the same way (spaces, other keys) and, in a third of
+    the files, one line in a form it rejects or reads as a bad record;
+    with blank lines, CRLF endings, duplicate and unsorted records, a
+    wrong count or a cut."""
+    q = draw(st.sampled_from([1, 2, 3, 11, 120, 300]))
+    region = draw(st.sampled_from([
+        rectangle((1,)), rectangle((4,), (-2,)), box_F(1, 1), box_F(1, 2),
+        Region([(0, 0), (0, 1), (3, 1)])]))
+    m = len(region)
+    n = draw(st.integers(0, 9))
+    header = {"alphabet": [str(v) for v in range(q)],
+              "count": n + draw(st.sampled_from([0] * 5 + [-1, 1])),
+              "region": region.kind_descriptor()}
+    if draw(st.integers(0, 5)) == 0:
+        del header["count"]
+    lines = [json.dumps(header, separators=(",", ":"))]
+    broken = draw(st.integers(-2 * n, n - 1)) if n else -1
+    for i in range(n):
+        values = draw(st.lists(st.integers(0, q - 1), min_size=m, max_size=m))
+        form = draw(st.sampled_from(READABLE_FORMS))
+        if i == broken:
+            form = draw(st.sampled_from(["canonical", "spaced"]
+                                        + BROKEN_FORMS))
+            if form in ("canonical", "spaced"):
+                values[-1] = draw(st.sampled_from([q, 255, 256]))
+        lines.append(record_line(form, values))
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+    if draw(st.integers(0, 5)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+def record_line(form, values):
+    """The record of values, written in one of the forms above."""
+    body = ",".join(map(str, values))
+    return {
+        "canonical": '{"values":[%s]}' % body,
+        "spaced": json.dumps({"values": values}),
+        "extra key": '{"values":[%s],"x":1}' % body,
+        "reordered": '{"a":[0],"values":[%s]}' % body,
+        "padded": ' {"values":[%s]}\t' % body,
+        "leading zero": '{"values":[0%s]}' % body,
+        "negative": '{"values":[-%s]}' % body,
+        "float": '{"values":[%s.0]}' % body,
+        "string": '{"values":"%s"}' % body,
+        "no values": '{"value":[%s]}' % body,
+        "bare list": "[%s]" % body,
+        "too long": '{"values":[%s,0]}' % body,
+        "too short": '{"values":[%s]}' % ",".join(map(str, values[1:])),
+        "empty": '{"values":[]}',
+        "double comma": '{"values":[%s,,0]}' % body,
+        "leading comma": '{"values":[,%s]}' % body,
+        "trailing comma": '{"values":[%s,]}' % body,
+    }[form]
+
+
+@pytest.mark.parametrize("form", BROKEN_FORMS)
+def test_block_decoder_matches_json_loads_on_each_broken_form(form):
+    # a box, whose header states its size, and a region listing its sites
+    for region in (box_F(1, 1), Region([(0, 0), (0, 1), (3, 1)])):
+        head = json.dumps({"alphabet": ["0", "1", "2"], "count": 3,
+                           "region": region.kind_descriptor()})
+        for broken in range(3):
+            lines = [head] + [record_line(form if i == broken else "canonical",
+                                          [i, 1, 2 - i]) for i in range(3)]
+            text = "\n".join(lines) + "\n"
+            assert decoded(pattern_set_from_jsonl, text) == \
+                decoded(json_decode, text)
+
+
+@given(pattern_files(), st.integers(1, 4))
+@settings(max_examples=400, deadline=None)
+def test_block_decoder_matches_json_loads(text, block):
+    with mock.patch.object(homshift, "ENCODE_BLOCK", block):
+        assert decoded(pattern_set_from_jsonl, text) == \
+            decoded(json_decode, text)
+
+
+def test_block_decoder_across_full_blocks():
+    K3 = complete_graph(3)
+    ps = homshift.checkerboard_set(K3, 0, 1, 3, 2)
+    text = homshift.pattern_set_to_jsonl(ps, K3)
+    assert len(ps) > homshift.ENCODE_BLOCK
+    lines = text.splitlines()
+    assert decoded(pattern_set_from_jsonl, text) == decoded(json_decode, text)
+    shuffled = "\n".join(lines[:1] + lines[:0:-1] + lines[1:3]).replace(
+        '"count":%d' % len(ps), '"count":%d' % (len(ps) + 2))
+    assert decoded(pattern_set_from_jsonl, shuffled) == \
+        decoded(json_decode, shuffled)
+    far = homshift.ENCODE_BLOCK + 5
+    lines[far] = lines[far].replace("1", "7", 1)
+    broken = "\n".join(lines)
+    assert decoded(pattern_set_from_jsonl, broken) == \
+        (ValueError, "value 7 outside the 3-letter alphabet")

@@ -8,6 +8,8 @@ rest.
 
 import itertools
 import json
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -758,8 +760,9 @@ def random_periodic_hom(H, n, d, rnd, redraw_shell):
 def test_extension_ops_match_their_per_site_versions(op, data):
     name = data.draw(st.sampled_from(sorted(RING_GRAPHS)), label="graph")
     H = RING_GRAPHS[name]
-    # hat_extend's layer-chain search has no memo of dead ends: at d = 3 it
-    # runs for minutes on some C5 and petersen inputs, so those stop at d = 2
+    # the per-site version's layer-chain search has no memo of dead ends:
+    # at d = 3 it runs for minutes on some C5 and petersen inputs, so those
+    # stop at d = 2
     slow_chain = op == "hat" and name in ("C5", "petersen")
     d = data.draw(st.integers(1, 2 if slow_chain else 3), label="d")
     n = data.draw(st.integers(1, 2), label="n")
@@ -795,6 +798,32 @@ def test_extension_ops_match_their_per_site_versions(op, data):
         got = hs.flexible_fill(*args)
         want = oracle_flexible_fill(*args, d)
     assert got == want
+
+
+@pytest.mark.parametrize("name, seed, d, n, k", [
+    ("petersen", 19, 2, 1, 6), ("C5", 7, 3, 2, 6), ("C5", 2, 3, 2, 8),
+    ("C5", 14, 3, 2, 8)])
+def test_hat_extend_memo_keeps_the_first_chain(name, seed, d, n, k):
+    # inputs on which the search backtracks through dead layers, which the
+    # memo skips: the per-site version takes 5 to 90 times longer on them
+    H = hs.graph_preset(name)
+    a = random_periodic_hom(H, n, d, random.Random(seed), redraw_shell=False)
+    assert outcome(hs.hat_extend, H, a, k) == outcome(oracle_hat_extend,
+                                                      H, a, k)
+
+
+def test_hat_extend_finishes_a_petersen_chain_at_d3():
+    # the search without a memo ran past 10 s on this input
+    H = hs.graph_preset("petersen")
+    a = hs.Pattern(box_F(1, 3), bytes([7, 2, 7, 2, 1, 2, 7, 2, 7, 2, 3, 2, 1,
+                                       2, 1, 2, 3, 2, 7, 2, 7, 2, 1, 2, 7, 2,
+                                       7]))
+    t0 = time.monotonic()
+    edge, ext = hs.hat_extend(H, a, 9)
+    assert time.monotonic() - t0 < 5
+    assert hs.is_hom(H, ext)
+    assert hs.in_checkerboard(H, ext, *edge)
+    assert ext.restrict(box_F(1, 3)) == a
 
 
 @settings(max_examples=60, deadline=None)
@@ -854,26 +883,6 @@ def test_marker_spacing_needs_d2():
     fam = hs.marker_set(K3, 0, 1, 2, 1, 1)
     with pytest.raises(ValueError):
         hs.verify_marker_spacing(fam, 1)
-
-
-# ---------------------------------------------------------------------------
-# families and entropy per site
-
-
-def test_finite_entropy_estimate():
-    import math
-    fam = hs.checkerboard_set(K3, 0, 1, 1, 2)
-    assert hs.finite_entropy_estimate(fam, 1) == pytest.approx(math.log(2) / 9)
-    empty = hs.PatternSet(box_F(1, 2), [])
-    assert hs.finite_entropy_estimate(empty, 1) == float("-inf")
-
-
-def test_flexible_family_gap_ratio():
-    sets = {n: hs.marker_set(K3, 0, 1, 2, n - 1, 2) for n in (1, 2)}
-    fam = hs.FlexibleFamily(sets, gap=lambda n: 1, marker=True)
-    assert fam.gap_ratio_nonincreasing()
-    bad = hs.FlexibleFamily(sets, gap=lambda n: n * n, marker=True)
-    assert not bad.gap_ratio_nonincreasing()
 
 
 # ---------------------------------------------------------------------------
