@@ -134,10 +134,24 @@ def _emit(args, text, summary=None):
         print(summary)
 
 
+@contextlib.contextmanager
+def _all_digits():
+    """Let int -> str conversion take any number of digits, so that a
+    count prints in full past the 4 300 digits Python allows by default
+    (a 200 x 200 dimer count has 5 040).  Input parsing keeps the limit."""
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(digits)
+
+
 def _record(args, payload):
     rec = {"command": args.cmd, "seed": args.seed}
     rec.update(payload)
-    return canonical_json(rec) + "\n"
+    with _all_digits():
+        return canonical_json(rec) + "\n"
 
 
 # Sites held per block of rows that the height commands lift or sample.
@@ -273,10 +287,9 @@ def cmd_entropy(args):
         lines.append("m,n,count")
         for m in range(1, args.max + 1):
             for n in range(m, args.max + 1):
-                lines.append("%d,%d,%d"
-                             % (m, n,
-                                entropy_mod.count_dimer_tilings_kasteleyn(
-                                    m, n)))
+                count = entropy_mod.count_dimer_tilings_kasteleyn(m, n)
+                with _all_digits():
+                    lines.append("%d,%d,%d" % (m, n, count))
     elif args.what == "strips":
         H = _load_graph(args)
         lines.append("width,entropy")

@@ -3,14 +3,30 @@
 Transfer operators over valid column states give exact integer counts for
 two-dimensional boxes and tori and numerical per-site entropies for strips.
 An operator keeps its states as a uint8 array and its transitions as
-sparse neighbour lists, the only form of the transfer matrix: counts run
-on it with Python-int object arrays and strip_entropy's power iteration
-with float64 vectors, so the cost follows the number of compatible column
-pairs.  Domino counts come from the Kasteleyn / Temperley-Fisher double
-product, taken exactly as an integer resultant; count_dimer_tilings_dp
-counts the same rectangles with the tiling frontier DP.
+sparse neighbour lists, the only form of the transfer matrix, so the cost
+follows the number of compatible column pairs.  strip_entropy's power
+iteration runs on it in float64.  Counts run in machine words, on
+arithmetic picked by a bound proved before anything is computed: T is a
+0/1 matrix with at most D ones a row, so an entry of T^j is at most D**j,
+trace(T^L) at most S * D**L and a strip count at most S * D**(L - 1).
+
+- a count whose bound is below 2**63 runs in int64 throughout;
+- a larger one is summed modulo primes below 2**31, as many as make a
+  product past the bound, and rebuilt by the Chinese remainder theorem.
+  The powers it sums are exact: dense float64 matrix powers for a trace
+  on at most _DENSE_MAX_STATES states whose entries stay below 2**53
+  (float64 is exact there; the dense matrix is built from the neighbour
+  lists inside the count), else sparse int64 products while entries
+  stay below 2**63, else products modulo the same primes.
+
+Domino counts come from the Kasteleyn / Temperley-Fisher double product,
+taken exactly as an integer resultant by a subresultant remainder
+sequence; count_dimer_tilings_dp counts the same rectangles with the
+tiling frontier DP.
 """
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -21,7 +37,10 @@ from .tiling import count_tilings, dominoes
 
 MAX_TRANSFER_STATES = 200_000
 MAX_TRANSFER_PAIRS = 1 << 25  # compatible column pairs built at once
-GATHER_LIMIT = 1 << 20  # object entries gathered at once by trace_power
+GATHER_LIMIT = 1 << 20  # entries gathered at once by a sparse product
+_WORD_LIMIT = 1 << 63  # exact counts below this bound run in int64
+_FLOAT_EXACT_LIMIT = 1 << 53  # float64 holds every integer below this
+_DENSE_MAX_STATES = 5_000  # dense float64 powers: at most 200 MB a matrix
 POWER_TOL = 1e-12  # relative change that ends strip_entropy's iteration
 POWER_MAX_ITER = 100_000
 
@@ -92,9 +111,14 @@ class TransferOperator:
     arrays `indptr` and `indices`.  The free columns and their compatible
     pairs, which are built before the periodic ones are filtered out, are
     counted as walks and checked against MAX_TRANSFER_STATES and
-    MAX_TRANSFER_PAIRS before anything is built.  Counts are gathers and
-    segment sums over object arrays, so every entry stays an exact Python
-    int.
+    MAX_TRANSFER_PAIRS before anything is built.  Products are gathers and
+    segment sums over the lists, at most GATHER_LIMIT entries at once.
+    count_strip and trace_power are exact in machine words: with D the
+    largest number of neighbours, a count over L steps is at most
+    S * D**L and an entry of T^j at most D**j, and these bounds pick
+    int64 (below 2**63), dense float64 powers (a trace on at most
+    _DENSE_MAX_STATES states, entries below 2**53) or residues modulo
+    primes below 2**31 rebuilt by the CRT; see _exact_sum.
     """
 
     def __init__(self, H, width, boundary="free"):
@@ -143,7 +167,7 @@ class TransferOperator:
         self.indptr = np.concatenate(
             ([0], np.cumsum(np.bincount(left, minlength=len(columns)))))
         self._nonempty = self.indptr[:-1] < self.indptr[1:]
-        self._row_starts = self.indptr[:-1][self._nonempty]
+        self._degree = int(np.diff(self.indptr).max())
 
     def size(self):
         return len(self.states)
@@ -155,53 +179,185 @@ class TransferOperator:
 
     def apply(self, vec):
         """The product T @ vec, for a vector or a matrix: float64 for a
-        float64 input, otherwise exact over Python ints.
+        float64 input, otherwise int64.
+
+        An entry of the product is a sum of at most D input entries, D the
+        largest number of neighbours, so an integer input is taken only
+        when D * max|v| < 2**63, where no sum can wrap; otherwise this
+        raises ValueError.
+        """
+        vec = np.asarray(vec)
+        if vec.dtype != np.float64:
+            top = max(int(vec.max()), -int(vec.min())) if vec.size else 0
+            if self._degree * top >= _WORD_LIMIT:
+                raise ValueError("apply: %d neighbours times an entry of %d "
+                                 "may not fit in int64" % (self._degree, top))
+            vec = vec.astype(np.int64)
+        return self._product(vec)
+
+    def _product(self, x):
+        """T @ x, gathering at most GATHER_LIMIT entries of x at once (a
+        row with more neighbours than that is gathered alone).
 
         Rows without neighbours are left at 0: np.add.reduceat would give
         them the next row's first term.
         """
-        vec = np.asarray(vec)
-        if vec.dtype != np.float64:
-            vec = vec.astype(object)
-        out = np.zeros(vec.shape, dtype=vec.dtype)
-        out[self._nonempty] = np.add.reduceat(vec[self.indices],
-                                              self._row_starts, axis=0)
+        out = np.zeros_like(x)
+        step = max(1, GATHER_LIMIT // max(1, x[0].size))
+        lo = 0
+        while lo < len(x):
+            first = self.indptr[lo]
+            hi = max(lo + 1, int(np.searchsorted(self.indptr, first + step,
+                                                 "right")) - 1)
+            rows = self._nonempty[lo:hi]
+            out[lo:hi][rows] = np.add.reduceat(
+                x[self.indices[first:self.indptr[hi]]],
+                self.indptr[lo:hi][rows] - first, axis=0)
+            lo = hi
         return out
 
     def count_strip(self, length):
         """Number of colorings of the width x length strip."""
         if length < 1:
             raise ValueError("length must be positive")
-        vec = np.ones(self.size(), dtype=object)
-        for _ in range(length - 1):
-            vec = self.apply(vec)
-        return int(vec.sum())
+        return self._exact_sum(length - 1, trace=False)
 
     def trace_power(self, length):
-        """trace(T^length): colorings with periodic horizontal boundary.
-
-        With P = T^ceil(length/2) and Q = T^floor(length/2), both powered
-        from the identity, the trace is sum_ij P_ij Q_ji.  T is symmetric
-        (H is undirected), so Q_ji = Q_ij and the sum splits over blocks
-        of columns; a block is sized so that one gather stays under
-        GATHER_LIMIT entries.
-        """
+        """trace(T^length): colorings with periodic horizontal boundary."""
         if length < 1:
             raise ValueError("length must be positive")
+        return self._exact_sum(length, trace=True)
+
+    def _exact_sum(self, steps, trace):
+        """The sum of the entries of (T^a X) * (T^b X), a = steps // 2 and
+        b = steps - a, with X the identity (trace) or a column of ones.
+
+        T is symmetric, so this is trace(T^steps) or 1' T^steps 1.  T is
+        a 0/1 matrix with at most D ones a row and every term is
+        nonnegative, so no entry of T^j X, nor any partial sum of one,
+        exceeds D**j, and no partial sum of the result exceeds
+        bound = S * D**steps.  These bounds pick the arithmetic:
+
+        - the powers: for the trace, when bound >= 2**63,
+          S <= _DENSE_MAX_STATES and D**b < 2**53, dense float64 matrix
+          products, exact below 2**53; otherwise sparse products, in int64
+          when D**b < 2**63 and else modulo the primes below;
+        - the sum: in int64 when bound < 2**63; otherwise modulo primes
+          p < 2**31 (so that a product of two residues fits in int64),
+          as many as make a product past the bound, and rebuilt from its
+          residues by the Chinese remainder theorem.
+        """
         size = self.size()
-        block = max(1, GATHER_LIMIT // max(1, len(self.indices)))
-        total = 0
-        for lo in range(0, size, block):
-            cols = min(block, size - lo)
-            power = np.zeros((size, cols), dtype=object)
-            power[np.arange(lo, lo + cols), np.arange(cols)] = 1
-            for _ in range(length // 2):
-                power = self.apply(power)
-            half = power
-            if length % 2:
-                power = self.apply(power)
-            total += int((power * half).sum())
-        return total
+        a, b = steps // 2, steps - steps // 2
+        bound = size * self._degree ** steps
+        primes = _primes_past(bound) if bound >= _WORD_LIMIT else ()
+        top = self._degree ** b
+        if (trace and primes and size <= _DENSE_MAX_STATES
+                and top < _FLOAT_EXACT_LIMIT):
+            pairs = self._dense_powers(a, b)
+        else:
+            pairs = self._sparse_powers(a, b, trace,
+                                        primes if top >= _WORD_LIMIT else ())
+        if not primes:
+            return sum(int((u * v).sum()) for u, v in pairs)
+        mod = np.array(primes, dtype=np.int64)
+        sums = np.zeros(len(primes), dtype=np.int64)
+        for u, v in pairs:
+            u_p = u % mod
+            v_p = u_p if v is u else v % mod
+            # each sum has fewer than 2**32 terms below 2**31
+            sums += ((u_p * v_p % mod).sum(axis=0) % mod).sum(axis=0)
+            sums %= mod
+        return _crt(sums.tolist(), primes)
+
+    def _sparse_powers(self, a, b, trace, primes):
+        """The pairs (T^a X, T^b X) for X the identity, a block of columns
+        at a time so that one gather stays under GATHER_LIMIT entries, or
+        for X a column of ones: int64 arrays (S, columns, lanes), exact in
+        one lane, or with primes their residues modulo each."""
+        size = self.size()
+        mod = np.array(primes, dtype=np.int64)
+        lanes = len(primes) or 1
+        cols = size if trace else 1
+        block = min(cols, max(1, GATHER_LIMIT
+                              // max(1, len(self.indices) * lanes)))
+        for lo in range(0, cols, block):
+            width = min(block, cols - lo)
+            if trace:
+                x = np.zeros((size, width, lanes), dtype=np.int64)
+                x[np.arange(lo, lo + width), np.arange(width)] = 1
+            else:
+                x = np.ones((size, 1, lanes), dtype=np.int64)
+            half = x
+            for j in range(1, b + 1):
+                x = self._product(x)
+                if primes:
+                    x %= mod
+                if j == a:
+                    half = x
+            yield half, x
+
+    def _dense_powers(self, a, b):
+        """The pairs of row blocks of T^a and T^b, as exact int64 arrays
+        (rows, S, 1), from float64 matrix powers of the 0/1 matrix built
+        from the CSR arrays."""
+        size = self.size()
+        dense = np.zeros((size, size))
+        dense[np.repeat(np.arange(size), np.diff(self.indptr)),
+              self.indices] = 1.0
+        half = np.linalg.matrix_power(dense, a)
+        full = half if a == b else half @ dense
+        del dense
+        rows = max(1, GATHER_LIMIT // size)
+        for lo in range(0, size, rows):
+            u = half[lo:lo + rows, :, None].astype(np.int64)
+            yield u, (u if a == b else
+                      full[lo:lo + rows, :, None].astype(np.int64))
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin for odd 7 < n < 3 215 031 751."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for base in (2, 3, 5, 7):
+        x = pow(base, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def _prime(i):
+    """The i-th largest prime below 2**31, from i = 0 for 2**31 - 1."""
+    n = _prime(i - 1) - 2 if i else (1 << 31) - 1
+    while not _is_prime(n):
+        n -= 2
+    return n
+
+
+def _primes_past(bound):
+    """The largest primes below 2**31, as few as make a product > bound."""
+    primes, product = [], 1
+    while product <= bound:
+        primes.append(_prime(len(primes)))
+        product *= primes[-1]
+    return tuple(primes)
+
+
+def _crt(residues, primes):
+    """The x in [0, prod(primes)) with x = r mod p for each pair (Garner)."""
+    x, modulus = 0, 1
+    for r, p in zip(residues, primes):
+        x += modulus * ((r - x) * pow(modulus, -1, p) % p)
+        modulus *= p
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -272,24 +428,46 @@ def _cosine_polynomial(m):
     return cur[::2] + [0] * (m % 2)
 
 
-def _bareiss_abs_det(rows):
-    """|det| of a square integer matrix, fraction-free (Bareiss 1968): every
-    division is exact, so the entries stay Python ints.  Row swaps only
-    flip the sign, which is dropped."""
-    a = [list(row) for row in rows]
-    size = len(a)
-    prev = 1
-    for k in range(size - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, size) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return abs(a[-1][-1])
+def _pseudo_remainder(f, g):
+    """The remainder of lc(g)**(deg f - deg g + 1) * f on division by g,
+    coefficients highest first, as len(g) - 1 of them (leading zeros
+    kept): each step scales the remainder by lc(g) and cancels its
+    leading term."""
+    r, lead = list(f), g[0]
+    for _ in range(len(f) - len(g) + 1):
+        c = r[0]
+        r = [lead * x - c * y
+             for x, y in itertools.zip_longest(r[1:], g[1:], fillvalue=0)]
+    return r
+
+
+def _abs_resultant(f, g):
+    """|Res(f, g)| of two integer polynomials of positive degree, given
+    by their coefficients, highest first and leading one nonzero.
+
+    Subresultant remainder sequence (Collins 1967; Cohen, "A Course in
+    Computational Algebraic Number Theory", alg. 3.3.7): each pseudo-
+    remainder is divided exactly by lead * h**delta, lead the leading
+    coefficient of the divisor before, which keeps the coefficients at
+    the size of the subresultants, and the steps take O(deg f * deg g)
+    integer operations in all.  A zero remainder means a common root:
+    the resultant is 0.
+    """
+    if len(f) < len(g):
+        f, g = g, f
+    lead = h = 1
+    while len(g) > 1:
+        delta = len(f) - len(g)
+        r = _pseudo_remainder(f, g)
+        while r and r[0] == 0:
+            r.pop(0)
+        if not r:
+            return 0
+        f, g = g, [c // (lead * h ** delta) for c in r]
+        lead = f[0]
+        if delta:
+            h = lead ** delta // h ** (delta - 1)
+    return abs(g[0] ** (len(f) - 1) // h ** (len(f) - 2))
 
 
 def count_dimer_tilings_kasteleyn(m, n):
@@ -298,18 +476,15 @@ def count_dimer_tilings_kasteleyn(m, n):
 
     The product of (a_j + b_k) over the roots a_j of the m-side cosine
     polynomial and b_k of the n-side one is, up to sign, the resultant of
-    the first and of the monic polynomial with roots -b_k; it is taken as
-    the determinant of their Sylvester matrix, in integer arithmetic.  An
+    the first and of the monic polynomial with roots -b_k; it is taken by
+    the subresultant remainder sequence, in integer arithmetic.  An
     odd-area rectangle has the factor 0 + 0: returns 0.
     """
     if m < 1 or n < 1:
         raise ValueError("sides must be positive")
     f = _cosine_polynomial(m)
     g = [c * (-1) ** i for i, c in enumerate(_cosine_polynomial(n))]
-    p, q = len(f) - 1, len(g) - 1
-    sylvester = ([[0] * i + f + [0] * (q - 1 - i) for i in range(q)]
-                 + [[0] * i + g + [0] * (p - 1 - i) for i in range(p)])
-    return _bareiss_abs_det(sylvester)
+    return _abs_resultant(f, g)
 
 
 # ---------------------------------------------------------------------------

@@ -907,8 +907,9 @@ def verify_marker_spacing(family, spacing_n):
 
 _RECORD_HEAD = b'{"values":['
 _RECORD_TAIL = np.frombuffer(b"]}\n", dtype=np.uint8)
-# Rows encoded or decoded per block, so that a block's arrays stay small.
+# Rows encoded per block, so that a block's arrays stay small.
 ENCODE_BLOCK = 8192
+_DECODE_CHARS = 1 << 18  # pattern-file text split into lines at once
 
 
 @functools.lru_cache(maxsize=8)
@@ -1029,35 +1030,52 @@ def _scan_records(lines, m, letters):
     return ok, values[ok[line]].astype(np.uint8).reshape(-1, m)
 
 
+def _line_blocks(text):
+    """The nonblank lines of text, as text.splitlines() gives them, in
+    lists: the text is cut at the first line end past every _DECODE_CHARS
+    characters.  Every "\\n" ends a line for str.splitlines, so the cuts
+    split no line and join none."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _DECODE_CHARS) + 1 or len(text)
+        lines = [ln for ln in text[start:end].splitlines() if ln.strip()]
+        if lines:
+            yield lines
+        start = end
+
+
 def pattern_set_from_jsonl(text):
     """Inverse of pattern_set_to_jsonl; returns (PatternSet, header dict).
 
-    The records after the first are read a block of ENCODE_BLOCK lines
-    at a time: the canonical ones, as the encoder writes them, by one
-    byte scan, and any other line by json.loads, which accepts or rejects
-    it exactly as it would the whole file; errors come in file order.
-    A box region is built only once the first record has as many values
-    as the box the header states has sites.
+    The lines are split a block of text at a time (_line_blocks), and
+    the records after the first are read a block at a time: the
+    canonical ones, as the encoder writes them, by one byte scan, and
+    any other line by json.loads, which accepts or rejects it exactly as
+    it would the whole file; errors come in file order.  A box region is
+    built only once the first record has as many values as the box the
+    header states has sites.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    blocks = _line_blocks(text)
+    first = next(blocks, None)
+    if first is None:
         raise ValueError("empty pattern file")
-    header = json.loads(lines[0])
+    header = json.loads(first[0])
     alphabet = header["alphabet"]
     if (not isinstance(alphabet, list)
             or not all(isinstance(a, str) for a in alphabet)):
         raise ValueError("alphabet must be a list of strings, got %r"
                          % (alphabet,))
-    records = lines[1:]
-    loose = [_record_values(records[0], len(alphabet))] if records else []
-    m = len(loose[0]) if records else 0
-    scanned = []
-    for start in range(1, len(records), ENCODE_BLOCK):
-        block = records[start:start + ENCODE_BLOCK]
-        canonical, rows = _scan_records(block, m, len(alphabet))
-        scanned.append(rows)
-        loose.extend(_record_values(block[i], len(alphabet))
-                     for i in np.flatnonzero(~canonical))
+    records, m, loose, scanned = 0, 0, [], []
+    for block in itertools.chain([first[1:]], blocks):
+        if block and not records:
+            loose.append(_record_values(block[0], len(alphabet)))
+            records, m, block = 1, len(loose[0]), block[1:]
+        if block:
+            canonical, rows = _scan_records(block, m, len(alphabet))
+            scanned.append(rows)
+            loose.extend(_record_values(block[i], len(alphabet))
+                         for i in np.flatnonzero(~canonical))
+            records += len(block)
     size = lattice.descriptor_size(header["region"])
     if records and size is not None and size != m:
         raise ValueError("header region has %d sites but the first record "
@@ -1067,9 +1085,9 @@ def pattern_set_from_jsonl(text):
     # has m values, as the first record has
     for values in loose:
         Pattern(region, values)
-    if "count" in header and header["count"] != len(records):
+    if "count" in header and header["count"] != records:
         raise ValueError("header count %r but %d records"
-                         % (header["count"], len(records)))
+                         % (header["count"], records))
     scanned.append(np.frombuffer(b"".join(loose), dtype=np.uint8).reshape(
         len(loose), len(region)))
     rows = _distinct_rows(_stack_rows(scanned, len(region)))[0]

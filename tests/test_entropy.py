@@ -1,13 +1,20 @@
 """Counting engines: transfer operators, torus traces, dimer counts, strips.
 
 Independent routes for the same quantity: transfer matrices vs pruned
-search for box counts, the exact Kasteleyn product vs the tiling frontier
-DP vs a copy of the old column-profile DP for dimers, an inline
+search for box counts, the exact-count kernel vs the object-array
+products it replaced, the exact Kasteleyn product vs the tiling frontier
+DP vs a copy of the old column-profile DP for dimers, the subresultant
+resultant vs Bareiss elimination on the Sylvester matrix, an inline
 Cayley-graph search for the torus.
 """
 
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -232,6 +239,176 @@ def test_apply_leaves_rows_without_neighbours_at_zero():
     assert floats.dtype == np.float64 and floats.tolist() == [1.0, 2.5, 3.0, 0.0]
 
 
+def test_apply_refuses_integers_that_could_wrap():
+    op = en.TransferOperator(LOOPED_PATH, 1, "free")  # at most 2 neighbours
+    top = (1 << 62) - 1
+    # 2 * top = 2**63 - 2 is the largest sum that may be asked for
+    assert op.apply([top, 0, top, 0]).tolist() == [0, 2 * top, top, 0]
+    assert op.apply([-top, 0, -top, 0]).tolist() == [0, -2 * top, -top, 0]
+    assert op.apply(np.array([[1, 2]] * 4, dtype=np.uint8)).tolist() == \
+        [[1, 2], [2, 4], [2, 4], [0, 0]]
+    for big in (1 << 62, -(1 << 62), 1 << 70):
+        with pytest.raises(ValueError, match="may not fit in int64"):
+            op.apply([0, big, 0, 0])
+
+
+# ---------------------------------------------------------------------------
+# the exact-count kernel against the object-array routes it replaced
+
+
+def object_product(op, x):
+    """T @ x over Python ints, as TransferOperator.apply computed it."""
+    x = np.asarray(x).astype(object)
+    nonempty = op.indptr[:-1] < op.indptr[1:]
+    out = np.zeros(x.shape, dtype=object)
+    out[nonempty] = np.add.reduceat(x[op.indices], op.indptr[:-1][nonempty],
+                                    axis=0)
+    return out
+
+
+def object_count_strip(op, length):
+    """count_strip as it was: length - 1 products of a vector of ones."""
+    vec = np.ones(op.size(), dtype=object)
+    for _ in range(length - 1):
+        vec = object_product(op, vec)
+    return int(vec.sum())
+
+
+def object_trace_power(op, length):
+    """trace_power as it was: with P = T^ceil(length/2) and
+    Q = T^floor(length/2), powered from identity blocks of columns, the
+    trace is sum_ij P_ij Q_ij (T is symmetric)."""
+    size = op.size()
+    block = max(1, en.GATHER_LIMIT // max(1, len(op.indices)))
+    total = 0
+    for lo in range(0, size, block):
+        cols = min(block, size - lo)
+        power = np.zeros((size, cols), dtype=object)
+        power[np.arange(lo, lo + cols), np.arange(cols)] = 1
+        for _ in range(length // 2):
+            power = object_product(op, power)
+        half = power
+        if length % 2:
+            power = object_product(op, power)
+        total += int((power * half).sum())
+    return total
+
+
+def count_bound(op, steps):
+    """The kernel's bound S * D**steps on trace(T^steps) and 1' T^steps 1."""
+    return op.size() * int(np.diff(op.indptr).max()) ** steps
+
+
+@given(st.sampled_from(GRAPHS), st.integers(1, 6),
+       st.sampled_from(["free", "periodic"]), st.integers(1, 40))
+@settings(max_examples=200, deadline=None)
+def test_kernel_matches_object_oracles(H, width, boundary, length):
+    # lengths to 40 take every route: about a third of these draws have a
+    # bound past 2**63, so their sums run on residues
+    op = outcome(en.TransferOperator, H, width, boundary)
+    assume(not isinstance(op, tuple) and op.size() <= 120)
+    strip = op.count_strip(length)
+    assert type(strip) is int and strip == object_count_strip(op, length)
+    trace = op.trace_power(length)
+    assert type(trace) is int and trace == object_trace_power(op, length)
+
+
+@pytest.mark.parametrize("limit", [1, 5, 64])
+def test_products_split_at_the_gather_limit(monkeypatch, limit):
+    # every product gathers at most GATHER_LIMIT entries at once, a row
+    # with more neighbours alone: small limits cut each product into
+    # many row ranges, which must not change a count (a strip on int64
+    # powers summed by residues, a trace in int64, one on residues)
+    op = en.TransferOperator(K3, 4, "free")
+    dense = dense_matrix(op).astype(np.int64)
+    x = np.arange(2 * op.size()).reshape(op.size(), 2) - op.size()
+    want = (object_count_strip(op, 30), object_trace_power(op, 12),
+            object_trace_power(op, 41))
+    monkeypatch.setattr(en, "GATHER_LIMIT", limit)
+    assert op.apply(x).tolist() == (dense @ x).tolist()
+    assert (op.count_strip(30), op.trace_power(12), op.trace_power(41)) \
+        == want
+
+
+WORD = 1 << 63
+
+
+@pytest.mark.parametrize("width, boundary, length, trace, route", [
+    (8, "periodic", 8, True, "int64"),  # count torus --n 4
+    (9, "free", 9, False, "int64"),  # count hom --n 4
+    (3, "free", 26, True, "dense"),
+    (6, "free", 25, True, "int64 powers"),
+    (11, "free", 11, False, "int64 powers"),  # count hom --n 5: 91 bits
+    (6, "free", 31, True, "residues"),
+    (6, "free", 32, False, "residues"),
+], ids=["torus-4", "hom-4", "dense-trace", "int64-powers-trace",
+        "int64-powers-strip", "residue-trace", "residue-strip"])
+def test_each_route_against_object_oracles(width, boundary, length, trace,
+                                           route):
+    # the route follows from the bounds alone: check which one each case
+    # takes, then its count; all but the first two sum past 2**63, on
+    # residues modulo several primes
+    op = en.TransferOperator(K3, width, boundary)
+    steps = length if trace else length - 1
+    entry = int(np.diff(op.indptr).max()) ** (steps - steps // 2)
+    taken = ("int64" if count_bound(op, steps) < WORD else
+             "dense" if trace and op.size() <= en._DENSE_MAX_STATES
+             and entry < 2 ** 53 else
+             "int64 powers" if entry < WORD else "residues")
+    assert taken == route
+    if route != "int64":
+        assert len(en._primes_past(count_bound(op, steps))) >= 2
+    if trace:
+        assert op.trace_power(length) == object_trace_power(op, length)
+    else:
+        assert op.count_strip(length) == object_count_strip(op, length)
+
+
+def primes_to(n):
+    """The primes up to n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p in range(n + 1) if sieve[p]]
+
+
+def test_primes_and_crt():
+    small = primes_to(math.isqrt(1 << 31))
+
+    def is_prime(n):
+        return all(n % p for p in small if p * p <= n)
+
+    top = 1 << 31
+    assert [n for n in range(top - 401, top, 2) if en._is_prime(n)] == \
+        [n for n in range(top - 401, top, 2) if is_prime(n)]
+    primes = en._primes_past(1 << 300)
+    assert math.prod(primes[:-1]) <= 1 << 300 < math.prod(primes)
+    assert list(primes) == sorted(set(primes), reverse=True)
+    assert primes[0] == top - 1 and all(map(is_prime, primes))
+    assert [p for p in range(primes[-1], top) if is_prime(p)][::-1] == \
+        list(primes)
+    for x in (0, 1, 3 ** 180, math.prod(primes) - 1):
+        assert en._crt([x % p for p in primes], primes) == x
+    assert en._primes_past(0) == () and en._primes_past(1) == (top - 1,)
+
+
+def test_count_torus_n5_is_exact_in_a_child(tmp_path):
+    # the dense float64 route: S = 1 026, D = 123, a bound of 2**80
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(en.__file__))]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    start = time.perf_counter()
+    out = subprocess.run([sys.executable, "-m", "latticelab.cli", "count",
+                          "torus", "--n", "5"], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True,
+                         timeout=60).stdout
+    assert time.perf_counter() - start < 5
+    assert json.loads(out)["count"] == 16178049740086515288
+
+
 # ---------------------------------------------------------------------------
 # box counts
 
@@ -357,6 +534,75 @@ def test_dimer_resultant_matches_frontier_count(m, n):
             == tl.count_tilings(tl.dominoes(), rectangle((m, n))))
 
 
+def _bareiss_abs_det(rows):
+    """|det| of a square integer matrix, fraction-free (Bareiss 1968): every
+    division is exact, so the entries stay Python ints.  Row swaps only
+    flip the sign, which is dropped.  The dimer route used to take its
+    resultant this way, in O(N^3) steps."""
+    a = [list(row) for row in rows]
+    size = len(a)
+    prev = 1
+    for k in range(size - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, size) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return abs(a[-1][-1])
+
+
+def sylvester(f, g):
+    """The Sylvester matrix of f and g, coefficients highest first."""
+    p, q = len(f) - 1, len(g) - 1
+    return ([[0] * i + f + [0] * (q - 1 - i) for i in range(q)]
+            + [[0] * i + g + [0] * (p - 1 - i) for i in range(p)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 20), st.integers(1, 20))
+def test_subresultant_matches_bareiss(m, n):
+    f = en._cosine_polynomial(m)
+    g = [c * (-1) ** i for i, c in enumerate(en._cosine_polynomial(n))]
+    assert en.count_dimer_tilings_kasteleyn(m, n) == \
+        _bareiss_abs_det(sylvester(f, g))
+
+
+polynomials = st.integers(1, 7).flatmap(lambda deg: st.tuples(
+    st.sampled_from([1, -1, 2, -3, 5]),
+    st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, 7]),
+             min_size=deg, max_size=deg)).map(lambda t: [t[0]] + t[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomials, polynomials)
+def test_resultant_matches_bareiss_on_any_polynomials(f, g):
+    # zero-heavy coefficients give degree gaps above one in the remainder
+    # sequence, common roots and non-monic leading terms
+    assert en._abs_resultant(f, g) == _bareiss_abs_det(sylvester(f, g))
+
+
+def test_square_dimer_count_prints_in_full(capsys):
+    # a 2n x 2n square has 2**n times an odd square of tilings (Pachter
+    # 1997); at 200 x 200 that is 5 040 digits, past Python's default
+    # int -> str limit, which must hold again afterwards
+    limit = sys.get_int_max_str_digits()
+    assert main(["count", "dimers", "--dims", "200x200"]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    text = capsys.readouterr().out
+    digits = text.split('"count":')[1].split(",")[0]
+    assert len(digits) == 5040
+    sys.set_int_max_str_digits(0)
+    try:
+        odd, rest = divmod(int(digits), 1 << 100)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert rest == 0 and odd % 2 == 1 and math.isqrt(odd) ** 2 == odd
+
+
 def leibniz_det(a):
     total = 0
     for perm in itertools.permutations(range(len(a))):
@@ -373,7 +619,7 @@ def leibniz_det(a):
              min_size=size, max_size=size), min_size=size, max_size=size)))
 def test_bareiss_matches_leibniz(a):
     # zero-heavy entries force row swaps and singular matrices
-    assert en._bareiss_abs_det(a) == abs(leibniz_det(a))
+    assert _bareiss_abs_det(a) == abs(leibniz_det(a))
 
 
 def test_dimer_odd_area_is_zero():

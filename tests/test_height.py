@@ -732,10 +732,12 @@ def test_block_decoder_matches_json_loads_on_each_broken_form(form):
                 decoded(json_decode, text)
 
 
-@given(pattern_files(), st.integers(1, 4))
+@given(pattern_files(), st.integers(1, 200))
 @settings(max_examples=400, deadline=None)
 def test_block_decoder_matches_json_loads(text, block):
-    with mock.patch.object(homshift, "ENCODE_BLOCK", block):
+    # the text is split into lines block by block, at the first line end
+    # past every `block` characters: one line or several at a time
+    with mock.patch.object(homshift, "_DECODE_CHARS", block):
         assert decoded(pattern_set_from_jsonl, text) == \
             decoded(json_decode, text)
 
@@ -745,6 +747,7 @@ def test_block_decoder_across_full_blocks():
     ps = homshift.checkerboard_set(K3, 0, 1, 3, 2)
     text = homshift.pattern_set_to_jsonl(ps, K3)
     assert len(ps) > homshift.ENCODE_BLOCK
+    assert len(text) > 2 * homshift._DECODE_CHARS
     lines = text.splitlines()
     assert decoded(pattern_set_from_jsonl, text) == decoded(json_decode, text)
     shuffled = "\n".join(lines[:1] + lines[:0:-1] + lines[1:3]).replace(
