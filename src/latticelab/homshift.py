@@ -46,64 +46,16 @@ class TargetGraph:
             adj[iv].add(iu)
         self.adj = tuple(tuple(sorted(s)) for s in adj)
         self.adj_sets = tuple(frozenset(s) for s in adj)
-        self._connected = None
-        self._bipartite = None
         self._np_matrix = None
+        self._powers = [np.eye(self.n, dtype=bool)]
+        self._repeat = None
 
     def has_edge(self, u, v):
         return v in self.adj_sets[u]
 
-    def edge_list(self):
-        """Unordered edges (u <= v), sorted."""
-        out = set()
-        for u in range(self.n):
-            for v in self.adj[u]:
-                out.add((min(u, v), max(u, v)))
-        return sorted(out)
-
     def ordered_edges(self):
         """All ordered pairs (u, v) with an edge, sorted."""
         return sorted((u, v) for u in range(self.n) for v in self.adj[u])
-
-    def is_connected(self):
-        if self._connected is None:
-            if self.n == 0:
-                self._connected = True
-            else:
-                seen = {0}
-                stack = [0]
-                while stack:
-                    u = stack.pop()
-                    for v in self.adj[u]:
-                        if v not in seen:
-                            seen.add(v)
-                            stack.append(v)
-                self._connected = len(seen) == self.n
-        return self._connected
-
-    def is_bipartite(self):
-        if self._bipartite is None:
-            color = {}
-            ok = True
-            for start in range(self.n):
-                if start in color:
-                    continue
-                color[start] = 0
-                stack = [start]
-                while stack and ok:
-                    u = stack.pop()
-                    for v in self.adj[u]:
-                        if v == u:
-                            ok = False
-                            break
-                        if v not in color:
-                            color[v] = 1 - color[u]
-                            stack.append(v)
-                        elif color[v] == color[u]:
-                            ok = False
-                            break
-            self._bipartite = ok
-        return self._bipartite
 
     def matrix(self):
         """Boolean adjacency matrix as a numpy array."""
@@ -115,8 +67,34 @@ class TargetGraph:
             self._np_matrix = m
         return self._np_matrix
 
+    def walks(self, length):
+        """matrix() to the power length, as booleans: entry [u, v] says
+        whether a walk of exactly this length runs from u to v.
+
+        The powers are kept as they are computed, until one equals an
+        earlier one; from there on they cycle.  A walk of length L >= 1
+        lengthens to one of L + 2 by a step to a neighbour and back, so
+        the odd powers and the even ones each only grow until they stop:
+        the cycle has length 1 or 2, and a new power is compared with the
+        two before it only.
+        """
+        powers = self._powers
+        while self._repeat is None and length >= len(powers):
+            power = powers[-1] @ self.matrix()
+            same = [i for i in range(max(len(powers) - 2, 0), len(powers))
+                    if np.array_equal(power, powers[i])]
+            if same:
+                self._repeat = same[0]
+            else:
+                powers.append(power)
+        if length < len(powers):
+            return powers[length]
+        start = self._repeat
+        return powers[start + (length - start) % (len(powers) - start)]
+
     def __repr__(self):
-        return "TargetGraph(%d vertices, %d edges)" % (self.n, len(self.edge_list()))
+        return "TargetGraph(%d vertices, %d edges)" % (
+            self.n, np.triu(self.matrix()).sum())
 
 
 def complete_graph(q):
@@ -563,47 +541,31 @@ def tau_n(site, n):
 # walks in H of exact lengths
 
 
-def _reach_tables(H):
-    """reach[u][v] = a walk of length L from u to v exists, for L = 0, 1, ..."""
-    reach = [[u == v for v in range(H.n)] for u in range(H.n)]
-    while True:
-        yield reach
-        nxt = [[False] * H.n for _ in range(H.n)]
-        for u in range(H.n):
-            for mid in range(H.n):
-                if reach[u][mid]:
-                    for v in H.adj[mid]:
-                        nxt[u][v] = True
-        reach = nxt
-
-
 def min_universal_path_length(H):
-    """Smallest N with a walk of every length >= N between any two vertices."""
-    if not H.is_connected() or H.is_bipartite():
-        raise ValueError("no such N exists: H must be connected and non-bipartite")
-    bound = 4 * H.n * H.n + 4
-    tables = itertools.islice(_reach_tables(H), 1, bound + 1)
-    for length, reach in enumerate(tables, 1):
-        if all(all(row) for row in reach):
+    """Smallest N with a walk of every length >= N between any two vertices.
+
+    That is the exponent of H's adjacency matrix A, the first power with
+    no zero entry: a walk of length N between every two vertices means
+    every vertex has a neighbour, so A^(N+1) has no zero entry either.
+    By Wielandt's theorem, when such a power exists (H connected and not
+    bipartite), it comes by (n - 1)^2 + 1.
+    """
+    bound = (H.n - 1) ** 2 + 1 if H.n else 0
+    for length in range(1, bound + 1):
+        if H.walks(length).all():
             return length
-    raise AssertionError("universal walk length not found below %d" % bound)
+    raise ValueError("no such N exists: H must be connected and non-bipartite")
 
 
 def lex_walk(H, u, v, length):
     """The lexicographically least walk u -> v of exactly this length, or None."""
-    tables = list(itertools.islice(_reach_tables(H), length + 1))
-    if not tables[length][u][v]:
+    if not H.walks(length)[u, v]:
         return None
     walk = [u]
-    cur = u
-    for remaining in range(length, 0, -1):
-        for w in H.adj[cur]:
-            if tables[remaining - 1][w][v]:
-                walk.append(w)
-                cur = w
-                break
-        else:
-            raise AssertionError("walk table inconsistent")
+    for remaining in range(length - 1, -1, -1):
+        # the least neighbour of the walk's end that reaches v in time
+        walk.append(int(np.argmax(H.matrix()[walk[-1]]
+                                  & H.walks(remaining)[:, v])))
     return walk
 
 
@@ -777,6 +739,27 @@ def _ring_layers(H, d):
     return cube, tuple(p.values for p in enumerate_hom(H, cube))
 
 
+@functools.lru_cache(maxsize=8)
+def _layer_fits(H, cube, pool):
+    """fits[i][u] is the set of pool layers, as a bitset over their
+    positions in pool, whose values at every cube neighbour of residue i
+    are adjacent to u.  Lattice edges between consecutive rings join
+    residues one coordinate flip apart, so the layers that may lie on a
+    layer L are those in fits[i][L[i]] for every residue i."""
+    adj = H.matrix()
+    values = np.frombuffer(b"".join(pool), dtype=np.uint8).reshape(
+        len(pool), len(cube))
+    fits = []
+    for flips in cube.neighbor_table():
+        ok = np.ones((H.n, len(pool)), dtype=bool)
+        for j in flips:
+            ok &= adj[:, values[:, j]]
+        fits.append(tuple(
+            int.from_bytes(np.packbits(row, bitorder="little").tobytes(),
+                           "little") for row in ok))
+    return tuple(fits)
+
+
 def hat_extend(H, a, k):
     """Extend a periodic-shell pattern to a checkerboard-shell one.
 
@@ -794,54 +777,58 @@ def hat_extend(H, a, k):
     if k < 2 * d:
         raise ValueError("extension length too short: k = %d but k >= %d needed"
                          % (k, 2 * d))
-    # The cube neighbors of a residue are its d single-coordinate flips.
-    cube, layer_pool = _ring_layers(H, d)
-    residues = cube.sites
+    cube, pool = _ring_layers(H, d)
+    fits = _layer_fits(H, cube, pool)
     index = cube.index
-    flips = cube.neighbor_table()
-    absent = missing_shell_residue(n, d)
-    q0 = [None] * len(residues)
+    absent = index(missing_shell_residue(n, d))
+    q0 = [None] * len(cube)
     for r, positions in _shell_classes(n, d):
         q0[index(r)] = a.values[positions[0]]
-    q0[index(absent)] = a.value((n - 1,) * d)
-    q0 = tuple(q0)
+    q0[absent] = a.value((n - 1,) * d)
 
-    def cross_ok(lower, upper, skip=None):
-        # Lattice edges between consecutive rings shift the residue by one
-        # coordinate: every upper value must be adjacent to all its shifted
-        # lower values (the absent class of the inner shell is exempt).
-        return all(H.has_edge(lower[i], upper[j]) for i in range(len(residues))
-                   if i != skip for j in flips[i])
+    def above(layer, skip=None):
+        # the pool layers that may lie on layer; the compatibility is
+        # symmetric, so they are also those that layer may lie on
+        out = -1
+        for i, u in enumerate(layer):
+            if i != skip:
+                out &= fits[i][u]
+        return out
+
+    first = above(q0, skip=absent)
+
+    def chain_to(goal):
+        # an iterative depth-first search: picks[t - 1] is the pool index
+        # of the layer at depth t, todo[t - 1] the layers left to try
+        # there, and dead[t] those from which no chain reaches the goal at
+        # depth t.  That depends on nothing else, so skipping them keeps
+        # the depth-first order and the first chain found
+        below, dead = above(goal), [0] * k
+        picks, todo = [], [first & below if k == 2 else first]
+        while todo:
+            rest = todo[-1]
+            if not rest:
+                todo.pop()
+                if picks:
+                    dead[len(picks)] |= 1 << picks.pop()
+                continue
+            low = rest & -rest
+            todo[-1] = rest ^ low
+            picks.append(low.bit_length() - 1)
+            depth = len(picks) + 1  # of the layer to pick next
+            if depth == k:
+                return [q0] + [pool[i] for i in picks] + [goal]
+            nxt = above(pool[picks[-1]]) & ~dead[depth]
+            todo.append(nxt & below if depth == k - 1 else nxt)
+        return None
 
     zero = index((0,) * d)
     e1 = index((1,) + (0,) * (d - 1))
     preferred = (q0[zero], q0[e1]) if k % 2 == 0 else (q0[e1], q0[zero])
     candidates = ([preferred] if H.has_edge(*preferred) else []) + [
         e for e in H.ordered_edges() if e != preferred]
-
-    skip0 = index(absent)
     for v0, v1 in candidates:
-        goal = tuple(v1 if parity(r) else v0 for r in residues)
-        # (depth, pool index) of the layers from which no chain reaches the
-        # goal: whether one does depends on nothing else, so skipping them
-        # keeps the depth-first order and the first chain found
-        dead = set()
-
-        def search(chain):
-            depth = len(chain) - 1
-            if depth == k - 1:
-                return chain + [goal] if cross_ok(chain[-1], goal) else None
-            skip = skip0 if depth == 0 else None
-            for i, layer in enumerate(layer_pool):
-                if ((depth + 1, i) not in dead
-                        and cross_ok(chain[-1], layer, skip=skip)):
-                    res = search(chain + [layer])
-                    if res is not None:
-                        return res
-                    dead.add((depth + 1, i))
-            return None
-
-        chain = search([q0])
+        chain = chain_to(tuple(v1 if parity(r) else v0 for r in cube.sites))
         if chain is not None:
             return (v0, v1), _fill_rings(a, k, chain)
     raise NegativeResult("no 2-periodic layer chain of length %d extends "

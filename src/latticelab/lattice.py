@@ -80,7 +80,6 @@ class Region:
             self.kind = kind
             self._index = {}
             self._lo = self._hi = None
-            self._set = frozenset()
             self._neighbor_table = self._earlier_table = None
             self._hash = hash(self.sites)
             return
@@ -95,7 +94,6 @@ class Region:
         self._index = {s: i for i, s in enumerate(self.sites)}
         self._lo = tuple(min(s[t] for s in sites) for t in range(d))
         self._hi = tuple(max(s[t] for s in sites) for t in range(d))
-        self._set = frozenset(sites)
         self._neighbor_table = self._earlier_table = None
         self._hash = hash(self.sites)
 
@@ -111,7 +109,7 @@ class Region:
         for t in range(self.d):
             if not self._lo[t] <= site[t] <= self._hi[t]:
                 return False
-        return site in self._set
+        return site in self._index
 
     def __eq__(self, other):
         return isinstance(other, Region) and self.sites == other.sites

@@ -95,6 +95,25 @@ def test_extend_hat_patterns(tmp_path, capsys):
     assert len(ps) >= 1
 
 
+def test_extend_hat_many_rings(tmp_path, capsys):
+    # a chain of 1 200 ring layers is searched without recursion
+    src = tmp_path / "hat.jsonl"
+    dst = tmp_path / "extended.jsonl"
+    run(capsys, ["enumerate", "--family", "hat", "--n", "1", "--d", "1",
+                 "--out", str(src)])
+    code, _, stderr = run(capsys, ["extend", "--op", "hat", "--k", "1200",
+                                   "--in", str(src), "--out", str(dst)])
+    assert (code, stderr) == (0, "")
+    inputs, _ = pattern_set_from_jsonl(src.read_text())
+    out, _ = pattern_set_from_jsonl(dst.read_text())
+    K3 = homshift.graph_preset("K3")
+    assert {q.restrict(inputs.region) for q in out} == set(inputs)
+    assert len(out) == len(inputs)
+    for q in out:
+        assert any(homshift.in_checkerboard(K3, q, *edge)
+                   for edge in K3.ordered_edges())
+
+
 def test_extend_path_requires_edges(tmp_path, capsys):
     src = tmp_path / "box.jsonl"
     run(capsys, ["enumerate", "--graph", "K3", "--family", "box",

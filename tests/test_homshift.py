@@ -361,21 +361,36 @@ def test_retraction_rejects_n_zero():
 # walks
 
 
+P3 = hs.TargetGraph("abc", [("a", "b"), ("b", "c")])
+TWO_TRIANGLES = hs.TargetGraph("abcdef", [("a", "b"), ("b", "c"), ("c", "a"),
+                                          ("d", "e"), ("e", "f"), ("f", "d")])
+LOOP = hs.TargetGraph("a", [("a", "a")])
+NO_LOOP = hs.TargetGraph("a", [])
+
+
+def oracle_universal_length(H, horizon):
+    """The least N such that walks of every length N..horizon join every
+    two vertices, found by stepping the set of each vertex's walk ends."""
+    ends = [{u} for u in range(H.n)]
+    full = []
+    for _ in range(horizon + 1):
+        full.append(all(len(e) == H.n for e in ends))
+        ends = [{w for v in e for w in H.adj[v]} for e in ends]
+    return next(N for N in range(1, horizon + 1) if all(full[N:]))
+
+
 def test_min_universal_path_length_values():
-    assert hs.min_universal_path_length(K3) == 2
-    assert hs.min_universal_path_length(K4) == 2
-    assert hs.min_universal_path_length(C5) == 4
-    assert hs.min_universal_path_length(hs.full_shift_graph(2)) == 1
+    for H, N in [(K3, 2), (K4, 2), (C5, 4), (hs.cycle_graph(7), 6),
+                 (hs.petersen_graph(), 4), (hs.full_shift_graph(2), 1),
+                 (LOOP, 1)]:
+        assert hs.min_universal_path_length(H) == N
+        assert oracle_universal_length(H, 4 * H.n + 4) == N
 
 
 def test_min_universal_path_length_rejects_bipartite_and_disconnected():
-    with pytest.raises(ValueError):
-        hs.min_universal_path_length(C4)
-    two_triangles = hs.TargetGraph("abcdef",
-                                   [("a", "b"), ("b", "c"), ("c", "a"),
-                                    ("d", "e"), ("e", "f"), ("f", "d")])
-    with pytest.raises(ValueError):
-        hs.min_universal_path_length(two_triangles)
+    for H in [C4, P3, TWO_TRIANGLES, NO_LOOP]:
+        with pytest.raises(ValueError, match="connected and non-bipartite"):
+            hs.min_universal_path_length(H)
 
 
 def oracle_walks(H, u, v, length):
@@ -389,9 +404,10 @@ def oracle_walks(H, u, v, length):
     return out
 
 
-@pytest.mark.parametrize("H", [K3, C5], ids=["K3", "C5"])
+@pytest.mark.parametrize("H", [K3, C5, C4, P3, TWO_TRIANGLES, LOOP],
+                         ids=["K3", "C5", "C4", "P3", "two-triangles", "loop"])
 def test_lex_walk_is_least_valid_walk(H):
-    for length in range(1, 6):
+    for length in range(6):
         for u in range(H.n):
             for v in range(H.n):
                 walks = oracle_walks(H, u, v, length)
@@ -824,6 +840,21 @@ def test_hat_extend_finishes_a_petersen_chain_at_d3():
     assert hs.is_hom(H, ext)
     assert hs.in_checkerboard(H, ext, *edge)
     assert ext.restrict(box_F(1, 3)) == a
+
+
+def test_hat_extend_petersen_d3_members_within_a_time_bound():
+    # testing every pool layer edge by edge at each search state took
+    # 13 s on these 20 inputs
+    H = hs.graph_preset("petersen")
+    fam = hs.hat_set(H, 1, 3)
+    rnd = random.Random(3)
+    members = [(fam[rnd.randrange(len(fam))], 6 + j % 4) for j in range(20)]
+    t0 = time.monotonic()
+    results = [hs.hat_extend(H, a, k) for a, k in members]
+    assert time.monotonic() - t0 < 5
+    for (a, _), (edge, ext) in zip(members, results):
+        assert hs.in_checkerboard(H, ext, *edge)
+        assert ext.restrict(box_F(1, 3)) == a
 
 
 @settings(max_examples=60, deadline=None)
