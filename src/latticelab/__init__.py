@@ -11,10 +11,11 @@ from .lattice import (Region, box_B, box_F, is_box_spaced, is_K_spaced,
                       parity, rectangle, shell_F)
 from .homshift import (Pattern, PatternSet, TargetGraph, checkerboard_set,
                        complete_graph, count_hom_dfs, cycle_graph,
-                       embed_in_marker, enumerate_hom, flexible_fill,
-                       graph_preset, hat_extend, hat_set, is_hom, marker_set,
-                       min_universal_path_length, path_extend, tau, tau_n,
-                       verify_marker_spacing)
+                       embed_in_marker, embed_in_marker_rows, enumerate_hom,
+                       flexible_fill, graph_preset, hat_extend,
+                       hat_extend_rows, hat_set, hom_rows, is_hom, marker_set,
+                       min_universal_path_length, path_extend,
+                       path_extend_rows, tau, tau_n, verify_marker_spacing)
 from .tiling import (TileSet, Tiling, TilingFamily, count_tilings, dominoes,
                      flexible_tile_fill, frobenius_decompose,
                      grid_tiling_variants, is_coprime, marker_tiling_set,
@@ -33,9 +34,10 @@ __all__ = [
     "rectangle", "shell_F",
     "Pattern", "PatternSet", "TargetGraph", "checkerboard_set",
     "complete_graph", "count_hom_dfs", "cycle_graph", "embed_in_marker",
-    "enumerate_hom", "flexible_fill", "graph_preset", "hat_extend", "hat_set",
-    "is_hom", "marker_set", "min_universal_path_length", "path_extend", "tau",
-    "tau_n", "verify_marker_spacing",
+    "embed_in_marker_rows", "enumerate_hom", "flexible_fill", "graph_preset",
+    "hat_extend", "hat_extend_rows", "hat_set", "hom_rows", "is_hom",
+    "marker_set", "min_universal_path_length", "path_extend",
+    "path_extend_rows", "tau", "tau_n", "verify_marker_spacing",
     "TileSet", "Tiling", "TilingFamily", "count_tilings", "dominoes",
     "flexible_tile_fill", "frobenius_decompose", "grid_tiling_variants",
     "is_coprime", "marker_tiling_set", "partition_complement", "tile_preset",

@@ -205,16 +205,16 @@ def cmd_extend(args):
         raise ValueError("op embed needs --target")
     if args.op != "hat":
         target = _ints(args.target, ",", "target", "u,v", 2)
-    extended = []
-    for p in ps:
-        if args.op == "path":
-            q = homshift.path_extend(H, p, source, target, args.k)
-        elif args.op == "embed":
-            q = homshift.embed_in_marker(H, p, target, args.k)
-        else:
-            _, q = homshift.hat_extend(H, p, args.k)
-        extended.append(q)
-    out = homshift.PatternSet(extended[0].region, extended)
+    if args.op == "path":
+        region, rows = homshift.path_extend_rows(H, ps.region, ps.rows,
+                                                 source, target, args.k)
+    elif args.op == "embed":
+        region, rows = homshift.embed_in_marker_rows(H, ps.region, ps.rows,
+                                                     target, args.k)
+    else:
+        region, _, rows = homshift.hat_extend_rows(H, ps.region, ps.rows,
+                                                   args.k)
+    out = homshift.PatternSet.view(region, homshift.sort_rows(rows))
     _emit(args, homshift.pattern_set_jsonl_blocks(out, H, seed=args.seed),
           "count=%d op=%s k=%d" % (len(out), args.op, args.k))
     return EXIT_OK

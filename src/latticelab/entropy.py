@@ -263,11 +263,15 @@ class TransferOperator:
         mod = np.array(primes, dtype=np.int64)
         sums = np.zeros(len(primes), dtype=np.int64)
         for u, v in pairs:
-            u_p = u % mod
-            v_p = u_p if v is u else v % mod
-            # each sum has fewer than 2**32 terms below 2**31
-            sums += ((u_p * v_p % mod).sum(axis=0) % mod).sum(axis=0)
-            sums %= mod
+            # a chunk of rows at a time, so that its residues in all lanes
+            # hold at most GATHER_LIMIT entries
+            step = max(1, GATHER_LIMIT // (u.shape[1] * len(primes)))
+            for lo in range(0, len(u), step):
+                u_p = u[lo:lo + step] % mod
+                v_p = u_p if v is u else v[lo:lo + step] % mod
+                # each sum has fewer than 2**32 terms below 2**31
+                sums += ((u_p * v_p % mod).sum(axis=0) % mod).sum(axis=0)
+                sums %= mod
         return _crt(sums.tolist(), primes)
 
     def _sparse_powers(self, a, b, trace, primes):
@@ -298,21 +302,34 @@ class TransferOperator:
             yield half, x
 
     def _dense_powers(self, a, b):
-        """The pairs of row blocks of T^a and T^b, as exact int64 arrays
-        (rows, S, 1), from float64 matrix powers of the 0/1 matrix built
-        from the CSR arrays."""
+        """The pairs of row blocks of T^a and T^b, b = a or a + 1, as exact
+        int64 arrays (rows, S, 1), from float64 products of the 0/1 matrix
+        T built from the CSR arrays.  a >= 2 on this route, which needs
+        S * D**(a + b) >= 2**63 with D <= S <= _DENSE_MAX_STATES < 2**13,
+        so a + b >= 4.
+
+        Two S x S matrices are held: T and P = T^c, c = a // 2, raised a
+        row block at a time in place.  A block of T^a is P[rows] @ P, times
+        T when a is odd, and one of T^b = T^(a+1) that block @ T.  Every
+        partial sum of these products is a nonnegative integer no larger
+        than its entry, so below 2**53, where float64 is exact."""
         size = self.size()
         dense = np.zeros((size, size))
         dense[np.repeat(np.arange(size), np.diff(self.indptr)),
               self.indices] = 1.0
-        half = np.linalg.matrix_power(dense, a)
-        full = half if a == b else half @ dense
-        del dense
         rows = max(1, GATHER_LIMIT // size)
-        for lo in range(0, size, rows):
-            u = half[lo:lo + rows, :, None].astype(np.int64)
+        blocks = [slice(lo, lo + rows) for lo in range(0, size, rows)]
+        power = dense.copy() if a >= 4 else dense
+        for _ in range(a // 2 - 1):
+            for block in blocks:
+                power[block] = power[block] @ dense
+        for block in blocks:
+            half = power[block] @ power
+            if a % 2:
+                half = half @ dense
+            u = half[:, :, None].astype(np.int64)
             yield u, (u if a == b else
-                      full[lo:lo + rows, :, None].astype(np.int64))
+                      (half @ dense)[:, :, None].astype(np.int64))
 
 
 def _is_prime(n):

@@ -7,9 +7,10 @@ families and their marker refinements, and implements the constructive
 extension operations between families: exact-length path extension,
 full-support embedding, simultaneous block filling, and extension of
 periodic-shell patterns to checkerboard-shell ones.  The extension
-operations gather their outputs from per-ring layer tables over one cached
-ring layout of centred boxes, and every operation's
-output can be re-validated from scratch.
+operations run on blocks of rows, one pattern per row, behind one
+vectorised homomorphism check; they gather their outputs from per-ring
+layer tables over one cached ring layout of centred boxes, and every
+operation's output can be re-validated from scratch.
 """
 
 import functools
@@ -242,16 +243,61 @@ def _distinct_rows(cols):
     return cols[new], ids
 
 
+# Edge checks hom_rows holds at once: rows are checked in chunks of
+# about this many (row, edge) pairs.
+MASK_BLOCK = 1 << 18
+
+
+@functools.lru_cache(maxsize=32)
+def _edge_positions(region):
+    """The lattice edges inside region, as two position arrays: the
+    earlier and the later end of each, from earlier_neighbor_table()."""
+    earlier = region.earlier_neighbor_table()
+    later = np.repeat(np.arange(len(earlier)), [len(e) for e in earlier])
+    first = np.fromiter(itertools.chain.from_iterable(earlier), dtype=np.intp,
+                        count=len(later))
+    first.flags.writeable = later.flags.writeable = False
+    return first, later
+
+
+@functools.lru_cache(maxsize=8)
+def _pair_table(H):
+    """ok[u << 8 | v] for every pair of byte values: whether u ~ v in H
+    (False when u or v is no vertex of H)."""
+    table = np.zeros((256, 256), dtype=bool)
+    adj = H.matrix()[:256, :256]
+    table[:len(adj), :len(adj)] = adj
+    table.flags.writeable = False
+    return table.ravel()
+
+
+def hom_rows(H, region, rows):
+    """Which rows of an N x |region| uint8 array are homomorphisms
+    region -> H: a bool per row, True when every value is a vertex of H
+    and every edge inside the region maps to an edge of H.  The edges are
+    read from a table over byte pairs, a chunk of rows at a time."""
+    first, later = _edge_positions(region)
+    table = _pair_table(H)
+    out = np.empty(len(rows), dtype=bool)
+    step = max(1, MASK_BLOCK // max(1, len(first)))
+    for lo in range(0, len(rows), step):
+        # transposed, so that gathering an edge end copies whole lines
+        chunk = np.ascontiguousarray(rows[lo:lo + step].T)
+        pairs = chunk[first].astype(np.uint16) << 8 | chunk[later]
+        out[lo:lo + step] = (table[pairs].all(axis=0)
+                             & (chunk < H.n).all(axis=0))
+    return out
+
+
+def _one_row(pattern):
+    """A pattern's values as a 1 x |region| uint8 array."""
+    return np.frombuffer(pattern.values, dtype=np.uint8).reshape(
+        1, len(pattern.values))
+
+
 def is_hom(H, pattern):
     """True iff every edge internal to the region maps to an edge of H."""
-    values = pattern.values
-    adj_sets = H.adj_sets
-    for pos, earlier in enumerate(pattern.region.earlier_neighbor_table()):
-        allowed = adj_sets[values[pos]]
-        for j in earlier:
-            if values[j] not in allowed:
-                return False
-    return True
+    return bool(hom_rows(H, pattern.region, _one_row(pattern))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -415,19 +461,20 @@ def checkerboard_set(H, v0, v1, n, d, budget=None):
     return ps
 
 
+def checkerboard_rows(H, region, rows, v0, v1):
+    """in_checkerboard for every row of an N x |region| uint8 array."""
+    _require_edge(H, v0, v1, "checkerboard edge")
+    if region.kind[0] != "F":
+        return np.zeros(len(rows), dtype=bool)
+    shell, _, odd = _shell_columns(region.kind[1], region.d)
+    want = np.where(odd, v1, v0).astype(np.uint8)
+    return (rows[:, shell] == want).all(axis=1) & hom_rows(H, region, rows)
+
+
 def in_checkerboard(H, pattern, v0, v1):
     """Validator: pattern is a homomorphism with the (v0,v1) shell."""
-    _require_edge(H, v0, v1, "checkerboard edge")
-    region = pattern.region
-    if region.kind[0] != "F":
-        return False
-    n = region.kind[1]
-    if not is_hom(H, pattern):
-        return False
-    values = pattern.values
-    return all(values[i] == (v1 if sum(r) % 2 else v0)
-               for r, positions in _shell_classes(n, region.d)
-               for i in positions)
+    return bool(checkerboard_rows(H, pattern.region, _one_row(pattern),
+                                  v0, v1)[0])
 
 
 def pure_checkerboard(H, v0, v1, n, d):
@@ -474,6 +521,20 @@ def _shell_classes(n, d):
     return tuple(sorted((r, tuple(p)) for r, p in classes.items()))
 
 
+@functools.lru_cache(maxsize=32)
+def _shell_columns(n, d):
+    """The shell of F_n as arrays, class by class as _shell_classes lists
+    it: each shell site's position, the position of its class's first
+    site, and whether its parity is odd."""
+    classes = _shell_classes(n, d)
+    shell = np.array([i for _, p in classes for i in p], dtype=np.intp)
+    lead = np.array([p[0] for _, p in classes for _ in p], dtype=np.intp)
+    odd = np.array([sum(r) % 2 for r, p in classes for _ in p], dtype=bool)
+    for a in (shell, lead, odd):
+        a.flags.writeable = False
+    return shell, lead, odd
+
+
 def hat_set(H, n, d, budget=None):
     """Patterns on F_n whose shell is (2Z)^d-periodic: one search, in
     which each shell site is tied to the first shell site of its class."""
@@ -490,17 +551,18 @@ def hat_set(H, n, d, budget=None):
                                           "n": n, "d": d})
 
 
+def hat_rows(H, region, rows):
+    """in_hat for every row of an N x |region| uint8 array."""
+    if region.kind[0] != "F" or region.kind[1] < 1:
+        return np.zeros(len(rows), dtype=bool)
+    shell, lead, _ = _shell_columns(region.kind[1], region.d)
+    return (rows[:, shell] == rows[:, lead]).all(axis=1) & hom_rows(
+        H, region, rows)
+
+
 def in_hat(H, pattern):
     """Validator: homomorphism whose shell values depend only on site mod 2."""
-    region = pattern.region
-    if region.kind[0] != "F":
-        return False
-    n = region.kind[1]
-    if n < 1 or not is_hom(H, pattern):
-        return False
-    values = pattern.values
-    return all(len({values[i] for i in positions}) == 1
-               for _, positions in _shell_classes(n, region.d))
+    return bool(hat_rows(H, pattern.region, _one_row(pattern))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -571,13 +633,23 @@ def lex_walk(H, u, v, length):
 
 # ---------------------------------------------------------------------------
 # extension operations
+#
+# Each operation has a row-block form, *_rows, that extends every row of an
+# N x |region| uint8 array of patterns at once and returns the extensions
+# in row order; the one-pattern form is its one-row call.  A row-block form
+# rejects its input with the error its one-pattern form raises on the first
+# row it rejects, checking in the same order.
 
 
-def _family_n(pattern, what):
-    region = pattern.region
+def _family_n(region, what):
     if region.kind[0] != "F":
         raise ValueError("%s must live on a centered box F_n" % what)
     return region.kind[1]
+
+
+def _first_false(mask):
+    """The index of the first False in a bool array, or its length."""
+    return int(np.argmin(mask)) if not mask.all() else len(mask)
 
 
 @functools.lru_cache(maxsize=32)
@@ -595,13 +667,15 @@ def _rings(n, k, d):
     return region, inner, slot
 
 
-def _fill_rings(a, k, layers):
-    """a, a pattern on F_n, extended by k rings: a site of ring t takes its
-    residue class's value in layers[t], a (k+1) x 2^d table."""
-    region, inner, slot = _rings(a.region.kind[1], k, a.region.d)
-    values = np.frombuffer(b"".join(map(bytes, layers)), dtype=np.uint8)[slot]
-    values[inner] = np.frombuffer(a.values, dtype=np.uint8)
-    return Pattern(region, values.tobytes())
+def _fill_rows(region, rows, k, layers):
+    """The rows, patterns on F_n, each extended by k rings: a site of ring
+    t takes its residue class's value in layers[t], a (k+1) x 2^d table.
+    Returns F_{n+k} and the extended rows."""
+    big, inner, slot = _rings(region.kind[1], k, region.d)
+    out = np.empty((len(rows), len(big)), dtype=np.uint8)
+    out[:] = np.frombuffer(b"".join(map(bytes, layers)), dtype=np.uint8)[slot]
+    out[:, inner] = rows
+    return big, out
 
 
 @functools.lru_cache(maxsize=32)
@@ -618,6 +692,24 @@ def _walk_layers(H, source, target, k, d):
     return tuple(map(bytes, np.where(par == t % 2, walk[t], walk[t + 1])))
 
 
+def path_extend_rows(H, region, rows, source, target, k):
+    """path_extend for every row: (F_{n+k}, the extensions).  Every row is
+    validated by one mask, then all are filled from one layer table."""
+    v0, v1 = source
+    w0, w1 = target
+    _require_edge(H, v0, v1, "source edge")
+    _require_edge(H, w0, w1, "target edge")
+    _family_n(region, "path_extend input")
+    N = min_universal_path_length(H)
+    if k < N + 1:
+        raise ValueError("extension length too short: k = %d but k >= %d needed"
+                         % (k, N + 1))
+    if not checkerboard_rows(H, region, rows, v0, v1).all():
+        raise ValueError("input does not lie in the stated checkerboard family")
+    return _fill_rows(region, rows, k,
+                      _walk_layers(H, (v0, v1), (w0, w1), k, region.d))
+
+
 def path_extend(H, a, source, target, k):
     """Extend a checkerboard-shell pattern by k rings to a new shell edge.
 
@@ -626,18 +718,55 @@ def path_extend(H, a, source, target, k):
     intermediate ring is a checkerboard of two consecutive vertices of a walk
     in H; the walk is the lexicographically least one, for reproducibility.
     """
-    v0, v1 = source
-    w0, w1 = target
-    _require_edge(H, v0, v1, "source edge")
-    _require_edge(H, w0, w1, "target edge")
-    _family_n(a, "path_extend input")
+    region, rows = path_extend_rows(H, a.region, _one_row(a), source,
+                                    target, k)
+    return Pattern(region, rows[0].tobytes())
+
+
+@functools.lru_cache(maxsize=8)
+def _retraction_positions(n, d):
+    """F_{2dn}, and for each of its sites the position of tau_n(site) in F_n."""
+    big = box_F(2 * d * n, d)
+    small = box_F(n, d)
+    positions = np.array([small.index(tau_n(site, n)) for site in big.sites],
+                         dtype=np.intp)
+    positions.flags.writeable = False
+    return big, positions
+
+
+def embed_in_marker_rows(H, region, rows, target, k):
+    """embed_in_marker for every row: (F_{2dn+k}, the embeddings).
+
+    The rows are spread over F_{2dn} by one gather, grouped by their
+    source edge (a(0), a(e_1)), and each group is extended by one
+    path_extend_rows call, which checks its spread rows.
+    """
+    n = _family_n(region, "embed_in_marker input")
+    if n < 1:
+        raise ValueError("embedding needs n >= 1")
+    d = region.d
+    hom = hom_rows(H, region, rows)
+    # the first row's check comes before the length and target checks
+    if len(rows) and not hom[0]:
+        raise ValueError("input not a homomorphism")
     N = min_universal_path_length(H)
-    if k < N + 1:
+    if k < N + d:
         raise ValueError("extension length too short: k = %d but k >= %d needed"
-                         % (k, N + 1))
-    if not in_checkerboard(H, a, v0, v1):
-        raise ValueError("input does not lie in the stated checkerboard family")
-    return _fill_rings(a, k, _walk_layers(H, (v0, v1), (w0, w1), k, a.region.d))
+                         % (k, N + d))
+    w0, w1 = target
+    _require_edge(H, w0, w1, "target edge")
+    if not hom.all():
+        raise ValueError("input not a homomorphism")
+    spread, positions = _retraction_positions(n, d)
+    wide = _rings(2 * d * n, k, d)[0]
+    out = np.empty((len(rows), len(wide)), dtype=np.uint8)
+    ends = [region.index((0,) * d), region.index(unit(1, d))]
+    sources, group = _distinct_rows(rows[:, ends])
+    for g, source in enumerate(sources.tolist()):
+        sel = np.flatnonzero(group == g)
+        _, out[sel] = path_extend_rows(H, spread, rows[sel[:, None], positions],
+                                       tuple(source), target, k)
+    return wide, out
 
 
 def embed_in_marker(H, a, target, k):
@@ -647,28 +776,8 @@ def embed_in_marker(H, a, target, k):
     result restricts to a on F_n and has a checkerboard shell), then extended
     k more rings to the requested target edge.  Needs k >= N + d.
     """
-    n = _family_n(a, "embed_in_marker input")
-    if n < 1:
-        raise ValueError("embedding needs n >= 1")
-    d = a.region.d
-    if not is_hom(H, a):
-        raise ValueError("input not a homomorphism")
-    N = min_universal_path_length(H)
-    if k < N + d:
-        raise ValueError("extension length too short: k = %d but k >= %d needed"
-                         % (k, N + d))
-    big, positions = _retraction_positions(n, d)
-    spread = Pattern(big, bytes(a.values[i] for i in positions))
-    source = (a.value((0,) * d), a.value(unit(1, d)))
-    return path_extend(H, spread, source, target, k)
-
-
-@functools.lru_cache(maxsize=8)
-def _retraction_positions(n, d):
-    """F_{2dn}, and for each of its sites the position of tau_n(site) in F_n."""
-    big = box_F(2 * d * n, d)
-    small = box_F(n, d)
-    return big, tuple(small.index(tau_n(site, n)) for site in big.sites)
+    region, rows = embed_in_marker_rows(H, a.region, _one_row(a), target, k)
+    return Pattern(region, rows[0].tobytes())
 
 
 def flexible_fill(H, target, n, K, W, base, d=None):
@@ -693,19 +802,33 @@ def flexible_fill(H, target, n, K, W, base, d=None):
         return pure_checkerboard(H, w0, w1, n, d)
     v0, v1 = base
     _require_edge(H, v0, v1, "block edge")
-    k = None
-    for i in K:
-        if i not in W:
-            raise ValueError("no block prescribed at %r" % (i,))
-        ki = _family_n(W[i], "block at %r" % (i,))
-        if k is None:
-            k = ki
-        elif ki != k:
-            raise ValueError("blocks live on different boxes")
-        if not in_checkerboard(H, W[i], v0, v1):
-            raise ValueError("block at %r is not in the stated family" % (i,))
-        if not len(i) == d == W[i].region.d:
-            raise ValueError("block at %r is not %d-dimensional" % (i, d))
+    k, shaped = None, []
+    try:
+        for i in K:
+            if i not in W:
+                raise ValueError("no block prescribed at %r" % (i,))
+            ki = _family_n(W[i].region, "block at %r" % (i,))
+            if k is None:
+                k = ki
+            elif ki != k:
+                raise ValueError("blocks live on different boxes")
+            if not len(i) == d == W[i].region.d:
+                if not in_checkerboard(H, W[i], v0, v1):
+                    raise ValueError("block at %r is not in the stated family"
+                                     % (i,))
+                raise ValueError("block at %r is not %d-dimensional" % (i, d))
+            shaped.append(i)
+    finally:
+        # The blocks before the first misshapen one (all of them when none
+        # is) are checked by one mask; the first outside the family is
+        # reported before any later error, as a block-by-block check would.
+        if shaped:
+            rows = np.frombuffer(b"".join(W[i].values for i in shaped),
+                                 dtype=np.uint8).reshape(len(shaped), -1)
+            inside = checkerboard_rows(H, W[shaped[0]].region, rows, v0, v1)
+            if not inside.all():
+                raise ValueError("block at %r is not in the stated family"
+                                 % (shaped[_first_false(inside)],))
     N = min_universal_path_length(H)
     pad = k + N + 1
     for a_pos in range(len(K)):
@@ -721,14 +844,19 @@ def flexible_fill(H, target, n, K, W, base, d=None):
                              % (i, limit))
     region, inner, _ = _rings(pad, n - pad, d)
     origin = region.index((0,) * d)
-    values = np.array(bytearray(pure_checkerboard(H, w0, w1, n, d).values))
-    for i in K:
-        # Pad the block so its own boundary ring agrees with the ambient
+    values = np.frombuffer(pure_checkerboard(H, w0, w1, n, d).values,
+                           dtype=np.uint8).copy()
+    odd = np.array([parity(i) for i in K], dtype=bool)
+    for flip, block_target in ((False, (w0, w1)), (True, (w1, w0))):
+        # Pad the blocks so their own boundary rings agree with the ambient
         # checkerboard: the padding target depends on the parity of i.
-        block_target = (w0, w1) if parity(i) == 0 else (w1, w0)
-        padded = path_extend(H, W[i], (v0, v1), block_target, N + 1)
-        # in a box, the shift by i moves every position by the same amount
-        values[inner + (region.index(i) - origin)] = list(padded.values)
+        chosen = np.flatnonzero(odd == flip)
+        if len(chosen):
+            _, padded = path_extend_rows(H, W[K[0]].region, rows[chosen],
+                                         (v0, v1), block_target, N + 1)
+            # in a box, the shift by i moves every position by the same amount
+            shift = [region.index(K[j]) - origin for j in chosen]
+            values[inner + np.array(shift)[:, None]] = padded
     return Pattern(region, values.tobytes())
 
 
@@ -760,31 +888,13 @@ def _layer_fits(H, cube, pool):
     return tuple(fits)
 
 
-def hat_extend(H, a, k):
-    """Extend a periodic-shell pattern to a checkerboard-shell one.
-
-    Searches for a chain of 2-periodic ring layers from the input shell to a
-    plain checkerboard, each consecutive pair compatible across lattice edges.
-    Returns the checkerboard edge together with the extended pattern; the
-    preferred edge follows the input's residue values at 0 and e_1, in the
-    orientation given by the parity of k.  Raises NegativeResult when the
-    exhaustive search finds no chain.
-    """
-    n = _family_n(a, "hat_extend input")
-    d = a.region.d
-    if not in_hat(H, a):
-        raise ValueError("input shell is not 2-periodic (or not a homomorphism)")
-    if k < 2 * d:
-        raise ValueError("extension length too short: k = %d but k >= %d needed"
-                         % (k, 2 * d))
+def _hat_chain(H, d, k, q0, absent):
+    """hat_extend's search from the shell layer q0 (a value per residue in
+    cube order; the one at residue index absent, which the shell lacks,
+    is the input's value at (n-1, ..., n-1)): the checkerboard edge and
+    the k + 1 ring layers of the first chain found, or None."""
     cube, pool = _ring_layers(H, d)
     fits = _layer_fits(H, cube, pool)
-    index = cube.index
-    absent = index(missing_shell_residue(n, d))
-    q0 = [None] * len(cube)
-    for r, positions in _shell_classes(n, d):
-        q0[index(r)] = a.values[positions[0]]
-    q0[absent] = a.value((n - 1,) * d)
 
     def above(layer, skip=None):
         # the pool layers that may lie on layer; the compatibility is
@@ -822,18 +932,81 @@ def hat_extend(H, a, k):
             todo.append(nxt & below if depth == k - 1 else nxt)
         return None
 
-    zero = index((0,) * d)
-    e1 = index((1,) + (0,) * (d - 1))
+    zero = cube.index((0,) * d)
+    e1 = cube.index((1,) + (0,) * (d - 1))
     preferred = (q0[zero], q0[e1]) if k % 2 == 0 else (q0[e1], q0[zero])
     candidates = ([preferred] if H.has_edge(*preferred) else []) + [
         e for e in H.ordered_edges() if e != preferred]
     for v0, v1 in candidates:
         chain = chain_to(tuple(v1 if parity(r) else v0 for r in cube.sites))
         if chain is not None:
-            return (v0, v1), _fill_rings(a, k, chain)
-    raise NegativeResult("no 2-periodic layer chain of length %d extends "
-                         "this pattern to a checkerboard shell" % k)
+            return (v0, v1), chain
+    return None
 
+
+def hat_extend_rows(H, region, rows, k):
+    """hat_extend for every row: (F_{n+k}, an N x 2 array of the
+    checkerboard edges, the extensions).
+
+    The rows are grouped by their shell layer q0, and the chain search
+    runs once per distinct q0; each group is filled from its chain.
+    Rows after the first one outside the periodic-shell family are not
+    searched, since that row ends the run.
+    """
+    n = _family_n(region, "hat_extend input")
+    d = region.d
+    member = hat_rows(H, region, rows)
+    if len(rows) and not member[0]:
+        raise ValueError("input shell is not 2-periodic (or not a homomorphism)")
+    if k < 2 * d:
+        raise ValueError("extension length too short: k = %d but k >= %d needed"
+                         % (k, 2 * d))
+    cube = _ring_layers(H, d)[0]
+    absent = cube.index(missing_shell_residue(n, d))
+    q0_cols = [0] * len(cube)
+    for r, positions in _shell_classes(n, d):
+        q0_cols[cube.index(r)] = positions[0]
+    q0_cols[absent] = region.index((n - 1,) * d)
+    stop = _first_false(member)
+    layers, group = _distinct_rows(rows[:stop, q0_cols])
+    chains = [_hat_chain(H, d, k, q0, absent) for q0 in layers.tolist()]
+    if not np.array([c is not None for c in chains], dtype=bool)[group].all():
+        raise NegativeResult("no 2-periodic layer chain of length %d extends "
+                             "this pattern to a checkerboard shell" % k)
+    if stop < len(rows):
+        raise ValueError("input shell is not 2-periodic (or not a homomorphism)")
+    big = _rings(n, k, d)[0]
+    out = np.empty((len(rows), len(big)), dtype=np.uint8)
+    edges = np.empty((len(rows), 2), dtype=np.intp)
+    for g, (edge, chain) in enumerate(chains):
+        sel = np.flatnonzero(group == g)
+        _, out[sel] = _fill_rows(region, rows[sel], k, chain)
+        edges[sel] = edge
+    return big, edges, out
+
+
+def hat_extend(H, a, k):
+    """Extend a periodic-shell pattern to a checkerboard-shell one.
+
+    Searches for a chain of 2-periodic ring layers from the input shell to a
+    plain checkerboard, each consecutive pair compatible across lattice edges.
+    Returns the checkerboard edge together with the extended pattern; the
+    preferred edge follows the input's residue values at 0 and e_1, in the
+    orientation given by the parity of k.  Raises NegativeResult when the
+    exhaustive search finds no chain.
+    """
+    region, edges, rows = hat_extend_rows(H, a.region, _one_row(a), k)
+    return tuple(edges[0].tolist()), Pattern(region, rows[0].tobytes())
+
+
+def sort_rows(rows):
+    """rows, a C-contiguous uint8 array, sorted in place lexicographically
+    (as byte strings); returns it.  The extensions of distinct patterns
+    are distinct, since each restricts to its input, so sorting them
+    gives the canonical order of a PatternSet.view."""
+    if rows.shape[1]:
+        rows.view("V%d" % rows.shape[1]).sort(axis=0)
+    return rows
 
 # ---------------------------------------------------------------------------
 # the marker overlap check

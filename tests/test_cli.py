@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import unittest.mock
 
 import pytest
@@ -508,6 +509,141 @@ def test_enumerate_writes_its_file_in_bounded_memory(tmp_path):
         ENUMERATE_SHA256["--family box --n 2"]
     assert peak_kb <= 80 * 1024
 
+
+# ---------------------------------------------------------------------------
+# extend on pipeline-shaped files: bytes and errors pinned, and the time
+# of one file through the row-block ops
+
+
+@pytest.fixture(scope="module")
+def checker3(tmp_path_factory):
+    """The `enumerate --family checker --n 3` file (64 914 patterns)."""
+    path = tmp_path_factory.mktemp("checker3") / "checker3.jsonl"
+    assert main(["enumerate", "--family", "checker", "--n", "3",
+                 "--seed", "0", "--out", str(path)]) == 0
+    return path
+
+
+def _every(src, dst, step):
+    """dst: the pattern file src keeping every step-th record."""
+    lines = src.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["count"] = len(lines[1::step])
+    dst.write_text("\n".join([json.dumps(header)] + lines[1::step]) + "\n")
+    return dst
+
+
+# SHA-256 of `extend --out` at seed 0 on every step-th record of the
+# checker --n 3 file, as the per-pattern loop wrote them
+PIPELINE_EXTEND_SHA256 = {
+    (32, "--op path --source 0,1 --target 2,1 --k 3"):
+        "d071a63de4996d84aec5d7428e878a8d4f64b6ab5c2531860ac0d69d558f5dd5",
+    (2000, "--op embed --target 1,0 --k 4"):
+        "f00af92333b454db3d71bfd7b78d70f8507851c7db4b7ec0239ac0dbb7addf42",
+    (1, "--op path --source 0,1 --target 1,2 --k 3"):
+        "03f3e3bde65cc591254ed3e843f21ccdc8e63c8b5247396eff124e61d71a2eeb",
+    (1, "--op hat --k 4"):
+        "da7c9d92af9012170ba8eed486eeeea46d207de5498e6f5bac34283a9e9715dd",
+}
+
+
+@pytest.mark.parametrize("step, op", sorted(PIPELINE_EXTEND_SHA256))
+def test_extend_pipeline_bytes_are_pinned(tmp_path, capsys, checker3, step,
+                                          op):
+    src = _every(checker3, tmp_path / "sub.jsonl", step)
+    out = tmp_path / "extended.jsonl"
+    code, stdout, stderr = run(capsys, ["extend"] + op.split() + [
+        "--in", str(src), "--seed", "0", "--out", str(out)])
+    count = len(src.read_text().splitlines()) - 1
+    assert (code, stderr) == (0, "")
+    assert stdout == "count=%d op=%s k=%s\n" % (count, op.split()[1],
+                                                 op.split()[-1])
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == PIPELINE_EXTEND_SHA256[step, op]
+
+
+def _checker2_with(kind):
+    """The K3 checker --n 2 family, plus one row: all zeros ("zero"), a
+    member whose centre copies its right neighbour ("broken"), or none."""
+    K3 = homshift.graph_preset("K3")
+    fam = homshift.checkerboard_set(K3, 0, 1, 2, 2)
+    rows = [bytearray(p.values) for p in fam]
+    if kind == "zero":
+        rows.append(bytearray(len(fam.region)))
+    elif kind == "broken":
+        row = bytearray(rows[len(rows) // 2])
+        row[len(row) // 2] = row[len(row) // 2 + 1]
+        rows.append(row)
+    ps = homshift.PatternSet(fam.region, [homshift.Pattern(fam.region, r)
+                                          for r in rows])
+    return homshift.pattern_set_to_jsonl(ps, K3)
+
+
+# (row added to the checker --n 2 family, extend arguments, exit code,
+# stderr), as the per-pattern loop ended: a row's own check comes before
+# the length and target checks only for the first row, and the first
+# failing row decides among rows
+EXTEND_ERRORS = [
+    ("zero", "--op embed --target 1,2 --k 2", 2,
+     "usage error: input not a homomorphism"),
+    ("broken", "--op embed --target 1,2 --k 2", 2,
+     "usage error: extension length too short: k = 2 but k >= 4 needed"),
+    ("broken", "--op embed --target 1,1 --k 5", 2,
+     "usage error: target edge (1, 1) is not an edge of H"),
+    ("broken", "--op embed --target 1,2 --k 5", 2,
+     "usage error: input not a homomorphism"),
+    ("zero", "--op hat --k 1", 2,
+     "usage error: input shell is not 2-periodic (or not a homomorphism)"),
+    ("broken", "--op hat --k 1", 2,
+     "usage error: extension length too short: k = 1 but k >= 4 needed"),
+    ("broken", "--op hat --k 6", 2,
+     "usage error: input shell is not 2-periodic (or not a homomorphism)"),
+    ("broken", "--op path --source 0,1 --target 1,2 --k 2", 2,
+     "usage error: extension length too short: k = 2 but k >= 3 needed"),
+    ("broken", "--op path --source 0,1 --target 1,2 --k 3", 2,
+     "usage error: input does not lie in the stated checkerboard family"),
+    ("none", "--op path --source 0,2 --target 1,2 --k 3", 2,
+     "usage error: input does not lie in the stated checkerboard family"),
+]
+
+
+@pytest.mark.parametrize("kind, op, code, message", EXTEND_ERRORS)
+def test_extend_errors_are_pinned(tmp_path, capsys, kind, op, code, message):
+    src = tmp_path / "family.jsonl"
+    src.write_text(_checker2_with(kind))
+    out = tmp_path / "extended.jsonl"
+    assert run(capsys, ["extend"] + op.split() + [
+        "--in", str(src), "--out", str(out)]) == (code, "", message + "\n")
+    assert not out.exists()
+
+
+def test_extend_hat_without_a_chain_is_a_negative(tmp_path, capsys):
+    # with one ring layer left, the family's first row has no chain
+    src = tmp_path / "family.jsonl"
+    src.write_text(_checker2_with("none"))
+    cube, pool = homshift._ring_layers(homshift.graph_preset("K3"), 2)
+    with unittest.mock.patch.object(homshift, "_ring_layers",
+                                    lambda H, d: (cube, pool[5:6])):
+        code, stdout, stderr = run(capsys, ["extend", "--op", "hat",
+                                            "--k", "4", "--in", str(src)])
+    assert (code, stdout) == (1, "")
+    assert stderr == ("negative result: no 2-periodic layer chain of length "
+                      "4 extends this pattern to a checkerboard shell\n")
+
+
+def test_extend_embed_on_the_checker_n3_file_in_a_child(tmp_path, checker3):
+    # one embed per pattern took 16.4 s on this file, at 263 MB
+    out = tmp_path / "embedded.jsonl"
+    start = time.perf_counter()
+    rc, peak_kb = _child_run("extend", "--op", "embed", "--k", "4",
+                             "--target", "1,2", "--in", str(checker3),
+                             "--seed", "0", "--out", str(out))
+    elapsed = time.perf_counter() - start
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "0d93a5d9f9d048712a55853723d70dd87ee226f306ea011db105405ce59d9a27"
+    assert elapsed < 4
+    assert peak_kb <= 256 * 1024
 
 # ---------------------------------------------------------------------------
 # edge lists name their vertices

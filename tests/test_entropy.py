@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -407,6 +408,23 @@ def test_count_torus_n5_is_exact_in_a_child(tmp_path):
                          timeout=60).stdout
     assert time.perf_counter() - start < 5
     assert json.loads(out)["count"] == 16178049740086515288
+
+
+def test_dense_powers_hold_two_matrices(monkeypatch):
+    # count torus --n 5's operator on the dense route (S = 1 026), in row
+    # blocks of 16 rows: T and one power of it are held whole and the
+    # rest a block at a time; np.linalg.matrix_power held three or four
+    op = en.TransferOperator(K3, 10, "periodic")
+    size = op.size()
+    monkeypatch.setattr(en, "GATHER_LIMIT", 16 * size)
+    tracemalloc.start()
+    try:
+        count = op.trace_power(10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 16178049740086515288
+    assert peak <= 2.25 * size * size * 8
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ import itertools
 import json
 import random
 import time
+import unittest.mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -881,6 +883,350 @@ def test_path_extend_cache_keys_are_complete():
         hs._walk_layers.cache_clear()
         hs._rings.cache_clear()
         assert hs.path_extend(*c) == got == oracle_path_extend(*c)
+
+
+# ---------------------------------------------------------------------------
+# the row-block extension ops against their per-pattern versions
+
+
+def edge_loop_is_hom(H, region, values):
+    """Every value a vertex of H and every edge inside region an edge."""
+    if any(v >= H.n for v in values):
+        return False
+    return all(H.has_edge(values[pos], values[j])
+               for pos, earlier in enumerate(region.earlier_neighbor_table())
+               for j in earlier)
+
+
+@st.composite
+def row_blocks(draw):
+    """A preset graph, a region (a box or a holey subset of one) and a
+    block of rows on it: checkerboards of an edge of H with a few sites
+    redrawn, some to values that are no vertex of H."""
+    H = hs.graph_preset(draw(st.sampled_from(sorted(hs.GRAPH_PRESETS))))
+    d = draw(st.integers(1, 3))
+    dims = tuple(draw(st.integers(1, 5 if d < 3 else 3)) for _ in range(d))
+    region = lattice.rectangle(dims, (0,) * d)
+    if draw(st.booleans()):
+        region = Region(draw(st.sets(st.sampled_from(region.sites),
+                                     min_size=1)))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        u, v = draw(st.sampled_from(H.ordered_edges()))
+        values = [u if parity(s) == 0 else v for s in region.sites]
+        for pos in draw(st.lists(st.integers(0, len(region) - 1),
+                                 max_size=2)):
+            values[pos] = draw(st.sampled_from([0, H.n - 1, H.n, 255]))
+        rows.append(values)
+    return H, region, np.array(rows, dtype=np.uint8).reshape(-1, len(region))
+
+
+@given(row_blocks(), st.integers(1, 40))
+@settings(max_examples=300, deadline=None)
+def test_hom_rows_matches_the_edge_loop(case, block):
+    H, region, rows = case
+    with unittest.mock.patch.object(hs, "MASK_BLOCK", block):
+        got = hs.hom_rows(H, region, rows)
+    assert got.dtype == bool and got.shape == (len(rows),)
+    assert got.tolist() == [edge_loop_is_hom(H, region, bytes(r)) for r in rows]
+    for r in rows:
+        p = hs.Pattern(region, bytes(r))
+        assert hs.is_hom(H, p) == edge_loop_is_hom(H, region, p.values)
+
+
+# The per-pattern extension ops as they were before the row-block layer,
+# one pattern a call with scalar validators; an error is (type, message).
+
+
+def pattern_require_edge(H, v0, v1, what):
+    if not (0 <= v0 < H.n and 0 <= v1 < H.n and H.has_edge(v0, v1)):
+        raise ValueError("%s (%r, %r) is not an edge of H" % (what, v0, v1))
+
+
+def pattern_family_n(a, what):
+    if a.region.kind[0] != "F":
+        raise ValueError("%s must live on a centered box F_n" % what)
+    return a.region.kind[1]
+
+
+def pattern_in_checkerboard(H, a, v0, v1):
+    pattern_require_edge(H, v0, v1, "checkerboard edge")
+    if a.region.kind[0] != "F" or not edge_loop_is_hom(H, a.region, a.values):
+        return False
+    return all(a.values[i] == (v1 if sum(r) % 2 else v0)
+               for r, positions in hs._shell_classes(a.region.kind[1],
+                                                     a.region.d)
+               for i in positions)
+
+
+def pattern_in_hat(H, a):
+    if a.region.kind[0] != "F" or a.region.kind[1] < 1:
+        return False
+    if not edge_loop_is_hom(H, a.region, a.values):
+        return False
+    return all(len({a.values[i] for i in positions}) == 1
+               for _, positions in hs._shell_classes(a.region.kind[1],
+                                                     a.region.d))
+
+
+def pattern_fill_rings(a, k, layers):
+    region, inner, slot = hs._rings(a.region.kind[1], k, a.region.d)
+    values = np.frombuffer(b"".join(map(bytes, layers)), dtype=np.uint8)[slot]
+    values[inner] = np.frombuffer(a.values, dtype=np.uint8)
+    return hs.Pattern(region, values.tobytes())
+
+
+def pattern_path_extend(H, a, source, target, k):
+    v0, v1 = source
+    w0, w1 = target
+    pattern_require_edge(H, v0, v1, "source edge")
+    pattern_require_edge(H, w0, w1, "target edge")
+    pattern_family_n(a, "path_extend input")
+    N = hs.min_universal_path_length(H)
+    if k < N + 1:
+        raise ValueError("extension length too short: k = %d but k >= %d needed"
+                         % (k, N + 1))
+    if not pattern_in_checkerboard(H, a, v0, v1):
+        raise ValueError("input does not lie in the stated checkerboard family")
+    return pattern_fill_rings(a, k, hs._walk_layers(H, (v0, v1), (w0, w1), k,
+                                                    a.region.d))
+
+
+def pattern_embed_in_marker(H, a, target, k):
+    n = pattern_family_n(a, "embed_in_marker input")
+    if n < 1:
+        raise ValueError("embedding needs n >= 1")
+    d = a.region.d
+    if not edge_loop_is_hom(H, a.region, a.values):
+        raise ValueError("input not a homomorphism")
+    N = hs.min_universal_path_length(H)
+    if k < N + d:
+        raise ValueError("extension length too short: k = %d but k >= %d needed"
+                         % (k, N + d))
+    big, positions = hs._retraction_positions(n, d)
+    spread = hs.Pattern(big, bytes(a.values[i] for i in positions))
+    source = (a.value((0,) * d), a.value(lattice.unit(1, d)))
+    return pattern_path_extend(H, spread, source, target, k)
+
+
+def pattern_hat_extend(H, a, k):
+    n = pattern_family_n(a, "hat_extend input")
+    d = a.region.d
+    if not pattern_in_hat(H, a):
+        raise ValueError("input shell is not 2-periodic (or not a homomorphism)")
+    if k < 2 * d:
+        raise ValueError("extension length too short: k = %d but k >= %d needed"
+                         % (k, 2 * d))
+    cube, pool = hs._ring_layers(H, d)
+    fits = hs._layer_fits(H, cube, pool)
+    index = cube.index
+    absent = index(hs.missing_shell_residue(n, d))
+    q0 = [None] * len(cube)
+    for r, positions in hs._shell_classes(n, d):
+        q0[index(r)] = a.values[positions[0]]
+    q0[absent] = a.value((n - 1,) * d)
+
+    def above(layer, skip=None):
+        out = -1
+        for i, u in enumerate(layer):
+            if i != skip:
+                out &= fits[i][u]
+        return out
+
+    first = above(q0, skip=absent)
+
+    def chain_to(goal):
+        below, dead = above(goal), [0] * k
+        picks, todo = [], [first & below if k == 2 else first]
+        while todo:
+            rest = todo[-1]
+            if not rest:
+                todo.pop()
+                if picks:
+                    dead[len(picks)] |= 1 << picks.pop()
+                continue
+            low = rest & -rest
+            todo[-1] = rest ^ low
+            picks.append(low.bit_length() - 1)
+            depth = len(picks) + 1
+            if depth == k:
+                return [q0] + [pool[i] for i in picks] + [goal]
+            nxt = above(pool[picks[-1]]) & ~dead[depth]
+            todo.append(nxt & below if depth == k - 1 else nxt)
+        return None
+
+    zero = index((0,) * d)
+    e1 = index((1,) + (0,) * (d - 1))
+    preferred = (q0[zero], q0[e1]) if k % 2 == 0 else (q0[e1], q0[zero])
+    candidates = ([preferred] if H.has_edge(*preferred) else []) + [
+        e for e in H.ordered_edges() if e != preferred]
+    for v0, v1 in candidates:
+        chain = chain_to(tuple(v1 if parity(r) else v0 for r in cube.sites))
+        if chain is not None:
+            return (v0, v1), pattern_fill_rings(a, k, chain)
+    raise NegativeResult("no 2-periodic layer chain of length %d extends "
+                         "this pattern to a checkerboard shell" % k)
+
+
+def per_pattern(fn, patterns, *args):
+    """fn on each pattern in turn: the outputs, or the first error."""
+    try:
+        return [fn(args[0], p, *args[1:]) for p in patterns]
+    except (ValueError, NegativeResult) as exc:
+        return type(exc), str(exc)
+
+
+def row_block(fn, region, rows, *args):
+    """The row-block op on rows: its outputs as patterns, or its error."""
+    try:
+        out = fn(args[0], region, rows, *args[1:])
+    except (ValueError, NegativeResult) as exc:
+        return type(exc), str(exc)
+    patterns = [hs.Pattern(out[0], r.tobytes()) for r in out[-1]]
+    if len(out) == 2:
+        return patterns
+    return [(tuple(e), p) for e, p in zip(out[1].tolist(), patterns)]
+
+
+def broken(H, pattern, rnd):
+    """pattern with one site moved to a value that breaks an edge at it,
+    or pattern itself when every value fits (as in a full shift)."""
+    region = pattern.region
+    nbrs = region.neighbor_table()
+    values = bytearray(pattern.values)
+    spots = [(pos, v) for pos in range(len(region)) for v in range(H.n)
+             if any(not H.has_edge(v, values[j]) for j in nbrs[pos])]
+    if spots:
+        pos, v = rnd.choice(spots)
+        values[pos] = v
+    return hs.Pattern(region, bytes(values))
+
+
+def off_shell(H, pattern, rnd):
+    """pattern with one shell site redrawn among the values that keep it
+    a homomorphism (so the shell may stop being periodic or a given
+    checkerboard), or pattern itself when none is left."""
+    region = pattern.region
+    n, d = region.kind[1], region.d
+    nbrs = region.neighbor_table()
+    values = bytearray(pattern.values)
+    spots = [(pos, v) for pos in (region.index(s) for s in shell_F(n, d))
+             for v in range(H.n) if v != values[pos]
+             and all(H.has_edge(v, values[j]) for j in nbrs[pos])]
+    if spots:
+        pos, v = rnd.choice(spots)
+        values[pos] = v
+    return hs.Pattern(region, bytes(values))
+
+
+@pytest.mark.parametrize("op", ["path", "embed", "hat"])
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_row_block_ops_match_per_pattern_calls(op, data):
+    # rows of one family with broken ones at random positions, and k
+    # around its least value: outputs in row order, or the error of the
+    # first row that fails, checked in the per-pattern order
+    name = data.draw(st.sampled_from(sorted(RING_GRAPHS)), label="graph")
+    H = RING_GRAPHS[name]
+    d = data.draw(st.integers(1, 3), label="d")
+    n = data.draw(st.integers(1, 2 if d < 3 else 1), label="n")
+    rnd = data.draw(st.randoms(use_true_random=False))
+    edges = H.ordered_edges()
+    # mostly edges of H, sometimes any pair of vertices
+    targets = st.one_of(st.sampled_from(edges), st.sampled_from(
+        list(itertools.product(range(H.n), repeat=2))))
+    N = hs.min_universal_path_length(H)
+    if op == "path":
+        source = data.draw(st.sampled_from(edges), label="source")
+        good = [random_checker_member(H, source, n, d, rnd) for _ in range(4)]
+        least = N + 1
+    else:
+        good = [random_periodic_hom(H, n, d, rnd, redraw_shell=op == "embed")
+                for _ in range(4)]
+        least = N + d if op == "embed" else 2 * d
+    bad = {"hom": lambda p: broken(H, p, rnd),
+           "shell": lambda p: off_shell(H, p, rnd)}
+    patterns = [data.draw(st.sampled_from(["good", "good", "hom", "shell"]),
+                          label="row %d" % i)
+                for i in range(data.draw(st.integers(1, 5), label="rows"))]
+    patterns = [rnd.choice(good) if kind == "good"
+                else bad[kind](rnd.choice(good)) for kind in patterns]
+    k = least + data.draw(st.integers(-1, 2), label="k - least")
+    region = patterns[0].region
+    rows = np.array([list(p.values) for p in patterns], dtype=np.uint8)
+    if op == "path":
+        target = data.draw(targets, label="target")
+        got = row_block(hs.path_extend_rows, region, rows, H, source, target, k)
+        want = per_pattern(pattern_path_extend, patterns, H, source, target, k)
+    elif op == "embed":
+        target = data.draw(targets, label="target")
+        got = row_block(hs.embed_in_marker_rows, region, rows, H, target, k)
+        want = per_pattern(pattern_embed_in_marker, patterns, H, target, k)
+    else:
+        # a few layers of the pool only, so that some rows have no chain
+        cube, pool = hs._ring_layers(H, d)
+        if data.draw(st.booleans(), label="fewer layers"):
+            keep = rnd.sample(range(len(pool)), rnd.randint(1, 3))
+            pool = tuple(pool[i] for i in sorted(keep))
+        with unittest.mock.patch.object(hs, "_ring_layers",
+                                        lambda H, d: (cube, pool)):
+            got = row_block(hs.hat_extend_rows, region, rows, H, k)
+            want = per_pattern(pattern_hat_extend, patterns, H, k)
+    assert got == want
+
+
+def test_row_block_errors_follow_the_per_pattern_order():
+    # which error wins when rows fail in different ways: a row's own
+    # check comes before the length and target checks only for the first
+    # row, and the first failing row decides among rows
+    region = box_F(1, 2)
+    good = hs.checkerboard_set(K3, 0, 1, 1, 2)[0]
+    hom = np.frombuffer(good.values, dtype=np.uint8)
+    zero = np.zeros(len(region), dtype=np.uint8)
+    not_hom = ("input not a homomorphism",)
+    short = ("extension length too short: k = 3 but k >= 4 needed",)
+    cases = [
+        ([zero, hom], (0, 1), 3, not_hom),
+        ([hom, zero], (0, 1), 3, short),
+        ([hom, zero], (1, 1), 4, ("target edge (1, 1) is not an edge of H",)),
+        ([hom, zero], (0, 1), 4, not_hom),
+    ]
+    for rows, target, k, message in cases:
+        with pytest.raises(ValueError) as err:
+            hs.embed_in_marker_rows(K3, region, np.array(rows), target, k)
+        assert err.value.args == message
+    # a row without a chain before a row outside the family, and after it
+    cube, pool = hs._ring_layers(K3, 2)
+    with unittest.mock.patch.object(hs, "_ring_layers",
+                                    lambda H, d: (cube, pool[:1])):
+        ends = {outcome(pattern_hat_extend, K3, p, 4) is NegativeResult: p
+                for p in hs.hat_set(K3, 1, 2)}
+        rows = np.array([list(ends[False].values), list(ends[True].values),
+                         zero], dtype=np.uint8)
+        with pytest.raises(NegativeResult):
+            hs.hat_extend_rows(K3, region, rows, 4)
+        with pytest.raises(ValueError, match="not 2-periodic"):
+            hs.hat_extend_rows(K3, region, rows[[0, 2, 1]], 4)
+        with pytest.raises(ValueError, match="too short"):
+            hs.hat_extend_rows(K3, region, rows[[0, 2, 1]], 3)
+        with pytest.raises(ValueError, match="not 2-periodic"):
+            hs.hat_extend_rows(K3, region, rows[[2, 0, 1]], 3)
+
+
+def test_flexible_fill_reports_the_first_block_outside_the_family():
+    # the row mask checks the blocks before the first misshapen one
+    inside = hs.checkerboard_set(K3, 0, 1, 1, 2)[0]
+    outside = hs.checkerboard_set(K3, 0, 2, 1, 2)[0]
+    K = [(0, 0), (0, 9), (9, 0)]
+    W = {(0, 0): inside, (0, 9): outside, (9, 0): inside}
+    with pytest.raises(ValueError, match=r"block at \(0, 9\) is not in"):
+        hs.flexible_fill(K3, (0, 1), 30, K, W, (0, 1))
+    W[(9, 0)] = hs.checkerboard_set(K3, 0, 1, 2, 2)[0]  # another box
+    with pytest.raises(ValueError, match=r"block at \(0, 9\) is not in"):
+        hs.flexible_fill(K3, (0, 1), 30, K, W, (0, 1))
+    W[(0, 9)] = inside
+    with pytest.raises(ValueError, match="different boxes"):
+        hs.flexible_fill(K3, (0, 1), 30, K, W, (0, 1))
 
 
 # ---------------------------------------------------------------------------
