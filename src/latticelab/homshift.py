@@ -21,7 +21,7 @@ import numpy as np
 
 from . import lattice
 from .lattice import add, box_F, norm_inf, parity, shell_F, sub, unit
-from .util import BudgetCounter, BudgetError, NegativeResult
+from .util import BudgetCounter, NegativeResult
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +192,14 @@ class PatternSet:
     """
 
     def __init__(self, region, patterns, meta=None):
+        values = []
         for p in patterns:
             if p.region != region:
                 raise ValueError("pattern region mismatch")
-        uniq = sorted(set(p.values for p in patterns))
-        rows = np.frombuffer(b"".join(uniq), dtype=np.uint8)
-        self._wrap(region, rows.reshape(len(uniq), len(region)), meta)
+            values.append(p.values)
+        rows = np.frombuffer(b"".join(values), dtype=np.uint8)
+        rows = rows.reshape(len(values), len(region))
+        self._wrap(region, _distinct_rows(rows)[0], meta)
 
     @classmethod
     def view(cls, region, rows, meta=None):
@@ -232,15 +234,15 @@ class PatternSet:
 
 
 def _distinct_rows(cols):
-    """The distinct rows of cols, sorted, and each row's index among them."""
-    order = (np.lexsort(cols.T[::-1]) if cols.shape[1]
-             else np.arange(len(cols)))
-    cols = cols[order]
-    new = np.ones(len(cols), dtype=bool)
-    new[1:] = (cols[1:] != cols[:-1]).any(axis=1)
-    ids = np.empty(len(cols), dtype=np.int64)
-    ids[order] = np.cumsum(new) - 1
-    return cols[new], ids
+    """The distinct rows of a uint8 array, sorted, and each row's index
+    among them.  Each row is one byte string, compared as sort_rows
+    compares them."""
+    width = cols.shape[1]
+    if not width:
+        return cols[:1], np.zeros(len(cols), dtype=np.int64)
+    view = np.ascontiguousarray(cols).view("V%d" % width).ravel()
+    uniq, ids = np.unique(view, return_inverse=True)
+    return uniq.view(np.uint8).reshape(len(uniq), width), ids
 
 
 # Edge checks hom_rows holds at once: rows are checked in chunks of
@@ -308,7 +310,7 @@ def is_hom(H, pattern):
 ENGINE_BLOCK = 1024
 
 
-def _hom_blocks(H, region, root, source, counter, trail=None):
+def _hom_blocks(H, region, root, source, counter):
     """The homomorphisms region -> H that follow source, in canonical order.
 
     Yields uint8 arrays of whole rows (one per homomorphism, one column
@@ -318,8 +320,7 @@ def _hom_blocks(H, region, root, source, counter, trail=None):
     the root's value (== pos) or the row's value at site source[pos] < pos,
     if it is adjacent to the row's values at all earlier neighbours.  Blocks
     go depth first, one pending block per site at most.  Each step ticks
-    one node per row it extends, as the scalar depth-first search did;
-    trail, a list of len(region) slots, gets the last block extended at pos.
+    one node per row it extends, as the scalar depth-first search did.
     """
     m = len(region)
     adj = H.matrix()
@@ -336,8 +337,6 @@ def _hom_blocks(H, region, root, source, counter, trail=None):
             stack.append((pos, rows[ENGINE_BLOCK:]))
             rows = rows[:ENGINE_BLOCK]
         counter.tick(len(rows))
-        if trail is not None:
-            trail[pos] = rows
         prev = earlier[pos]
         if source[pos] < 0:
             if prev:
@@ -399,40 +398,6 @@ def count_hom_dfs(H, region, boundary=None, budget=None):
     """Count homomorphisms without materializing them."""
     return sum(len(rows) for rows in _hom_blocks(
         H, region, *_check_boundary(H, region, boundary), BudgetCounter(budget)))
-
-
-def first_hom(H, region, fixed, counter):
-    """The least completion of fixed to a homomorphism region -> H, as
-    bytes, or None when there is none.
-
-    The counter is charged what a scalar depth-first search charges when
-    it stops at its first hit: every prefix that comes before the hit in
-    depth-first order.  The engine extends whole blocks, so it may look
-    at up to one block per site past the hit; those rows are taken off
-    again, and the search runs at most that much past the budget.
-    """
-    m = len(region)
-    slack = m * ENGINE_BLOCK
-    tally = BudgetCounter(counter.budget - counter.nodes + slack)
-    trail = [None] * m
-    try:
-        hit = next(_hom_blocks(H, region, *_check_boundary(H, region, fixed),
-                               tally, trail), None)
-    except BudgetError:
-        counter.tick(tally.nodes - slack)
-        raise
-    if hit is None:
-        counter.tick(tally.nodes)
-        return None
-    hit = hit[0]
-    past = 0
-    for pos, rows in enumerate(trail):
-        # rows is sorted and holds hit[:pos] once; the rows after it
-        # come after the hit in depth-first order
-        at = np.flatnonzero((rows[:, :pos] == hit[:pos]).all(axis=1))[0]
-        past += len(rows) - 1 - at
-    counter.tick(tally.nodes - past)
-    return hit.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -510,6 +510,30 @@ def test_enumerate_writes_its_file_in_bounded_memory(tmp_path):
     assert peak_kb <= 80 * 1024
 
 
+@pytest.mark.parametrize("M, n", [(3, 3), (12, 12), (20, 20)])
+def test_verify_ufp_certifies_thin_margins_in_bounded_time(tmp_path, M, n):
+    # the height interval decides these windows; a search over the free
+    # annulus ran out of budget at --M 3 and held gigabytes at --M 12
+    out = tmp_path / "ufp.jsonl"
+    start = time.perf_counter()
+    rc, peak_kb = _child_run("verify", "ufp", "--M", str(M), "--n", str(n),
+                             "--out", str(out))
+    assert time.perf_counter() - start < 2
+    assert rc == 1
+    assert peak_kb <= 100 * 1024
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r.get("role") for r in records] == ["center", "ring", None]
+    assert records[2]["check"] == "ufp" and records[2]["ok"] is False
+
+
+def test_verify_ufp_glues_a_wide_window_in_bounded_time():
+    start = time.perf_counter()
+    rc, peak_kb = _child_run("verify", "ufp", "--M", "40", "--n", "20")
+    assert time.perf_counter() - start < 2
+    assert rc == 0
+    assert peak_kb <= 200 * 1024
+
+
 # ---------------------------------------------------------------------------
 # extend on pipeline-shaped files: bytes and errors pinned, and the time
 # of one file through the row-block ops

@@ -8,13 +8,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from latticelab import homshift, lattice
+from latticelab import height as ht, homshift, lattice
 from latticelab.lattice import Region, box_F, rectangle, norm_1, parity
 from latticelab.homshift import (Pattern, PatternSet, complete_graph,
-                                 full_shift_graph, enumerate_hom, is_hom,
+                                 count_hom_dfs, full_shift_graph,
+                                 enumerate_hom, is_hom,
                                  pattern_set_from_jsonl)
 from latticelab.height import (HeightField, height_cocycle, lift_rows,
                                lipschitz_check, lipschitz_rows,
@@ -223,6 +224,61 @@ def test_ufp_refuted_at_thin_margin():
     fixed = x.mapping()
     fixed.update(y.mapping())
     assert len(enumerate_hom(K3, box_F(5, 2), boundary=fixed)) == 0
+
+
+def loop_glue(H, box, x, y):
+    """The striped-center / checker-ring gluing by plain loops over site
+    pairs: the shift interval from every center and ring pair, then the
+    max over anchors at every box site.  None when no shift in 6Z fits."""
+    anchors = {s: sum(s) for s in x.region}
+    ring_parity = {s: parity(s) for s in y.region}
+    lo = None
+    hi = None
+    for u, hu in anchors.items():
+        for v, pv in ring_parity.items():
+            dist = norm_1(lattice.sub(u, v))
+            lo = hu - pv - dist if lo is None else max(lo, hu - pv - dist)
+            hi = hu - pv + dist if hi is None else min(hi, hu - pv + dist)
+    shift = 6 * (-((-lo) // 6))
+    if shift > hi:
+        return None
+    for v, pv in ring_parity.items():
+        anchors[v] = pv + shift
+    items = list(anchors.items())
+    values = bytearray(len(box))
+    for pos, w in enumerate(box.sites):
+        h = max(ha - norm_1(lattice.sub(w, a)) for a, ha in items)
+        values[pos] = h % 3
+    return Pattern(box, bytes(values))
+
+
+# Boxes up to this radius: on wider ones the search below runs out of its
+# budget anyway, after holding hundreds of MB of pending rows.
+SEARCH_RADIUS = 8
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 8), st.integers(1, 7))
+@example(1, 1, 3)
+@example(1, 3, 3)
+@example(2, 4, 2)
+def test_targeted_window_check_matches_its_oracles(buffer, M, n):
+    box, inner, ring = ht._window_regions(M, n, buffer, 2)
+    x, y = striped_coloring(inner), checker_coloring(ring)
+    want = loop_glue(K3, box, x, y)
+    glued = ht._lipschitz_glue(K3, box, x, y)
+    assert (glued is None) == (want is None)
+    hit = ufp_window_check(K3, M, n, buffer)
+    if want is not None:
+        assert glued.values == want.values and hit is None
+        return
+    assert hit[0] == x and hit[1] == y
+    if n + M + buffer <= SEARCH_RADIUS:
+        fixed = {**x.mapping(), **y.mapping()}
+        try:
+            assert count_hom_dfs(K3, box, fixed, budget=3 * 10 ** 6) == 0
+        except BudgetError:
+            pass
 
 
 def test_ufp_ok_at_wide_margin():

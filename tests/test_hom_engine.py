@@ -34,10 +34,9 @@ class _Stop(Exception):
     pass
 
 
-def scalar_dfs(H, region, fixed, first=False, ties=None):
-    """(rows, nodes) of the scalar search; with first, it stops at its
-    first row.  ties maps a site to an earlier site whose value it takes.
-    None past MAX_NODES nodes."""
+def scalar_dfs(H, region, fixed, ties=None):
+    """(rows, nodes) of the scalar search.  ties maps a site to an earlier
+    site whose value it takes.  None past MAX_NODES nodes."""
     sites = region.sites
     m = len(sites)
     if m == 0:
@@ -53,8 +52,6 @@ def scalar_dfs(H, region, fixed, first=False, ties=None):
     def rec(pos):
         if pos == m:
             rows.append(bytes(values))
-            if first:
-                raise _Stop
             return
         nodes[0] += 1
         if nodes[0] > MAX_NODES:
@@ -69,8 +66,7 @@ def scalar_dfs(H, region, fixed, first=False, ties=None):
     try:
         rec(0)
     except _Stop:
-        if nodes[0] > MAX_NODES:
-            return None
+        return None
     return rows, nodes[0]
 
 
@@ -152,38 +148,6 @@ def test_engine_matches_scalar_search(case):
             hs.count_hom_dfs(H, region, fixed, budget=nodes - 1)
 
 
-@settings(max_examples=300, deadline=None)
-@given(instances())
-@example((hs.complete_graph(3), box_F(1, 2), {(1, 1): 2}))
-def test_first_hom_charges_the_scalar_nodes(case):
-    H, region, fixed = case
-    oracle = scalar_dfs(H, region, fixed, first=True)
-    assume(oracle is not None)
-    rows, nodes = oracle
-    counter = BudgetCounter(10 ** 9)
-    hit = hs.first_hom(H, region, fixed, counter)
-    assert hit == (rows[0] if rows else None)
-    assert counter.nodes == nodes
-    if nodes:
-        with pytest.raises(BudgetError):
-            hs.first_hom(H, region, fixed, BudgetCounter(nodes - 1))
-    assert hs.first_hom(H, region, fixed, BudgetCounter(nodes)) == hit
-
-
-def test_first_hom_charges_the_scalar_nodes_across_blocks():
-    # F_2 has far more prefixes per site than one block: the hit comes
-    # out of the first block, and the rest of each block is taken off
-    H = hs.complete_graph(3)
-    region = box_F(2, 2)
-    fixed = {(2, 2): 1, (0, 0): 2}
-    rows, nodes = scalar_dfs(H, region, fixed, first=True)
-    counter = BudgetCounter(10 ** 9)
-    assert hs.first_hom(H, region, fixed, counter) == rows[0]
-    assert counter.nodes == nodes
-    with pytest.raises(BudgetError):
-        hs.first_hom(H, region, fixed, BudgetCounter(nodes - 1))
-
-
 def test_engine_blocks_stay_bounded_and_in_order():
     # F_2 needs many blocks per site: they must still come out in order,
     # and no block may grow past one step's children
@@ -263,7 +227,7 @@ def test_hat_set_counts_the_nodes_of_one_search():
 
 
 def window_by_pairs(H, box, inner, ring, everything):
-    """The exhaustive window check as one first-hit search per (center,
+    """The exhaustive window check as one counting search per (center,
     ring) pair of restrictions of the box's homomorphisms, in sorted
     order; None when there are too many pairs to try."""
     centers = sorted({p.restrict(inner).values for p in everything})
@@ -274,7 +238,7 @@ def window_by_pairs(H, box, inner, ring, everything):
         for yv in rings:
             fixed = dict(zip(inner.sites, xv))
             fixed.update(zip(ring.sites, yv))
-            if hs.first_hom(H, box, fixed, BudgetCounter(10 ** 9)) is None:
+            if hs.count_hom_dfs(H, box, fixed, budget=10 ** 9) == 0:
                 return xv, yv
     return "glues"
 
@@ -321,6 +285,22 @@ def test_pattern_set_is_a_read_only_view():
 def test_pattern_set_of_a_zero_site_region():
     ps = hs.enumerate_hom(hs.complete_graph(3), Region([]))
     assert len(ps) == 1 and [p.values for p in ps] == [b""]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda m: st.tuples(st.just(m), st.lists(
+    st.binary(min_size=m, max_size=m), max_size=30))))
+def test_distinct_rows_are_the_sorted_set(case):
+    # bytes sort unsigned, and a zero-site region has one pattern at most
+    m, rows = case
+    cols = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), m)
+    uniq, ids = hs._distinct_rows(cols)
+    want = sorted(set(rows))
+    assert [r.tobytes() for r in uniq] == want
+    assert [want[i] for i in ids] == rows
+    region = Region([(i,) for i in range(m)])
+    ps = hs.PatternSet(region, [hs.Pattern(region, r) for r in rows])
+    assert [p.values for p in ps] == want
 
 
 # ---------------------------------------------------------------------------
