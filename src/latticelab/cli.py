@@ -12,6 +12,7 @@ byte-identical output regardless of the worker count.
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
@@ -20,7 +21,7 @@ from . import height as height_mod
 from . import homshift
 from . import lattice
 from . import tiling as tiling_mod
-from .util import BudgetError, NegativeResult, canonical_json
+from .util import BudgetCounter, BudgetError, NegativeResult, canonical_json
 
 EXIT_OK = 0
 
@@ -274,7 +275,8 @@ def cmd_count(args):
         dims = _parse_dims(args.dims)
         if len(dims) != 2:
             raise ValueError("dimers need two dims, got %r" % (args.dims,))
-        value = entropy_mod.count_dimer_tilings_kasteleyn(dims[0], dims[1])
+        value = entropy_mod.count_dimer_tilings_kasteleyn(
+            dims[0], dims[1], BudgetCounter(args.budget))
         params = {"what": "dimers", "dims": list(dims)}
     params["count"] = value
     _emit(args, _record(args, params))
@@ -285,9 +287,11 @@ def cmd_entropy(args):
     lines = ["# seed=%d" % args.seed]
     if args.what == "dimers":
         lines.append("m,n,count")
+        counter = BudgetCounter(args.budget)  # one budget for the table
         for m in range(1, args.max + 1):
             for n in range(m, args.max + 1):
-                count = entropy_mod.count_dimer_tilings_kasteleyn(m, n)
+                count = entropy_mod.count_dimer_tilings_kasteleyn(m, n,
+                                                                  counter)
                 with _all_digits():
                     lines.append("%d,%d,%d" % (m, n, count))
     elif args.what == "strips":
@@ -561,8 +565,16 @@ def build_parser():
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The parser main uses, built on its first call: argparse makes a
+    help formatter, which reads the terminal size, for each argument, so
+    one parser serves every call in a process."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except Exception as exc:

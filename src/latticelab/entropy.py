@@ -2,27 +2,39 @@
 
 Transfer operators over valid column states give exact integer counts for
 two-dimensional boxes and tori and numerical per-site entropies for strips.
-An operator keeps its states as a uint8 array and its transitions as
-sparse neighbour lists, the only form of the transfer matrix, so the cost
-follows the number of compatible column pairs.  strip_entropy's power
-iteration runs on it in float64.  Counts run in machine words, on
-arithmetic picked by a bound proved before anything is computed: T is a
-0/1 matrix with at most D ones a row, so an entry of T^j is at most D**j,
-trace(T^L) at most S * D**L and a strip count at most S * D**(L - 1).
+An operator keeps its states as a uint8 array; its transitions are sparse
+neighbour lists, built only when asked for, so the cost follows the number
+of compatible column pairs built.  strip_entropy's power iteration runs on
+the full lists in float64.
+
+Counts run on the orbits of a group G of symmetries of the transfer matrix
+T: the reflections (and, for a periodic column, rotations) of a column,
+times the automorphisms of H.  The orbits form an equitable partition of
+T's graph (Godsil & Royle, "Algebraic Graph Theory", 2001), so with
+B[i, j] the number of neighbours that orbit i's representative has in
+orbit j and P the orbit indicator matrix, T P = P B: a strip count is
+|O|' B^L 1, |O| the orbit sizes, and is taken on B alone, built from the
+representatives' own neighbours.  A diagonal entry of T^L is the same
+across an orbit, so trace(T^L) is sum_r |O_r| (T^a e_r).(T^b e_r) over the
+representatives r, a + b = L, on the full lists.
+
+Counts are exact in machine words, on arithmetic picked by a bound proved
+before anything is computed: T is a 0/1 matrix with at most D ones a row
+(so B's rows sum to at most D), so an entry of T^j X or B^j 1 is at most
+D**j, trace(T^L) at most S * D**L and a strip count at most
+S * D**(L - 1).
 
 - a count whose bound is below 2**63 runs in int64 throughout;
 - a larger one is summed modulo primes below 2**31, as many as make a
-  product past the bound, and rebuilt by the Chinese remainder theorem.
-  The powers it sums are exact: dense float64 matrix powers for a trace
-  on at most _DENSE_MAX_STATES states whose entries stay below 2**53
-  (float64 is exact there; the dense matrix is built from the neighbour
-  lists inside the count), else sparse int64 products while entries
-  stay below 2**63, else products modulo the same primes.
+  product past the bound, and rebuilt by the Chinese remainder theorem;
+  the powers it sums are sparse int64 products while entries stay below
+  2**63, else products modulo the same primes.
 
 Domino counts come from the Kasteleyn / Temperley-Fisher double product,
 taken exactly as an integer resultant by a subresultant remainder
-sequence; count_dimer_tilings_dp counts the same rectangles with the
-tiling frontier DP.
+sequence, charged to a search budget before it runs;
+count_dimer_tilings_dp counts the same rectangles with the tiling frontier
+DP.
 """
 
 import functools
@@ -34,13 +46,13 @@ import numpy as np
 from .lattice import box_F, rectangle
 from .homshift import count_hom_dfs, hat_set, marker_set
 from .tiling import count_tilings, dominoes
+from .util import BudgetCounter
 
 MAX_TRANSFER_STATES = 200_000
 MAX_TRANSFER_PAIRS = 1 << 25  # compatible column pairs built at once
 GATHER_LIMIT = 1 << 20  # entries gathered at once by a sparse product
+AUT_MAX_NODES = 100_000  # vertex assignments tried by the Aut(H) search
 _WORD_LIMIT = 1 << 63  # exact counts below this bound run in int64
-_FLOAT_EXACT_LIMIT = 1 << 53  # float64 holds every integer below this
-_DENSE_MAX_STATES = 5_000  # dense float64 powers: at most 200 MB a matrix
 POWER_TOL = 1e-12  # relative change that ends strip_entropy's iteration
 POWER_MAX_ITER = 100_000
 
@@ -62,62 +74,253 @@ def _segments(counts):
     return owner, np.arange(len(owner)) - first[owner]
 
 
-def _compatible_columns(H, width, steps):
-    """The free columns of the given width, as an S x w uint8 array in
-    lexicographic order, and every compatible pair of them, as two index
-    arrays (left, right); steps is the table built by TransferOperator.
+def _lists(lists):
+    """Lists of ints as (count, start, flat) intp arrays."""
+    count = np.array([len(x) for x in lists], dtype=np.intp)
+    flat = np.array([v for x in lists for v in x], dtype=np.intp)
+    return count, np.cumsum(count) - count, flat
 
-    Both are grown one row at a time: a prefix pair extends by every pair
-    of neighbour slots whose values are adjacent, so the work follows the
-    number of compatible pairs, not S**2.
+
+class _Columns:
+    """The free columns of width w over H (the walks of w - 1 steps), in
+    lexicographic order, with what it takes to find a column's index.
+
+    A column of length t + 1 extends one of length t by each neighbour of
+    its last value in increasing order, so the extensions of the column at
+    index i of length t are the columns from starts[t - 1][i] on, and a
+    column's index is read off its values one row at a time: see index.
+    slot[u, v] is the rank of v among the neighbours of u.
     """
-    q = H.n
-    deg = np.array([len(nbrs) for nbrs in H.adj], dtype=np.intp)
-    nbr = np.array([v for nbrs in H.adj for v in nbrs], dtype=np.intp)
-    nbr_start = np.cumsum(deg) - deg
-    step_count = np.array([len(s) for s in steps], dtype=np.intp)
-    step_start = np.cumsum(step_count) - step_count
-    step_i = np.array([i for s in steps for i, _ in s], dtype=np.intp)
-    step_j = np.array([j for s in steps for _, j in s], dtype=np.intp)
 
-    # Prefixes of length 1 are the vertices, and compatible prefix
-    # pairs are the edges; prefix indices follow lexicographic order.
-    columns = np.arange(q, dtype=np.uint8)[:, None]
-    left = np.repeat(np.arange(q), deg)
-    right = nbr.copy()
-    for _ in range(width - 1):
-        last = columns[:, -1].astype(np.intp)
-        children = deg[last]
-        child_start = np.cumsum(children) - children
-        owner, slot = _segments(children)
-        columns = np.hstack([columns[owner],
-                             nbr[nbr_start[last[owner]] + slot]
-                             .astype(np.uint8)[:, None]])
-        kind = last[left] * q + last[right]
-        owner, slot = _segments(step_count[kind])
-        pick = step_start[kind[owner]] + slot
-        left, right = (child_start[left[owner]] + step_i[pick],
-                       child_start[right[owner]] + step_j[pick])
-    return columns, left, right
+    def __init__(self, H, width):
+        q = H.n
+        self.nbr = _lists(H.adj)
+        self.slot = np.zeros((q, q), dtype=np.intp)
+        for u, nbrs in enumerate(H.adj):
+            self.slot[u, list(nbrs)] = np.arange(len(nbrs))
+        # the values v adjacent to both x and y, at x * q + y, and the
+        # rank of each v among the neighbours of y
+        self.common = _lists([[v for v in H.adj[x] if H.has_edge(v, y)]
+                              for x in range(q) for y in range(q)])
+        self.common_slot = self.slot[
+            np.repeat(np.arange(q * q) % q, self.common[0]), self.common[2]]
+        deg, nbr_start, nbr = self.nbr
+        columns = np.arange(q, dtype=np.uint8)[:, None]
+        self.starts = []
+        for _ in range(width - 1):
+            last = columns[:, -1].astype(np.intp)
+            children = deg[last]
+            self.starts.append(np.cumsum(children) - children)
+            owner, slot = _segments(children)
+            columns = np.hstack([columns[owner],
+                                 nbr[nbr_start[last[owner]] + slot]
+                                 .astype(np.uint8)[:, None]])
+        self.rows = columns
+
+    def index(self, rows):
+        """The index among the free columns of each row, a walk in H."""
+        index = rows[:, 0].astype(np.intp)
+        for t, start in enumerate(self.starts):
+            index = start[index] + self.slot[rows[:, t], rows[:, t + 1]]
+        return index
+
+
+def _compatible_columns(columns, lefts):
+    """For each row of lefts, a free column of the width of columns, the
+    free columns that may sit beside it: two index arrays (owner, right),
+    owner the row of lefts and right the index among columns.rows, sorted
+    by owner and then by right.
+
+    The right columns are grown one row at a time: a prefix extends by
+    each value adjacent both to the left column's value in that row and to
+    its own last value, in increasing order, so the work follows the
+    number of compatible pairs, and the pairs come out sorted.
+    """
+    q = len(columns.slot)
+    deg, nbr_start, nbr = columns.nbr
+    count, start, flat = columns.common
+    lefts = lefts.T.astype(np.intp)
+    owner, slot = _segments(deg[lefts[0]])
+    value = nbr[nbr_start[lefts[0][owner]] + slot]
+    right = value
+    for t, child_start in enumerate(columns.starts, 1):
+        kind = lefts[t][owner] * q + value
+        pick, slot = _segments(count[kind])
+        entry = start[kind[pick]] + slot
+        right = child_start[right[pick]] + columns.common_slot[entry]
+        owner, value = owner[pick], flat[entry]
+    return owner, right
+
+
+@functools.lru_cache(maxsize=64)
+def _aut_generators(q, matrix, cap):
+    """Generators of the automorphism group of the q-vertex graph with the
+    given boolean adjacency matrix (its bytes), along a stabiliser chain.
+
+    For each vertex i, with G_i the automorphisms that fix 0 .. i - 1, one
+    automorphism in G_i mapping i to w is kept for each w that the ones
+    kept at i do not already reach from i.  It is found by backtracking:
+    vertices in increasing order, each image checked against the matrix
+    rows of the vertices before it, loops included.  The ones kept at i
+    reach the whole G_i-orbit of i, so by induction down the chain they
+    generate Aut(H): at most q - 1 - i of them at i, fewer than q**2.
+
+    A search that tries more than cap vertex images in all (the operator
+    passes AUT_MAX_NODES, 100 000) stops and returns no generators, the
+    trivial group: a smaller group only splits orbits, so every count
+    stays the same.
+    """
+    adj = np.frombuffer(matrix, dtype=bool).reshape(q, q).tolist()
+    degree = [sum(row) for row in adj]
+    tried = 0
+
+    def extend(i, target):
+        """An automorphism fixing 0 .. i - 1 and mapping i to target, or
+        None."""
+        nonlocal tried
+        image, used = list(range(i)), set(range(i))
+        pending = [iter((target,))]  # the untried images of each open vertex
+        while len(image) < q:
+            v = len(image)
+            for w in pending[-1]:
+                if w in used or degree[w] != degree[v]:
+                    continue
+                tried += 1
+                if tried > cap:
+                    return None
+                if all(adj[v][u] == adj[w][image[u]] for u in range(v)) \
+                        and adj[v][v] == adj[w][w]:
+                    image.append(w)
+                    used.add(w)
+                    pending.append(iter(range(q)))
+                    break
+            else:
+                pending.pop()
+                if len(image) == i:
+                    return None
+                used.discard(image.pop())
+        return tuple(image)
+
+    gens = []
+    for i in range(q):
+        kept = []
+        reach = {i}
+        for w in range(i + 1, q):
+            if w in reach:
+                continue
+            perm = extend(i, w)
+            if tried > cap:
+                return ()
+            if perm is not None:
+                kept.append(perm)
+                reach = _orbit_of(i, kept)
+        gens += kept
+    return tuple(gens)
+
+
+def _orbit_of(v, perms):
+    """The points reached from v by the permutations."""
+    reach, todo = {v}, [v]
+    while todo:
+        x = todo.pop()
+        for perm in perms:
+            if perm[x] not in reach:
+                reach.add(perm[x])
+                todo.append(perm[x])
+    return reach
+
+
+def _components(size, images):
+    """For each of size nodes, the least node of its connected component in
+    the graph with an edge i -- image[i] for each array in images.
+
+    Union-find on arrays: every node points at the root of its tree, the
+    least node in it.  Each round hooks the larger root of every edge that
+    joins two trees onto the smallest root it is joined to, then points
+    every node at its new root by pointer jumping; it ends when no edge
+    joins two trees."""
+    parent = np.arange(size)
+    u = np.tile(parent, len(images))
+    v = np.concatenate(images) if images else parent[:0]
+    while True:
+        pu, pv = parent[u], parent[v]
+        join = pu != pv
+        if not join.any():
+            return parent
+        u, v, pu, pv = u[join], v[join], pu[join], pv[join]
+        np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+
+
+class _Sparse:
+    """A nonnegative integer matrix as CSR arrays: row i holds data[k] (1
+    when data is None) at column indices[k], for k in indptr[i] .. the
+    next; degree is the largest row sum."""
+
+    def __init__(self, counts, indices, degree, data=None):
+        self.indptr = np.concatenate(([0], np.cumsum(counts)))
+        self.indices = indices
+        self.data = data
+        self.degree = degree
+        self._nonempty = counts > 0
+
+    def product(self, x):
+        """self @ x, gathering at most GATHER_LIMIT entries of x at once (a
+        row with more entries than that is gathered alone).
+
+        Rows without entries are left at 0: np.add.reduceat would give
+        them the next row's first term.
+        """
+        out = np.zeros_like(x)
+        step = max(1, GATHER_LIMIT // max(1, x[0].size))
+        lo = 0
+        while lo < len(out):
+            first = self.indptr[lo]
+            hi = max(lo + 1, int(np.searchsorted(self.indptr, first + step,
+                                                 "right")) - 1)
+            last = self.indptr[hi]
+            terms = x[self.indices[first:last]]
+            if self.data is not None:
+                terms *= self.data[first:last].reshape(
+                    (-1,) + (1,) * (x.ndim - 1))
+            rows = self._nonempty[lo:hi]
+            out[lo:hi][rows] = np.add.reduceat(
+                terms, self.indptr[lo:hi][rows] - first, axis=0)
+            lo = hi
+        return out
 
 
 class TransferOperator:
-    """Column-to-column transfer matrix of a width-w strip, stored sparse.
+    """Column-to-column transfer matrix T of a width-w strip.
 
     States are the valid single-column colorings (a path for free vertical
     boundary, a cycle for periodic), kept in lexicographic order as the
     rows of the S x w uint8 array `states`.  Two columns are neighbours
-    when they may sit side by side; the neighbour lists are stored as CSR
-    arrays `indptr` and `indices`.  The free columns and their compatible
+    when they may sit side by side.  The free columns and their compatible
     pairs, which are built before the periodic ones are filtered out, are
     counted as walks and checked against MAX_TRANSFER_STATES and
-    MAX_TRANSFER_PAIRS before anything is built.  Products are gathers and
-    segment sums over the lists, at most GATHER_LIMIT entries at once.
-    count_strip and trace_power are exact in machine words: with D the
-    largest number of neighbours, a count over L steps is at most
-    S * D**L and an entry of T^j at most D**j, and these bounds pick
-    int64 (below 2**63), dense float64 powers (a trace on at most
-    _DENSE_MAX_STATES states, entries below 2**53) or residues modulo
+    MAX_TRANSFER_PAIRS before anything is built.
+
+    Two forms of T are built when first asked for:
+
+    - the full neighbour lists, as CSR arrays `indptr` and `indices`, for
+      apply (and so strip_entropy) and trace_power;
+    - the lumped matrix B on the orbits of G, the column's reflection (and
+      rotations, for a periodic column) times Aut(H): B[i, j] is the
+      number of neighbours that orbit i's representative, its least
+      state, has in orbit j, built from the representatives' neighbour
+      lists alone, for count_strip.  The orbits are the components of the
+      graph joining each state to its images under G's generators.
+
+    Products are gathers and segment sums over the lists, at most
+    GATHER_LIMIT entries at once.  count_strip and trace_power are exact
+    in machine words: with D the largest number of neighbours, a count
+    over L steps is at most S * D**L and an entry of T^j or B^j 1 at most
+    D**j, and these bounds pick int64 (below 2**63) or residues modulo
     primes below 2**31 rebuilt by the CRT; see _exact_sum.
     """
 
@@ -134,16 +337,11 @@ class TransferOperator:
         if states > MAX_TRANSFER_STATES:
             raise ValueError("transfer state space too large: %d states"
                              % states)
-        # For each pair x ~ y of row values, at x * q + y, the pairs (i, j)
-        # of neighbour slots with H.adj[x][i] ~ H.adj[y][j]: the ways two
-        # compatible columns ending in x and y extend by one compatible row.
-        # Compatible column pairs are the walks on this undirected graph.
-        steps = [[(i, j) for i, u in enumerate(H.adj[x])
-                  for j, v in enumerate(H.adj[y]) if H.has_edge(u, v)]
-                 if H.has_edge(x, y) else []
-                 for x in range(q) for y in range(q)]
-        pair_nbrs = [[H.adj[x][i] * q + H.adj[y][j]
-                      for i, j in steps[x * q + y]]
+        # Compatible column pairs are the walks on the undirected graph of
+        # adjacent pairs (x, y) of row values, x * q + y, where (x, y) ~
+        # (u, v) when u ~ x, v ~ y and u ~ v.
+        pair_nbrs = [[u * q + v for u in H.adj[x] for v in H.adj[y]
+                      if H.has_edge(u, v)] if H.has_edge(x, y) else []
                      for x in range(q) for y in range(q)]
         pairs = _walk_total(pair_nbrs, [int(H.has_edge(x, y))
                                         for x in range(q) for y in range(q)],
@@ -151,23 +349,19 @@ class TransferOperator:
         if pairs > MAX_TRANSFER_PAIRS:
             raise ValueError("transfer state space too large: %d compatible "
                              "column pairs" % pairs)
-        columns, left, right = _compatible_columns(H, width, steps)
+        self._columns = _Columns(H, width)
+        columns = self._columns.rows
+        # the index among the states of each free column, -1 for one that
+        # is not a state
+        self._state_of = np.arange(len(columns))
         if boundary == "periodic":
             keep = H.matrix()[columns[:, -1], columns[:, 0]]
-            renumber = np.cumsum(keep) - 1
-            both = keep[left] & keep[right]
+            self._state_of = np.where(keep, np.cumsum(keep) - 1, -1)
             columns = columns[keep]
-            left, right = renumber[left[both]], renumber[right[both]]
         if not len(columns):
             raise ValueError("no valid column states for width %d (%s)"
                              % (width, boundary))
-        order = np.lexsort((right, left))
         self.states = columns
-        self.indices = right[order]
-        self.indptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(left, minlength=len(columns)))))
-        self._nonempty = self.indptr[:-1] < self.indptr[1:]
-        self._degree = int(np.diff(self.indptr).max())
 
     def size(self):
         return len(self.states)
@@ -176,6 +370,61 @@ class TransferOperator:
     def state_values(self):
         """The states as value tuples, in lexicographic order."""
         return [tuple(s) for s in self.states.tolist()]
+
+    def _neighbours(self, rows):
+        """The compatible states of each row of rows, a state: two index
+        arrays (owner, state), sorted by owner and then by state."""
+        owner, right = _compatible_columns(self._columns, rows)
+        right = self._state_of[right]
+        keep = right >= 0
+        return owner[keep], right[keep]
+
+    @functools.cached_property
+    def _full(self):
+        owner, right = self._neighbours(self.states)
+        counts = np.bincount(owner, minlength=self.size())
+        return _Sparse(counts, right, int(counts.max()))
+
+    @property
+    def indptr(self):
+        return self._full.indptr
+
+    @property
+    def indices(self):
+        return self._full.indices
+
+    @functools.cached_property
+    def _orbits(self):
+        """(reps, sizes, orbit): the least state of each G-orbit, in
+        increasing order, the orbit sizes, and the orbit of each state."""
+        states = self.states
+        maps = [states[:, ::-1]]
+        if self.boundary == "periodic":
+            maps.append(np.roll(states, 1, axis=1))
+        maps += [perm[states] for perm in self._automorphisms()]
+        images = [self._state_of[self._columns.index(m)] for m in maps]
+        root = _components(self.size(), images)
+        reps = np.flatnonzero(root == np.arange(self.size()))
+        orbit = np.searchsorted(reps, root)
+        return reps, np.bincount(orbit), orbit
+
+    def _automorphisms(self):
+        """Generators of Aut(H), as rows of a uint8 array; see
+        _aut_generators."""
+        gens = _aut_generators(self.H.n, self.H.matrix().tobytes(),
+                               AUT_MAX_NODES)
+        return np.array(gens, dtype=np.uint8).reshape(len(gens), self.H.n)
+
+    @functools.cached_property
+    def _lumped(self):
+        """B, with the orbits numbered as in _orbits."""
+        reps, _, orbit = self._orbits
+        owner, right = self._neighbours(self.states[reps])
+        k = len(reps)
+        pairs, data = np.unique(owner * k + orbit[right], return_counts=True)
+        degree = int(np.bincount(owner, minlength=k).max())
+        return _Sparse(np.bincount(pairs // k, minlength=k), pairs % k,
+                       degree, data)
 
     def apply(self, vec):
         """The product T @ vec, for a vector or a matrix: float64 for a
@@ -187,34 +436,14 @@ class TransferOperator:
         raises ValueError.
         """
         vec = np.asarray(vec)
+        full = self._full
         if vec.dtype != np.float64:
             top = max(int(vec.max()), -int(vec.min())) if vec.size else 0
-            if self._degree * top >= _WORD_LIMIT:
+            if full.degree * top >= _WORD_LIMIT:
                 raise ValueError("apply: %d neighbours times an entry of %d "
-                                 "may not fit in int64" % (self._degree, top))
+                                 "may not fit in int64" % (full.degree, top))
             vec = vec.astype(np.int64)
-        return self._product(vec)
-
-    def _product(self, x):
-        """T @ x, gathering at most GATHER_LIMIT entries of x at once (a
-        row with more neighbours than that is gathered alone).
-
-        Rows without neighbours are left at 0: np.add.reduceat would give
-        them the next row's first term.
-        """
-        out = np.zeros_like(x)
-        step = max(1, GATHER_LIMIT // max(1, x[0].size))
-        lo = 0
-        while lo < len(x):
-            first = self.indptr[lo]
-            hi = max(lo + 1, int(np.searchsorted(self.indptr, first + step,
-                                                 "right")) - 1)
-            rows = self._nonempty[lo:hi]
-            out[lo:hi][rows] = np.add.reduceat(
-                x[self.indices[first:self.indptr[hi]]],
-                self.indptr[lo:hi][rows] - first, axis=0)
-            lo = hi
-        return out
+        return full.product(vec)
 
     def count_strip(self, length):
         """Number of colorings of the width x length strip."""
@@ -229,40 +458,42 @@ class TransferOperator:
         return self._exact_sum(length, trace=True)
 
     def _exact_sum(self, steps, trace):
-        """The sum of the entries of (T^a X) * (T^b X), a = steps // 2 and
-        b = steps - a, with X the identity (trace) or a column of ones.
+        """trace(T^steps) or 1' T^steps 1, as a sum over the orbits of the
+        products (M^a X) * (M^b X) * W, a = steps // 2 and b = steps - a:
 
-        T is symmetric, so this is trace(T^steps) or 1' T^steps 1.  T is
-        a 0/1 matrix with at most D ones a row and every term is
-        nonnegative, so no entry of T^j X, nor any partial sum of one,
-        exceeds D**j, and no partial sum of the result exceeds
-        bound = S * D**steps.  These bounds pick the arithmetic:
+        - for the trace, M = T, X the columns e_r of the representatives
+          and W their orbit sizes: a diagonal entry of T^steps is
+          (T^a e_r).(T^b e_r), T being symmetric, and the same on the
+          whole orbit of r;
+        - for a strip, M = B, X a column of ones and W the orbit sizes:
+          1' T^steps 1 = |O|' B^steps 1, and |O_i| B[i, j] = |O_j| B[j, i]
+          (both count the pairs between orbits i and j), so
+          |O|' B^(a+b) 1 = sum_i |O_i| (B^a 1)_i (B^b 1)_i.
 
-        - the powers: for the trace, when bound >= 2**63,
-          S <= _DENSE_MAX_STATES and D**b < 2**53, dense float64 matrix
-          products, exact below 2**53; otherwise sparse products, in int64
-          when D**b < 2**63 and else modulo the primes below;
+        Every term is nonnegative, no entry of M^j X, nor any partial sum
+        of one, exceeds D**j (B's rows sum to at most D), and no term or
+        partial sum of the result exceeds bound = S * D**steps.  These
+        bounds pick the arithmetic:
+
+        - the powers: sparse products in int64 when D**b < 2**63, and else
+          modulo the primes below;
         - the sum: in int64 when bound < 2**63; otherwise modulo primes
           p < 2**31 (so that a product of two residues fits in int64),
           as many as make a product past the bound, and rebuilt from its
           residues by the Chinese remainder theorem.
         """
-        size = self.size()
+        matrix = self._full if trace else self._lumped
         a, b = steps // 2, steps - steps // 2
-        bound = size * self._degree ** steps
+        bound = self.size() * matrix.degree ** steps
         primes = _primes_past(bound) if bound >= _WORD_LIMIT else ()
-        top = self._degree ** b
-        if (trace and primes and size <= _DENSE_MAX_STATES
-                and top < _FLOAT_EXACT_LIMIT):
-            pairs = self._dense_powers(a, b)
-        else:
-            pairs = self._sparse_powers(a, b, trace,
-                                        primes if top >= _WORD_LIMIT else ())
+        blocks = self._powers(matrix, a, b, trace, primes
+                              if matrix.degree ** b >= _WORD_LIMIT else ())
         if not primes:
-            return sum(int((u * v).sum()) for u, v in pairs)
+            return sum(int((u * v * w).sum()) for u, v, w in blocks)
         mod = np.array(primes, dtype=np.int64)
         sums = np.zeros(len(primes), dtype=np.int64)
-        for u, v in pairs:
+        for u, v, w in blocks:
+            w = np.broadcast_to(w % mod, u.shape[:2] + (len(primes),))
             # a chunk of rows at a time, so that its residues in all lanes
             # hold at most GATHER_LIMIT entries
             step = max(1, GATHER_LIMIT // (u.shape[1] * len(primes)))
@@ -270,66 +501,43 @@ class TransferOperator:
                 u_p = u[lo:lo + step] % mod
                 v_p = u_p if v is u else v[lo:lo + step] % mod
                 # each sum has fewer than 2**32 terms below 2**31
-                sums += ((u_p * v_p % mod).sum(axis=0) % mod).sum(axis=0)
+                sums += ((u_p * v_p % mod * w[lo:lo + step] % mod)
+                         .sum(axis=0) % mod).sum(axis=0)
                 sums %= mod
         return _crt(sums.tolist(), primes)
 
-    def _sparse_powers(self, a, b, trace, primes):
-        """The pairs (T^a X, T^b X) for X the identity, a block of columns
-        at a time so that one gather stays under GATHER_LIMIT entries, or
-        for X a column of ones: int64 arrays (S, columns, lanes), exact in
-        one lane, or with primes their residues modulo each."""
-        size = self.size()
+    def _powers(self, matrix, a, b, trace, primes):
+        """The triples (M^a X, M^b X, W) of _exact_sum, as int64 arrays
+        (rows, columns, lanes) and W broadcastable to them: exact in one
+        lane, or with primes their residues modulo each.  For the trace, a
+        block of representatives at a time, so that X holds at most
+        GATHER_LIMIT entries."""
+        reps, sizes, _ = self._orbits
         mod = np.array(primes, dtype=np.int64)
         lanes = len(primes) or 1
-        cols = size if trace else 1
-        block = min(cols, max(1, GATHER_LIMIT
-                              // max(1, len(self.indices) * lanes)))
-        for lo in range(0, cols, block):
-            width = min(block, cols - lo)
+        if trace:
+            size = self.size()
+            block = max(1, GATHER_LIMIT // (size * lanes))
+            starts = range(0, len(reps), block)
+        else:
+            starts = [0]
+        for lo in starts:
             if trace:
-                x = np.zeros((size, width, lanes), dtype=np.int64)
-                x[np.arange(lo, lo + width), np.arange(width)] = 1
+                cols = reps[lo:lo + block]
+                x = np.zeros((size, len(cols), lanes), dtype=np.int64)
+                x[cols, np.arange(len(cols))] = 1
+                w = sizes[lo:lo + block][None, :, None]
             else:
-                x = np.ones((size, 1, lanes), dtype=np.int64)
+                x = np.ones((len(reps), 1, lanes), dtype=np.int64)
+                w = sizes[:, None, None]
             half = x
             for j in range(1, b + 1):
-                x = self._product(x)
+                x = matrix.product(x)
                 if primes:
                     x %= mod
                 if j == a:
                     half = x
-            yield half, x
-
-    def _dense_powers(self, a, b):
-        """The pairs of row blocks of T^a and T^b, b = a or a + 1, as exact
-        int64 arrays (rows, S, 1), from float64 products of the 0/1 matrix
-        T built from the CSR arrays.  a >= 2 on this route, which needs
-        S * D**(a + b) >= 2**63 with D <= S <= _DENSE_MAX_STATES < 2**13,
-        so a + b >= 4.
-
-        Two S x S matrices are held: T and P = T^c, c = a // 2, raised a
-        row block at a time in place.  A block of T^a is P[rows] @ P, times
-        T when a is odd, and one of T^b = T^(a+1) that block @ T.  Every
-        partial sum of these products is a nonnegative integer no larger
-        than its entry, so below 2**53, where float64 is exact."""
-        size = self.size()
-        dense = np.zeros((size, size))
-        dense[np.repeat(np.arange(size), np.diff(self.indptr)),
-              self.indices] = 1.0
-        rows = max(1, GATHER_LIMIT // size)
-        blocks = [slice(lo, lo + rows) for lo in range(0, size, rows)]
-        power = dense.copy() if a >= 4 else dense
-        for _ in range(a // 2 - 1):
-            for block in blocks:
-                power[block] = power[block] @ dense
-        for block in blocks:
-            half = power[block] @ power
-            if a % 2:
-                half = half @ dense
-            u = half[:, :, None].astype(np.int64)
-            yield u, (u if a == b else
-                      (half @ dense)[:, :, None].astype(np.int64))
+            yield half, x, w
 
 
 def _is_prime(n):
@@ -487,7 +695,7 @@ def _abs_resultant(f, g):
     return abs(g[0] ** (len(f) - 1) // h ** (len(f) - 2))
 
 
-def count_dimer_tilings_kasteleyn(m, n):
+def count_dimer_tilings_kasteleyn(m, n, counter=None):
     """Domino tilings of the m x n rectangle by the Kasteleyn (1961) /
     Temperley-Fisher (1961) product, exact.
 
@@ -496,12 +704,37 @@ def count_dimer_tilings_kasteleyn(m, n):
     the first and of the monic polynomial with roots -b_k; it is taken by
     the subresultant remainder sequence, in integer arithmetic.  An
     odd-area rectangle has the factor 0 + 0: returns 0.
+
+    Before anything is built, counter (a BudgetCounter; a fresh one at the
+    default budget when None) is ticked dimer_units(m, n).
     """
     if m < 1 or n < 1:
         raise ValueError("sides must be positive")
+    (counter or BudgetCounter()).tick(dimer_units(m, n))
     f = _cosine_polynomial(m)
     g = [c * (-1) ** i for i, c in enumerate(_cosine_polynomial(n))]
     return _abs_resultant(f, g)
+
+
+def dimer_units(m, n):
+    """The budget units of the m x n dimer resultant:
+    deg f * deg g * ceil(B / 64), with deg f = ceil(m / 2) and
+    deg g = ceil(n / 2) the degrees of the two cosine polynomials and
+    B = m deg g + n deg f, a bound on the bits of every coefficient the
+    remainder sequence keeps, so one unit is one coefficient step on one
+    64-bit word.
+
+    The sequence takes O(deg f * deg g) coefficient steps, and each kept
+    coefficient is a subresultant coefficient: a minor of the Sylvester
+    matrix, whose deg g rows hold f's coefficients and deg f rows g's.
+    The m-side coefficients come from p_(k+1) = y p_k - p_(k-1), so their
+    absolute values sum to at most Fibonacci(m + 1) < 2**m, which bounds
+    the norm of each of f's rows; by Hadamard's inequality a minor is at
+    most (2**m)**deg g * (2**n)**deg f, below 2**B.  At 200 x 200 this is
+    6 250 000 units, at 300 x 300 31 657 500.
+    """
+    deg_f, deg_g = (m + 1) // 2, (n + 1) // 2
+    return deg_f * deg_g * -(-(m * deg_g + n * deg_f) // 64)
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +749,15 @@ def strip_entropy(H, width, boundary="free"):
     convergence for the connected case), in float64 through
     TransferOperator.apply.  Each step's (T + I) v also gives the next
     Rayleigh quotient, so T is applied once per step.
+
+    The iteration runs on T's full neighbour lists, built here first.  T
+    is a symmetric 0/1 matrix, so its dominant eigenvalue is 0 when T has
+    no ones (D = 0) and at least 1 otherwise (the Rayleigh quotient of
+    e_i + e_j for a one at (i, j)); the first has no entropy.
     """
     op = TransferOperator(H, width, boundary)
+    if not op._full.degree:
+        raise ArithmeticError("dominant eigenvalue not positive")
     vec = np.full(op.size(), 1.0 / math.sqrt(op.size()))
     step = op.apply(vec) + vec  # (T + I) v
     lam = 0.0
@@ -527,10 +767,7 @@ def strip_entropy(H, width, boundary="free"):
         lam, last = float(vec @ step), lam
         if abs(lam - last) <= POWER_TOL * max(1.0, abs(lam)):
             break
-    lam -= 1.0  # undo the shift
-    if lam <= 0:
-        raise ArithmeticError("dominant eigenvalue not positive")
-    return math.log(lam) / width
+    return math.log(lam - 1.0) / width  # undo the shift
 
 
 # ---------------------------------------------------------------------------

@@ -1040,11 +1040,13 @@ _DECODE_CHARS = 1 << 18  # pattern-file text split into lines at once
 @functools.lru_cache(maxsize=8)
 def _value_tokens(lo, hi):
     """Each value lo..hi as the JSON text ",<digits>", NUL-padded to the
-    longest of them, in one array of fixed-width items."""
+    longest of them, in one array of fixed-width items, and whether any
+    token is padded."""
     tokens = [b",%d" % v for v in range(lo, hi + 1)]
     width = max(map(len, tokens))
-    return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in tokens),
-                         dtype="V%d" % width)
+    return (np.frombuffer(b"".join(t.ljust(width, b"\0") for t in tokens),
+                          dtype="V%d" % width),
+            min(map(len, tokens)) < width)
 
 
 def encode_rows(rows, key="values"):
@@ -1052,20 +1054,27 @@ def encode_rows(rows, key="values"):
 
     Every value becomes its token ",<digits>" from a table over the range
     of values the rows use, negative ones included, all cut to the width
-    of the longest; the NUL padding of shorter tokens and the comma
-    before each row's first value are then dropped in one pass.  Each
-    record has the bytes of canonical_json({key: row}).
+    of the longest.  When no token is padded (every value has as many
+    digits, as in every K3 pattern file), the tokens are written one byte
+    early, so that the first comma lands on the head's "[", which is then
+    put back.  Otherwise the NUL padding and the comma before each row's
+    first value are dropped in one pass.  Each record has the bytes of
+    canonical_json({key: row}).
     """
     n, m = rows.shape
     lo, hi = (int(rows.min()), int(rows.max())) if rows.size else (0, 0)
-    tokens = _value_tokens(lo, hi)
+    tokens, padded = _value_tokens(lo, hi)
     width = tokens.itemsize
     head = np.frombuffer(b'{"%s":[' % key.encode(), dtype=np.uint8)
-    body = slice(len(head), len(head) + width * m)
+    start = len(head) - (m > 0 and not padded)
+    body = slice(start, start + width * m)
     out = np.empty((n, body.stop + len(_RECORD_TAIL)), dtype=np.uint8)
-    out[:, :body.start] = head
+    out[:, :len(head)] = head
     out[:, body] = tokens[rows - lo].view(np.uint8).reshape(n, width * m)
     out[:, body.stop:] = _RECORD_TAIL
+    if start < len(head):
+        out[:, start] = head[-1]
+        return out.tobytes()
     keep = out != 0
     if m:
         keep[:, body.start] = False

@@ -418,6 +418,37 @@ def test_argument_errors_name_the_type(capsys):
     assert "invalid positive integer value: 'x'" in capsys.readouterr().err
 
 
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), argument errors too."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    # main builds its parser once; calls through it, a usage error among
+    # them, print what the same calls print each on a fresh parser
+    calls = [["count", "torus", "--n", "2"],
+             ["count", "hom", "--n", "x"],
+             ["entropy", "strips", "--widths", "1..3", "--seed", "4"],
+             ["enumerate", "--family", "cube", "--n", "1"],
+             ["count", "dimers", "--dims", "4x6"],
+             ["count", "torus", "--n", "2", "--graph", "C5"],
+             ["verify", "lipschitz", "--n", "2", "--samples", "3"]]
+    shared = [_outcome(capsys, argv) for argv in calls]
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert shared == [_outcome(capsys, argv) for argv in calls]
+    assert [code for code, _, _ in shared] == [0, 2, 0, 2, 0, 0, 0]
+    for code, out, err in shared:
+        if code == 2:
+            assert out == "" and err.startswith("usage error: ")
+            assert err.count("\n") == 1
+
+
 # SHA-256 of `enumerate --out` at seed 0, as the per-pattern scalar search
 # and the per-record encoder wrote them
 ENUMERATE_SHA256 = {
@@ -489,6 +520,29 @@ def _child_run(*argv):
     out = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
                          capture_output=True, text=True, check=True).stdout
     return tuple(int(x) for x in out.split())
+
+
+def test_count_torus_petersen_n4_on_orbits(tmp_path):
+    # 7 590 periodic states fall into 14 orbits of the dihedral group of
+    # the column times Aut(petersen); on every state it took about 87 s
+    out = tmp_path / "count.json"
+    start = time.perf_counter()
+    rc, _ = _child_run("count", "torus", "--graph", "petersen", "--n", "4",
+                       "--out", str(out))
+    assert time.perf_counter() - start < 5
+    assert rc == 0
+    assert json.loads(out.read_text())["count"] == 1021165402791934230
+
+
+def test_count_hom_n7_builds_only_the_orbit_neighbours(tmp_path):
+    # 49 152 free columns, 28.7 M compatible pairs; the lumped matrix
+    # needs the neighbours of the 4 160 orbit representatives only
+    out = tmp_path / "count.json"
+    rc, peak_kb = _child_run("count", "hom", "--n", "7", "--out", str(out))
+    assert rc == 0
+    assert json.loads(out.read_text())["count"] == \
+        980192371189327713284510199471642989220315132
+    assert peak_kb <= 500 * 1024
 
 
 def test_count_hom_d3_runs_out_of_budget_in_bounded_memory():

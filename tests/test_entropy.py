@@ -337,24 +337,25 @@ WORD = 1 << 63
 @pytest.mark.parametrize("width, boundary, length, trace, route", [
     (8, "periodic", 8, True, "int64"),  # count torus --n 4
     (9, "free", 9, False, "int64"),  # count hom --n 4
-    (3, "free", 26, True, "dense"),
+    (6, "periodic", 20, True, "int64 powers"),
     (6, "free", 25, True, "int64 powers"),
     (11, "free", 11, False, "int64 powers"),  # count hom --n 5: 91 bits
     (6, "free", 31, True, "residues"),
     (6, "free", 32, False, "residues"),
-], ids=["torus-4", "hom-4", "dense-trace", "int64-powers-trace",
+], ids=["torus-4", "hom-4", "orbit-periodic-trace", "int64-powers-trace",
         "int64-powers-strip", "residue-trace", "residue-strip"])
 def test_each_route_against_object_oracles(width, boundary, length, trace,
                                            route):
     # the route follows from the bounds alone: check which one each case
     # takes, then its count; all but the first two sum past 2**63, on
-    # residues modulo several primes
+    # residues modulo several primes.  Every trace runs on the columns of
+    # the orbit representatives (the dense float64 route is gone): 4 of
+    # the 66 periodic states at width 6, under the 12 symmetries of the
+    # column times the 6 automorphisms of K3.
     op = en.TransferOperator(K3, width, boundary)
     steps = length if trace else length - 1
     entry = int(np.diff(op.indptr).max()) ** (steps - steps // 2)
     taken = ("int64" if count_bound(op, steps) < WORD else
-             "dense" if trace and op.size() <= en._DENSE_MAX_STATES
-             and entry < 2 ** 53 else
              "int64 powers" if entry < WORD else "residues")
     assert taken == route
     if route != "int64":
@@ -396,7 +397,7 @@ def test_primes_and_crt():
 
 
 def test_count_torus_n5_is_exact_in_a_child(tmp_path):
-    # the dense float64 route: S = 1 026, D = 123, a bound of 2**80
+    # S = 1 026 states in 18 orbits, D = 123, a bound of 2**80
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.dirname(os.path.dirname(en.__file__))]
@@ -410,21 +411,184 @@ def test_count_torus_n5_is_exact_in_a_child(tmp_path):
     assert json.loads(out)["count"] == 16178049740086515288
 
 
-def test_dense_powers_hold_two_matrices(monkeypatch):
-    # count torus --n 5's operator on the dense route (S = 1 026), in row
-    # blocks of 16 rows: T and one power of it are held whole and the
-    # rest a block at a time; np.linalg.matrix_power held three or four
+def test_orbit_trace_holds_no_square_matrix(monkeypatch):
+    # count torus --n 5's operator (S = 1 026) with 16 columns a block:
+    # the whole trace, its neighbour lists and orbits built inside it,
+    # holds less than one S x S float64 matrix (the dense route held
+    # 2.25 of them), and the products alone a few blocks of
+    # GATHER_LIMIT entries
     op = en.TransferOperator(K3, 10, "periodic")
     size = op.size()
     monkeypatch.setattr(en, "GATHER_LIMIT", 16 * size)
-    tracemalloc.start()
-    try:
-        count = op.trace_power(10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert count == 16178049740086515288
-    assert peak <= 2.25 * size * size * 8
+    for built in (False, True):
+        tracemalloc.start()
+        try:
+            count = op.trace_power(10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 16178049740086515288
+        if built:
+            assert peak <= 8 * en.GATHER_LIMIT * 8
+        else:
+            assert peak <= size * size * 8
+
+
+# ---------------------------------------------------------------------------
+# orbits of the column symmetries and Aut(H)
+
+
+def all_automorphisms(H):
+    """Every permutation of H's vertices that keeps its matrix, loops
+    included, by trying them all."""
+    m = H.matrix()
+    return [p for p in itertools.permutations(range(H.n))
+            if (m[np.ix_(p, p)] == m).all()]
+
+
+def closure(perms, n):
+    """The group the permutations generate, as a set of tuples."""
+    group = {tuple(range(n))}
+    todo = list(group)
+    while todo:
+        g = todo.pop()
+        for p in perms:
+            h = tuple(p[x] for x in g)
+            if h not in group:
+                group.add(h)
+                todo.append(h)
+    return group
+
+
+def orbit_oracle(op):
+    """The orbit partition of op's states under every column symmetry
+    times every automorphism, by applying each group element to each
+    state tuple: the set of orbits, as frozensets of state tuples."""
+    w = op.width
+    positions = [list(range(w)), list(range(w))[::-1]]
+    if op.boundary == "periodic":
+        positions = [[(i * s + r) % w for i in range(w)]
+                     for r in range(w) for s in (1, -1)]
+    auts = (all_automorphisms(op.H) if op.H.n <= 7 else
+            closure(en._aut_generators(op.H.n, op.H.matrix().tobytes(),
+                                       en.AUT_MAX_NODES), op.H.n))
+    orbits = set()
+    for s in op.state_values:
+        orbits.add(frozenset(tuple(sigma[s[i]] for i in pos)
+                             for pos in positions for sigma in auts))
+    return orbits
+
+
+def op_orbits(op):
+    reps, sizes, orbit = op._orbits
+    states = op.state_values
+    groups = [[] for _ in reps]
+    for s, i in zip(states, orbit.tolist()):
+        groups[i].append(s)
+    return reps, sizes, orbit, groups
+
+
+def orbit_cases(limit):
+    """(H, width, boundary) over GRAPHS, both boundaries and widths up to
+    8 with at least one and at most limit states."""
+    cases = []
+    for H in GRAPHS:
+        for width in range(1, 9):
+            for boundary in ("free", "periodic"):
+                op = outcome(en.TransferOperator, H, width, boundary)
+                if not isinstance(op, tuple) and op.size() <= limit:
+                    cases.append((H, width, boundary))
+    return cases
+
+
+ORBIT_CASES = orbit_cases(2000)
+
+
+@given(st.sampled_from(ORBIT_CASES))
+@settings(max_examples=60, deadline=None)
+def test_orbits_are_the_group_orbits(case):
+    op = en.TransferOperator(*case)
+    reps, sizes, orbit, groups = op_orbits(op)
+    assert int(sizes.sum()) == op.size()
+    assert [len(g) for g in groups] == sizes.tolist()
+    # each representative is the least state of its orbit, in order
+    assert reps.tolist() == sorted(reps.tolist())
+    assert [op.state_values[r] for r in reps] == [min(g) for g in groups]
+    if op.size() <= 600:
+        assert set(map(frozenset, groups)) == orbit_oracle(op)
+
+
+@given(st.sampled_from(ORBIT_CASES))
+@settings(max_examples=60, deadline=None)
+def test_lumped_matrix_is_the_orbit_quotient(case):
+    # T P = P B: every state of orbit i has B[i, j] neighbours in orbit j,
+    # so B's row sums are T's degrees
+    op = en.TransferOperator(*case)
+    reps, sizes, orbit, _ = op_orbits(op)
+    lumped = op._lumped
+    k = len(reps)
+    quotient = np.zeros((k, k), dtype=np.int64)
+    rows = np.repeat(np.arange(k), np.diff(lumped.indptr))
+    quotient[rows, lumped.indices] = lumped.data
+    dense = dense_matrix(op).astype(np.int64)
+    indicator = np.zeros((op.size(), k), dtype=np.int64)
+    indicator[np.arange(op.size()), orbit] = 1
+    assert (dense @ indicator == quotient[orbit]).all()
+    assert (quotient.sum(axis=1)[orbit] == dense.sum(axis=1)).all()
+    assert lumped.degree == op._full.degree == int(dense.sum(axis=1).max())
+
+
+@given(st.sampled_from(ORBIT_CASES), st.integers(1, 30))
+@settings(max_examples=80, deadline=None)
+def test_orbit_counts_match_the_full_operator(case, length):
+    # the full operator, through the object-array products it replaced,
+    # is the oracle; lengths to 30 reach the residue route
+    op = en.TransferOperator(*case)
+    assert op.count_strip(length) == object_count_strip(op, length)
+    if op.size() <= 150:
+        assert op.trace_power(length) == object_trace_power(op, length)
+
+
+@given(st.sampled_from(ORBIT_CASES), st.integers(1, 12))
+@settings(max_examples=40, deadline=None)
+def test_trivial_group_fallback_keeps_the_counts(case, length):
+    # an Aut(H) search past its cap gives no generators: smaller orbits,
+    # the same counts
+    op = en.TransferOperator(*case)
+    assume(op.size() <= 600)
+    want = (op.count_strip(length), op.trace_power(length))
+    assert en._aut_generators(case[0].n, case[0].matrix().tobytes(), 0) == ()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(en, "AUT_MAX_NODES", 0)
+        small = en.TransferOperator(*case)
+        assert len(small._automorphisms()) == 0
+        assert (small.count_strip(length), small.trace_power(length)) == want
+        assert len(small._orbits[0]) >= len(op._orbits[0])
+        assert int(small._orbits[1].sum()) == small.size()
+
+
+@pytest.mark.parametrize("H, order", [
+    (K3, 6), (hs.complete_graph(4), 24), (hs.cycle_graph(4), 8), (C5, 10),
+    (hs.graph_preset("petersen"), 120), (hs.full_shift_graph(2), 2),
+    (LOOPED_PATH, 1)])
+def test_automorphism_generators(H, order):
+    gens = en._aut_generators(H.n, H.matrix().tobytes(), en.AUT_MAX_NODES)
+    assert len(gens) <= H.n ** 2
+    group = closure(gens, H.n)
+    assert len(group) == order
+    if H.n <= 7:
+        assert group == set(all_automorphisms(H))
+
+
+def test_orbits_shrink_the_counted_operators():
+    # count torus --n 6, count torus --graph petersen --n 4 and the free
+    # strip of width 10
+    for H, width, boundary, orbits in [
+            (K3, 12, "periodic", 48), (hs.graph_preset("petersen"), 8,
+                                       "periodic", 14),
+            (K3, 10, "free", 136)]:
+        op = en.TransferOperator(H, width, boundary)
+        assert len(op._orbits[0]) == orbits
 
 
 # ---------------------------------------------------------------------------
@@ -621,6 +785,48 @@ def test_square_dimer_count_prints_in_full(capsys):
     assert rest == 0 and odd % 2 == 1 and math.isqrt(odd) ** 2 == odd
 
 
+def test_dimer_units_bound_the_resultant():
+    # deg f * deg g * ceil(B / 64) units, B = m deg g + n deg f
+    assert en.dimer_units(200, 200) == 100 * 100 * 625 == 6_250_000
+    assert en.dimer_units(300, 300) == 150 * 150 * 1407 == 31_657_500
+    for m in range(1, 30):
+        assert len(en._cosine_polynomial(m)) - 1 == (m + 1) // 2
+    # the coefficient sums behind the bound, and the resultant, the last
+    # subresultant, within B bits
+    for m, n in [(7, 12), (16, 16), (31, 9)]:
+        f = en._cosine_polynomial(m)
+        g = [c * (-1) ** i for i, c in enumerate(en._cosine_polynomial(n))]
+        assert sum(map(abs, f)) < 2 ** m and sum(map(abs, g)) < 2 ** n
+        bits = m * (len(g) - 1) + n * (len(f) - 1)
+        assert en._abs_resultant(f, g).bit_length() <= bits
+
+
+def test_dimer_counts_are_charged_before_they_run(capsys):
+    # 300 x 300 needs 31 657 500 units: past the default budget it stops
+    # at once with one line; the charge is exact
+    start = time.perf_counter()
+    assert main(["count", "dimers", "--dims", "300x300"]) == 3
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded: ") and err.count("\n") == 1
+    units = en.dimer_units(40, 40)
+    assert main(["count", "dimers", "--dims", "40x40"]) == 0
+    want = capsys.readouterr().out
+    assert main(["count", "dimers", "--dims", "40x40",
+                 "--budget", str(units)]) == 0
+    assert capsys.readouterr().out == want
+    assert main(["count", "dimers", "--dims", "40x40",
+                 "--budget", str(units - 1)]) == 3
+    assert capsys.readouterr().out == ""
+    # the table is charged as a whole, and prints nothing when it stops
+    table = sum(en.dimer_units(m, n) for m in range(1, 5) for n in range(m, 5))
+    for budget, code in ((table, 0), (table - 1, 3)):
+        assert main(["entropy", "dimers", "--max", "4",
+                     "--budget", str(budget)]) == code
+        out = capsys.readouterr().out
+        assert (out.count("\n") == 12) if code == 0 else out == ""
+
+
 def leibniz_det(a):
     total = 0
     for perm in itertools.permutations(range(len(a))):
@@ -727,6 +933,9 @@ def test_strip_entropy_no_states_error():
         en.strip_entropy(K3, 1, "periodic")  # needs a self-loop
     assert en.strip_entropy(hs.full_shift_graph(2), 1, "periodic") == \
         pytest.approx(math.log(2), abs=1e-9)
+    # no edges: T = 0 has no entropy
+    with pytest.raises(ArithmeticError, match="not positive"):
+        en.strip_entropy(hs.TargetGraph(["0", "1"], []), 1)
 
 
 # ---------------------------------------------------------------------------

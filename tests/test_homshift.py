@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from latticelab import lattice
 from latticelab.lattice import Region, box_F, parity, shell_F
 from latticelab import homshift as hs
-from latticelab.util import BudgetError, NegativeResult
+from latticelab.util import BudgetError, NegativeResult, canonical_json
 
 K3 = hs.complete_graph(3)
 K4 = hs.complete_graph(4)
@@ -1286,6 +1286,26 @@ def test_jsonl_records_match_json_dumps(arrays):
     lines = hs.pattern_set_to_jsonl(ps, hs.full_shift_graph(2)).splitlines()
     assert lines[1:] == [json.dumps({"values": list(p.values)},
                                     separators=(",", ":")) for p in ps]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(0, 2), (0, 9), (3, 7), (-9, -1), (10, 99),
+                        (0, 120), (-50, 50), (-1000, 3)]),
+       st.integers(0, 5), st.integers(0, 7), st.randoms(use_true_random=False))
+def test_encode_rows_paths_match_canonical_json(bounds, n, m, rnd):
+    # single-digit, same-width negative and two-digit ranges take the
+    # path without a compress; mixed widths take the compress; forcing
+    # the compress on any block gives the same bytes
+    lo, hi = bounds
+    rows = np.array([[rnd.randint(lo, hi) for _ in range(m)]
+                     for _ in range(n)], dtype=np.int32).reshape(n, m)
+    want = "".join(canonical_json({"heights": row}) + "\n"
+                   for row in rows.tolist()).encode()
+    assert hs.encode_rows(rows, "heights") == want
+    tokens = hs._value_tokens
+    with unittest.mock.patch.object(
+            hs, "_value_tokens", lambda lo, hi: (tokens(lo, hi)[0], True)):
+        assert hs.encode_rows(rows, "heights") == want
 
 
 def test_jsonl_general_region_round_trip():
