@@ -306,58 +306,225 @@ def is_hom(H, pattern):
 # enumeration
 
 
-# Rows a search step extends at once; the rest of a block waits on the stack.
+# Prefixes one search step extends at once, in units of H.n children: a
+# step takes prefixes while their children total at most ENGINE_BLOCK *
+# H.n.  It also sets how far a step reaches (a segment spans at most K
+# sites, K the largest k with Delta(H)^(k-1) <= ENGINE_BLOCK, so that
+# one prefix never has more children than that) and how much a
+# segment's memo holds (_memo_bound).
 ENGINE_BLOCK = 1024
+
+
+def _memo_bound(H, length):
+    """(contexts, words) a segment's memo of length-site words holds
+    before it is cleared: a context per row of one step's children, and
+    ENGINE_BLOCK bytes of words per context."""
+    return ENGINE_BLOCK * H.n, ENGINE_BLOCK * ENGINE_BLOCK * H.n // length
+
+
+def _site_step(adj, rows, pos, prev, src):
+    """Extend rows at column pos, whose earlier neighbours are the
+    columns prev: by every vertex of H (src < 0) or by the row's value
+    at column src, if it is adjacent to the row's values at all of prev.
+    Returns the children and each child's parent row."""
+    if src < 0:
+        if prev:
+            ok = adj[rows[:, prev[0]]]
+            for j in prev[1:]:
+                ok &= adj[rows[:, j]]
+        else:
+            ok = np.ones((len(rows), len(adj)), dtype=bool)
+        parent, choice = ok.nonzero()
+        child = rows.take(parent, axis=0)
+        child[:, pos] = choice
+        return child, parent
+    # flat[v * H.n + u] is adj[v, u]; v is the value column src holds
+    flat = adj.ravel()
+    offsets = rows[:, src].astype(np.intp) * len(adj)
+    ok = np.ones(len(rows), dtype=bool)
+    for j in prev:
+        ok &= flat[offsets + rows[:, j]]
+    parent = ok.nonzero()[0]
+    child = rows.take(parent, axis=0)
+    child[:, pos] = child[:, src]
+    return child, parent
+
+
+class _Segment:
+    """Sites a..b-1 of a search, and a memo of their extensions.
+
+    How a prefix of length a extends through the segment depends only on
+    its context: its values at cols, the earlier neighbours and tie
+    sources of the segment's sites that lie before a.  The memo holds the
+    contexts met, sorted by key, and for each a row of table: where its
+    words start in words, how many there are (the segment's values of
+    every extension, in lexicographic order), and the nodes the one-site
+    search ticks on the way, dead ends included.
+    """
+
+    def __init__(self, H, earlier, root, source, a, b, degree):
+        self.a, self.b = a, b
+        self.adj = H.matrix()
+        self.full = _memo_bound(H, b - a)
+        cols = sorted({j for p in range(a, b) for j in earlier[p] if j < a}
+                      | {source[p] for p in range(a, b) if 0 <= source[p] < a})
+        self.cols = np.array(cols, dtype=np.intp)
+        q = H.n
+        self.weights = (q ** np.arange(len(cols) - 1, -1, -1, dtype=np.int64)
+                        if q ** len(cols) < 1 << 63 else None)
+        # the one-site steps on compact rows: cols, then the segment
+        at = {j: i for i, j in enumerate(cols)}
+        at.update((p, len(cols) + p - a) for p in range(a, b))
+        self.steps = [(at[p], [at[j] for j in earlier[p]],
+                       at[source[p]] if source[p] >= 0 else -1)
+                      for p in range(a, b)]
+        self.fill = root[a:b]
+        # a context has at most q * degree^(b-a-1) words, so one expansion
+        # of this many builds at most ENGINE_BLOCK * q rows at a time
+        self.chunk = max(1, ENGINE_BLOCK // degree ** (b - a - 1))
+        self.clear()
+
+    def clear(self):
+        self.keys = np.empty(0, dtype=np.int64 if self.weights is not None
+                             else "V%d" % len(self.cols))
+        self.table = np.empty((0, 3), dtype=np.int64)
+        self.words = np.empty((0, self.b - self.a), dtype=np.uint8)
+
+    def key(self, rows):
+        """Each row's context as one sortable key."""
+        ctx = rows[:, self.cols]
+        if self.weights is not None:
+            return ctx.astype(np.int64) @ self.weights
+        return np.ascontiguousarray(ctx).view(self.keys.dtype).ravel()
+
+    def _slots(self, keys):
+        if not len(self.keys):
+            return np.zeros(len(keys), dtype=np.intp), np.zeros(len(keys), bool)
+        slot = np.minimum(self.keys.searchsorted(keys), len(self.keys) - 1)
+        return slot, self.keys[slot] == keys
+
+    def find(self, rows, keys):
+        """The memo slots of the first rows' contexts, up to the first
+        context the memo lacks.  When that is the first row's, the
+        contexts the memo lacks are expanded first, in order of first
+        appearance and chunk at a time, until they have one step's
+        children of words (ENGINE_BLOCK * H.n) or the memo is full."""
+        slot, known = self._slots(keys)
+        if not known[0]:
+            new, first = np.unique(keys[~known], return_index=True)
+            at = (~known).nonzero()[0][first]
+            order = first.argsort(kind="stable")
+            learned = 0
+            for lo in range(0, len(new), self.chunk):
+                if lo and (learned >= ENGINE_BLOCK * len(self.adj)
+                           or self._full()):
+                    break
+                pick = np.sort(order[lo:lo + self.chunk])
+                learned += self._learn(
+                    rows.take(at[pick], axis=0)[:, self.cols], new[pick])
+            slot, known = self._slots(keys)
+        return slot if known.all() else slot[:known.argmin()]
+
+    def _full(self):
+        """Whether the memo holds as many contexts or words as
+        _memo_bound allows."""
+        return (len(self.keys) >= self.full[0]
+                or len(self.words) >= self.full[1])
+
+    def _learn(self, ctx, keys):
+        """Expand the distinct contexts ctx one site at a time and add them
+        to the memo, clearing it first when full; returns the number of
+        words added."""
+        width = len(self.cols)
+        rows = np.empty((len(ctx), width + len(self.fill)), dtype=np.uint8)
+        rows[:, :width] = ctx
+        rows[:, width:] = self.fill
+        origin = np.arange(len(ctx))
+        reached = []
+        for pos, prev, src in self.steps:
+            reached.append(origin)
+            rows, parent = _site_step(self.adj, rows, pos, prev, src)
+            origin = origin[parent]
+        if self._full():
+            self.clear()
+        count = np.bincount(origin, minlength=len(ctx))
+        table = np.empty((len(ctx), 3), dtype=np.int64)
+        table[:, 0] = len(self.words) + count.cumsum() - count
+        table[:, 1] = count
+        table[:, 2] = np.bincount(np.concatenate(reached), minlength=len(ctx))
+        keys = np.concatenate([self.keys, keys])
+        order = keys.argsort(kind="stable")
+        self.keys = keys[order]
+        self.table = np.concatenate([self.table, table])[order]
+        self.words = np.concatenate([self.words, rows[:, width:]])
+        return len(rows)
+
+
+def _segment_bounds(region, reach):
+    """Where the segments start: runs of consecutive positions, each
+    site adjacent to the one before it (on a box, stretches of one
+    lattice line), at most reach long."""
+    earlier = region.earlier_neighbor_table()
+    bounds = [0]
+    for pos in range(1, len(earlier)):
+        if pos - bounds[-1] == reach or pos - 1 not in earlier[pos]:
+            bounds.append(pos)
+    return bounds + [len(earlier)] if earlier else []
 
 
 def _hom_blocks(H, region, root, source, counter):
     """The homomorphisms region -> H that follow source, in canonical order.
 
     Yields uint8 arrays of whole rows (one per homomorphism, one column
-    per site), lexicographically sorted when concatenated.  Prefixes grow
-    from the row root one site at a time, a block of at most ENGINE_BLOCK
-    rows per step: site pos takes every vertex of H (source[pos] == -1),
-    the root's value (== pos) or the row's value at site source[pos] < pos,
-    if it is adjacent to the row's values at all earlier neighbours.  Blocks
-    go depth first, one pending block per site at most.  Each step ticks
-    one node per row it extends, as the scalar depth-first search did.
+    per site), lexicographically sorted when concatenated.  Site pos takes
+    every vertex of H (source[pos] == -1), the root's value (== pos) or
+    the row's value at site source[pos] < pos, if it is adjacent to the
+    row's values at all earlier neighbours.  Prefixes grow from the row
+    root a segment at a time (_segment_bounds): each step looks its
+    prefixes' contexts up in the segment's memo (_Segment.find) and takes
+    prefixes while their children total at most ENGINE_BLOCK * H.n (one
+    at least), leaving the rest pending; the children are the prefixes,
+    each repeated once per word of its context, with the words written
+    in.  Blocks go depth first, one pending block per segment at most.
+    Each step ticks the nodes the one-site search ticks on its prefixes:
+    one per prefix of every length it extends, dead ends included.
     """
     m = len(region)
-    adj = H.matrix()
-    flat = adj.ravel()
-    vertices = np.arange(H.n, dtype=np.uint8)
+    degree = max(1, int(H.matrix().sum(axis=1).max(initial=0)))
+    reach = max(m, 1)
+    if degree > 1:
+        reach = 1
+        while degree ** reach <= ENGINE_BLOCK:
+            reach += 1
     earlier = region.earlier_neighbor_table()
-    stack = [(0, root.reshape(1, m))]
+    bounds = _segment_bounds(region, reach)
+    segments = [None] * (len(bounds) - 1)      # built when first reached
+    cap = ENGINE_BLOCK * H.n
+    stack = [(0, root.reshape(1, m), None)]
     while stack:
-        pos, rows = stack.pop()
-        if pos == m:
+        s, rows, keys = stack.pop()
+        if s == len(segments):
             yield rows
             continue
-        if len(rows) > ENGINE_BLOCK:
-            stack.append((pos, rows[ENGINE_BLOCK:]))
-            rows = rows[:ENGINE_BLOCK]
-        counter.tick(len(rows))
-        prev = earlier[pos]
-        if source[pos] < 0:
-            if prev:
-                ok = adj[rows[:, prev[0]]]
-                for j in prev[1:]:
-                    ok &= adj[rows[:, j]]
-            else:
-                ok = np.ones((len(rows), H.n), dtype=bool)
-            parent, choice = np.nonzero(ok)
-            child = rows[parent]
-            child[:, pos] = vertices[choice]
-        else:
-            # flat[v * H.n + u] is adj[v, u]; v is the value source[pos] gives
-            offsets = rows[:, source[pos]].astype(np.intp) * H.n
-            ok = np.ones(len(rows), dtype=bool)
-            for j in prev:
-                ok &= flat[offsets + rows[:, j]]
-            child = rows[ok]
-            child[:, pos] = child[:, source[pos]]
-        if len(child):
-            stack.append((pos + 1, child))
+        if segments[s] is None:
+            segments[s] = _Segment(H, earlier, root, source, bounds[s],
+                                   bounds[s + 1], degree)
+        seg = segments[s]
+        if keys is None:
+            keys = seg.key(rows)
+        slot = seg.find(rows, keys)
+        total = seg.table[slot, 1].cumsum()
+        t = max(1, int(total.searchsorted(cap, side="right")))
+        if t < len(rows):
+            stack.append((s, rows[t:], keys[t:]))
+        start, count, ticks = seg.table[slot[:t]].T
+        counter.tick(int(ticks.sum()))
+        if total[t - 1]:
+            parent = np.arange(t).repeat(count)
+            child = rows.take(parent, axis=0)
+            word = np.arange(total[t - 1]) + (start - total[:t] + count)[parent]
+            child[:, seg.a:seg.b] = seg.words.take(word, axis=0)
+            stack.append((s + 1, child, None))
 
 
 def _check_boundary(H, region, boundary):

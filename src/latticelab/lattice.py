@@ -62,7 +62,7 @@ class Region:
     """A finite set of sites in fixed lexicographic order.
 
     kind is a tag: ("F", n), ("B", n), ("rect", dims, offset) or ("general",).
-    A bounding box is kept for fast membership tests.
+    Its bounding box is kept for bounds() and is_box().
 
     Regions are immutable.  That makes it safe to cache two position
     tables, each built on first use: neighbor_table() and
@@ -104,12 +104,7 @@ class Region:
         return iter(self.sites)
 
     def __contains__(self, site):
-        if self._lo is None or len(site) != self.d:
-            return False
-        for t in range(self.d):
-            if not self._lo[t] <= site[t] <= self._hi[t]:
-                return False
-        return site in self._index
+        return len(site) == self.d and site in self._index
 
     def __eq__(self, other):
         return isinstance(other, Region) and self.sites == other.sites

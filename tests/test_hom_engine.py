@@ -10,9 +10,11 @@ exhaustive window check are each checked against the many small searches
 they replaced.
 """
 
+import contextlib
 import itertools
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 from latticelab import height as ht
 from latticelab import homshift as hs
 from latticelab import lattice
-from latticelab.lattice import Region, box_F
+from latticelab.lattice import Region, box_F, parity
 from latticelab.util import BudgetCounter, BudgetError
 
 
@@ -161,6 +163,156 @@ def test_engine_blocks_stay_bounded_and_in_order():
     later = rows[1:].astype(int) - rows[:-1]
     first_change = later[np.arange(len(later)), (later != 0).argmax(axis=1)]
     assert (first_change > 0).all()
+
+
+# Graphs of degree two or three, whose searches along a line longer than
+# the engine's reach K stay within MAX_NODES.
+LINE_GRAPHS = [hs.complete_graph(3), hs.complete_graph(4), hs.cycle_graph(4),
+               hs.cycle_graph(5), hs.full_shift_graph(2),
+               hs.TargetGraph(range(3), [(0, 1), (1, 2)])]
+
+
+def reach(H):
+    """The engine's K: the largest k with Delta(H)^(k-1) <= ENGINE_BLOCK."""
+    degree = int(H.matrix().sum(axis=1).max())
+    k = 1
+    while degree ** k <= hs.ENGINE_BLOCK:
+        k += 1
+    return k
+
+
+def box_boundary(region):
+    """The sites on the boundary of the region's bounding box."""
+    lo, hi = region.bounds()
+    return [s for s in region.sites
+            if any(c in (a, b) for a, c, b in zip(lo, s, hi))]
+
+
+def hat_ties(n, d):
+    """The periodic-shell family's ties on F_n: each shell site to the
+    first shell site of its class mod 2."""
+    sites = box_F(n, d).sites
+    return {sites[i]: sites[p[0]] for _, p in hs._shell_classes(n, d)
+            for i in p[1:]}
+
+
+@st.composite
+def segment_instances(draw):
+    """An instance whose search spans several segments: a box or rectangle
+    up to 6 x 6 in d = 2, F_1 in d = 3 or a line longer than K; with fixed
+    sites, a fixed checkerboard shell, or ties, some of them (as in the
+    periodic-shell family) to a site on an earlier line."""
+    shape = draw(st.sampled_from(["rect", "F", "F1d3", "line"]))
+    if shape == "line":
+        H = draw(st.sampled_from(LINE_GRAPHS))
+        length = reach(H) + draw(st.integers(1, 3))
+        region = lattice.rectangle(
+            draw(st.sampled_from([(length,), (1, length), (2, length)])))
+    else:
+        H = draw(st.one_of(graphs(max_vertices=5), st.sampled_from(
+            LINE_GRAPHS + [hs.petersen_graph()])))
+        region = {"rect": lambda: lattice.rectangle(
+            (draw(st.integers(1, 6)), draw(st.integers(1, 6))),
+            (draw(st.integers(-2, 2)), draw(st.integers(-2, 2)))),
+                  "F": lambda: box_F(draw(st.integers(1, 2)), 2),
+                  "F1d3": lambda: box_F(1, 3)}[shape]()
+    shell = box_boundary(region)
+    fixed, ties = {}, {}
+    mode = draw(st.sampled_from(["free", "sites", "shell", "periodic", "tied"]))
+    if mode == "sites":
+        for site in draw(st.lists(st.sampled_from(region.sites), max_size=4)):
+            fixed[site] = draw(st.integers(0, H.n - 1))
+    elif mode == "shell" and H.ordered_edges():
+        v0, v1 = draw(st.sampled_from(H.ordered_edges()))
+        fixed = {s: (v0 if parity(s) == 0 else v1) for s in shell}
+    elif mode == "periodic":
+        lead = {}
+        for s in shell:
+            ties[s] = lead.setdefault(tuple(c % 2 for c in s), s)
+        ties = {s: t for s, t in ties.items() if s != t}
+    elif mode == "tied":
+        for pos, site in enumerate(region.sites):
+            if pos and draw(st.integers(0, 3)) == 0:
+                ties[site] = region.sites[draw(st.integers(0, pos - 1))]
+    return H, region, fixed, ties
+
+
+def run_engine(H, region, fixed, ties, budget):
+    """(rows, nodes, largest block) of one engine run, with ties."""
+    counter = BudgetCounter(budget)
+    root, source = hs._check_boundary(H, region, fixed)
+    for site, earlier in ties.items():
+        source[region.index(site)] = region.index(earlier)
+    blocks = list(hs._hom_blocks(H, region, root, source, counter))
+    return ([r.tobytes() for block in blocks for r in block], counter.nodes,
+            max(len(b) for b in blocks) if blocks else 0)
+
+
+@pytest.mark.parametrize("memo", [None, 2], ids=["memo", "memo-cleared"])
+@settings(max_examples=150, deadline=None)
+@given(segment_instances())
+@example((hs.complete_graph(3), lattice.rectangle((1, 13)), {}, {}))
+@example((hs.complete_graph(3), box_F(2, 2), {}, hat_ties(2, 2)))
+@example((hs.cycle_graph(5), lattice.rectangle((6, 6)),
+          {s: parity(s) for s in box_boundary(lattice.rectangle((6, 6)))}, {}))
+@example((hs.cycle_graph(200), lattice.rectangle((2, 12)),
+          {(1, j): j % 2 for j in range(1, 13)}, {}))
+def test_segment_steps_match_scalar_search(memo, case):
+    H, region, fixed, ties = case
+    oracle = scalar_dfs(H, region, fixed, ties=ties)
+    assume(oracle is not None)
+    want, nodes = oracle
+    with contextlib.ExitStack() as stack:
+        if memo is not None:
+            stack.enter_context(mock.patch.object(
+                hs, "_memo_bound", lambda H, length: (memo, memo)))
+        got, ticks, largest = run_engine(H, region, fixed, ties, nodes)
+        assert got == want
+        assert ticks == nodes
+        assert largest <= hs.ENGINE_BLOCK * H.n
+        if nodes:
+            with pytest.raises(BudgetError):
+                run_engine(H, region, fixed, ties, nodes - 1)
+        if not ties:
+            assert hs.count_hom_dfs(H, region, fixed, budget=nodes) == len(want)
+            if nodes:
+                with pytest.raises(BudgetError):
+                    hs.enumerate_hom(H, region, fixed, budget=nodes - 1)
+                with pytest.raises(BudgetError):
+                    hs.count_hom_dfs(H, region, fixed, budget=nodes - 1)
+
+
+def test_engine_memory_is_bounded_by_its_segments():
+    # F_12 runs out of its budget deep in the box, with a pending block at
+    # most per segment; the bound below follows from the design alone
+    K3 = hs.complete_graph(3)
+    region = box_F(12, 2)
+    region.earlier_neighbor_table()     # the region's tables, built first
+    k = reach(K3)
+    segments = 25 * -(-25 // k)         # a 25-site line is ceil(25 / K) of them
+    assert len(hs._segment_bounds(region, k)) - 1 == segments
+    block = hs.ENGINE_BLOCK * K3.n * len(region)    # bytes of one block
+    # a memo of L-site words is cleared, before an expansion, when it
+    # holds C contexts or W words, (C, W) = _memo_bound(H, L), and one
+    # expansion adds at most ENGINE_BLOCK contexts and ENGINE_BLOCK * H.n
+    # words; so it holds fewer than C + ENGINE_BLOCK contexts (an int64
+    # key and an int64 start, count and ticks each) and fewer than
+    # W + ENGINE_BLOCK * H.n words of L <= K bytes
+    memo = max((c + hs.ENGINE_BLOCK) * 4 * 8
+               + (w + hs.ENGINE_BLOCK * K3.n) * length
+               for length in range(1, k + 1)
+               for c, w in [hs._memo_bound(K3, length)])
+    # a block and a memo per segment, and one more of each for a step's
+    # working arrays and a memo's copy while it grows
+    bound = (segments + 1) * (block + memo)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            hs.count_hom_dfs(K3, region, budget=10 ** 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 @st.composite

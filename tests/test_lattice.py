@@ -3,6 +3,7 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,6 +58,29 @@ def test_sites_are_lexicographically_sorted():
     assert list(r.sites) == sorted(r.sites)
     assert r.sites[0] == (-1, -1)
     assert r.sites[-1] == (1, 1)
+
+
+def box_contains(region, site):
+    """Membership as the bounding-box walk answered it: the dimension,
+    then each coordinate against the box, then the site set."""
+    if region.d is None or len(site) != region.d:
+        return False
+    lo, hi = region.bounds()
+    return (all(a <= c <= b for a, c, b in zip(lo, site, hi))
+            and site in set(region.sites))
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([box_F(2, 2), box_B(3, 3), rectangle((2, 5), (-3, 1)),
+                        Region([(0, 0), (2, 3), (-1, 5)]), Region([])]),
+       st.lists(st.integers(-7, 7), min_size=0, max_size=4).map(tuple))
+def test_membership_matches_the_bounding_box_walk(region, site):
+    # out-of-box, wrong-length and member sites; numpy ints hash as ints
+    assert (site in region) == box_contains(region, site)
+    numpy_site = tuple(np.int64(c) for c in site)
+    assert (numpy_site in region) == box_contains(region, site)
+    for member in region.sites[:3]:
+        assert member in region
 
 
 def test_region_index_roundtrip():
