@@ -59,12 +59,12 @@ class HeightField:
         if self.heights.get(self.base) != 0:
             raise ValueError("height at base %r is not zero" % (self.base,))
         sites = self.region.sites
-        for site, nbrs in zip(sites, self.region.neighbor_table()):
+        for site, nbrs in zip(sites, self.region.neighbor_table().tolist()):
             if site not in self.heights:
                 raise ValueError("no height at %r" % (site,))
             h = self.heights[site]
             for j in nbrs:
-                if abs(h - self.heights[sites[j]]) != 1:
+                if j >= 0 and abs(h - self.heights[sites[j]]) != 1:
                     raise ValueError("non-unit height step %r -> %r"
                                      % (site, sites[j]))
         if self.coloring is not None:
@@ -95,7 +95,8 @@ def _sweep(region, base):
     (i, j) of the t-th detour says the height of j is; that height is
     the prefix sum at detours[1][t].
     """
-    table = region.neighbor_table()
+    table = [[j for j in row if j >= 0]
+             for row in region.neighbor_table().tolist()]
     start = region.index(base)
     rank = [None] * len(region)
     rank[start] = 0
@@ -224,7 +225,7 @@ def height_cocycle(x, base):
 @functools.lru_cache(maxsize=32)
 def _distances(region, base):
     """||s - base||_1 for every site s of region, in site order."""
-    return np.abs(np.array(region.sites) - base).sum(axis=1)
+    return np.abs(region.coords - base).sum(axis=1)
 
 
 def lipschitz_rows(region, base, heights):
@@ -268,9 +269,11 @@ def _splitmix64(x):
 # _PICK[mask][r]: the color of a site whose earlier neighbors use the colors
 # marked in mask, for r = counter_rng(seed, pos) % 6; 3 when none is free.
 # r mod 6 fixes r mod k for each possible number k = 1, 2, 3 of free colors.
+# Bit 3 marks a neighbor outside the region, at position -1, which reads the
+# pad byte 3 after the row; it frees nothing.
 _PICK = tuple(bytes(free[r % len(free)] if free else 3 for r in range(6))
               for free in ([c for c in range(3) if not mask >> c & 1]
-                           for mask in range(8)))
+                           for mask in range(16)))
 
 
 def sample_rows(region, seeds):
@@ -285,21 +288,21 @@ def sample_rows(region, seeds):
     keys = _splitmix64(np.array(seeds, dtype=np.uint64))
     draws = _splitmix64(keys[:, None] + np.arange(m, dtype=np.uint64))
     draws = (draws % np.uint64(6)).astype(np.uint8).tobytes()
-    earlier = region.earlier_neighbor_table()
+    columns = region.earlier_neighbor_table().T.tolist()
     rows = []
     for i in range(len(seeds)):
         r = draws[i * m:(i + 1) * m]
-        values = bytearray(m)
-        for pos, nbrs in enumerate(earlier):
+        values = bytearray(m) + b"\3"
+        for pos in range(m):
             mask = 0
-            for j in nbrs:
-                mask |= 1 << values[j]
+            for column in columns:
+                mask |= 1 << values[column[pos]]
             c = _PICK[mask][r[pos]]
             if c == 3:
                 raise RuntimeError("sampler blocked at %r: all colors used "
                                    "by neighbors" % (region.sites[pos],))
             values[pos] = c
-        rows.append(values)
+        rows.append(values[:m])
     return np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(seeds), m)
 
 
@@ -317,12 +320,12 @@ def sample_coloring(region, seed):
 
 def striped_coloring(region):
     """The maximal-slope coloring: coordinate sum mod 3."""
-    return Pattern(region, bytes(sum(s) % 3 for s in region.sites))
+    return Pattern(region, bytes((region.coords.sum(axis=1) % 3).tolist()))
 
 
 def checker_coloring(region):
     """The flat coloring: site parity, colors 0 and 1 only."""
-    return Pattern(region, bytes(lattice.parity(s) for s in region.sites))
+    return Pattern(region, bytes((region.coords.sum(axis=1) % 2).tolist()))
 
 
 def quasiflat_gap(samples, displacements):
@@ -363,8 +366,7 @@ def _is_k3(H):
 def _window_regions(M, n, buffer, d):
     box = lattice.box_F(n + M + buffer, d)
     inner = lattice.box_F(n, d)
-    ring = lattice.Region(
-        [s for s in box if lattice.norm_inf(s) > n + M])
+    ring = lattice.Region(box.coords[np.abs(box.coords).max(axis=1) > n + M])
     return box, inner, ring
 
 
@@ -407,10 +409,10 @@ def _lipschitz_glue(H, box, x, y):
     validated; one that fails is a bug.
     """
     shape = (2 * box.kind[1] + 1,) * box.d
-    heights = np.array(box.sites).sum(axis=1)
+    heights = box.coords.sum(axis=1)
     parities = heights % 2
-    center = [box.index(s) for s in x.region.sites]
-    ring = [box.index(s) for s in y.region.sites]
+    center = box.positions(x.region.coords)
+    ring = box.positions(y.region.coords)
 
     def envelope(positions, values):
         anchors = np.full(len(box), _FAR, dtype=np.int64)
@@ -422,7 +424,7 @@ def _lipschitz_glue(H, box, x, y):
     shift = 6 * -(-lo // 6)
     if shift > hi:
         return None
-    glued = envelope(center + ring, np.concatenate(
+    glued = envelope(np.concatenate([center, ring]), np.concatenate(
         [heights[center], parities[ring] + shift]))
     glued = Pattern(box, (glued % 3).astype(np.uint8).tobytes())
     if (not is_hom(H, glued)
@@ -475,8 +477,8 @@ def ufp_window_check(H, M, n, buffer=1, mode="targeted", d=2, budget=None):
     if mode == "exhaustive":
         box, inner, ring = _window_regions(M, n, buffer, d)
         rows = enumerate_hom(H, box, budget=budget).rows
-        centers, cid = _distinct_rows(rows[:, [box.index(s) for s in inner]])
-        rings, rid = _distinct_rows(rows[:, [box.index(s) for s in ring]])
+        centers, cid = _distinct_rows(rows[:, box.positions(inner.coords)])
+        rings, rid = _distinct_rows(rows[:, box.positions(ring.coords)])
         # pair k = (centers[k // R], rings[k % R]) glues iff some row has it;
         # the first missing pair is the number of codes k equal to their index
         glued = np.unique(cid * len(rings) + rid)

@@ -175,7 +175,7 @@ class Pattern:
                 and self.values == other.values)
 
     def __hash__(self):
-        return hash((self.region.sites, self.values))
+        return hash((self.region, self.values))
 
     def __repr__(self):
         return "Pattern(%s, %s)" % (self.region.kind, list(self.values))
@@ -255,9 +255,8 @@ def _edge_positions(region):
     """The lattice edges inside region, as two position arrays: the
     earlier and the later end of each, from earlier_neighbor_table()."""
     earlier = region.earlier_neighbor_table()
-    later = np.repeat(np.arange(len(earlier)), [len(e) for e in earlier])
-    first = np.fromiter(itertools.chain.from_iterable(earlier), dtype=np.intp,
-                        count=len(later))
+    later, t = np.nonzero(earlier >= 0)
+    first = earlier[later, t]
     first.flags.writeable = later.flags.writeable = False
     return first, later
 
@@ -366,7 +365,8 @@ class _Segment:
         self.a, self.b = a, b
         self.adj = H.matrix()
         self.full = _memo_bound(H, b - a)
-        cols = sorted({j for p in range(a, b) for j in earlier[p] if j < a}
+        prev = earlier[a:b].tolist()
+        cols = sorted({j for row in prev for j in row if 0 <= j < a}
                       | {source[p] for p in range(a, b) if 0 <= source[p] < a})
         self.cols = np.array(cols, dtype=np.intp)
         q = H.n
@@ -375,9 +375,9 @@ class _Segment:
         # the one-site steps on compact rows: cols, then the segment
         at = {j: i for i, j in enumerate(cols)}
         at.update((p, len(cols) + p - a) for p in range(a, b))
-        self.steps = [(at[p], [at[j] for j in earlier[p]],
+        self.steps = [(at[p], [at[j] for j in row if j >= 0],
                        at[source[p]] if source[p] >= 0 else -1)
-                      for p in range(a, b)]
+                      for p, row in zip(range(a, b), prev)]
         self.fill = root[a:b]
         # a context has at most q * degree^(b-a-1) words, so one expansion
         # of this many builds at most ENGINE_BLOCK * q rows at a time
@@ -460,16 +460,16 @@ class _Segment:
         return len(rows)
 
 
+@functools.lru_cache(maxsize=32)
 def _segment_bounds(region, reach):
-    """Where the segments start: runs of consecutive positions, each
-    site adjacent to the one before it (on a box, stretches of one
-    lattice line), at most reach long."""
-    earlier = region.earlier_neighbor_table()
-    bounds = [0]
-    for pos in range(1, len(earlier)):
-        if pos - bounds[-1] == reach or pos - 1 not in earlier[pos]:
-            bounds.append(pos)
-    return bounds + [len(earlier)] if earlier else []
+    """Where the segments start, and the region's size: runs of
+    consecutive positions, each site adjacent to the one before it (on a
+    box, stretches of one lattice line), cut every reach sites."""
+    pos = np.arange(len(region))
+    linked = (region.earlier_neighbor_table() == (pos - 1)[:, None]).any(axis=1)
+    run = np.maximum.accumulate(np.where(linked, 0, pos))  # each run's start
+    starts = np.flatnonzero((pos - run) % reach == 0).tolist()
+    return tuple(starts + [len(region)]) if starts else ()
 
 
 def _hom_blocks(H, region, root, source, counter):
@@ -598,7 +598,7 @@ def checkerboard_rows(H, region, rows, v0, v1):
     _require_edge(H, v0, v1, "checkerboard edge")
     if region.kind[0] != "F":
         return np.zeros(len(rows), dtype=bool)
-    shell, _, odd = _shell_columns(region.kind[1], region.d)
+    shell, _, _, odd = _shell_columns(region.kind[1], region.d)
     want = np.where(odd, v1, v0).astype(np.uint8)
     return (rows[:, shell] == want).all(axis=1) & hom_rows(H, region, rows)
 
@@ -613,8 +613,8 @@ def pure_checkerboard(H, v0, v1, n, d):
     """The two-color pattern a_i = v_parity(i) on all of F_n."""
     _require_edge(H, v0, v1, "checkerboard edge")
     region = box_F(n, d)
-    vals = bytes((v0 if parity(s) == 0 else v1) for s in region.sites)
-    return Pattern(region, vals)
+    vals = np.where(region.coords.sum(axis=1) % 2, v1, v0).astype(np.uint8)
+    return Pattern(region, vals.tobytes())
 
 
 def marker_set(H, v0, v1, v2, n, d, budget=None):
@@ -643,28 +643,21 @@ def missing_shell_residue(n, d):
 
 
 @functools.lru_cache(maxsize=32)
-def _shell_classes(n, d):
-    """The shell of F_n by residue mod 2: (residue, ascending positions in
-    F_n of its shell sites) pairs, in lexicographic order of residue."""
-    index = box_F(n, d).index
-    classes = {}
-    for s in shell_F(n, d):
-        classes.setdefault(tuple(c % 2 for c in s), []).append(index(s))
-    return tuple(sorted((r, tuple(p)) for r, p in classes.items()))
-
-
-@functools.lru_cache(maxsize=32)
 def _shell_columns(n, d):
-    """The shell of F_n as arrays, class by class as _shell_classes lists
-    it: each shell site's position, the position of its class's first
-    site, and whether its parity is odd."""
-    classes = _shell_classes(n, d)
-    shell = np.array([i for _, p in classes for i in p], dtype=np.intp)
-    lead = np.array([p[0] for _, p in classes for _ in p], dtype=np.intp)
-    odd = np.array([sum(r) % 2 for r, p in classes for _ in p], dtype=bool)
-    for a in (shell, lead, odd):
+    """The shell of F_n by residue mod 2, class by class in order of
+    residue and in site order within a class: each site's position in
+    F_n, its class's first position, the index of its residue in the cube
+    {0,1}^d in site order, and whether its parity is odd."""
+    coords = box_F(n, d).coords
+    positions = np.flatnonzero(np.abs(coords).max(axis=1) == n)
+    residue = (coords[positions] % 2) @ (1 << np.arange(d - 1, -1, -1))
+    order = residue.argsort(kind="stable")
+    shell, residue = positions[order], residue[order]
+    lead = shell[residue.searchsorted(residue)]
+    odd = coords[shell].sum(axis=1) % 2 == 1
+    for a in (shell, lead, residue, odd):
         a.flags.writeable = False
-    return shell, lead, odd
+    return shell, lead, residue, odd
 
 
 def hat_set(H, n, d, budget=None):
@@ -673,12 +666,12 @@ def hat_set(H, n, d, budget=None):
     if n < 1:
         raise ValueError("periodic-shell family needs n >= 1")
     region = box_F(n, d)
-    source = [-1] * len(region)
-    for _, positions in _shell_classes(n, d):
-        for i in positions[1:]:
-            source[i] = positions[0]
+    shell, lead = _shell_columns(n, d)[:2]
+    source = np.full(len(region), -1)
+    source[shell] = np.where(shell == lead, -1, lead)
     rows = _stack_rows(_hom_blocks(H, region, np.zeros(len(region), np.uint8),
-                                   source, BudgetCounter(budget)), len(region))
+                                   source.tolist(), BudgetCounter(budget)),
+                       len(region))
     return PatternSet.view(region, rows, {"family": "periodic_shell",
                                           "n": n, "d": d})
 
@@ -687,7 +680,7 @@ def hat_rows(H, region, rows):
     """in_hat for every row of an N x |region| uint8 array."""
     if region.kind[0] != "F" or region.kind[1] < 1:
         return np.zeros(len(rows), dtype=bool)
-    shell, lead, _ = _shell_columns(region.kind[1], region.d)
+    shell, lead, _, _ = _shell_columns(region.kind[1], region.d)
     return (rows[:, shell] == rows[:, lead]).all(axis=1) & hom_rows(
         H, region, rows)
 
@@ -791,9 +784,8 @@ def _rings(n, k, d):
     t * 2^d + c, where t = |s|_inf - n (0 inside F_n) and c is the index of
     s mod 2 in the residue cube of _ring_layers."""
     region = box_F(n + k, d)
-    sites = np.array(region.sites, dtype=np.intp)
-    ring = np.maximum(np.abs(sites).max(axis=1) - n, 0)
-    residue = (sites % 2) @ (1 << np.arange(d - 1, -1, -1))
+    ring = np.maximum(np.abs(region.coords).max(axis=1) - n, 0)
+    residue = (region.coords % 2) @ (1 << np.arange(d - 1, -1, -1))
     inner, slot = np.flatnonzero(ring == 0), ring << d | residue
     inner.flags.writeable = slot.flags.writeable = False
     return region, inner, slot
@@ -860,8 +852,7 @@ def _retraction_positions(n, d):
     """F_{2dn}, and for each of its sites the position of tau_n(site) in F_n."""
     big = box_F(2 * d * n, d)
     small = box_F(n, d)
-    positions = np.array([small.index(tau_n(site, n)) for site in big.sites],
-                         dtype=np.intp)
+    positions = small.positions([tau_n(site, n) for site in big.sites])
     positions.flags.writeable = False
     return big, positions
 
@@ -975,10 +966,11 @@ def flexible_fill(H, target, n, K, W, base, d=None):
             raise ValueError("block at %r does not fit: need sup-norm <= %d"
                              % (i, limit))
     region, inner, _ = _rings(pad, n - pad, d)
-    origin = region.index((0,) * d)
+    # in a box, the shift by i moves every position by the same amount
+    shift = region.positions(np.array(K)) - region.index((0,) * d)
     values = np.frombuffer(pure_checkerboard(H, w0, w1, n, d).values,
                            dtype=np.uint8).copy()
-    odd = np.array([parity(i) for i in K], dtype=bool)
+    odd = np.array(K).sum(axis=1) % 2 == 1
     for flip, block_target in ((False, (w0, w1)), (True, (w1, w0))):
         # Pad the blocks so their own boundary rings agree with the ambient
         # checkerboard: the padding target depends on the parity of i.
@@ -986,9 +978,7 @@ def flexible_fill(H, target, n, K, W, base, d=None):
         if len(chosen):
             _, padded = path_extend_rows(H, W[K[0]].region, rows[chosen],
                                          (v0, v1), block_target, N + 1)
-            # in a box, the shift by i moves every position by the same amount
-            shift = [region.index(K[j]) - origin for j in chosen]
-            values[inner + np.array(shift)[:, None]] = padded
+            values[inner + shift[chosen, None]] = padded
     return Pattern(region, values.tobytes())
 
 
@@ -1011,9 +1001,7 @@ def _layer_fits(H, cube, pool):
         len(pool), len(cube))
     fits = []
     for flips in cube.neighbor_table():
-        ok = np.ones((H.n, len(pool)), dtype=bool)
-        for j in flips:
-            ok &= adj[:, values[:, j]]
+        ok = adj[:, values[:, flips[flips >= 0]]].all(axis=2)
         fits.append(tuple(
             int.from_bytes(np.packbits(row, bitorder="little").tobytes(),
                            "little") for row in ok))
@@ -1095,9 +1083,9 @@ def hat_extend_rows(H, region, rows, k):
                          % (k, 2 * d))
     cube = _ring_layers(H, d)[0]
     absent = cube.index(missing_shell_residue(n, d))
-    q0_cols = [0] * len(cube)
-    for r, positions in _shell_classes(n, d):
-        q0_cols[cube.index(r)] = positions[0]
+    q0_cols = np.zeros(len(cube), dtype=np.intp)
+    _, lead, residue, _ = _shell_columns(n, d)
+    q0_cols[residue] = lead
     q0_cols[absent] = region.index((n - 1,) * d)
     stop = _first_false(member)
     layers, group = _distinct_rows(rows[:stop, q0_cols])

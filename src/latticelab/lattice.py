@@ -1,16 +1,18 @@
 """Geometry primitives on Z^d: boxes, shells, spacing, parity.
 
-Sites are plain tuples of ints.  Regions keep their sites in lexicographic
-order so that every enumeration downstream is byte-reproducible.  A region
-is never changed after it is built, so it caches position tables for its
-inner loops: Region.neighbor_table() and Region.earlier_neighbor_table()
-map each site position to the positions of its in-region neighbors, and
-are built on first use.
+A site is a tuple of ints.  A Region holds its sites as one read-only
+(N, d) int64 array, coords, in lexicographic order, so that every
+enumeration downstream is byte-reproducible.  Its neighbour table and
+positions() look sites up by their mixed-radix keys in the bounding box,
+so a region whose coordinates or box volume do not fit int64 is a
+ValueError; a site not in the region has position -1.
 """
 
 import functools
 import itertools
 import math
+
+import numpy as np
 
 MAX_DIM = 4
 
@@ -58,47 +60,63 @@ def neighbors(site):
     return out
 
 
+def _strides(lo, hi):
+    """The strides of a site's key in the box lo..hi, the last axis
+    fastest; ValueError unless the box's coordinates and volume fit int64."""
+    spans = [b - a + 1 for a, b in zip(lo, hi)]
+    if (min(lo) < -2 ** 63 or max(hi) >= 2 ** 63
+            or math.prod(spans) >= 2 ** 63):
+        raise ValueError("region box %r..%r does not fit int64"
+                         % (list(lo), list(hi)))
+    return np.cumprod([1] + spans[:0:-1])[::-1]
+
+
 class Region:
     """A finite set of sites in fixed lexicographic order.
 
-    kind is a tag: ("F", n), ("B", n), ("rect", dims, offset) or ("general",).
-    Its bounding box is kept for bounds() and is_box().
-
-    Regions are immutable.  That makes it safe to cache two position
-    tables, each built on first use: neighbor_table() and
-    earlier_neighbor_table(), and the hash, which the caches keyed by
-    region read on every call.  Equality and hashing depend on sites
-    alone, so a region with filled caches equals, and hashes like, a
-    fresh one.
+    sites is an iterable of int tuples of one length, or an (N, d) int
+    array.  kind is a tag: ("F", n), ("B", n), ("rect", dims, offset) or
+    ("general",).  Regions are immutable: the tables, the tuple of sites
+    and the dict behind index() and `in` are built on first use and kept.
+    Equality and hashing depend on the sites alone.
     """
 
     def __init__(self, sites, kind=("general",)):
-        sites = sorted(set(sites))
-        if not sites:
-            self.d = None
-            self.sites = ()
-            self.kind = kind
-            self._index = {}
-            self._lo = self._hi = None
-            self._neighbor_table = self._earlier_table = None
-            self._hash = hash(self.sites)
-            return
-        d = len(sites[0])
-        check_dim(d)
-        for s in sites:
-            if len(s) != d:
+        if not isinstance(sites, np.ndarray):
+            sites = list(sites)
+            if len({len(s) for s in sites}) > 1:
                 raise ValueError("mixed dimensions in region")
-        self.d = d
-        self.sites = tuple(sites)
-        self.kind = kind
-        self._index = {s: i for i, s in enumerate(self.sites)}
-        self._lo = tuple(min(s[t] for s in sites) for t in range(d))
-        self._hi = tuple(max(s[t] for s in sites) for t in range(d))
-        self._neighbor_table = self._earlier_table = None
-        self._hash = hash(self.sites)
+        try:
+            coords = np.array(sites, dtype=np.int64, order="C")
+        except OverflowError:
+            raise ValueError("region coordinates do not fit int64") from None
+        self.kind, self.d, self._lo, self._hi = kind, None, None, None
+        if not len(coords):
+            coords = np.empty((0, 0), dtype=np.int64)
+        else:
+            self.d = coords.shape[1]
+            check_dim(self.d)
+            self._lo = tuple(coords.min(axis=0).tolist())
+            self._hi = tuple(coords.max(axis=0).tolist())
+            self._strides = _strides(self._lo, self._hi)
+            self._keys = (coords - self._lo) @ self._strides
+            if not (self._keys[1:] > self._keys[:-1]).all():
+                self._keys, first = np.unique(self._keys, return_index=True)
+                coords = coords[first]
+        self.coords = coords
+        coords.flags.writeable = False
+        self._hash = hash((self.d, coords.tobytes()))
+
+    @functools.cached_property
+    def sites(self):
+        return tuple(map(tuple, self.coords.tolist()))
+
+    @functools.cached_property
+    def _index(self):
+        return {s: i for i, s in enumerate(self.sites)}
 
     def __len__(self):
-        return len(self.sites)
+        return len(self.coords)
 
     def __iter__(self):
         return iter(self.sites)
@@ -107,45 +125,58 @@ class Region:
         return len(site) == self.d and site in self._index
 
     def __eq__(self, other):
-        return isinstance(other, Region) and self.sites == other.sites
+        return (isinstance(other, Region) and self.d == other.d
+                and np.array_equal(self.coords, other.coords))
 
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):
+        return Region, (self.coords, self.kind)
+
     def index(self, site):
         return self._index[site]
 
-    def neighbor_table(self):
-        """For each position, the positions of its in-region neighbors.
+    def positions(self, coords):
+        """The position of each site, a row of the (M, d) int array coords:
+        -1 for a site outside the region."""
+        coords = np.asarray(coords, dtype=np.int64)
+        out = np.full(len(coords), -1, dtype=np.intp)
+        if self.d is None or coords.shape[1:] != (self.d,):
+            return out
+        at = np.flatnonzero(((coords >= self._lo) & (coords <= self._hi))
+                            .all(axis=1))
+        keys = (coords[at] - self._lo) @ self._strides
+        slot = np.minimum(self._keys.searchsorted(keys), len(self) - 1)
+        out[at] = np.where(self._keys[slot] == keys, slot, -1)
+        return out
 
-        Neighbors are listed in the order neighbors() gives them.
-        """
-        if self._neighbor_table is None:
-            index = self._index
-            self._neighbor_table = tuple(
-                tuple(index[nb] for nb in neighbors(site) if nb in index)
-                for site in self.sites)
-        return self._neighbor_table
+    @functools.cached_property
+    def _table(self):
+        # a coordinate that wraps past int64 leaves the bounding box
+        steps = np.kron(np.eye(self.d or 0, dtype=np.int64), [[-1], [1]])
+        table = np.array([self.positions(self.coords + step) for step in steps],
+                         dtype=np.int32).reshape(len(steps), len(self)).T
+        table.flags.writeable = False
+        return table
+
+    def neighbor_table(self):
+        """Each site's neighbours' positions, an N x 2d int32 array in the
+        column order of neighbors(), -1 for one outside the region."""
+        return self._table
 
     def earlier_neighbor_table(self):
-        """neighbor_table() restricted to positions earlier in site order."""
-        if self._earlier_table is None:
-            self._earlier_table = tuple(
-                tuple(j for j in nbrs if j < pos)
-                for pos, nbrs in enumerate(self.neighbor_table()))
-        return self._earlier_table
+        """The -e_t columns of neighbor_table(), the earlier neighbours."""
+        return self._table[:, 0::2]
 
     def translate(self, offset):
-        return Region([add(s, offset) for s in self.sites], kind=("general",))
+        # in Python ints, which do not wrap as int64 would
+        return Region([add(s, offset) for s in self.coords.tolist()])
 
     def is_box(self):
         """True when the region is exactly its bounding box."""
-        if self._lo is None:
-            return False
-        vol = 1
-        for t in range(self.d):
-            vol *= self._hi[t] - self._lo[t] + 1
-        return vol == len(self.sites)
+        return self.d is not None and len(self) == math.prod(
+            b - a + 1 for a, b in zip(self._lo, self._hi))
 
     def bounds(self):
         return self._lo, self._hi
@@ -160,7 +191,7 @@ class Region:
         if tag == "rect":
             return {"kind": "rect", "dims": list(self.kind[1]),
                     "offset": list(self.kind[2]), "d": self.d}
-        return {"kind": "general", "sites": [list(s) for s in self.sites],
+        return {"kind": "general", "sites": self.coords.tolist(),
                 "d": self.d}
 
 
@@ -209,12 +240,6 @@ def _box_arg(n, d, least, what):
     return n
 
 
-def _centered_sites(n, d):
-    """The sites of {-n..n}^d, in lexicographic order."""
-    _box_arg(n, d, 0, "box_F")
-    return itertools.product(range(-n, n + 1), repeat=d)
-
-
 def box_F(n, d):
     """The centered box {-n..n}^d, built once per (n, d)."""
     _box_arg(n, d, 0, "box_F")
@@ -227,11 +252,17 @@ def box_B(n, d):
     return _box(n, d, "B")
 
 
+def _grid(lo, dims):
+    """The sites of the box lo + {0..dims[0]-1} x ..., as an (N, d) array
+    in lexicographic order; ValueError unless the box fits int64."""
+    _strides(lo, add(lo, [c - 1 for c in dims]))
+    return np.indices(dims, dtype=np.int64).reshape(len(dims), -1).T + lo
+
+
 @functools.lru_cache(maxsize=32)
 def _box(n, d, kind):
-    if kind == "F":
-        return Region(_centered_sites(n, d), kind=("F", n))
-    return Region(itertools.product(range(1, n + 1), repeat=d), kind=("B", n))
+    lo, side = (-n, 2 * n + 1) if kind == "F" else (1, n)
+    return Region(_grid((lo,) * d, (side,) * d), kind=(kind, n))
 
 
 def rectangle(dims, offset=None):
@@ -242,35 +273,24 @@ def rectangle(dims, offset=None):
         offset = (0,) * d
     if any(not isinstance(a, int) or a < 1 for a in dims):
         raise ValueError("rectangle dims must be positive ints, got %r" % (dims,))
-    sites = itertools.product(*[range(offset[t] + 1, offset[t] + dims[t] + 1)
-                                for t in range(d)])
-    return Region(sites, kind=("rect", tuple(dims), tuple(offset)))
+    return Region(_grid(tuple(o + 1 for o in offset), tuple(dims)),
+                  kind=("rect", tuple(dims), tuple(offset)))
 
 
 def shell_F(n, d):
     """The outer shell F_n \\ F_{n-1} (all of F_0 when n = 0), in site order."""
-    return [s for s in _centered_sites(n, d) if norm_inf(s) == n]
+    coords = box_F(n, d).coords
+    return list(map(tuple, coords[np.abs(coords).max(axis=1) == n].tolist()))
 
 
 def is_K_spaced(points, K):
     """True iff the K-translates of the points are pairwise disjoint."""
-    points = list(points)
     ksites = list(K)
-    occupied = set()
-    for p in points:
-        for k in ksites:
-            site = add(p, k)
-            if site in occupied:
-                return False
-            occupied.add(site)
-    return True
+    covered = [add(p, k) for p in points for k in ksites]
+    return len(set(covered)) == len(covered)
 
 
 def is_box_spaced(points, n):
     """is_K_spaced with K = F_n, via the pairwise sup-norm criterion."""
-    points = list(points)
-    for a in range(len(points)):
-        for b in range(a + 1, len(points)):
-            if norm_inf(sub(points[a], points[b])) <= 2 * n:
-                return False
-    return True
+    return all(norm_inf(sub(a, b)) > 2 * n
+               for a, b in itertools.combinations(points, 2))

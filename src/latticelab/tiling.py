@@ -17,6 +17,8 @@ with none is a certified negative.
 import itertools
 import math
 
+import numpy as np
+
 from . import lattice
 from .lattice import box_B, rectangle
 from .util import BudgetCounter
@@ -40,11 +42,7 @@ class TileSet:
             raise ValueError("duplicate prototiles")
         self.protos = protos
         self.d = d
-        m = 1
-        for p in protos:
-            for c in p:
-                m *= c
-        self.M = m
+        self.M = math.prod(c for p in protos for c in p)
         self.coord_gcds = tuple(math.gcd(*(p[t] for p in protos)) if len(protos) > 1
                                 else protos[0][t]
                                 for t in range(d))
@@ -138,7 +136,7 @@ class Tiling:
                 and self.tiles == other.tiles)
 
     def __hash__(self):
-        return hash((self.region.sites, self.placements))
+        return hash((self.region, self.placements))
 
     def __repr__(self):
         return "Tiling(%d tiles on %s)" % (len(self.placements), self.region.kind)
@@ -161,9 +159,7 @@ def frobenius_decompose(lengths, L):
         raise ValueError("lengths must be positive")
     if L < 0:
         raise ValueError("target must be nonnegative")
-    g = uniq[0]
-    for x in uniq[1:]:
-        g = math.gcd(g, x)
+    g = math.gcd(*uniq)
     if g != 1:
         raise ValueError("tile set not coprime in this coordinate (gcd %d)" % g)
     NONE = None
@@ -341,10 +337,7 @@ def partition_complement(n, n_prime, N, M, offset):
         if not _slab_side_condition(dims, N, M):
             raise AssertionError("piece %r at %r violates the side condition"
                                  % (dims, off))
-        vol = 1
-        for c in dims:
-            vol *= c
-        volume += vol
+        volume += math.prod(dims)
         out.append(rectangle(dims, off))
     if volume != big ** d - (n * M) ** d:
         raise AssertionError("partition volume mismatch")
@@ -439,25 +432,21 @@ def _placement_masks(F, region):
     """For each site position, the prototiles that fit with that site as
     their least cell, as (proto index, mask) pairs.  Bit k of a mask is the
     site k positions after the anchor."""
-    if region.sites and region.d != F.d:
+    if not len(region):
+        return []
+    if region.d != F.d:
         raise ValueError("dimension mismatch: %d-dimensional tiles on a "
                          "%d-dimensional region" % (F.d, region.d))
-    index = {s: i for i, s in enumerate(region.sites)}
-    shapes = [list(itertools.product(*(range(c) for c in proto)))
-              for proto in F.protos]
-    out = []
-    for pos, site in enumerate(region.sites):
-        fits = []
-        for k, shape in enumerate(shapes):
-            mask = 0
-            for x in shape:
-                cell = index.get(tuple(a + b for a, b in zip(site, x)))
-                if cell is None:
-                    break
-                mask |= 1 << (cell - pos)
-            else:
-                fits.append((k, mask))
-        out.append(fits)
+    out = [[] for _ in range(len(region))]
+    for k, proto in enumerate(F.protos):
+        # cells[pos, c]: how far the c-th cell of the tile anchored at pos
+        # lies after pos, negative when the cell is outside the region
+        cells = np.stack([region.positions(region.coords + x)
+                          for x in itertools.product(*map(range, proto))],
+                         axis=1) - np.arange(len(region))[:, None]
+        fit = np.flatnonzero((cells >= 0).all(axis=1))
+        for pos, row in zip(fit.tolist(), cells[fit].tolist()):
+            out[pos].append((k, sum(1 << c for c in row)))
     return out
 
 
@@ -468,8 +457,9 @@ def _advance(p, mask, tile):
     return p + skip, covered >> skip
 
 
-def _frontier_count(F, region, counter):
-    """Exact tiling count by a frontier dynamic program over site positions.
+def _frontier_count(F, fits, counter):
+    """Exact tiling count by a frontier dynamic program over site positions,
+    from the region's placement masks fits (_placement_masks).
 
     A state is (p, mask): sites before position p are covered, site p is
     not, and bit k of mask marks site p + k covered.  The tile covering
@@ -478,8 +468,7 @@ def _frontier_count(F, region, counter):
     expanded in increasing order.  A region whose size is not a multiple
     of the gcd of the tile volumes has no tiling, and no state is expanded.
     """
-    fits = _placement_masks(F, region)
-    size = len(region)
+    size = len(fits)
     if size % math.gcd(*(math.prod(proto) for proto in F.protos)):
         return 0
     frontier = {0: {0: 1}}
@@ -502,7 +491,8 @@ def count_tilings(F, region, budget=None):
 
     Each expanded frontier state ticks the search budget.
     """
-    return _frontier_count(F, region, BudgetCounter(budget))
+    return _frontier_count(F, _placement_masks(F, region),
+                           BudgetCounter(budget))
 
 
 def find_tiling(F, region, budget=None):
@@ -516,9 +506,9 @@ def find_tiling(F, region, budget=None):
     expanded, so it needs no budget of its own; it keeps only the current
     branch and the dead states, not a parent pointer for every state.
     """
-    if not _frontier_count(F, region, BudgetCounter(budget)):
-        return None
     fits = _placement_masks(F, region)
+    if not _frontier_count(F, fits, BudgetCounter(budget)):
+        return None
     size = len(region)
     dead = set()
     branch = [(0, 0, 0)]  # (p, mask, index of the next fit to try)
@@ -680,7 +670,7 @@ def tiling_from_json(obj, validate=True):
     tiles = TileSet([lattice.int_tuple(p, "prototile")
                      for p in obj["tileset"]])
     region = lattice.region_from_descriptor(obj["region"])
-    if region.sites and region.d != tiles.d:
+    if len(region) and region.d != tiles.d:
         raise ValueError("a %d-dimensional region for %d-dimensional tiles"
                          % (region.d, tiles.d))
     placements = []

@@ -956,6 +956,24 @@ def test_loader_inputs_get_their_exit_code_and_one_line(case_text_code):
         assert err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize("sites,base", [
+    ([[0, 2 ** 70], [0, 2 ** 70 + 1]], "0,%d" % 2 ** 70),
+    ([[0, -2 ** 62], [0, 2 ** 62]], "0,%d" % -2 ** 62),
+], ids=["coordinate", "span"])
+def test_regions_past_int64_are_usage_errors(tmp_path, capsys, sites, base):
+    # a general region must pack into int64 keys: a coordinate past int64,
+    # or a bounding box of more than 2^63 - 1 sites, is a malformed file
+    path = tmp_path / "far.jsonl"
+    path.write_text(json.dumps({"alphabet": ["0", "1", "2"], "region": {
+        "kind": "general", "sites": sites}}) + '\n{"values":[0,1]}\n')
+    code, stdout, stderr = run(capsys, ["height", "cocycle", "--in",
+                                        str(path), "--base", base])
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("usage error: cannot read pattern file ")
+    assert "fit int64" in stderr
+    assert stderr.count("\n") == 1 and "Traceback" not in stderr
+
+
 # ---------------------------------------------------------------------------
 # fuzzing argv: every mutated command line exits 0-5, a failure with one line
 

@@ -467,15 +467,21 @@ def test_region_tables_pinned_and_region_still_pickles():
                             if nb in region) for s in region.sites)
         earlier = tuple(tuple(j for j in nbrs if j < pos)
                         for pos, nbrs in enumerate(table))
-        assert region.neighbor_table() == table
-        assert region.earlier_neighbor_table() == earlier
+        assert in_region(region.neighbor_table()) == table
+        assert in_region(region.earlier_neighbor_table()) == earlier
         assert region.neighbor_table() is region.neighbor_table()
         fresh = Region(region.sites, kind=region.kind)
         copy = pickle.loads(pickle.dumps(region))
         for other in (fresh, copy):
             assert other == region and hash(other) == hash(region)
-        assert copy.neighbor_table() == table
-        assert copy.earlier_neighbor_table() == earlier
+        assert in_region(copy.neighbor_table()) == table
+        assert in_region(copy.earlier_neighbor_table()) == earlier
+
+
+def in_region(table):
+    """A position table of the array form without its -1 entries, as
+    tuples."""
+    return tuple(tuple(j for j in row if j >= 0) for row in table.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,9 @@ def scalar_dfs(H, region, fixed, ties=None):
     m = len(sites)
     if m == 0:
         return [b""], 0
-    prevs = region.earlier_neighbor_table()
+    prevs = [[region.index(nb) for nb in lattice.neighbors(s)
+              if nb in region and region.index(nb) < pos]
+             for pos, s in enumerate(sites)]
     fixed_vals = [fixed.get(s) for s in sites]
     tied = [region.index(ties[s]) if s in (ties or {}) else None
             for s in sites]
@@ -188,11 +190,21 @@ def box_boundary(region):
             if any(c in (a, b) for a, c, b in zip(lo, s, hi))]
 
 
+def shell_classes(n, d):
+    """The shell of F_n by residue mod 2: (residue, ascending positions in
+    F_n of its shell sites) pairs, in lexicographic order of residue."""
+    index = box_F(n, d).index
+    classes = {}
+    for s in lattice.shell_F(n, d):
+        classes.setdefault(tuple(c % 2 for c in s), []).append(index(s))
+    return tuple(sorted((r, tuple(p)) for r, p in classes.items()))
+
+
 def hat_ties(n, d):
     """The periodic-shell family's ties on F_n: each shell site to the
     first shell site of its class mod 2."""
     sites = box_F(n, d).sites
-    return {sites[i]: sites[p[0]] for _, p in hs._shell_classes(n, d)
+    return {sites[i]: sites[p[0]] for _, p in shell_classes(n, d)
             for i in p[1:]}
 
 
@@ -343,7 +355,7 @@ def hat_by_assignment(H, n, d):
     """The periodic-shell family as the union of one search per shell
     assignment, sorted afterwards."""
     region = box_F(n, d)
-    classes = hs._shell_classes(n, d)
+    classes = shell_classes(n, d)
     rows = set()
     for assignment in itertools.product(range(H.n), repeat=len(classes)):
         boundary = {region.sites[i]: v

@@ -28,6 +28,23 @@ C4 = hs.cycle_graph(4)
 C5 = hs.cycle_graph(5)
 
 
+def neighbor_tuples(region):
+    """Each site's in-region neighbours' positions, in the order of
+    lattice.neighbors, looked up site by site."""
+    return tuple(tuple(region.index(nb) for nb in lattice.neighbors(s)
+                       if nb in region) for s in region.sites)
+
+
+def shell_classes(n, d):
+    """The shell of F_n by residue mod 2: (residue, ascending positions in
+    F_n of its shell sites) pairs, in lexicographic order of residue."""
+    index = box_F(n, d).index
+    classes = {}
+    for s in shell_F(n, d):
+        classes.setdefault(tuple(c % 2 for c in s), []).append(index(s))
+    return tuple(sorted((r, tuple(p)) for r, p in classes.items()))
+
+
 def oracle_enumerate(H, region, boundary=None):
     """Exhaustive reference enumeration (site order = canonical order)."""
     boundary = boundary or {}
@@ -284,6 +301,18 @@ def test_shell_validators_match_site_lookup(data):
     p = hs.Pattern(region, bytes(values))
     assert hs.in_hat(H, p) == site_in_hat(H, p)
     assert hs.in_checkerboard(H, p, v0, v1) == site_in_checkerboard(H, p, v0, v1)
+
+
+@pytest.mark.parametrize("n,d", [(0, 1), (1, 1), (3, 1), (1, 2), (2, 2),
+                                 (3, 2), (1, 3), (2, 3), (1, 4)])
+def test_shell_columns_match_the_shell_classes(n, d):
+    shell, lead, residue, odd = hs._shell_columns(n, d)
+    classes = shell_classes(n, d)
+    cube = lattice.rectangle((2,) * d, (-1,) * d)
+    assert shell.tolist() == [i for _, p in classes for i in p]
+    assert lead.tolist() == [p[0] for _, p in classes for _ in p]
+    assert residue.tolist() == [cube.index(r) for r, p in classes for _ in p]
+    assert odd.tolist() == [sum(r) % 2 == 1 for r, p in classes for _ in p]
 
 
 def test_hat_contains_marker_family():
@@ -673,10 +702,10 @@ def oracle_hat_extend(H, a, k):
     """hat_extend's layer-chain search, with its output built site by site."""
     n, d = a.region.kind[1], a.region.d
     cube, layer_pool = hs._ring_layers(H, d)
-    residues, index, flips = cube.sites, cube.index, cube.neighbor_table()
+    residues, index, flips = cube.sites, cube.index, neighbor_tuples(cube)
     absent = hs.missing_shell_residue(n, d)
     q0 = [None] * len(residues)
-    for r, positions in hs._shell_classes(n, d):
+    for r, positions in shell_classes(n, d):
         q0[index(r)] = a.values[positions[0]]
     q0[index(absent)] = a.value((n - 1,) * d)
     q0 = tuple(q0)
@@ -745,7 +774,7 @@ def redraw(H, pattern, inner, rnd):
     vertices adjacent to its neighbours' current values."""
     region = pattern.region
     values = bytearray(pattern.values)
-    nbrs = region.neighbor_table()
+    nbrs = neighbor_tuples(region)
     positions = [region.index(s) for s in inner]
     rnd.shuffle(positions)
     for pos in positions:
@@ -894,8 +923,8 @@ def edge_loop_is_hom(H, region, values):
     if any(v >= H.n for v in values):
         return False
     return all(H.has_edge(values[pos], values[j])
-               for pos, earlier in enumerate(region.earlier_neighbor_table())
-               for j in earlier)
+               for pos, nbrs in enumerate(neighbor_tuples(region))
+               for j in nbrs if j < pos)
 
 
 @st.composite
@@ -954,8 +983,7 @@ def pattern_in_checkerboard(H, a, v0, v1):
     if a.region.kind[0] != "F" or not edge_loop_is_hom(H, a.region, a.values):
         return False
     return all(a.values[i] == (v1 if sum(r) % 2 else v0)
-               for r, positions in hs._shell_classes(a.region.kind[1],
-                                                     a.region.d)
+               for r, positions in shell_classes(a.region.kind[1], a.region.d)
                for i in positions)
 
 
@@ -965,8 +993,8 @@ def pattern_in_hat(H, a):
     if not edge_loop_is_hom(H, a.region, a.values):
         return False
     return all(len({a.values[i] for i in positions}) == 1
-               for _, positions in hs._shell_classes(a.region.kind[1],
-                                                     a.region.d))
+               for _, positions in shell_classes(a.region.kind[1],
+                                                 a.region.d))
 
 
 def pattern_fill_rings(a, k, layers):
@@ -1022,7 +1050,7 @@ def pattern_hat_extend(H, a, k):
     index = cube.index
     absent = index(hs.missing_shell_residue(n, d))
     q0 = [None] * len(cube)
-    for r, positions in hs._shell_classes(n, d):
+    for r, positions in shell_classes(n, d):
         q0[index(r)] = a.values[positions[0]]
     q0[absent] = a.value((n - 1,) * d)
 
@@ -1092,7 +1120,7 @@ def broken(H, pattern, rnd):
     """pattern with one site moved to a value that breaks an edge at it,
     or pattern itself when every value fits (as in a full shift)."""
     region = pattern.region
-    nbrs = region.neighbor_table()
+    nbrs = neighbor_tuples(region)
     values = bytearray(pattern.values)
     spots = [(pos, v) for pos in range(len(region)) for v in range(H.n)
              if any(not H.has_edge(v, values[j]) for j in nbrs[pos])]
@@ -1108,7 +1136,7 @@ def off_shell(H, pattern, rnd):
     checkerboard), or pattern itself when none is left."""
     region = pattern.region
     n, d = region.kind[1], region.d
-    nbrs = region.neighbor_table()
+    nbrs = neighbor_tuples(region)
     values = bytearray(pattern.values)
     spots = [(pos, v) for pos in (region.index(s) for s in shell_F(n, d))
              for v in range(H.n) if v != values[pos]

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -81,6 +82,101 @@ def test_membership_matches_the_bounding_box_walk(region, site):
     assert (numpy_site in region) == box_contains(region, site)
     for member in region.sites[:3]:
         assert member in region
+
+
+@st.composite
+def regions_with_sites(draw):
+    """(region, its sites as sorted tuples built without numpy): a box, an
+    offset rectangle, a general or a disconnected site set in d = 1..4,
+    or the empty region."""
+    d = draw(st.integers(1, 4))
+    small = 3 if d < 4 else 2
+    kind = draw(st.sampled_from(["F", "B", "rect", "general", "apart",
+                                 "empty"]))
+    if kind == "F":
+        n = draw(st.integers(0, small - 1))
+        return box_F(n, d), tuple(itertools.product(range(-n, n + 1),
+                                                    repeat=d))
+    if kind == "B":
+        n = draw(st.integers(1, small))
+        return box_B(n, d), tuple(itertools.product(range(1, n + 1),
+                                                    repeat=d))
+    if kind == "rect":
+        dims = tuple(draw(st.integers(1, small + 1)) for _ in range(d))
+        offset = tuple(draw(st.integers(-6, 6)) for _ in range(d))
+        return rectangle(dims, offset), tuple(itertools.product(
+            *(range(o + 1, o + c + 1) for o, c in zip(offset, dims))))
+    if kind == "empty":
+        return Region([]), ()
+    coord = st.integers(-3, 3)
+    sites = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=30))
+    if kind == "apart":
+        # a second cluster far away along a random axis, so the bounding
+        # box is mostly empty and the region is disconnected
+        far = draw(st.integers(0, d - 1))
+        sites += [tuple(c + 40 * (t == far) for t, c in enumerate(s))
+                  for s in draw(st.lists(st.sampled_from(sites), min_size=1))]
+    return Region(draw(st.permutations(sites))), tuple(sorted(set(sites)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(regions_with_sites(), st.data())
+def test_region_arrays_match_the_tuple_oracle(case, data):
+    region, sites = case
+    index = {s: i for i, s in enumerate(sites)}
+    table = [[index.get(nb, -1) for nb in lattice.neighbors(s)]
+             for s in sites]
+    assert region.sites == sites and len(region) == len(sites)
+    assert region.coords.tolist() == [list(s) for s in sites]
+    got = region.neighbor_table()
+    assert got.dtype == np.int32
+    assert got.shape == (len(sites), 2 * (region.d or 0))
+    assert got.tolist() == table
+    earlier = region.earlier_neighbor_table().tolist()
+    assert earlier == [row[0::2] for row in table]
+    assert [[j for j in row if j >= 0] for row in earlier] == [
+        [j for j in row if 0 <= j < pos] for pos, row in enumerate(table)]
+    # positions, index and membership, inside and outside the region
+    d = region.d or data.draw(st.integers(1, 4))
+    probes = list(sites) + data.draw(st.lists(
+        st.tuples(*[st.integers(-5, 45)] * d), max_size=12))
+    found = region.positions(np.array(probes, dtype=np.int64).reshape(-1, d))
+    assert found.tolist() == [index.get(p, -1) for p in probes]
+    for p in probes:
+        assert (p in region) == (p in index)
+        if p in index:
+            assert region.index(p) == index[p]
+        else:
+            with pytest.raises(KeyError):
+                region.index(p)
+    # equality, hashing and pickling, across region kinds
+    copy = pickle.loads(pickle.dumps(region))
+    assert copy.kind == region.kind
+    others = [copy, Region(sites), Region(reversed(sites), kind=region.kind)]
+    if sites:
+        others.append(Region(region.coords[::-1]))
+    for other in others:
+        assert other == region and hash(other) == hash(region)
+        assert other.neighbor_table().tolist() == table
+    if sites:
+        fewer = Region(sites[1:])
+        assert fewer != region and region != fewer
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Region([(0, 2 ** 63)]),
+    lambda: Region([(0, -2 ** 63 - 1), (0, 0)]),
+    lambda: Region([(-2 ** 62, 0), (2 ** 62, 0)]),
+    lambda: Region([(0, 0, 0), (2 ** 21,) * 3]),
+    lambda: rectangle((2, 2), (2 ** 70, 0)),
+    lambda: lattice.region_from_descriptor(
+        {"kind": "general", "sites": [[0, 0], [0, 2 ** 70]]}),
+    lambda: box_F(2 ** 62, 1),
+], ids=["coordinate", "negative", "span", "volume", "rect-offset",
+        "descriptor", "box"])
+def test_regions_past_int64_are_value_errors(make):
+    with pytest.raises(ValueError, match="int64"):
+        make()
 
 
 def test_region_index_roundtrip():
