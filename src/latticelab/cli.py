@@ -69,8 +69,10 @@ def _parse_dims(text):
 def _parse_widths(text):
     if ".." in text:
         lo, hi = _ints(text, "..", "widths range", "2..8", 2)
-        return list(range(lo, hi + 1))
-    return list(_ints(text, ",", "widths", "2,4,6"))
+        if lo > hi:
+            raise ValueError("widths range %r is empty" % (text,))
+        return range(lo, hi + 1)
+    return _ints(text, ",", "widths", "2,4,6")
 
 
 def _read(path, what, parse):
@@ -296,8 +298,11 @@ def cmd_entropy(args):
                     lines.append("%d,%d,%d" % (m, n, count))
     elif args.what == "strips":
         H = _load_graph(args)
+        widths = _parse_widths(args.widths)
+        for w in widths:  # refuse a width past the caps before any row
+            entropy_mod.TransferOperator.check(H, w, args.boundary)
         lines.append("width,entropy")
-        for w in _parse_widths(args.widths):
+        for w in widths:
             h = entropy_mod.strip_entropy(H, w, boundary=args.boundary)
             lines.append("%d,%.12g" % (w, h))
     else:

@@ -4,8 +4,8 @@ Transfer operators over valid column states give exact integer counts for
 two-dimensional boxes and tori and numerical per-site entropies for strips.
 An operator keeps its states as a uint8 array; its transitions are sparse
 neighbour lists, built only when asked for, so the cost follows the number
-of compatible column pairs built.  strip_entropy's power iteration runs on
-the full lists in float64.
+of compatible column pairs built.  The states and pairs are counted as
+walks first, a count stopping once it is past its cap.
 
 Counts run on the orbits of a group G of symmetries of the transfer matrix
 T: the reflections (and, for a periodic column, rotations) of a column,
@@ -14,9 +14,11 @@ T's graph (Godsil & Royle, "Algebraic Graph Theory", 2001), so with
 B[i, j] the number of neighbours that orbit i's representative has in
 orbit j and P the orbit indicator matrix, T P = P B: a strip count is
 |O|' B^L 1, |O| the orbit sizes, and is taken on B alone, built from the
-representatives' own neighbours.  A diagonal entry of T^L is the same
-across an orbit, so trace(T^L) is sum_r |O_r| (T^a e_r).(T^b e_r) over the
-representatives r, a + b = L, on the full lists.
+representatives' own neighbours.  strip_entropy's float64 power iteration
+runs on B + I too, its norms and quotients weighted by |O|.  A diagonal
+entry of T^L is the same across an orbit, so trace(T^L) is
+sum_r |O_r| (T^a e_r).(T^b e_r) over the representatives r, a + b = L, on
+the full lists.
 
 Counts are exact in machine words, on arithmetic picked by a bound proved
 before anything is computed: T is a 0/1 matrix with at most D ones a row
@@ -57,13 +59,31 @@ POWER_TOL = 1e-12  # relative change that ends strip_entropy's iteration
 POWER_MAX_ITER = 100_000
 
 
-def _walk_total(nbrs, start, steps):
+def _walk_total(nbrs, start, steps, cap):
     """Number of walks of the given number of steps in an undirected graph,
-    v ~ each u in nbrs[v], with start[v] of them starting at each v."""
+    v ~ each u in nbrs[v], with start[v] of them starting at each v; None
+    when the count stops early, past cap.
+
+    After the first step every walk ends on an edge it can step back
+    along, and adding that step maps the walks of t steps one to one into
+    those of t + 1, so from t = 1 on the total never falls: a total past
+    cap before the last step proves the count past cap, and it stops
+    there."""
     walks = list(start)
-    for _ in range(steps):
+    for t in range(1, steps + 1):
         walks = [sum(walks[u] for u in row) for row in nbrs]
+        if t < steps and sum(walks) > cap:
+            return None
     return sum(walks)
+
+
+def _check_total(total, cap, what):
+    """ValueError when a _walk_total count is past cap, the count stated
+    exactly only when it was taken to the end."""
+    if total is None or total > cap:
+        raise ValueError("transfer state space too large: %s %s"
+                         % ("more than %d" % cap if total is None else total,
+                            what))
 
 
 def _segments(counts):
@@ -303,18 +323,19 @@ class TransferOperator:
     when they may sit side by side.  The free columns and their compatible
     pairs, which are built before the periodic ones are filtered out, are
     counted as walks and checked against MAX_TRANSFER_STATES and
-    MAX_TRANSFER_PAIRS before anything is built.
+    MAX_TRANSFER_PAIRS before anything is built; see check.
 
     Two forms of T are built when first asked for:
 
     - the full neighbour lists, as CSR arrays `indptr` and `indices`, for
-      apply (and so strip_entropy) and trace_power;
+      apply and trace_power only;
     - the lumped matrix B on the orbits of G, the column's reflection (and
       rotations, for a periodic column) times Aut(H): B[i, j] is the
       number of neighbours that orbit i's representative, its least
       state, has in orbit j, built from the representatives' neighbour
-      lists alone, for count_strip.  The orbits are the components of the
-      graph joining each state to its images under G's generators.
+      lists alone, for count_strip and strip_entropy.  The orbits are the
+      components of the graph joining each state to its images under G's
+      generators.
 
     Products are gathers and segment sums over the lists, at most
     GATHER_LIMIT entries at once.  count_strip and trace_power are exact
@@ -325,30 +346,10 @@ class TransferOperator:
     """
 
     def __init__(self, H, width, boundary="free"):
-        if boundary not in ("free", "periodic"):
-            raise ValueError("boundary must be 'free' or 'periodic'")
-        if width < 1:
-            raise ValueError("width must be positive")
+        self.check(H, width, boundary)
         self.H = H
         self.width = width
         self.boundary = boundary
-        q = H.n
-        states = _walk_total(H.adj, [1] * q, width - 1)
-        if states > MAX_TRANSFER_STATES:
-            raise ValueError("transfer state space too large: %d states"
-                             % states)
-        # Compatible column pairs are the walks on the undirected graph of
-        # adjacent pairs (x, y) of row values, x * q + y, where (x, y) ~
-        # (u, v) when u ~ x, v ~ y and u ~ v.
-        pair_nbrs = [[u * q + v for u in H.adj[x] for v in H.adj[y]
-                      if H.has_edge(u, v)] if H.has_edge(x, y) else []
-                     for x in range(q) for y in range(q)]
-        pairs = _walk_total(pair_nbrs, [int(H.has_edge(x, y))
-                                        for x in range(q) for y in range(q)],
-                            width - 1)
-        if pairs > MAX_TRANSFER_PAIRS:
-            raise ValueError("transfer state space too large: %d compatible "
-                             "column pairs" % pairs)
         self._columns = _Columns(H, width)
         columns = self._columns.rows
         # the index among the states of each free column, -1 for one that
@@ -362,6 +363,32 @@ class TransferOperator:
             raise ValueError("no valid column states for width %d (%s)"
                              % (width, boundary))
         self.states = columns
+
+    @staticmethod
+    def check(H, width, boundary="free"):
+        """The constructor's argument and size checks, run before anything
+        is built: ValueError for a bad boundary or width, or when the free
+        columns or their compatible pairs are past MAX_TRANSFER_STATES or
+        MAX_TRANSFER_PAIRS."""
+        if boundary not in ("free", "periodic"):
+            raise ValueError("boundary must be 'free' or 'periodic'")
+        if width < 1:
+            raise ValueError("width must be positive")
+        q = H.n
+        _check_total(_walk_total(H.adj, [1] * q, width - 1,
+                                 MAX_TRANSFER_STATES),
+                     MAX_TRANSFER_STATES, "states")
+        # Compatible column pairs are the walks on the undirected graph of
+        # adjacent pairs (x, y) of row values, x * q + y, where (x, y) ~
+        # (u, v) when u ~ x, v ~ y and u ~ v.
+        pair_nbrs = [[u * q + v for u in H.adj[x] for v in H.adj[y]
+                      if H.has_edge(u, v)] if H.has_edge(x, y) else []
+                     for x in range(q) for y in range(q)]
+        _check_total(_walk_total(pair_nbrs,
+                                 [int(H.has_edge(x, y))
+                                  for x in range(q) for y in range(q)],
+                                 width - 1, MAX_TRANSFER_PAIRS),
+                     MAX_TRANSFER_PAIRS, "compatible column pairs")
 
     def size(self):
         return len(self.states)
@@ -746,25 +773,38 @@ def strip_entropy(H, width, boundary="free"):
 
     Dominant eigenvalue by power iteration on the shifted operator T + I
     (the shift makes the iteration aperiodic; Perron-Frobenius gives
-    convergence for the connected case), in float64 through
-    TransferOperator.apply.  Each step's (T + I) v also gives the next
-    Rayleigh quotient, so T is applied once per step.
+    convergence for the connected case), in float64, from the unit
+    constant vector: v <- (T + I) v / |(T + I) v|, until the Rayleigh
+    quotient v'(T + I)v, which each step's product also gives, changes
+    by at most POWER_TOL relative, or for POWER_MAX_ITER steps.
 
-    The iteration runs on T's full neighbour lists, built here first.  T
-    is a symmetric 0/1 matrix, so its dominant eigenvalue is 0 when T has
-    no ones (D = 0) and at least 1 otherwise (the Rayleigh quotient of
-    e_i + e_j for a one at (i, j)); the first has no entropy.
+    The iteration runs on the orbits, on the operator's lumped matrix B
+    (T P = P B, P the orbit indicator matrix), so T's full neighbour
+    lists are never built.  The start vector is constant, so it is P u
+    for u constant on the orbits, and (T + I) P u = P (B + I) u: every
+    iterate is P u for a vector u on the orbits.  With W the orbit sizes,
+    |P u|**2 = sum_i W_i u_i**2 and (P u)'(T + I)(P u) =
+    sum_i W_i u_i ((B + I) u)_i, so iterating u with these weighted
+    norms and quotients is the iteration on T, step for step.
+
+    T is a symmetric 0/1 matrix, so its dominant eigenvalue is 0 when T
+    has no ones (D = 0, which B's degree equals) and at least 1 otherwise
+    (the Rayleigh quotient of e_i + e_j for a one at (i, j)); the first
+    has no entropy.
     """
     op = TransferOperator(H, width, boundary)
-    if not op._full.degree:
+    lumped = op._lumped
+    if not lumped.degree:
         raise ArithmeticError("dominant eigenvalue not positive")
-    vec = np.full(op.size(), 1.0 / math.sqrt(op.size()))
-    step = op.apply(vec) + vec  # (T + I) v
+    weight = op._orbits[1].astype(np.float64)
+    vec = np.full(len(weight), 1.0 / math.sqrt(op.size()))
+    step = lumped.product(vec) + vec  # (B + I) u
     lam = 0.0
     for _ in range(POWER_MAX_ITER):
-        vec = step / float(np.linalg.norm(step))  # the norm is >= 1
-        step = op.apply(vec) + vec
-        lam, last = float(vec @ step), lam
+        # the norm is >= 1
+        vec = step / math.sqrt(float(weight @ (step * step)))
+        step = lumped.product(vec) + vec
+        lam, last = float((weight * vec) @ step), lam
         if abs(lam - last) <= POWER_TOL * max(1.0, abs(lam)):
             break
     return math.log(lam - 1.0) / width  # undo the shift

@@ -504,14 +504,14 @@ def test_extend_output_bytes_are_pinned(tmp_path, capsys, family, op):
     assert digest == EXTEND_SHA256[family, op]
 
 
-def _child_run(*argv):
-    """(exit code, peak RSS in kB) of `latticelab argv` run in a child
-    process at the default budget."""
-    probe = ("import resource, subprocess, sys\n"
-             "rc = subprocess.run([sys.executable, '-m', 'latticelab.cli'] "
-             "+ sys.argv[1:], capture_output=True).returncode\n"
-             "print(rc, resource.getrusage(resource.RUSAGE_CHILDREN)"
-             ".ru_maxrss)\n")
+def _child(*argv):
+    """(exit code, peak RSS in kB, stdout, stderr) of `latticelab argv` run
+    in a child process at the default budget."""
+    probe = ("import json, resource, subprocess, sys\n"
+             "p = subprocess.run([sys.executable, '-m', 'latticelab.cli'] "
+             "+ sys.argv[1:], capture_output=True, text=True)\n"
+             "print(json.dumps([p.returncode, resource.getrusage("
+             "resource.RUSAGE_CHILDREN).ru_maxrss, p.stdout, p.stderr]))\n")
     env = dict(os.environ)
     env.pop("LATTICELAB_BUDGET", None)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -519,7 +519,48 @@ def _child_run(*argv):
         ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     out = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
                          capture_output=True, text=True, check=True).stdout
-    return tuple(int(x) for x in out.split())
+    return tuple(json.loads(out))
+
+
+def _child_run(*argv):
+    """(exit code, peak RSS in kB) of `latticelab argv` run in a child
+    process at the default budget."""
+    return _child(*argv)[:2]
+
+
+def test_strip_entropy_width_15_on_orbits():
+    # 49 152 free columns in 4 160 orbits; on the full neighbour lists
+    # (28.7 M entries) this took about 9 s and 2 GB
+    start = time.perf_counter()
+    rc, peak_kb, out, err = _child("entropy", "strips", "--widths", "15")
+    assert time.perf_counter() - start < 5
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[-1] == "15,0.444626639254"
+    assert peak_kb <= 400 * 1024
+
+
+@pytest.mark.parametrize("argv, message", [
+    # the size guards stop counting once past their caps
+    (["entropy", "strips", "--widths", "1000000"],
+     "transfer state space too large: more than 200000 states"),
+    (["count", "hom", "--n", "1000000"],
+     "transfer state space too large: more than 200000 states"),
+    (["count", "torus", "--n", "1000000"],
+     "transfer state space too large: more than 200000 states"),
+    # every width is checked before the first row is computed
+    (["entropy", "strips", "--widths", "14..16"],
+     "transfer state space too large: 86093442 compatible column pairs"),
+    (["entropy", "strips", "--widths", "1..1000000000"],
+     "transfer state space too large: 86093442 compatible column pairs"),
+    (["entropy", "strips", "--widths", "5..3"],
+     "widths range '5..3' is empty"),
+], ids=["strips-1e6", "hom-1e6", "torus-1e6", "strips-14..16",
+        "strips-1..1e9", "strips-5..3"])
+def test_oversized_and_empty_requests_fail_fast(argv, message):
+    start = time.perf_counter()
+    rc, _, out, err = _child(*argv)
+    assert time.perf_counter() - start < 2
+    assert (rc, out, err) == (2, "", "usage error: %s\n" % message)
 
 
 def test_count_torus_petersen_n4_on_orbits(tmp_path):

@@ -171,7 +171,7 @@ def outcome(fn, *args):
     """The value of fn(*args), or the type and message of what it raised."""
     try:
         return fn(*args)
-    except ValueError as err:
+    except (ValueError, ArithmeticError) as err:
         return (type(err), str(err))
 
 
@@ -910,6 +910,90 @@ def test_strip_entropy_matches_eigvalsh(H, width, boundary):
     lam = np.linalg.eigvalsh(dense_matrix(op).astype(np.float64))[-1]
     assert en.strip_entropy(H, width, boundary) == pytest.approx(
         math.log(lam) / width, abs=1e-9)
+
+
+def full_strip_entropy(H, width, boundary):
+    """strip_entropy's power iteration on T's full neighbour lists, through
+    TransferOperator.apply: the state route that the orbit route
+    replaced."""
+    op = en.TransferOperator(H, width, boundary)
+    if not op._full.degree:
+        raise ArithmeticError("dominant eigenvalue not positive")
+    vec = np.full(op.size(), 1.0 / math.sqrt(op.size()))
+    step = op.apply(vec) + vec
+    lam = 0.0
+    for _ in range(en.POWER_MAX_ITER):
+        vec = step / float(np.linalg.norm(step))
+        step = op.apply(vec) + vec
+        lam, last = float(vec @ step), lam
+        if abs(lam - last) <= en.POWER_TOL * max(1.0, abs(lam)):
+            break
+    return math.log(lam - 1.0) / width
+
+
+@given(st.sampled_from(GRAPHS + [hs.TargetGraph(["0", "1"], [])]),
+       st.integers(1, 8), st.sampled_from(["free", "periodic"]))
+@settings(max_examples=120, deadline=None)
+def test_orbit_entropy_matches_the_full_list_iteration(H, width, boundary):
+    op = outcome(en.TransferOperator, H, width, boundary)
+    # K4 and petersen at width 8 have 9.9 M and 2.3 M neighbour entries
+    assume(isinstance(op, tuple) or op.size() <= 8000)
+    want = outcome(full_strip_entropy, H, width, boundary)
+    got = outcome(en.strip_entropy, H, width, boundary)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert got == pytest.approx(want, rel=1e-12)
+    assert "%.12g" % got == "%.12g" % want
+
+
+@pytest.mark.parametrize("H, width, boundary", [
+    (K3, 8, "free"), (K3, 8, "periodic"), (hs.graph_preset("petersen"), 5,
+                                           "free"),
+    (LOOPED_PATH, 4, "periodic")],
+    ids=["K3-8-free", "K3-8-periodic", "petersen-5-free", "looped-4-periodic"])
+def test_orbit_entropy_asks_for_the_representatives_only(monkeypatch, H,
+                                                         width, boundary):
+    asked = []
+    compatible = en._compatible_columns
+
+    def spy(columns, lefts):
+        asked.append(lefts.copy())
+        return compatible(columns, lefts)
+
+    def no_full(op):
+        raise AssertionError("full neighbour lists built")
+
+    monkeypatch.setattr(en, "_compatible_columns", spy)
+    monkeypatch.setattr(en.TransferOperator, "_full", property(no_full))
+    h = en.strip_entropy(H, width, boundary)
+    monkeypatch.undo()
+    assert "%.12g" % h == "%.12g" % full_strip_entropy(H, width, boundary)
+    op = en.TransferOperator(H, width, boundary)
+    reps = op._orbits[0]
+    assert len(reps) < op.size()
+    assert len(asked) == 1 and np.array_equal(asked[0], op.states[reps])
+
+
+def test_walk_total_stops_past_its_cap():
+    K5 = hs.complete_graph(5)
+    ones = [1] * 5
+    # 5 * 4**t walks of t steps: past 1 000 from t = 4 on
+    assert en._walk_total(K5.adj, ones, 3, 1000) == 320
+    assert en._walk_total(K5.adj, ones, 4, 1000) == 1280  # on the last step
+    assert en._walk_total(K5.adj, ones, 5, 1000) is None
+    assert en._walk_total(K5.adj, ones, 10 ** 9, 1000) is None
+    # no step taken: the count is exact, past the cap or not
+    edge = hs.TargetGraph(["0", "1", "2"], [(0, 1)])
+    assert en._walk_total(edge.adj, [1] * 3, 0, 2) == 3
+    assert en._walk_total(edge.adj, [1] * 3, 5, 1) is None
+    with pytest.raises(ValueError, match="too large: more than 200000 "
+                                         "states$"):
+        en.TransferOperator(K3, 10 ** 6)
+    with pytest.raises(ValueError, match="too large: more than 33554432 "
+                                         "compatible column pairs$"):
+        en.TransferOperator.check(K5, 8)
+    en.TransferOperator.check(K3, 15, "periodic")
 
 
 @pytest.mark.parametrize("argv, rows", [
