@@ -790,13 +790,18 @@ def strip_entropy(H, width, boundary="free"):
     T is a symmetric 0/1 matrix, so its dominant eigenvalue is 0 when T
     has no ones (D = 0, which B's degree equals) and at least 1 otherwise
     (the Rayleigh quotient of e_i + e_j for a one at (i, j)); the first
-    has no entropy.
+    has no entropy.  By Perron-Frobenius it lies between the least and
+    the largest row sum of T, which are those of B; when they are one
+    value r (T is r-regular), it is r, with no iteration.
     """
     op = TransferOperator(H, width, boundary)
     lumped = op._lumped
     if not lumped.degree:
         raise ArithmeticError("dominant eigenvalue not positive")
     weight = op._orbits[1].astype(np.float64)
+    sums = lumped.product(np.ones(len(weight)))
+    if sums.min() == lumped.degree:
+        return math.log(lumped.degree) / width
     vec = np.full(len(weight), 1.0 / math.sqrt(op.size()))
     step = lumped.product(vec) + vec  # (B + I) u
     lam = 0.0

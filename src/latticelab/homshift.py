@@ -1185,7 +1185,7 @@ def verify_marker_spacing(family, spacing_n):
 # serialization
 
 
-_RECORD_HEAD = b'{"values":['
+_RECORD_HEAD = np.frombuffer(b'{"values":[', dtype=np.uint8)
 _RECORD_TAIL = np.frombuffer(b"]}\n", dtype=np.uint8)
 # Rows encoded per block, so that a block's arrays stay small.
 ENCODE_BLOCK = 8192
@@ -1195,45 +1195,71 @@ _DECODE_CHARS = 1 << 18  # pattern-file text split into lines at once
 @functools.lru_cache(maxsize=8)
 def _value_tokens(lo, hi):
     """Each value lo..hi as the JSON text ",<digits>", NUL-padded to the
-    longest of them, in one array of fixed-width items, and whether any
-    token is padded."""
+    longest of them, in one array of fixed-width items."""
     tokens = [b",%d" % v for v in range(lo, hi + 1)]
     width = max(map(len, tokens))
-    return (np.frombuffer(b"".join(t.ljust(width, b"\0") for t in tokens),
-                          dtype="V%d" % width),
-            min(map(len, tokens)) < width)
+    return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in tokens),
+                         dtype="V%d" % width)
+
+
+def _encode_planes(rows, head, lo, hi):
+    """encode_rows for rows whose values lo..hi all have one width: each
+    record is head, the m tokens ",<digits>" with the first comma on the
+    head's "[", and the tail, so every byte of the (n, L) output is one
+    plane written by one strided pass."""
+    n, m = rows.shape
+    sign = int(lo < 0)
+    digits = len(b"%d" % lo) - sign
+    width = 1 + sign + digits
+    start = len(head) - 1
+    stop = start + width * m if m else len(head)
+    out = np.empty((n, stop + len(_RECORD_TAIL)), dtype=np.uint8)
+    out[:, start:stop:width] = ord(",")
+    if sign:
+        out[:, start + 1:stop:width] = ord("-")
+        rows = (-rows.astype(np.int64)).view(np.uint64)  # |v|, -2**63 too
+    out[:, :len(head)] = head
+    out[:, stop:] = _RECORD_TAIL
+    for k in range(digits):  # the digit of 10**k, last in each token
+        plane = out[:, start + width - 1 - k:stop:width]
+        place = rows // 10 ** k if k else rows
+        np.add(place % 10 if k < digits - 1 else place, ord("0"),
+               out=plane, casting="unsafe")
+    return out.tobytes()
+
+
+def _encode_tokens(rows, head, lo, hi):
+    """encode_rows for any rows: every value's token from _value_tokens,
+    then the NUL padding and the comma before each row's first value
+    dropped in one pass."""
+    n, m = rows.shape
+    tokens = _value_tokens(lo, hi)
+    width = tokens.itemsize
+    body = slice(len(head), len(head) + width * m)
+    out = np.empty((n, body.stop + len(_RECORD_TAIL)), dtype=np.uint8)
+    out[:, :len(head)] = head
+    out[:, body] = tokens[rows - lo].view(np.uint8).reshape(n, width * m)
+    out[:, body.stop:] = _RECORD_TAIL
+    keep = out != 0
+    if m:
+        keep[:, body.start] = False
+    return out[keep].tobytes()
 
 
 def encode_rows(rows, key="values"):
     """The records '{"<key>":[v,...]}' of the integer rows, one line each.
 
-    Every value becomes its token ",<digits>" from a table over the range
-    of values the rows use, negative ones included, all cut to the width
-    of the longest.  When no token is padded (every value has as many
-    digits, as in every K3 pattern file), the tokens are written one byte
-    early, so that the first comma lands on the head's "[", which is then
-    put back.  Otherwise the NUL padding and the comma before each row's
-    first value are dropped in one pass.  Each record has the bytes of
-    canonical_json({key: row}).
+    When every value in the range the rows use has as many characters
+    (one sign, or none, and one count of digits, as in every pattern file
+    on a graph of at most ten vertices), each record has one fixed layout
+    and _encode_planes writes it a byte plane at a time.  Mixed widths,
+    as in most height records, take _encode_tokens.  Each record has the
+    bytes of canonical_json({key: row}).
     """
-    n, m = rows.shape
     lo, hi = (int(rows.min()), int(rows.max())) if rows.size else (0, 0)
-    tokens, padded = _value_tokens(lo, hi)
-    width = tokens.itemsize
     head = np.frombuffer(b'{"%s":[' % key.encode(), dtype=np.uint8)
-    start = len(head) - (m > 0 and not padded)
-    body = slice(start, start + width * m)
-    out = np.empty((n, body.stop + len(_RECORD_TAIL)), dtype=np.uint8)
-    out[:, :len(head)] = head
-    out[:, body] = tokens[rows - lo].view(np.uint8).reshape(n, width * m)
-    out[:, body.stop:] = _RECORD_TAIL
-    if start < len(head):
-        out[:, start] = head[-1]
-        return out.tobytes()
-    keep = out != 0
-    if m:
-        keep[:, body.start] = False
-    return out[keep].tobytes()
+    same = (lo < 0) == (hi < 0) and len(b"%d" % lo) == len(b"%d" % hi)
+    return (_encode_planes if same else _encode_tokens)(rows, head, lo, hi)
 
 
 def pattern_set_jsonl_blocks(ps, H, seed=None):
@@ -1277,17 +1303,37 @@ def _scan_records(lines, m, letters):
     A canonical record is exactly {"values":[v,...]} with m values, each
     a decimal of at most three digits without sign or leading zero and
     below min(letters, 256); json.loads reads such a line as a record
-    that _record_values accepts, with the same values.  The lines are
-    scanned as one byte array.  Returns a bool per line and the values
-    of the canonical lines, in line order, as a (count, m) uint8 array.
+    that _record_values accepts, with the same values.  Returns a bool
+    per line and the values of the canonical lines, in line order, as a
+    (count, m) uint8 array.
+
+    When every line has the length of a record of m one-digit values, as
+    in every pattern file on a graph of at most ten vertices, the lines
+    are an (N, L) byte grid, checked a column class at a time: the head,
+    the commas, the digits (below min(letters, 10)) and the tail.  If
+    every line passes, its digits are its values.  Otherwise the lines
+    are scanned as one byte array.
     """
     if not m:
         return np.zeros(len(lines), dtype=bool), np.empty((0, 0), np.uint8)
+    width = len(_RECORD_HEAD) + 2 * m + 1
+    if all(len(line) == width for line in lines):
+        grid = np.frombuffer("".join(lines).encode("utf-8", "replace"),
+                             dtype=np.uint8)
+        if len(grid) == len(lines) * width:
+            grid = grid.reshape(len(lines), width)
+            body = grid[:, len(_RECORD_HEAD) - 1:-2]  # "[" and v,v,...,v
+            values = body[:, 1::2] - np.uint8(ord("0"))
+            if ((grid[:, :len(_RECORD_HEAD)] == _RECORD_HEAD).all()
+                    and (body[:, 2::2] == ord(",")).all()
+                    and (values < min(letters, 10)).all()
+                    and (grid[:, -2:] == _RECORD_TAIL[:2]).all()):
+                return np.ones(len(lines), dtype=bool), values
     buf = np.frombuffer(("\n".join(lines) + "\n").encode("utf-8", "replace"),
                         dtype=np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
     starts = np.concatenate(([0], ends[:-1] + 1))
-    head = np.frombuffer(_RECORD_HEAD, dtype=np.uint8)
+    head = _RECORD_HEAD
     at_head = np.minimum(starts[:, None] + np.arange(len(head)), len(buf) - 1)
     ok = ((ends - starts > len(head) + 2) & (buf[at_head] == head).all(axis=1)
           & (buf[ends - 2] == ord("]")) & (buf[ends - 1] == ord("}")))

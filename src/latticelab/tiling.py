@@ -95,8 +95,46 @@ class Tiling:
         return [tuple(o[t] + x[t] for t in range(len(dims)))
                 for x in itertools.product(*(range(1, c + 1) for c in dims))]
 
-    def validate(self):
-        """Exact cover: placements disjoint, union equals the region."""
+    def _covers_exactly(self):
+        """Whether the tiles cover the region exactly, by one array check:
+        as many cells as sites, each cell at a position of the region
+        (Region.positions) and each position hit once.  False also when
+        an offset, a proto index or a cell is outside what the check
+        reads (an int64 offset of d coordinates, an index into the set)."""
+        protos, region = self.tiles.protos, self.region
+        index = [p for p, _ in self.placements]
+        if not index:
+            return not len(region)
+        if not all(0 <= p < len(protos) for p in index):
+            return False
+        counts = np.bincount(index, minlength=len(protos)).tolist()
+        if sum(k * math.prod(dims)
+               for k, dims in zip(counts, protos)) != len(region):
+            return False
+        try:
+            offsets = np.array([o for _, o in self.placements], dtype=np.int64)
+        except (OverflowError, ValueError):
+            return False
+        if offsets.shape != (len(index), self.tiles.d):
+            return False
+        cells, at = [], 0
+        for k, dims in zip(counts, protos):
+            block = offsets[at:at + k]  # the placements are sorted by proto
+            at += k
+            if not k:
+                continue
+            if (block > np.iinfo(np.int64).max - np.array(dims)).any():
+                return False
+            box = np.indices(dims).reshape(len(dims), -1).T + 1
+            cells.append((block[:, None, :] + box).reshape(-1, len(dims)))
+        pos = region.positions(np.concatenate(cells))
+        return bool((pos >= 0).all()
+                    and (np.bincount(pos, minlength=len(region)) == 1).all())
+
+    def _walk_sites(self):
+        """validate by walking the placements site by site: the error of
+        the first overlap, site outside the region or uncovered site, in
+        placement order."""
         seen = {}
         for pl in self.placements:
             for s in self.tile_sites(pl):
@@ -110,6 +148,14 @@ class Tiling:
             missing = next(s for s in self.region.sites if s not in seen)
             raise ValueError("site %r is uncovered" % (missing,))
         return True
+
+    def validate(self):
+        """Exact cover: placements disjoint, union equals the region.
+
+        One array check (_covers_exactly) accepts an exact cover; only
+        when it does not are the sites walked (_walk_sites), which raises
+        the error of the first fault."""
+        return self._covers_exactly() or self._walk_sites()
 
     def mapping(self):
         """site -> (proto index, position within the tile); the overlap label."""

@@ -477,6 +477,38 @@ def test_enumerate_output_bytes_are_pinned(tmp_path, capsys, args):
     assert digest == ENUMERATE_SHA256[args]
 
 
+# SHA-256 of `enumerate --out` at seed 0 on a 13-vertex graph, a path on
+# 0..9 and a triangle on 10, 11, 12, as the per-record encoder wrote them:
+# the shells on the triangle have only two-digit values, the box mixes
+# widths
+EDGES13 = "".join("%d %d\n" % (i, i + 1) for i in range(9)) + \
+    "10 11\n11 12\n10 12\n"
+ENUMERATE13_SHA256 = {
+    "--family checker --n 2 --v0 10 --v1 11":
+        "45bb0d7d8e70fa4afd1c996f56d9f60ea8501625d6a6a700a807e1104492d149",
+    "--family tilde --n 2 --v0 10 --v1 11 --v2 12":
+        "f194eef346db839281e20ca32d630e4466efaf71e3a8cfb00fae41d5509c8728",
+    "--family box --n 1":
+        "3a63806f32a231913e79967e82608d25c789c2190934e58eadc3e3a299f0a691",
+}
+
+
+@pytest.mark.parametrize("args", sorted(ENUMERATE13_SHA256))
+def test_enumerate_on_a_13_vertex_graph_bytes_are_pinned(tmp_path, capsys,
+                                                         args):
+    edges, out = tmp_path / "edges.txt", tmp_path / "family.jsonl"
+    edges.write_text(EDGES13)
+    code, _, _ = run(capsys, ["enumerate", "--edges", str(edges)]
+                     + args.split() + ["--seed", "0", "--out", str(out)])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        ENUMERATE13_SHA256[args]
+    text = out.read_text()
+    ps, _ = pattern_set_from_jsonl(text)
+    assert homshift.encode_rows(ps.rows).decode() == \
+        text[text.index("\n") + 1:]
+
+
 # SHA-256 of `extend --out` at seed 0 on the `enumerate --out` file of
 # the first argument, as the per-site ring loops wrote them
 EXTEND_SHA256 = {

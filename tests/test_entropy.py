@@ -1012,6 +1012,21 @@ def test_strip_entropy_table_bytes(capsys, argv, rows):
     assert capsys.readouterr().out == "\n".join(want) + "\n"
 
 
+def test_strip_entropy_of_a_regular_operator_is_exact(capsys):
+    # one edge: every column has one neighbour, so T is a permutation and
+    # its entropy is 0, not the power iteration's last bit of noise
+    edge = hs.TargetGraph(["0", "1"], [(0, 1)])
+    for width in (1, 2, 3, 8, 4000):
+        assert en.strip_entropy(edge, width) == 0.0
+    # full2: T is all ones, 2**w-regular
+    for width in (1, 4):
+        assert en.strip_entropy(hs.full_shift_graph(2), width) == \
+            math.log(2 ** width) / width
+    # K3 free, width 2: each column (a, b) continues to the (c, d) with
+    # c != a, d != b, c != d, three of them
+    assert en.strip_entropy(K3, 2) == math.log(3) / 2
+
+
 def test_strip_entropy_no_states_error():
     with pytest.raises(ValueError):
         en.strip_entropy(K3, 1, "periodic")  # needs a self-loop

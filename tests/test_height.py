@@ -794,6 +794,55 @@ def test_block_decoder_matches_json_loads_on_each_broken_form(form):
                 decoded(json_decode, text)
 
 
+# Lines of the length of a record of three one-digit values, but not one:
+# the fixed-width check must pass each of them to the scan
+SAME_LENGTH_LINES = [
+    '{"values":[0,,12]}',       # double comma
+    '{"values":[0,,2] }',       # double comma, the length made up by a space
+    '{"values":[01,2]}\t',      # leading zero
+    '{"values":[0,12]}\t',      # two values, one of two digits
+    '{"values":[0, 12]}',       # a space in a digit slot
+    '{"values":[ 1,2]}\t',      # a space after the bracket
+    '{"values":[0,a,2]}',       # a letter in a digit slot
+    '{"values":[0,1e0]}',       # a float, read by json.loads
+    '{"values":[0,1,2}]',       # "}]" for "]}"
+    '{"values":[0,1,7]}',       # a digit outside a 3-letter alphabet
+    '{"values":[0,1,9]}',
+    '{"values":[0;1,2]}',       # a semicolon for a comma
+    '{"valuez":[0,1,2]}',       # another key
+    '{"values":(0,1,2]}',
+    '{"values":[0,1,\xb2]}',    # a character of two UTF-8 bytes
+    '{"values":[0,1,2]]',
+]
+
+
+@pytest.mark.parametrize("line", SAME_LENGTH_LINES)
+def test_fixed_width_check_passes_hostile_lines_to_the_scan(line):
+    assert len(line) == len(record_line("canonical", [0, 1, 2]))
+    for letters in (3, 12):
+        head = json.dumps({"alphabet": [str(v) for v in range(letters)],
+                           "count": 4, "region": box_F(1, 1).kind_descriptor()})
+        good = [record_line("canonical", [i, 1, 2 - i]) for i in range(3)]
+        for at in range(4):
+            text = "\n".join([head] + good[:at] + [line] + good[at:]) + "\n"
+            assert decoded(pattern_set_from_jsonl, text) == \
+                decoded(json_decode, text)
+
+
+@pytest.mark.parametrize("other", ['{"values":[10,1,2]}', '{"values":[0,1]}',
+                                   '{"values":[0,1,2,0]}'])
+def test_fixed_width_check_in_a_block_of_mixed_lengths(other):
+    # a line of another length sends the whole block to the scan, which
+    # reads the one-digit lines as the fixed-width check would
+    head = json.dumps({"alphabet": [str(v) for v in range(12)],
+                       "region": box_F(1, 1).kind_descriptor()})
+    good = [record_line("canonical", [i % 3, 1, 2]) for i in range(5)]
+    for at in range(6):
+        text = "\n".join([head] + good[:at] + [other] + good[at:]) + "\n"
+        assert decoded(pattern_set_from_jsonl, text) == \
+            decoded(json_decode, text)
+
+
 @given(pattern_files(), st.integers(1, 200))
 @settings(max_examples=400, deadline=None)
 def test_block_decoder_matches_json_loads(text, block):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latticelab import cli
 from latticelab import homshift as hs
 from latticelab import lattice
 from latticelab import tiling as tl
@@ -488,3 +489,97 @@ def test_tiling_json_rejects_malformed_even_unvalidated(field, value):
     obj[field] = value
     with pytest.raises(ValueError):
         tl.tiling_from_json(obj, validate=False)
+
+
+# ---------------------------------------------------------------------------
+# validation: the array check against the site walk
+
+
+# small valid tilings: (tile set, region, placements)
+BASE_TILINGS = [(F, region, tl.find_tiling(F, region).placements)
+                for F, region in [
+                    (DOM, rectangle((4, 4))),
+                    (DOM, rectangle((3, 4), (-2, 5))),
+                    (DOM, Region([(i, j) for i in range(4) for j in range(4)
+                                  if i < 2 or j < 2])),
+                    (tl.tile_preset("bars235"), rectangle((5, 3))),
+                    (tl.tile_preset("squares23"), rectangle((6, 6))),
+                    (tl.tile_preset("dominoes3"), rectangle((2, 2, 2)))]]
+# shifts of a whole tiling, up to the ends of int64
+SHIFTS = [0, -7, 2 ** 62, 2 ** 63 - 10, -2 ** 63 + 1]
+# moves of one tile, some past int64 and some wrapping to the far end
+MOVES = [-1, 0, 1, 2, 2 ** 63, -2 ** 64, 2 ** 64 + 1, 2 ** 70]
+FAR = [2 ** 63 - 1, 2 ** 63, -2 ** 63, 2 ** 64, -2 ** 70, 10 ** 6]
+
+
+@st.composite
+def changed_tilings(draw):
+    """A valid tiling, shifted, then with one placement moved, duplicated,
+    dropped, put far away or given another prototile, or left alone;
+    or an empty region, with no tiles or one."""
+    F, region, placements = draw(st.sampled_from(BASE_TILINGS))
+    d = F.d
+    if draw(st.integers(0, 9)) == 0:
+        return F, Region([]), [(0, (0,) * d)] * draw(st.integers(0, 1))
+    shift = draw(st.sampled_from(SHIFTS))
+    region = Region([tuple(c + shift for c in s) for s in region.sites])
+    pl = [(p, tuple(c + shift for c in o)) for p, o in placements]
+    kind = draw(st.sampled_from(["none", "move", "duplicate", "drop",
+                                 "far", "proto", "none-left"]))
+    i = draw(st.integers(0, len(pl) - 1))
+    p, o = pl[i]
+    if kind == "move":
+        pl[i] = (p, tuple(c + draw(st.sampled_from(MOVES)) for c in o))
+    elif kind == "duplicate":
+        pl.append(pl[i])
+    elif kind == "drop":
+        del pl[i]
+    elif kind == "far":
+        pl[i] = (p, tuple(draw(st.sampled_from(FAR)) for _ in o))
+    elif kind == "proto":
+        pl[i] = ((p + 1) % len(F), o)
+    elif kind == "none-left":
+        pl = []
+    return F, region, pl
+
+
+def _outcome(check):
+    try:
+        return check()
+    except ValueError as err:
+        return str(err)
+
+
+@given(changed_tilings())
+@settings(max_examples=300, deadline=None)
+def test_validate_array_check_matches_the_site_walk(case):
+    # the array check accepts no tiling the walk rejects, and every one it
+    # accepts whose offsets fit int64 (a tile at the low end of int64 has
+    # its offset just below)
+    t = tl.Tiling(*case)
+    want = _outcome(t._walk_sites)
+    assert _outcome(t.validate) == want
+    fits = all(-2 ** 63 <= c < 2 ** 63 for _, o in t.placements for c in o)
+    covers = t._covers_exactly()
+    assert want is True if covers else not (want is True and fits)
+
+
+def test_verify_tiling_reports_the_site_walks_reason(tmp_path, capsys):
+    F, region, placements = BASE_TILINGS[0]
+    pl = list(placements)
+    changes = {"valid": pl, "overlap": pl + pl[:1], "hole": pl[1:],
+               "outside": pl[:-1] + [(pl[-1][0], (4, 4))],
+               "past-int64": pl[:-1] + [(pl[-1][0], (2 ** 63, 0))],
+               "wrapping": pl[:-1] + [(pl[-1][0], (2 ** 64 - 1, 0))]}
+    for name, changed in changes.items():
+        t = tl.Tiling(F, region, changed)
+        path = tmp_path / ("%s.json" % name)
+        path.write_text(json.dumps({"tiling": tl.tiling_to_json(t)}))
+        code = cli.main(["verify", "tiling", "--file", str(path)])
+        record = json.loads(capsys.readouterr().out)
+        want = _outcome(t._walk_sites)
+        if want is True:
+            assert code == 0 and record["ok"] is True
+        else:
+            assert code == 1 and record["ok"] is False
+            assert record["reason"] == want
