@@ -127,12 +127,17 @@ def _marker_colors(H, args):
 
 
 def _emit(args, text, summary=None):
-    """Write text, a str or ASCII byte blocks, to --out or stdout."""
+    """Write text, a str or ASCII byte blocks, to --out or stdout.
+
+    --out is written in binary mode: byte blocks go out as they come and
+    a str once as UTF-8, the bytes stdout gets as a text stream."""
     out = getattr(args, "out", None)
-    with (open(out, "w", encoding="utf-8") if out
-          else contextlib.nullcontext(sys.stdout)) as fh:
-        fh.writelines([text] if isinstance(text, str)
-                      else (block.decode("ascii") for block in text))
+    if out:
+        with open(out, "wb") as fh:
+            fh.writelines([text.encode()] if isinstance(text, str) else text)
+    else:
+        sys.stdout.writelines([text] if isinstance(text, str)
+                              else (block.decode("ascii") for block in text))
     if summary is not None:
         print(summary)
 

@@ -15,10 +15,13 @@ one coloring per row in site order.  lift_rows sums the signed steps of
 a breadth-first tree from the base, fixed once per (region, base), and
 checks every edge against the sums; sample_rows draws the seeded
 choices of a whole block of seeds with one array splitmix64 and fills
-each row in raster order; lipschitz_rows compares heights with the
-distance to the base.  height_cocycle, sample_coloring, lipschitz_check
-and quasiflat_gap are their one-row (or one-block) calls, and each batch
-call reports its first bad row with the message the one-row call gives.
+the sites in raster order, on two paths: a block under _BLOCK_SEEDS
+seeds a row at a time in Python, a larger one a site at a time across
+the block in numpy, the threshold being where both cost the same;
+lipschitz_rows compares heights with the distance to the base.
+height_cocycle, sample_coloring, lipschitz_check and quasiflat_gap are
+their one-row (or one-block) calls, and each batch call reports its
+first bad row with the message the one-row call gives.
 """
 
 import functools
@@ -253,8 +256,10 @@ def lipschitz_check(field):
     Every field produced by height_cocycle on a box passes.
     """
     h0 = field.heights[field.base]
-    row = [[field.heights[s] - h0 for s in field.region.sites]]
-    hit = lipschitz_rows(field.region, field.base, np.array(row))
+    sites = field.region.sites
+    row = np.fromiter(map(field.heights.__getitem__, sites), np.int64,
+                      len(sites)) - h0
+    hit = lipschitz_rows(field.region, field.base, row.reshape(1, -1))
     return None if hit is None else hit[1:]
 
 
@@ -276,18 +281,40 @@ _PICK = tuple(bytes(free[r % len(free)] if free else 3 for r in range(6))
                            for mask in range(16)))
 
 
+# _PICK_HOT[16 * r + mask]: the color _PICK[mask][r] as one set bit, 1 << c,
+# so that 8 marks a blocked site as the pad does.
+_PICK_HOT = np.array([1 << pick[r] for r in range(6) for pick in _PICK],
+                     dtype=np.uint8)
+
+# Blocks of at least this many seeds are filled a site at a time across the
+# block, smaller ones a seed at a time.  Either way each site costs one step:
+# a few numpy calls on the block's column, or a few byte operations per row.
+# So the crossover does not move with the region: 16 to 20 seeds on F_5 and
+# F_10 in d = 2, F_2 in d = 3 and F_30 in d = 1 (on F_5, 0.09 ms against
+# 0.6 to 0.9 ms at one seed, 1.9 against 0.5 ms at 64).
+_BLOCK_SEEDS = 20
+
+
 def sample_rows(region, seeds):
     """One sampled 3-coloring of region per seed, as a uint8 array.
 
     Row i is sample_coloring(region, seeds[i]).  The seeded draws of the
     whole block come from one array splitmix64, bit-identical to
-    util.counter_rng; each row is then filled in raster order.
+    util.counter_rng.  A block of fewer than _BLOCK_SEEDS seeds (every
+    sample_coloring call) fills its rows one at a time in raster order,
+    in a loop over sites in Python; a larger one fills a site at a time
+    for every seed at once (_fill_sites), whose numpy calls cost about
+    as much as that loop on 20 seeds.  Both give the same rows and raise
+    for the first blocked seed, at its first blocked site.
     """
-    seeds = [s & _MASK for s in seeds]
+    seeds = np.array([s & _MASK for s in seeds], dtype=np.uint64)
     m = len(region)
-    keys = _splitmix64(np.array(seeds, dtype=np.uint64))
-    draws = _splitmix64(keys[:, None] + np.arange(m, dtype=np.uint64))
-    draws = (draws % np.uint64(6)).astype(np.uint8).tobytes()
+    draws = _splitmix64(_splitmix64(seeds)[:, None]
+                        + np.arange(m, dtype=np.uint64))
+    draws = (draws % np.uint64(6)).astype(np.uint8)
+    if len(seeds) >= _BLOCK_SEEDS:
+        return _fill_sites(region, draws)
+    draws = draws.tobytes()
     columns = region.earlier_neighbor_table().T.tolist()
     rows = []
     for i in range(len(seeds)):
@@ -299,11 +326,41 @@ def sample_rows(region, seeds):
                 mask |= 1 << values[column[pos]]
             c = _PICK[mask][r[pos]]
             if c == 3:
-                raise RuntimeError("sampler blocked at %r: all colors used "
-                                   "by neighbors" % (region.sites[pos],))
+                _raise_blocked(region, pos)
             values[pos] = c
         rows.append(values[:m])
     return np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(seeds), m)
+
+
+def _fill_sites(region, draws):
+    """sample_rows on a large block, draws its N x m array of draws mod 6.
+
+    Keeps the filled sites as one-hot bytes, an m x N array with the pad
+    row 8 after them at position -1; a site's colors come from one take
+    of _PICK_HOT at the OR of its earlier neighbors' rows and 16 * draw.
+    A blocked site reads 8, which later sites take as the pad: the rows
+    up to each seed's first blocked site are the scalar loop's.
+    """
+    m = len(region)
+    hot = np.empty((m + 1, len(draws)), dtype=np.uint8)
+    hot[m] = 8
+    keys = np.ascontiguousarray(draws.T) << 4
+    index = np.empty(len(draws), dtype=np.intp)
+    for pos, column in enumerate(region.earlier_neighbor_table().tolist()):
+        np.bitwise_or(keys[pos], hot[column[0]], out=index)
+        for j in column[1:]:
+            index |= hot[j]
+        _PICK_HOT.take(index, out=hot[pos])
+    blocked = hot[:m] == 8
+    if blocked.any():
+        seed = int(blocked.any(axis=0).argmax())
+        _raise_blocked(region, int(blocked[:, seed].argmax()))
+    return np.ascontiguousarray(hot[:m].T) >> 1  # 1, 2, 4 -> 0, 1, 2
+
+
+def _raise_blocked(region, pos):
+    raise RuntimeError("sampler blocked at %r: all colors used by neighbors"
+                       % (region.sites[pos],))
 
 
 def sample_coloring(region, seed):

@@ -713,6 +713,57 @@ def test_extend_pipeline_bytes_are_pinned(tmp_path, capsys, checker3, step,
     assert digest == PIPELINE_EXTEND_SHA256[step, op]
 
 
+@pytest.fixture(scope="module")
+def battery_inputs(tmp_path_factory):
+    """The input files of the criterion-12 battery and of height cocycle."""
+    root = tmp_path_factory.mktemp("battery")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["enumerate", "--graph", "K3", "--family", "hat",
+                     "--n", "1", "--d", "2", "--out",
+                     str(root / "hat1.jsonl")]) == 0
+        assert main(["enumerate", "--family", "checker", "--n", "2",
+                     "--out", str(root / "checker2.jsonl")]) == 0
+        assert main(["height", "sample", "--n", "2", "--d", "2", "--seed",
+                     "5", "--out", str(root / "sample.jsonl")]) == 0
+    tiling = tiling_to_json(tile_rectangle(dominoes(), (4, 4)))
+    (root / "blocks.json").write_text(json.dumps(
+        {"blocks": [{"site": [4, 4], "tiling": tiling}]}))
+    return root
+
+
+# the criterion-12 battery, then height cocycle and extend's other two ops
+OUT_ARGVS = [
+    "enumerate --graph K3 --family box --n 1 --d 2 --seed 3",
+    "extend --graph K3 --op hat --in {dir}/hat1.jsonl --k 4 --seed 3",
+    "fill --tileset dominoes --n 4 --k 1 --blocks {dir}/blocks.json",
+    "tile --tileset dominoes --dims 8x8",
+    "count tilings --tileset dominoes --dims 4x6",
+    "entropy ratio --graph K3 --nmax 1",
+    "verify marker --graph K3 --n 2 --d 2",
+    "verify ufp --graph K3 --M 0 --n 1 --mode exhaustive --d 1",
+    "height sample --n 3 --d 2 --seed 42",
+    "height cocycle --in {dir}/sample.jsonl --base 0,0 --seed 1",
+    "extend --op path --in {dir}/checker2.jsonl --source 0,1 --target 1,2 "
+    "--k 3 --seed 2",
+    "extend --graph K3 --op embed --in {dir}/hat1.jsonl --target 1,0 --k 4",
+]
+
+
+@pytest.mark.parametrize("argv", OUT_ARGVS, ids=[
+    "enumerate", "extend-hat", "fill", "tile", "count-tilings",
+    "entropy-ratio", "verify-marker", "verify-ufp", "height-sample",
+    "height-cocycle", "extend-path", "extend-embed"])
+def test_out_file_holds_the_bytes_of_stdout(tmp_path, capsys,
+                                            battery_inputs, argv):
+    argv = argv.format(dir=battery_inputs).split()
+    out = tmp_path / "out"
+    code, summary, err = run(capsys, argv + ["--out", str(out)])
+    plain = run(capsys, argv)
+    assert plain[::2] == (code, err)
+    # stdout carries the text, then the summary line --out leaves there
+    assert plain[1].encode("utf-8") == out.read_bytes() + summary.encode()
+
+
 def _checker2_with(kind):
     """The K3 checker --n 2 family, plus one row: all zeros ("zero"), a
     member whose centre copies its right neighbour ("broken"), or none."""

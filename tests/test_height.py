@@ -156,6 +156,11 @@ def test_lipschitz_violation_reported():
     assert lipschitz_check(bad) == ((2,), 2, 1)
     with pytest.raises(ValueError, match="non-unit"):
         bad.validate()
+    # heights relative to a nonzero base height; a missing site has none
+    shifted = HeightField(region, (1,), {(1,): -5, (2,): -4, (3,): -8})
+    assert lipschitz_check(shifted) == ((3,), -3, 2)
+    with pytest.raises(KeyError, match=r"\(2,\)"):
+        lipschitz_check(HeightField(region, (1,), {(1,): 0, (3,): 1}))
 
 
 def test_sampler_reproducible_and_proper():
@@ -374,8 +379,9 @@ def tuple_lift(x, base):
 def raster_sample(region, seed):
     """Raster-order sampler by tuple arithmetic: lattice.neighbors per site.
 
-    The scalar loop that sample_rows runs on a block of seeds: each site
-    takes counter_rng(seed, pos) mod k among its k free colors."""
+    The loop that sample_rows runs on a small block of seeds and the
+    oracle of both its paths: each site takes counter_rng(seed, pos) mod k
+    among its k free colors."""
     values = bytearray(len(region))
     for pos, site in enumerate(region.sites):
         used = set()
@@ -628,7 +634,13 @@ SEEDS = st.one_of(st.integers(0, 2 ** 16), st.integers(-2 ** 70, -1),
                   st.integers(2 ** 63 - 2, 2 ** 70))
 
 
-@given(small_regions(), st.lists(SEEDS, min_size=1, max_size=5))
+# seed blocks on both sides of the threshold between the sampler's paths
+SEED_BLOCKS = st.one_of(
+    st.lists(SEEDS, min_size=1, max_size=ht._BLOCK_SEEDS - 1),
+    st.lists(SEEDS, min_size=ht._BLOCK_SEEDS, max_size=2 * ht._BLOCK_SEEDS + 8))
+
+
+@given(small_regions(), SEED_BLOCKS)
 @settings(max_examples=300, deadline=None)
 def test_sample_rows_match_raster_sampler(region, seeds):
     want = []
@@ -655,6 +667,27 @@ def test_sample_rows_report_the_first_blocked_seed():
     assert outcome(sample_rows, cube, seeds) == (RuntimeError, message)
     assert sample_rows(cube, seeds[:2]).tobytes() == \
         raster_sample(cube, -45) + raster_sample(cube, -44)
+    # a block past the threshold: its first seed samples, -9 is the first
+    # to block and -6, -5, -3 and -2 block after it
+    seeds = list(range(-32, 0))
+    assert seeds.index(-9) >= ht._BLOCK_SEEDS
+    assert outcome(sample_rows, cube, seeds) == (RuntimeError, message)
+    assert sample_rows(cube, seeds[:seeds.index(-9)]).tobytes() == \
+        b"".join(raster_sample(cube, seed) for seed in range(-32, -9))
+
+
+def test_sample_rows_report_the_first_blocked_seeds_site():
+    # two such cubes: seed 3 blocks at (4, 1, 1) only, seed 4 at (1, 1, 1),
+    # a site earlier in raster order, and the block reports seed 3's site
+    corners = [s for s in itertools.product((0, 1), repeat=3) if any(s)]
+    cubes = Region(corners + [(x + 3, y, z) for x, y, z in corners])
+    seeds = [0, 1] + list(range(3, 3 + ht._BLOCK_SEEDS))
+    for seed, site in ((3, (4, 1, 1)), (4, (1, 1, 1))):
+        assert outcome(raster_sample, cubes, seed)[1] == \
+            "sampler blocked at %r: all colors used by neighbors" % (site,)
+    for block in (seeds, seeds[:4]):
+        assert outcome(sample_rows, cubes, block) == \
+            outcome(raster_sample, cubes, 3)
 
 
 def test_lipschitz_rows_report_the_first_row_and_site():
