@@ -14,14 +14,16 @@ The lift, the sampler and the Lipschitz check work on blocks of rows,
 one coloring per row in site order.  lift_rows sums the signed steps of
 a breadth-first tree from the base, fixed once per (region, base), and
 checks every edge against the sums; sample_rows draws the seeded
-choices of a whole block of seeds with one array splitmix64 and fills
-the sites in raster order, on two paths: a block under _BLOCK_SEEDS
-seeds a row at a time in Python, a larger one a site at a time across
-the block in numpy, the threshold being where both cost the same;
-lipschitz_rows compares heights with the distance to the base.
-height_cocycle, sample_coloring, lipschitz_check and quasiflat_gap are
-their one-row (or one-block) calls, and each batch call reports its
-first bad row with the message the one-row call gives.
+choices of a whole block of seeds with one in-place array splitmix64
+and fills the sites in raster order as one-hot bytes, each site one
+lookup in _PICK_HOT, on two paths: a small block a row at a time in
+Python, a large one a site at a time across the block in numpy, each
+block taking the path that costs less; lipschitz_rows compares heights
+with the distance to the base.  height_cocycle, sample_coloring,
+lipschitz_check and quasiflat_gap are their one-row (or one-block)
+calls, and each batch call reports its first bad row with the message
+the one-row call gives.  A HeightField keeps the lifted row beside its
+heights mapping, and lipschitz_check reads the row.
 """
 
 import functools
@@ -45,8 +47,14 @@ _STEP.reshape(256, 256)[:3, :3] = [[(0, 1, -1)[(b - a) % 3] for a in range(3)]
 class HeightField:
     """Heights over a connected region, zero at the base site.
 
-    Instances built by hand may violate the step rule; validate()
-    checks it, and height_cocycle only ever returns valid fields.
+    heights maps each site to its int height.  row is the same heights
+    as an int array in the region's site order, aligned with
+    region.coords: height_cocycle stores the row it lifted, and a field
+    built by hand, HeightField(region, base, mapping), derives it from
+    heights on first read, which raises KeyError for a site without a
+    height, and keeps it.  Instances built by hand may violate the step rule;
+    validate() checks it, and height_cocycle only ever returns valid
+    fields.
     """
 
     def __init__(self, region, base, heights, coloring=None):
@@ -56,6 +64,12 @@ class HeightField:
         self.base = base
         self.heights = dict(heights)
         self.coloring = coloring
+
+    @functools.cached_property
+    def row(self):
+        sites = self.region.sites
+        return np.fromiter(map(self.heights.__getitem__, sites), np.int64,
+                           len(sites))
 
     def validate(self):
         """Raise unless base height is zero, steps are unit, mod 3 holds."""
@@ -141,11 +155,18 @@ def _sweep(region, base):
             walk.extend((i, j))
             step_out(j)
             stack.append((j, iter(children[j])))
-    detours = np.array([[t for t, _ in detours],
-                        [arrive[j] for _, j in detours]],
-                       dtype=np.intp).reshape(2, len(detours))
+    detours = tuple(np.array([[t for t, _ in detours],
+                              [arrive[j] for _, j in detours]],
+                             dtype=np.intp).reshape(2, len(detours)))
     return (tuple(edges), np.array(walk), np.array(arrive), detours,
             len(region) - len(order))
+
+
+def _check_base(region, base):
+    if region.d is None:
+        raise ValueError("empty region has no heights")
+    if base not in region:
+        raise ValueError("base %r outside the region" % (base,))
 
 
 def lift_rows(region, base, colors):
@@ -161,13 +182,15 @@ def lift_rows(region, base, colors):
     edge, a sweep conflict or a disconnected region), with the message
     height_cocycle gives that row.
     """
-    if region.d is None:
-        raise ValueError("empty region has no heights")
-    if base not in region:
-        raise ValueError("base %r outside the region" % (base,))
+    _check_base(region, base)
     if colors.dtype != np.uint8 or colors.shape[1:] != (len(region),):
         raise ValueError("colorings must be uint8 rows of width %d"
                          % len(region))
+    return _lift(region, base, colors)
+
+
+def _lift(region, base, colors):
+    """lift_rows on a base and a block of rows it has checked."""
     edges, walk, arrive, detours, missing = _sweep(region, base)
     steps = _STEP.take(colors.take(walk, axis=1).view("<u2"))
     sums = np.add.accumulate(steps, axis=1, dtype=np.int32)
@@ -220,9 +243,12 @@ def height_cocycle(x, base):
     (impossible for a proper coloring of a simply connected region).
     """
     region = x.region
+    _check_base(region, base)
     row = np.frombuffer(x.values, dtype=np.uint8).reshape(1, len(region))
-    heights = lift_rows(region, base, row)[0].tolist()
-    return HeightField(region, base, zip(region.sites, heights), coloring=x)
+    row = _lift(region, base, row)[0]
+    field = HeightField(region, base, zip(region.sites, row.tolist()), x)
+    field.row = row
+    return field
 
 
 @functools.lru_cache(maxsize=32)
@@ -253,104 +279,140 @@ def lipschitz_check(field):
 
     Returns None when |heights[i]| <= ||i - base||_1 everywhere, else
     the first offending (site, height, bound) in canonical site order.
-    Every field produced by height_cocycle on a box passes.
+    Every field produced by height_cocycle on a box passes; a field
+    built by hand with a site missing raises KeyError for it.
     """
-    h0 = field.heights[field.base]
-    sites = field.region.sites
-    row = np.fromiter(map(field.heights.__getitem__, sites), np.int64,
-                      len(sites)) - h0
-    hit = lipschitz_rows(field.region, field.base, row.reshape(1, -1))
+    region, row = field.region, field.row
+    row = row - row[region.index(field.base)]
+    hit = lipschitz_rows(region, field.base, row.reshape(1, -1))
     return None if hit is None else hit[1:]
 
 
+# util.splitmix64's constants as uint64 scalars, built once
+_GAMMA, _MUL1, _MUL2, _S30, _S27, _S31 = map(np.uint64, (
+    0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 30, 27, 31))
+
+
 def _splitmix64(x):
-    """util.splitmix64 on a uint64 array, which wraps as the scalar masks."""
-    x = x + np.uint64(0x9E3779B97F4A7C15)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+    """util.splitmix64 on a uint64 array, in place (it wraps as the scalar
+    masks); returns x."""
+    x += _GAMMA
+    x ^= x >> _S30
+    x *= _MUL1
+    x ^= x >> _S27
+    x *= _MUL2
+    x ^= x >> _S31
+    return x
 
 
-# _PICK[mask][r]: the color of a site whose earlier neighbors use the colors
-# marked in mask, for r = counter_rng(seed, pos) % 6; 3 when none is free.
-# r mod 6 fixes r mod k for each possible number k = 1, 2, 3 of free colors.
-# Bit 3 marks a neighbor outside the region, at position -1, which reads the
-# pad byte 3 after the row; it frees nothing.
-_PICK = tuple(bytes(free[r % len(free)] if free else 3 for r in range(6))
-              for free in ([c for c in range(3) if not mask >> c & 1]
-                           for mask in range(16)))
+def _pick_hot(mask, r):
+    free = [c for c in range(3) if not mask >> c & 1]
+    return 1 << free[r % len(free)] if free else 8
 
 
-# _PICK_HOT[16 * r + mask]: the color _PICK[mask][r] as one set bit, 1 << c,
-# so that 8 marks a blocked site as the pad does.
-_PICK_HOT = np.array([1 << pick[r] for r in range(6) for pick in _PICK],
-                     dtype=np.uint8)
+# _PICK_HOT[16 * r + mask]: the color of a site, as one set bit 1 << c, when
+# its earlier neighbors hold the one-hot colors OR'd in mask and
+# r = counter_rng(seed, pos) % 6; 8 when none is free.  r mod 6 fixes r mod k
+# for each possible number k = 1, 2, 3 of free colors.  Bit 3 marks a
+# neighbor outside the region (the pad byte 8 at position -1) or a blocked
+# one; it frees nothing.  Entries 96 to 111 give back the mask itself, for
+# the partial ORs of a site with more than two earlier neighbors (_plan).
+# Both sampler paths read this one table, as bytes or as an array.
+_PICK_HOT = bytes([_pick_hot(mask, r) for r in range(6) for mask in range(16)]
+                  + list(range(16)))
+_PICK_HOT_ARRAY = np.frombuffer(_PICK_HOT, dtype=np.uint8)
+_PARTIAL_KEYS = bytes([96])  # the key of the scratch slot m
+_COLORS = bytes.maketrans(b"\1\2\4", b"\0\1\2")
 
-# Blocks of at least this many seeds are filled a site at a time across the
-# block, smaller ones a seed at a time.  Either way each site costs one step:
-# a few numpy calls on the block's column, or a few byte operations per row.
-# So the crossover does not move with the region: 16 to 20 seeds on F_5 and
-# F_10 in d = 2, F_2 in d = 3 and F_30 in d = 1 (on F_5, 0.09 ms against
-# 0.6 to 0.9 ms at one seed, 1.9 against 0.5 ms at 64).
-_BLOCK_SEEDS = 20
+# A block of seeds takes whichever sampler path costs less.  The scalar loop
+# takes one _plan step per seed and site.  _fill_sites takes d + 1 numpy
+# calls per site whatever the number of seeds (an OR per earlier-neighbor
+# column, then the take), and one such call costs about _CALL_STEPS plan
+# steps.  So a block goes to _fill_sites once len(seeds) * len(_plan) reaches
+# _CALL_STEPS * (d + 1) * |region|: 18 seeds in d = 1, 27 in d = 2, 24 on
+# F_2 in d = 3 and 26 on F_1 in d = 4, each near the crossover measured there.
+_CALL_STEPS = 9
+
+
+@functools.lru_cache(maxsize=32)
+def _plan(region):
+    """The scalar sampler's steps on region, fixed once per region.
+
+    A tuple of (to, a, b) position triples, one per site in raster order,
+    each setting hot[to] = _PICK_HOT[key[to] | hot[a] | hot[b]] where a
+    and b are the site's earlier neighbors (-1, the pad, for a missing
+    one).  A site with more than two earlier neighbors first ORs them
+    into the scratch slot m, whose key is 96, two at a time.
+    """
+    m = len(region)
+    steps = []
+    for pos, column in enumerate(region.earlier_neighbor_table().tolist()):
+        nbrs = [j for j in column if j >= 0]
+        nbrs += [-1] * (2 - len(nbrs))
+        while len(nbrs) > 2:
+            steps.append((m, nbrs[0], nbrs[1]))
+            nbrs = [m] + nbrs[2:]
+        steps.append((pos, *nbrs))
+    return tuple(steps)
 
 
 def sample_rows(region, seeds):
     """One sampled 3-coloring of region per seed, as a uint8 array.
 
     Row i is sample_coloring(region, seeds[i]).  The seeded draws of the
-    whole block come from one array splitmix64, bit-identical to
-    util.counter_rng.  A block of fewer than _BLOCK_SEEDS seeds (every
-    sample_coloring call) fills its rows one at a time in raster order,
-    in a loop over sites in Python; a larger one fills a site at a time
-    for every seed at once (_fill_sites), whose numpy calls cost about
-    as much as that loop on 20 seeds.  Both give the same rows and raise
-    for the first blocked seed, at its first blocked site.
+    whole block come from one in-place array splitmix64, bit-identical
+    to util.counter_rng.  Both paths keep the filled sites as one-hot
+    bytes 1, 2 and 4, with the pad byte 8 at position -1, and give each
+    site its one-hot color by one lookup in _PICK_HOT at 16 * draw OR'd
+    with its earlier neighbors' bytes.  A small block (every
+    sample_coloring call) fills its rows one at a time in a Python loop
+    over the region's _plan, and maps them back to colors 0, 1 and 2
+    with one bytes.translate; a large one, where that loop would cost
+    more (see _CALL_STEPS), fills a site at a time for every seed at
+    once (_fill_sites).  Both give the same rows and raise for the first
+    blocked seed, at its first blocked site.
     """
     seeds = np.array([s & _MASK for s in seeds], dtype=np.uint64)
     m = len(region)
     draws = _splitmix64(_splitmix64(seeds)[:, None]
                         + np.arange(m, dtype=np.uint64))
-    draws = (draws % np.uint64(6)).astype(np.uint8)
-    if len(seeds) >= _BLOCK_SEEDS:
-        return _fill_sites(region, draws)
-    draws = draws.tobytes()
-    columns = region.earlier_neighbor_table().T.tolist()
-    rows = []
+    keys = np.remainder(draws, 6, out=draws).astype(np.uint8) << 4
+    steps, table = _plan(region), region.earlier_neighbor_table()
+    if len(seeds) * len(steps) >= _CALL_STEPS * (table.shape[1] + 1) * m:
+        return _fill_sites(region, keys)
+    keys, pick, rows = keys.tobytes(), _PICK_HOT, []
     for i in range(len(seeds)):
-        r = draws[i * m:(i + 1) * m]
-        values = bytearray(m) + b"\3"
-        for pos in range(m):
-            mask = 0
-            for column in columns:
-                mask |= 1 << values[column[pos]]
-            c = _PICK[mask][r[pos]]
-            if c == 3:
-                _raise_blocked(region, pos)
-            values[pos] = c
-        rows.append(values[:m])
-    return np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(seeds), m)
+        key = keys[i * m:(i + 1) * m] + _PARTIAL_KEYS
+        hot = bytearray(m + 1) + b"\10"
+        for to, a, b in steps:
+            hot[to] = pick[key[to] | hot[a] | hot[b]]
+        pos = hot.find(8, 0, m)
+        if pos >= 0:
+            _raise_blocked(region, pos)
+        rows.append(hot[:m])
+    rows = b"".join(rows).translate(_COLORS)
+    return np.frombuffer(rows, dtype=np.uint8).reshape(len(seeds), m)
 
 
-def _fill_sites(region, draws):
-    """sample_rows on a large block, draws its N x m array of draws mod 6.
+def _fill_sites(region, keys):
+    """sample_rows on a large block, keys its N x m array of 16 * draw.
 
     Keeps the filled sites as one-hot bytes, an m x N array with the pad
     row 8 after them at position -1; a site's colors come from one take
-    of _PICK_HOT at the OR of its earlier neighbors' rows and 16 * draw.
+    of _PICK_HOT at the OR of its earlier neighbors' rows and its keys.
     A blocked site reads 8, which later sites take as the pad: the rows
     up to each seed's first blocked site are the scalar loop's.
     """
     m = len(region)
-    hot = np.empty((m + 1, len(draws)), dtype=np.uint8)
+    hot = np.empty((m + 1, len(keys)), dtype=np.uint8)
     hot[m] = 8
-    keys = np.ascontiguousarray(draws.T) << 4
-    index = np.empty(len(draws), dtype=np.intp)
+    index = np.empty(len(keys), dtype=np.intp)
+    keys = np.ascontiguousarray(keys.T)
     for pos, column in enumerate(region.earlier_neighbor_table().tolist()):
         np.bitwise_or(keys[pos], hot[column[0]], out=index)
         for j in column[1:]:
             index |= hot[j]
-        _PICK_HOT.take(index, out=hot[pos])
+        _PICK_HOT_ARRAY.take(index, out=hot[pos])
     blocked = hot[:m] == 8
     if blocked.any():
         seed = int(blocked.any(axis=0).argmax())
@@ -404,6 +466,7 @@ def quasiflat_gap(samples, displacements):
     for p in samples:
         if p.region != region:
             raise ValueError("samples live on different regions")
+    displacements = list(displacements)
     for i in displacements:
         if i not in region:
             raise ValueError("displacement %r outside the region" % (i,))

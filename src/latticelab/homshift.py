@@ -167,8 +167,12 @@ class Pattern:
         return dict(zip(self.region.sites, self.values))
 
     def restrict(self, subregion):
-        vals = bytes(self.value(s) for s in subregion.sites)
-        return Pattern(subregion, vals)
+        """The pattern on subregion; KeyError for its first site outside."""
+        at = self.region.positions(subregion.coords)
+        if len(at) and at.min() < 0:
+            raise KeyError(subregion.sites[int(at.argmin())])
+        values = np.frombuffer(self.values, dtype=np.uint8).take(at)
+        return Pattern(subregion, values.tobytes())
 
     def __eq__(self, other):
         return (isinstance(other, Pattern) and self.region == other.region

@@ -199,6 +199,7 @@ def test_quasiflat_gap_striped_vs_checker():
     box = box_F(3, 2)
     samples = [striped_coloring(box), checker_coloring(box)]
     assert quasiflat_gap(samples, [(3, 0)]) == 2
+    assert quasiflat_gap(samples, iter([(3, 0)])) == 2
     assert quasiflat_gap(samples[:1], [(3, 0)]) == 0
     assert quasiflat_gap([], [(3, 0)]) == 0
 
@@ -634,10 +635,20 @@ SEEDS = st.one_of(st.integers(0, 2 ** 16), st.integers(-2 ** 70, -1),
                   st.integers(2 ** 63 - 2, 2 ** 70))
 
 
-# seed blocks on both sides of the threshold between the sampler's paths
+# seed blocks on both sides of the threshold between the sampler's paths:
+# in d <= 3 a site takes one or two plan steps, so blocks of fewer than
+# 2 * _CALL_STEPS seeds take the scalar loop and of 4 * _CALL_STEPS or more
+# the numpy path
 SEED_BLOCKS = st.one_of(
-    st.lists(SEEDS, min_size=1, max_size=ht._BLOCK_SEEDS - 1),
-    st.lists(SEEDS, min_size=ht._BLOCK_SEEDS, max_size=2 * ht._BLOCK_SEEDS + 8))
+    st.lists(SEEDS, min_size=1, max_size=2 * ht._CALL_STEPS - 1),
+    st.lists(SEEDS, min_size=4 * ht._CALL_STEPS,
+             max_size=8 * ht._CALL_STEPS + 8))
+
+
+def numpy_path(region, n):
+    """True when sample_rows fills a block of n seeds with _fill_sites."""
+    d = region.earlier_neighbor_table().shape[1]
+    return n * len(ht._plan(region)) >= ht._CALL_STEPS * (d + 1) * len(region)
 
 
 @given(small_regions(), SEED_BLOCKS)
@@ -667,13 +678,14 @@ def test_sample_rows_report_the_first_blocked_seed():
     assert outcome(sample_rows, cube, seeds) == (RuntimeError, message)
     assert sample_rows(cube, seeds[:2]).tobytes() == \
         raster_sample(cube, -45) + raster_sample(cube, -44)
-    # a block past the threshold: its first seed samples, -9 is the first
-    # to block and -6, -5, -3 and -2 block after it
-    seeds = list(range(-32, 0))
-    assert seeds.index(-9) >= ht._BLOCK_SEEDS
+    # a block past the threshold: -53 to -47 (twice) and -32 to -10 sample,
+    # -9 is the first to block and -6, -5, -3 and -2 block after it
+    seeds = list(range(-53, -46)) * 2 + list(range(-32, 0))
+    first = seeds.index(-9)
+    assert numpy_path(cube, first) and not numpy_path(cube, 2)
     assert outcome(sample_rows, cube, seeds) == (RuntimeError, message)
-    assert sample_rows(cube, seeds[:seeds.index(-9)]).tobytes() == \
-        b"".join(raster_sample(cube, seed) for seed in range(-32, -9))
+    assert sample_rows(cube, seeds[:first]).tobytes() == \
+        b"".join(raster_sample(cube, seed) for seed in seeds[:first])
 
 
 def test_sample_rows_report_the_first_blocked_seeds_site():
@@ -681,7 +693,8 @@ def test_sample_rows_report_the_first_blocked_seeds_site():
     # a site earlier in raster order, and the block reports seed 3's site
     corners = [s for s in itertools.product((0, 1), repeat=3) if any(s)]
     cubes = Region(corners + [(x + 3, y, z) for x, y, z in corners])
-    seeds = [0, 1] + list(range(3, 3 + ht._BLOCK_SEEDS))
+    seeds = [0, 1] + list(range(3, 3 + 4 * ht._CALL_STEPS))
+    assert numpy_path(cubes, len(seeds)) and not numpy_path(cubes, 4)
     for seed, site in ((3, (4, 1, 1)), (4, (1, 1, 1))):
         assert outcome(raster_sample, cubes, seed)[1] == \
             "sampler blocked at %r: all colors used by neighbors" % (site,)
@@ -700,6 +713,97 @@ def test_lipschitz_rows_report_the_first_row_and_site():
     assert lipschitz_rows(box, (0, 0), bad) == (2, (1, 1), 3, 2)
     field = HeightField(box, (0, 0), zip(box.sites, bad[2].tolist()))
     assert lipschitz_check(field) == ((1, 1), 3, 2)
+
+
+# ---------------------------------------------------------------------------
+# HeightField's lifted row, against the dict-based Lipschitz check
+
+
+def walk_lipschitz_check(heights, region, base):
+    """lipschitz_check on a dict of heights, site by site."""
+    h0 = heights[base]
+    for site in region.sites:
+        h, bound = heights[site] - h0, norm_1(lattice.sub(site, base))
+        if abs(h) > bound:
+            return site, h, bound
+    return None
+
+
+@st.composite
+def lifted_fields(draw):
+    """A region, a base and a proper coloring that lifts there."""
+    region = draw(small_regions())
+    base = draw(st.sampled_from(region.sites))
+    try:
+        x = Pattern(region, raster_sample(region, draw(st.integers(0, 99))))
+        height_cocycle(x, base)
+    except (RuntimeError, ValueError):   # blocked, or disconnected
+        x = striped_coloring(Region([base]))
+    return x, base
+
+
+@given(lifted_fields())
+@settings(max_examples=300, deadline=None)
+def test_field_row_matches_lift_rows_and_the_mapping(case):
+    x, base = case
+    region = x.region
+    field = height_cocycle(x, base)
+    colors = np.frombuffer(x.values, dtype=np.uint8).reshape(1, -1)
+    assert field.row.tolist() == lift_rows(region, base, colors)[0].tolist()
+    heights = dict(zip(region.sites, field.row.tolist()))
+    assert field.heights == heights
+    assert all(type(h) is int for h in field.heights.values())
+    assert json.dumps(list(field.heights.values())) == \
+        json.dumps(list(heights.values()))
+    assert lipschitz_check(field) == walk_lipschitz_check(heights, region,
+                                                         base)
+    field.validate()
+    # a hand-built field with the same heights has the same row
+    by_hand = HeightField(region, base, heights, coloring=x)
+    assert by_hand.row.tolist() == field.row.tolist()
+    assert lipschitz_check(by_hand) == lipschitz_check(field)
+
+
+def test_field_with_a_missing_site():
+    box = box_F(1, 2)
+    heights = dict(height_cocycle(striped_coloring(box), (0, 0)).heights)
+    del heights[(-1, -1)]
+    field = HeightField(box, (0, 0), heights)
+    with pytest.raises(KeyError, match=r"\(-1, -1\)"):
+        lipschitz_check(field)
+    with pytest.raises(ValueError, match=r"no height at \(-1, -1\)"):
+        field.validate()
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, -1])
+def test_in_place_splitmix_matches_counter_rng(seed):
+    # counters that wrap past 2**64 once added to the mixed seed
+    counters = [0, 1, 2 ** 63, 2 ** 64 - 2, 2 ** 64 - 1]
+    seeds = np.array([seed & (2 ** 64 - 1)] * 2, dtype=np.uint64)
+    mixed = ht._splitmix64(seeds)
+    assert mixed is seeds
+    draws = ht._splitmix64(mixed[:1, None]
+                           + np.array(counters, dtype=np.uint64))
+    assert draws[0].tolist() == [counter_rng(seed, c) for c in counters]
+
+
+def test_sampler_matches_raster_sampler_in_four_dimensions():
+    """Three and four earlier neighbours go through the scratch slot."""
+    regions = [box_F(1, 4), rectangle((2, 3, 2, 2), (0, -1, 0, 1)),
+               Region([s for s in itertools.product((0, 1), repeat=4)
+                       if any(s)])]
+    for region in regions:
+        for seeds in ([5], list(range(-3, 6 * ht._CALL_STEPS))):
+            assert numpy_path(region, len(seeds)) == (len(seeds) > 1)
+            want = []
+            for seed in seeds:
+                got = outcome(raster_sample, region, seed)
+                if isinstance(got, tuple):
+                    assert outcome(sample_rows, region, seeds) == got
+                    break
+                want.append(got)
+            assert sample_rows(region, seeds[:len(want)]).tobytes() == \
+                b"".join(want)
 
 
 def json_decode(text):

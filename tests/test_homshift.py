@@ -1365,3 +1365,16 @@ def test_target_graph_edges_name_vertices_by_label():
     assert one_based.labels == ("1", "2", "3")
     with pytest.raises(ValueError):
         hs.TargetGraph(["0", "1"], [(-1, 0)])
+
+
+def test_restrict_gathers_by_position():
+    box = box_F(2, 2)
+    p = hs.Pattern(box, bytes(i % 3 for i in range(len(box))))
+    inner = box_F(1, 2)
+    assert p.restrict(inner).values == bytes(p.value(s) for s in inner.sites)
+    assert p.restrict(Region([])).values == b""
+    for outside, site in ((Region([(0, 0), (3, 0), (4, 4)]), (3, 0)),
+                          (Region([(0, 0, 0)]), (0, 0, 0))):
+        with pytest.raises(KeyError) as err:
+            p.restrict(outside)
+        assert err.value.args == (site,)
