@@ -224,30 +224,18 @@ def _aut_generators(q, matrix, cap):
     gens = []
     for i in range(q):
         kept = []
-        reach = {i}
+        root = np.arange(q)  # each point's orbit under kept, by least point
         for w in range(i + 1, q):
-            if w in reach:
+            if root[w] == root[i]:
                 continue
             perm = extend(i, w)
             if tried > cap:
                 return ()
             if perm is not None:
                 kept.append(perm)
-                reach = _orbit_of(i, kept)
+                root = _components(q, [np.array(p) for p in kept])
         gens += kept
     return tuple(gens)
-
-
-def _orbit_of(v, perms):
-    """The points reached from v by the permutations."""
-    reach, todo = {v}, [v]
-    while todo:
-        x = todo.pop()
-        for perm in perms:
-            if perm[x] not in reach:
-                reach.add(perm[x])
-                todo.append(perm[x])
-    return reach
 
 
 def _components(size, images):

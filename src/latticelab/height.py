@@ -81,7 +81,12 @@ class HeightField:
                 raise ValueError("no height at %r" % (site,))
             h = self.heights[site]
             for j in nbrs:
-                if j >= 0 and abs(h - self.heights[sites[j]]) != 1:
+                if j < 0:
+                    continue
+                other = self.heights.get(sites[j])
+                if other is None:
+                    raise ValueError("no height at %r" % (sites[j],))
+                if abs(h - other) != 1:
                     raise ValueError("non-unit height step %r -> %r"
                                      % (site, sites[j]))
         if self.coloring is not None:

@@ -1301,27 +1301,20 @@ def _record_values(line, letters):
     return values
 
 
-def _scan_records(lines, m, letters):
-    """Which lines are canonical records of m values, and their values.
+def _grid_records(lines, m, letters):
+    """The values of lines that are all canonical records of m one-digit
+    values, as an (N, m) uint8 array, or None.
 
-    A canonical record is exactly {"values":[v,...]} with m values, each
-    a decimal of at most three digits without sign or leading zero and
-    below min(letters, 256); json.loads reads such a line as a record
-    that _record_values accepts, with the same values.  Returns a bool
-    per line and the values of the canonical lines, in line order, as a
-    (count, m) uint8 array.
-
-    When every line has the length of a record of m one-digit values, as
-    in every pattern file on a graph of at most ten vertices, the lines
-    are an (N, L) byte grid, checked a column class at a time: the head,
-    the commas, the digits (below min(letters, 10)) and the tail.  If
-    every line passes, its digits are its values.  Otherwise the lines
-    are scanned as one byte array.
+    Every pattern file on a graph of at most ten vertices has such
+    records, {"values":[v,...]} with each v a digit below
+    min(letters, 10), so its lines have one length and are read as an
+    (N, L) byte grid, checked a column class at a time: the head, the
+    commas, the digits and the tail.  json.loads reads each such line as
+    a record that _record_values accepts, with the same values.  If any
+    line has another length or fails a check, None.
     """
-    if not m:
-        return np.zeros(len(lines), dtype=bool), np.empty((0, 0), np.uint8)
     width = len(_RECORD_HEAD) + 2 * m + 1
-    if all(len(line) == width for line in lines):
+    if m and all(len(line) == width for line in lines):
         grid = np.frombuffer("".join(lines).encode("utf-8", "replace"),
                              dtype=np.uint8)
         if len(grid) == len(lines) * width:
@@ -1332,41 +1325,8 @@ def _scan_records(lines, m, letters):
                     and (body[:, 2::2] == ord(",")).all()
                     and (values < min(letters, 10)).all()
                     and (grid[:, -2:] == _RECORD_TAIL[:2]).all()):
-                return np.ones(len(lines), dtype=bool), values
-    buf = np.frombuffer(("\n".join(lines) + "\n").encode("utf-8", "replace"),
-                        dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    head = _RECORD_HEAD
-    at_head = np.minimum(starts[:, None] + np.arange(len(head)), len(buf) - 1)
-    ok = ((ends - starts > len(head) + 2) & (buf[at_head] == head).all(axis=1)
-          & (buf[ends - 2] == ord("]")) & (buf[ends - 1] == ord("}")))
-    # the bytes between the head and the tail of the lines kept so far
-    edge = np.zeros(len(buf), dtype=bool)
-    edge[starts[ok] + len(head)] = edge[ends[ok] - 2] = True
-    body = np.logical_xor.accumulate(edge)
-    digit = body & (buf >= ord("0")) & (buf <= ord("9"))
-    comma = body & (buf == ord(","))
-    # whether the byte before, and the byte after, is a digit
-    before = np.concatenate(([False], digit[:-1]))
-    after = np.concatenate((digit[1:], [False]))
-    # a byte other than a digit or a comma, or a comma beside no value
-    bad = (body & ~digit & ~comma) | (comma & ~(before & after))
-    first = np.flatnonzero(digit & ~before)
-    last = np.flatnonzero(digit & ~after)
-    count = np.diff(np.searchsorted(last, ends), prepend=0)
-    line = np.repeat(np.arange(len(ends)), count)
-    # each value from its last three bytes; a longer one is wrong anyway
-    size = last - first
-    digits = [buf[last - k].astype(np.int16) - ord("0") for k in range(3)]
-    values = digits[0] + (size >= 1) * 10 * digits[1] \
-        + (size >= 2) * 100 * digits[2]
-    wrong = ((size > 2) | (values >= min(letters, 256))
-             | ((size > 0) & (buf[first] == ord("0"))))
-    ok[np.searchsorted(ends, np.flatnonzero(bad))] = False
-    ok[line[wrong]] = False
-    ok &= count == m
-    return ok, values[ok[line]].astype(np.uint8).reshape(-1, m)
+                return values
+    return None
 
 
 def _line_blocks(text):
@@ -1387,12 +1347,13 @@ def pattern_set_from_jsonl(text):
     """Inverse of pattern_set_to_jsonl; returns (PatternSet, header dict).
 
     The lines are split a block of text at a time (_line_blocks), and
-    the records after the first are read a block at a time: the
-    canonical ones, as the encoder writes them, by one byte scan, and
-    any other line by json.loads, which accepts or rejects it exactly as
-    it would the whole file; errors come in file order.  A box region is
-    built only once the first record has as many values as the box the
-    header states has sites.
+    the records after the first are read a block at a time, as the
+    encoder writes them: a block of one-digit records as one byte grid
+    (_grid_records), and any other block a line at a time by json.loads,
+    which accepts or rejects each line exactly as it would in the whole
+    file; errors come in file order.  A box region is built only once
+    the first record has as many values as the box the header states
+    has sites.
     """
     blocks = _line_blocks(text)
     first = next(blocks, None)
@@ -1404,30 +1365,32 @@ def pattern_set_from_jsonl(text):
             or not all(isinstance(a, str) for a in alphabet)):
         raise ValueError("alphabet must be a list of strings, got %r"
                          % (alphabet,))
-    records, m, loose, scanned = 0, 0, [], []
+    records, m, loose, parts = 0, 0, [], []
     for block in itertools.chain([first[1:]], blocks):
         if block and not records:
             loose.append(_record_values(block[0], len(alphabet)))
             records, m, block = 1, len(loose[0]), block[1:]
         if block:
-            canonical, rows = _scan_records(block, m, len(alphabet))
-            scanned.append(rows)
-            loose.extend(_record_values(block[i], len(alphabet))
-                         for i in np.flatnonzero(~canonical))
+            rows = _grid_records(block, m, len(alphabet))
+            if rows is None:
+                loose.extend(_record_values(line, len(alphabet))
+                             for line in block)
+            else:
+                parts.append(rows)
             records += len(block)
     size = lattice.descriptor_size(header["region"])
     if records and size is not None and size != m:
         raise ValueError("header region has %d sites but the first record "
                          "has %d values" % (size, m))
     region = lattice.region_from_descriptor(header["region"])
-    # Pattern checks the length of each loose record; every scanned one
-    # has m values, as the first record has
+    # Pattern checks the length of each loose record; every grid one has
+    # m values, as the first record has
     for values in loose:
         Pattern(region, values)
     if "count" in header and header["count"] != records:
         raise ValueError("header count %r but %d records"
                          % (header["count"], records))
-    scanned.append(np.frombuffer(b"".join(loose), dtype=np.uint8).reshape(
+    parts.append(np.frombuffer(b"".join(loose), dtype=np.uint8).reshape(
         len(loose), len(region)))
-    rows = _distinct_rows(_stack_rows(scanned, len(region)))[0]
+    rows = _distinct_rows(_stack_rows(parts, len(region)))[0]
     return PatternSet.view(region, rows), header

@@ -3,6 +3,7 @@
 import itertools
 import json
 import pickle
+import re
 from collections import deque
 from unittest import mock
 
@@ -22,6 +23,7 @@ from latticelab.height import (HeightField, height_cocycle, lift_rows,
                                sample_coloring, sample_rows,
                                striped_coloring, checker_coloring,
                                quasiflat_gap, ufp_window_check)
+from latticelab.cli import main
 from latticelab.util import BudgetError, counter_rng
 
 K3 = complete_graph(3)
@@ -765,14 +767,19 @@ def test_field_row_matches_lift_rows_and_the_mapping(case):
 
 
 def test_field_with_a_missing_site():
+    # the walk meets (-1, -1) as a site, and (1, -1) first as a neighbour of
+    # the earlier (0, -1)
     box = box_F(1, 2)
-    heights = dict(height_cocycle(striped_coloring(box), (0, 0)).heights)
-    del heights[(-1, -1)]
-    field = HeightField(box, (0, 0), heights)
-    with pytest.raises(KeyError, match=r"\(-1, -1\)"):
-        lipschitz_check(field)
-    with pytest.raises(ValueError, match=r"no height at \(-1, -1\)"):
-        field.validate()
+    assert box.sites.index((0, -1)) < box.sites.index((1, -1))
+    for missing in ((-1, -1), (1, -1)):
+        heights = dict(height_cocycle(striped_coloring(box), (0, 0)).heights)
+        del heights[missing]
+        field = HeightField(box, (0, 0), heights)
+        with pytest.raises(KeyError, match=re.escape(repr(missing))):
+            lipschitz_check(field)
+        with pytest.raises(ValueError,
+                           match="no height at " + re.escape(repr(missing))):
+            field.validate()
 
 
 @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, -1])
@@ -932,7 +939,7 @@ def test_block_decoder_matches_json_loads_on_each_broken_form(form):
 
 
 # Lines of the length of a record of three one-digit values, but not one:
-# the fixed-width check must pass each of them to the scan
+# the fixed-width check must pass each of them, and its block, to json.loads
 SAME_LENGTH_LINES = [
     '{"values":[0,,12]}',       # double comma
     '{"values":[0,,2] }',       # double comma, the length made up by a space
@@ -969,7 +976,7 @@ def test_fixed_width_check_passes_hostile_lines_to_the_scan(line):
 @pytest.mark.parametrize("other", ['{"values":[10,1,2]}', '{"values":[0,1]}',
                                    '{"values":[0,1,2,0]}'])
 def test_fixed_width_check_in_a_block_of_mixed_lengths(other):
-    # a line of another length sends the whole block to the scan, which
+    # a line of another length sends the whole block to json.loads, which
     # reads the one-digit lines as the fixed-width check would
     head = json.dumps({"alphabet": [str(v) for v in range(12)],
                        "region": box_F(1, 1).kind_descriptor()})
@@ -988,6 +995,31 @@ def test_block_decoder_matches_json_loads(text, block):
     with mock.patch.object(homshift, "_DECODE_CHARS", block):
         assert decoded(pattern_set_from_jsonl, text) == \
             decoded(json_decode, text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--graph", name, "--family", "box", "--n", "1"]
+    for name in sorted(homshift.GRAPH_PRESETS)]
+    + [["--family", "checker", "--n", "3"]], ids=lambda argv: argv[1])
+def test_files_the_cli_writes_take_the_grid(tmp_path, argv):
+    # every preset graph has at most ten vertices, so every record the CLI
+    # writes for one has one-digit values: after the first record, which
+    # fixes m, each block is one grid and json.loads reads no line
+    out = tmp_path / "patterns.jsonl"
+    assert main(["enumerate", *argv, "--out", str(out)]) == 0
+    text = out.read_text()
+    want = decoded(json_decode, text)
+    for newline in ("\n", "\r\n"):
+        with mock.patch.object(homshift, "_grid_records",
+                               wraps=homshift._grid_records) as grid, \
+                mock.patch.object(homshift, "_record_values",
+                                  wraps=homshift._record_values) as loose:
+            got = decoded(pattern_set_from_jsonl,
+                          text.replace("\n", newline))
+        assert got == want
+        # a block the grid turned down would go to json.loads line by line
+        assert loose.call_count == 1
+        assert grid.call_count >= (2 if "checker" in argv else 1)
 
 
 def test_block_decoder_across_full_blocks():
