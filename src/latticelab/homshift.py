@@ -929,33 +929,19 @@ def flexible_fill(H, target, n, K, W, base, d=None):
         return pure_checkerboard(H, w0, w1, n, d)
     v0, v1 = base
     _require_edge(H, v0, v1, "block edge")
-    k, shaped = None, []
-    try:
-        for i in K:
-            if i not in W:
-                raise ValueError("no block prescribed at %r" % (i,))
-            ki = _family_n(W[i].region, "block at %r" % (i,))
-            if k is None:
-                k = ki
-            elif ki != k:
-                raise ValueError("blocks live on different boxes")
-            if not len(i) == d == W[i].region.d:
-                if not in_checkerboard(H, W[i], v0, v1):
-                    raise ValueError("block at %r is not in the stated family"
-                                     % (i,))
-                raise ValueError("block at %r is not %d-dimensional" % (i, d))
-            shaped.append(i)
-    finally:
-        # The blocks before the first misshapen one (all of them when none
-        # is) are checked by one mask; the first outside the family is
-        # reported before any later error, as a block-by-block check would.
-        if shaped:
-            rows = np.frombuffer(b"".join(W[i].values for i in shaped),
-                                 dtype=np.uint8).reshape(len(shaped), -1)
-            inside = checkerboard_rows(H, W[shaped[0]].region, rows, v0, v1)
-            if not inside.all():
-                raise ValueError("block at %r is not in the stated family"
-                                 % (shaped[_first_false(inside)],))
+    k = None
+    for i in K:
+        if i not in W:
+            raise ValueError("no block prescribed at %r" % (i,))
+        ki = _family_n(W[i].region, "block at %r" % (i,))
+        if k is None:
+            k = ki
+        elif ki != k:
+            raise ValueError("blocks live on different boxes")
+        if not in_checkerboard(H, W[i], v0, v1):
+            raise ValueError("block at %r is not in the stated family" % (i,))
+        if not len(i) == d == W[i].region.d:
+            raise ValueError("block at %r is not %d-dimensional" % (i, d))
     N = min_universal_path_length(H)
     pad = k + N + 1
     for a_pos in range(len(K)):
@@ -974,6 +960,8 @@ def flexible_fill(H, target, n, K, W, base, d=None):
     shift = region.positions(np.array(K)) - region.index((0,) * d)
     values = np.frombuffer(pure_checkerboard(H, w0, w1, n, d).values,
                            dtype=np.uint8).copy()
+    rows = np.frombuffer(b"".join(W[i].values for i in K),
+                         dtype=np.uint8).reshape(len(K), -1)
     odd = np.array(K).sum(axis=1) % 2 == 1
     for flip, block_target in ((False, (w0, w1)), (True, (w1, w0))):
         # Pad the blocks so their own boundary rings agree with the ambient
@@ -1196,74 +1184,45 @@ ENCODE_BLOCK = 8192
 _DECODE_CHARS = 1 << 18  # pattern-file text split into lines at once
 
 
-@functools.lru_cache(maxsize=8)
-def _value_tokens(lo, hi):
-    """Each value lo..hi as the JSON text ",<digits>", NUL-padded to the
-    longest of them, in one array of fixed-width items."""
-    tokens = [b",%d" % v for v in range(lo, hi + 1)]
-    width = max(map(len, tokens))
-    return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in tokens),
-                         dtype="V%d" % width)
+def encode_rows(rows, key="values"):
+    """The records '{"<key>":[v,...]}' of the integer rows, one line each,
+    with the bytes of canonical_json({key: row}).
 
-
-def _encode_planes(rows, head, lo, hi):
-    """encode_rows for rows whose values lo..hi all have one width: each
-    record is head, the m tokens ",<digits>" with the first comma on the
-    head's "[", and the tail, so every byte of the (n, L) output is one
-    plane written by one strided pass."""
+    Each value is laid out as a comma, a sign column when the block holds
+    a negative value, and one column per digit of the widest magnitude,
+    the first comma on the head's "[", so every byte of the (n, L) output
+    is one plane written by one strided pass.  A nonnegative value's sign
+    and every leading zero are left NUL, and one compress drops them when
+    the values differ in width; a block whose values share one width (as
+    every pattern file on a graph of at most ten vertices) has none.
+    """
     n, m = rows.shape
+    lo, hi = (int(rows.min()), int(rows.max())) if rows.size else (0, 0)
+    head = np.frombuffer(b'{"%s":[' % key.encode(), dtype=np.uint8)
+    same = (lo < 0) == (hi < 0) and len(b"%d" % lo) == len(b"%d" % hi)
     sign = int(lo < 0)
-    digits = len(b"%d" % lo) - sign
+    digits = len(b"%d" % max(-lo, hi))
     width = 1 + sign + digits
     start = len(head) - 1
     stop = start + width * m if m else len(head)
     out = np.empty((n, stop + len(_RECORD_TAIL)), dtype=np.uint8)
     out[:, start:stop:width] = ord(",")
     if sign:
-        out[:, start + 1:stop:width] = ord("-")
-        rows = (-rows.astype(np.int64)).view(np.uint64)  # |v|, -2**63 too
+        np.multiply(rows < 0, np.uint8(ord("-")),
+                    out=out[:, start + 1:stop:width], casting="unsafe")
+        # |v|; the unsigned view reads the wrapped abs of the minimum right
+        rows = np.abs(rows).view("u%d" % rows.itemsize)
     out[:, :len(head)] = head
     out[:, stop:] = _RECORD_TAIL
-    for k in range(digits):  # the digit of 10**k, last in each token
+    for k in range(digits):  # the digit of 10**k, last in each value
         plane = out[:, start + width - 1 - k:stop:width]
-        place = rows // 10 ** k if k else rows
-        np.add(place % 10 if k < digits - 1 else place, ord("0"),
+        high = rows // 10 if k < digits - 1 else None
+        np.add(rows if high is None else rows - 10 * high, ord("0"),
                out=plane, casting="unsafe")
-    return out.tobytes()
-
-
-def _encode_tokens(rows, head, lo, hi):
-    """encode_rows for any rows: every value's token from _value_tokens,
-    then the NUL padding and the comma before each row's first value
-    dropped in one pass."""
-    n, m = rows.shape
-    tokens = _value_tokens(lo, hi)
-    width = tokens.itemsize
-    body = slice(len(head), len(head) + width * m)
-    out = np.empty((n, body.stop + len(_RECORD_TAIL)), dtype=np.uint8)
-    out[:, :len(head)] = head
-    out[:, body] = tokens[rows - lo].view(np.uint8).reshape(n, width * m)
-    out[:, body.stop:] = _RECORD_TAIL
-    keep = out != 0
-    if m:
-        keep[:, body.start] = False
-    return out[keep].tobytes()
-
-
-def encode_rows(rows, key="values"):
-    """The records '{"<key>":[v,...]}' of the integer rows, one line each.
-
-    When every value in the range the rows use has as many characters
-    (one sign, or none, and one count of digits, as in every pattern file
-    on a graph of at most ten vertices), each record has one fixed layout
-    and _encode_planes writes it a byte plane at a time.  Mixed widths,
-    as in most height records, take _encode_tokens.  Each record has the
-    bytes of canonical_json({key: row}).
-    """
-    lo, hi = (int(rows.min()), int(rows.max())) if rows.size else (0, 0)
-    head = np.frombuffer(b'{"%s":[' % key.encode(), dtype=np.uint8)
-    same = (lo < 0) == (hi < 0) and len(b"%d" % lo) == len(b"%d" % hi)
-    return (_encode_planes if same else _encode_tokens)(rows, head, lo, hi)
+        if k and not same:
+            np.multiply(plane, rows != 0, out=plane, casting="unsafe")
+        rows = high
+    return out.tobytes() if same else out.tobytes().translate(None, b"\0")
 
 
 def pattern_set_jsonl_blocks(ps, H, seed=None):

@@ -11,14 +11,15 @@ import tempfile
 import time
 import unittest.mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from latticelab import cli, homshift
+from latticelab import cli, height, homshift
 from latticelab.cli import main
 from latticelab.homshift import pattern_set_from_jsonl
-from latticelab.lattice import Region
+from latticelab.lattice import Region, box_F
 from latticelab.tiling import dominoes, tile_rectangle, tiling_to_json
 from latticelab.util import NegativeResult
 
@@ -711,6 +712,57 @@ def test_extend_pipeline_bytes_are_pinned(tmp_path, capsys, checker3, step,
                                                  op.split()[-1])
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == PIPELINE_EXTEND_SHA256[step, op]
+
+
+def _colorings(path, region, rows):
+    """path: the pattern file of the distinct K3 colourings in rows."""
+    ps = homshift.PatternSet(region, [homshift.Pattern(region, r.tobytes())
+                                      for r in rows])
+    path.write_text(homshift.pattern_set_to_jsonl(ps, homshift.complete_graph(3)))
+    return path
+
+
+def _cocycle_input(name, directory, checker3):
+    """The pattern file of a `height cocycle` pin.
+
+    "F3": every 32nd record of the checker --n 3 file, heights -6..6;
+    "F5": 1000 sampled colourings of F_5 with the striped one and its
+    mirror, heights -20..20 from a corner; "stripe": the striped
+    colouring of F_2, heights 0..8 from a corner."""
+    path = directory / ("%s.jsonl" % name)
+    if name == "F3":
+        return _every(checker3, path, 32)
+    region = box_F(5 if name == "F5" else 2, 2)
+    stripe = height.striped_coloring(region).values
+    rows = [np.frombuffer(stripe, dtype=np.uint8)]
+    if name == "F5":
+        rows += [(3 - rows[0]) % 3, *height.sample_rows(region, range(1000))]
+    return _colorings(path, region, rows)
+
+
+# SHA-256 of `height cocycle --out` at seed 0, as the token and plane
+# encoders wrote them: one-digit heights of both signs, one- to
+# three-character heights, and heights of one width
+COCYCLE_SHA256 = {
+    ("F3", "--base=0,0"):
+        "bdc3ede5cf6297fbc90b78da14ab78d65a4d9a9556bfc62dc7bfaf36590dd1e3",
+    ("F5", "--base=-5,-5"):
+        "b282960161406c58050ca7216a129713b448ce02dca1d6a6ddbdf752461a94e9",
+    ("stripe", "--base=-2,-2"):
+        "f6a07a1f9266cc6d78d505d404f9a81a7932d716b1ec5ebeb8380c1c35d68ce0",
+}
+
+
+@pytest.mark.parametrize("name, base", sorted(COCYCLE_SHA256))
+def test_height_cocycle_bytes_are_pinned(tmp_path, capsys, checker3, name,
+                                         base):
+    src = _cocycle_input(name, tmp_path, checker3)
+    out = tmp_path / "heights.jsonl"
+    code, _, stderr = run(capsys, ["height", "cocycle", "--in", str(src), base,
+                                   "--seed", "0", "--out", str(out)])
+    assert (code, stderr) == (0, "")
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == COCYCLE_SHA256[name, base]
 
 
 @pytest.fixture(scope="module")

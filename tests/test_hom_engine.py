@@ -394,8 +394,9 @@ def window_by_pairs(H, box, inner, ring, everything):
     """The exhaustive window check as one counting search per (center,
     ring) pair of restrictions of the box's homomorphisms, in sorted
     order; None when there are too many pairs to try."""
-    centers = sorted({p.restrict(inner).values for p in everything})
-    rings = sorted({p.restrict(ring).values for p in everything})
+    rows = everything.rows
+    centers = sorted({r.tobytes() for r in rows[:, box.positions(inner.coords)]})
+    rings = sorted({r.tobytes() for r in rows[:, box.positions(ring.coords)]})
     if len(centers) * len(rings) > 400:
         return None
     for xv in centers:

@@ -1,0 +1,208 @@
+#!/usr/bin/env python3
+"""Compare the bytes the command line writes in two source trees.
+
+    python3 tools/cli_bytes.py OLD_TREE NEW_TREE
+
+Each tree is a checkout of this repository (a `git archive` of a commit
+will do).  Every command of a fixed list runs in a child process,
+`python3 -m latticelab.cli` with PYTHONPATH=<tree>/src, once per tree, in
+a directory of its own, writing `--out out` where it writes a file.  The
+files the commands read are made once, by OLD_TREE, and shared.  The list
+holds:
+
+- the `--out` battery (OUT_ARGVS) and the pinned `enumerate` arguments
+  (ENUMERATE_SHA256, ENUMERATE13_SHA256) of tests/test_cli.py, the
+  13-vertex ones on its edge list;
+- the commands of the benchmark's `pipeline` workload, with its inputs
+  drawn from random.Random(1);
+- `height cocycle` on the three files of the cocycle pins in
+  tests/test_cli.py, whose heights reach every record layout.
+
+One line per command says `same`, or names what differs of the exit
+code, stdout, stderr and the `out` file; the exit status is 1 on any
+difference.
+"""
+
+import ast
+import json
+import os
+import pathlib
+import random
+import subprocess
+import sys
+import tempfile
+
+TEST_CLI = pathlib.Path(__file__).resolve().parents[1] / "tests" / "test_cli.py"
+SEED = 1
+CLI = ("-m", "latticelab.cli")
+EDGES13 = "".join("%d %d\n" % (i, i + 1) for i in range(9)) + \
+    "10 11\n11 12\n10 12\n"
+
+# Run by OLD_TREE: the cocycle files of 1000 sampled colourings of F_5 with
+# the striped one and its mirror, and of the striped colouring of F_2.
+COLORINGS = """
+import sys
+import numpy as np
+from latticelab import height, homshift
+from latticelab.lattice import box_F
+
+for path, n in ((sys.argv[1], 5), (sys.argv[2], 2)):
+    region = box_F(n, 2)
+    rows = [np.frombuffer(height.striped_coloring(region).values,
+                          dtype=np.uint8)]
+    if n == 5:
+        rows += [(3 - rows[0]) % 3, *height.sample_rows(region, range(1000))]
+    ps = homshift.PatternSet(region, [homshift.Pattern(region, r.tobytes())
+                                      for r in rows])
+    with open(path, "w") as fh:
+        fh.write(homshift.pattern_set_to_jsonl(ps, homshift.complete_graph(3)))
+"""
+
+
+def pinned(name):
+    """The literal value assigned to `name` in tests/test_cli.py."""
+    for node in ast.parse(TEST_CLI.read_text()).body:
+        if isinstance(node, ast.Assign) and \
+                any(getattr(t, "id", None) == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise KeyError(name)
+
+
+def python(tree, args, cwd):
+    """The finished `python3 args` run in cwd on tree's package."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(tree).resolve() / "src"))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True)
+
+
+def subset(src, dst, idx):
+    """dst: the pattern file src keeping the records at the indices idx."""
+    lines = src.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["count"] = len(idx)
+    dst.write_text("\n".join([json.dumps(header)]
+                             + [lines[1 + i] for i in idx]) + "\n")
+
+
+def make_inputs(tree, d):
+    """The shared input files, made in d by tree; the pipeline's draws."""
+    def run(*args):
+        p = python(tree, args, d)
+        if p.returncode:
+            sys.exit("making inputs: %s: %s" % (" ".join(args[:4]),
+                                                p.stderr.decode().strip()))
+
+    def cli(cmd):
+        run(*CLI, *cmd.split())
+
+    cli("enumerate --family checker --n 3 --seed 0 --out checker3.jsonl")
+    cli("enumerate --family checker --n 2 --out checker2.jsonl")
+    cli("enumerate --graph K3 --family hat --n 1 --d 2 --out hat1.jsonl")
+    cli("enumerate --family hat --n 2 --out hat2.jsonl")
+    cli("height sample --n 2 --d 2 --seed 5 --out sample.jsonl")
+    cli("tile --tileset dominoes --dims 4x4 --out block.json")
+    run("-c", COLORINGS, "F5.jsonl", "stripe.jsonl")
+    tiling = json.loads((d / "block.json").read_text())["tiling"]
+    (d / "blocks.json").write_text(json.dumps(
+        {"blocks": [{"site": [4, 4], "tiling": tiling}]}))
+    (d / "edges13.txt").write_text(EDGES13)
+
+    rng = random.Random(SEED)
+    checker3 = d / "checker3.jsonl"
+    count = len(checker3.read_text().splitlines()) - 1
+    for name, size in (("sub_path", 2000), ("sub_embed", 30),
+                       ("sub_lift", 2000)):
+        subset(checker3, d / (name + ".jsonl"),
+               sorted(rng.sample(range(count), size)))
+    subset(checker3, d / "F3.jsonl", range(0, count, 32))
+    edges = [(u, v) for u in range(3) for v in range(3) if u != v]
+    draws = {"path": "%d,%d" % rng.choice(edges),
+             "embed": "%d,%d" % rng.choice(edges),
+             "lipschitz": rng.randrange(1 << 31),
+             "tilings": (("dominoes", "%dx%d" % (4 * rng.randint(1, 6),
+                                                 4 * rng.randint(1, 6))),
+                         ("squares23", "36x36"), ("dominoes3", "8x8x8")),
+             "seed": rng.randrange(1 << 31)}
+    for tileset, dims in draws["tilings"]:
+        cli("tile --tileset %s --dims %s --out tile-%s.json"
+            % (tileset, dims, tileset))
+    cli("fill --tileset dominoes --n 4 --k 1 --blocks blocks.json "
+        "--out fill.json")
+    return draws
+
+
+def commands(draws):
+    """The argv strings to compare, {dir} standing for the input directory."""
+    cmds = [a + " --out out" for a in pinned("OUT_ARGVS")]
+    cmds += ["enumerate %s --seed 0 --out out" % a
+             for a in sorted(pinned("ENUMERATE_SHA256"))]
+    cmds += ["enumerate --edges {dir}/edges13.txt %s --seed 0 --out out" % a
+             for a in sorted(pinned("ENUMERATE13_SHA256"))]
+    seed = " --seed %d" % draws["seed"]
+    for workers in ("1", "2"):
+        cmds.append("enumerate --family checker --n 3 --out out --workers "
+                    + workers + seed)
+    cmds += [
+        "enumerate --family hat --n 2 --out out" + seed,
+        "extend --op path --in {dir}/sub_path.jsonl --source 0,1 --target %s "
+        "--k 3 --out out%s" % (draws["path"], seed),
+        "extend --op embed --in {dir}/sub_embed.jsonl --target %s --k 4 "
+        "--out out%s" % (draws["embed"], seed),
+        "extend --op hat --in {dir}/hat2.jsonl --k 4 --out out" + seed,
+        "height cocycle --in {dir}/sub_lift.jsonl --out out" + seed,
+        "verify lipschitz --n 5 --samples 300 --seed %d" % draws["lipschitz"],
+    ]
+    for workers in ("1", "2"):
+        cmds.append("verify marker --n 2 --workers " + workers + seed)
+    for tileset, dims in draws["tilings"]:
+        cmds += ["tile --tileset %s --dims %s --out out%s" % (tileset, dims,
+                                                              seed),
+                 "verify tiling --file {dir}/tile-%s.json%s" % (tileset, seed)]
+    cmds += ["fill --tileset dominoes --n 4 --k 1 --blocks {dir}/blocks.json "
+             "--out out" + seed,
+             "verify tiling --file {dir}/fill.json" + seed]
+    cmds += ["height cocycle --in {dir}/F3.jsonl --base=0,0 --out out",
+             "height cocycle --in {dir}/F5.jsonl --base=-5,-5 --out out",
+             "height cocycle --in {dir}/stripe.jsonl --base=-2,-2 --out out"]
+    return cmds
+
+
+def outcome(tree, argv, cwd):
+    """(exit code, stdout, stderr, out bytes or None) of argv in cwd."""
+    out = cwd / "out"
+    if out.exists():
+        out.unlink()
+    p = python(tree, [*CLI, *argv], cwd)
+    return (p.returncode, p.stdout, p.stderr,
+            out.read_bytes() if out.exists() else None)
+
+
+def main(argv):
+    if len(argv) != 2:
+        sys.exit("usage: python3 tools/cli_bytes.py OLD_TREE NEW_TREE")
+    old, new = argv
+    fields = ("exit code", "stdout", "stderr", "out")
+    differ = 0
+    with tempfile.TemporaryDirectory(prefix="cli_bytes-") as tmp:
+        tmp = pathlib.Path(tmp)
+        dirs = {name: tmp / name for name in ("in", "old", "new")}
+        for path in dirs.values():
+            path.mkdir()
+        draws = make_inputs(old, dirs["in"])
+        cmds = commands(draws)
+        for cmd in cmds:
+            args = cmd.replace("{dir}", str(dirs["in"])).split()
+            a = outcome(old, args, dirs["old"])
+            b = outcome(new, args, dirs["new"])
+            diff = [f for f, x, y in zip(fields, a, b) if x != y]
+            differ += bool(diff)
+            line = "%-7s exit %d  %s" % ("differs" if diff else "same", a[0],
+                                         cmd)
+            print(line + (" (%s)" % ", ".join(diff) if diff else ""),
+                  flush=True)
+    print("%d commands, %d differ" % (len(cmds), differ))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
