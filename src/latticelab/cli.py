@@ -98,8 +98,9 @@ def _load_graph(args):
     return homshift.graph_preset(args.graph)
 
 
-def _load_patterns(path):
-    return _read(path, "pattern file", homshift.pattern_set_from_jsonl)
+def _load_patterns(args):
+    return _read(args.infile, "pattern file", functools.partial(
+        homshift.pattern_set_from_jsonl, budget=args.budget))
 
 
 def _parse_tiling(text):
@@ -198,7 +199,7 @@ def cmd_enumerate(args):
 
 def cmd_extend(args):
     H = _load_graph(args)
-    ps, header = _load_patterns(args.infile)
+    ps, header = _load_patterns(args)
     if len(ps) == 0:
         raise ValueError("pattern file %s holds no patterns" % args.infile)
     if len(header["alphabet"]) > H.n:
@@ -425,8 +426,9 @@ def cmd_height(args):
     if args.what == "cocycle":
         if args.infile is None:
             raise ValueError("height cocycle needs --in")
-        ps, _ = _load_patterns(args.infile)
+        ps, _ = _load_patterns(args)
         base = _ints(args.base, ",", "base site", "i,j")
+        height_mod.check_base(ps.region, base)
         blocks = [(canonical_json({"seed": args.seed, "base": list(base),
                                    "count": len(ps)}) + "\n").encode()]
         step = _block_rows(ps.region)

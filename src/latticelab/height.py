@@ -11,19 +11,23 @@ below exploits: a steep (striped) center pattern cannot meet a flat
 L1 envelope of the forced heights decides whether it can, no search.
 
 The lift, the sampler and the Lipschitz check work on blocks of rows,
-one coloring per row in site order.  lift_rows sums the signed steps of
-a breadth-first tree from the base, fixed once per (region, base), and
-checks every edge against the sums; sample_rows draws the seeded
-choices of a whole block of seeds with one in-place array splitmix64
-and fills the sites in raster order as one-hot bytes, each site one
-lookup in _PICK_HOT, on two paths: a small block a row at a time in
-Python, a large one a site at a time across the block in numpy, each
-block taking the path that costs less; lipschitz_rows compares heights
-with the distance to the base.  height_cocycle, sample_coloring,
-lipschitz_check and quasiflat_gap are their one-row (or one-block)
-calls, and each batch call reports its first bad row with the message
-the one-row call gives.  A HeightField keeps the lifted row beside its
-heights mapping, and lipschitz_check reads the row.
+one coloring per row in site order, each on two paths: a small block in
+Python a row at a time, a large one in numpy, each block taking the
+path that costs less.  lift_rows follows a breadth-first sweep from the
+base, fixed once per (region, base): a small block, below _WALK_EDGES
+rows times edges, goes through a scalar walk over the sweep's edges in
+order, and a large one sums the signed steps of the sweep's tree as
+arrays and checks every other edge against the sums; the walk on its
+first bad row, if any, raises that row's error.  sample_rows draws the
+seeded choices of a block of seeds by splitmix64, each seed mixed
+first as a Python int on the small path and as an array on the large
+one, and fills the sites in raster order as one-hot bytes, each site
+one lookup in _PICK_HOT.  lipschitz_rows compares heights with the
+distance to the base.  height_cocycle, sample_coloring, lipschitz_check
+and quasiflat_gap are their one-row (or one-block) calls, and each batch
+call reports its first bad row with the message the one-row call gives.
+A HeightField keeps its heights mapping and, as an int array, its row,
+which lipschitz_check reads.
 """
 
 import functools
@@ -32,7 +36,7 @@ import numpy as np
 
 from . import lattice
 from .homshift import Pattern, _distinct_rows, is_hom, enumerate_hom
-from .util import _MASK
+from .util import _MASK, splitmix64
 
 
 # signed height step of an edge from color a to color b, at index a + 256 b
@@ -49,12 +53,12 @@ class HeightField:
 
     heights maps each site to its int height.  row is the same heights
     as an int array in the region's site order, aligned with
-    region.coords: height_cocycle stores the row it lifted, and a field
-    built by hand, HeightField(region, base, mapping), derives it from
-    heights on first read, which raises KeyError for a site without a
-    height, and keeps it.  Instances built by hand may violate the step rule;
-    validate() checks it, and height_cocycle only ever returns valid
-    fields.
+    region.coords: height_cocycle stores the row it lifted as arrays, and
+    a field it walked or one built by hand, HeightField(region, base,
+    mapping), derives it from heights on first read, which raises
+    KeyError for a site without a height, and keeps it.  Instances built
+    by hand may violate the step rule; validate() checks it, and
+    height_cocycle only ever returns valid fields.
     """
 
     def __init__(self, region, base, heights, coloring=None):
@@ -105,12 +109,14 @@ def _sweep(region, base):
     """The breadth-first sweep of region from base, fixed once per pair.
 
     Returns (edges, walk, arrive, detours, missing).  edges lists the
-    region's edges that the sweep reaches as (i, j) position pairs, each
-    oriented and ordered as the sweep first crosses it, and missing
-    counts the sites it never reaches.  walk is a closed walk from the
-    base as flat (from, to) position pairs: a loop at the base, then an
-    Euler tour of the sweep's tree that, on arriving at a site i, steps
-    out and back along each edge (i, j) of edges outside the tree.
+    region's edges that the sweep reaches as (i, j, tree) triples of two
+    positions and a flag, each oriented and ordered as the sweep first
+    crosses it, tree true when the edge is the first to reach j, so that
+    it joins j to the sweep's tree; missing counts the sites it never
+    reaches.  walk is a closed walk from the base as flat (from, to)
+    position pairs: a loop at the base, then an Euler tour of the
+    sweep's tree that, on arriving at a site i, steps out and back along
+    each edge (i, j) of edges outside the tree.
     Summing a coloring's signed steps along the walk, the prefix sum at
     position arrive[s] is the height of site s (0 for the base and for
     unreached sites), and at position detours[0][t] it is what the edge
@@ -128,7 +134,8 @@ def _sweep(region, base):
     edges = []
     for i in order:
         for j in table[i]:
-            if rank[j] is None:
+            tree = rank[j] is None
+            if tree:
                 rank[j] = len(order)
                 order.append(j)
                 children[i].append(j)
@@ -136,7 +143,7 @@ def _sweep(region, base):
                 others[i].append(j)
             else:
                 continue  # crossed from j's side already
-            edges.append((i, j))
+            edges.append((i, j, tree))
     walk = [start, start]
     arrive = [0] * len(region)
     detours = []
@@ -167,7 +174,9 @@ def _sweep(region, base):
             len(region) - len(order))
 
 
-def _check_base(region, base):
+def check_base(region, base):
+    """Raise ValueError unless region has heights zero at base: an empty
+    region, or a base outside it."""
     if region.d is None:
         raise ValueError("empty region has no heights")
     if base not in region:
@@ -187,15 +196,25 @@ def lift_rows(region, base, colors):
     edge, a sweep conflict or a disconnected region), with the message
     height_cocycle gives that row.
     """
-    _check_base(region, base)
-    if colors.dtype != np.uint8 or colors.shape[1:] != (len(region),):
+    check_base(region, base)
+    if (not isinstance(colors, np.ndarray) or colors.dtype != np.uint8
+            or colors.shape[1:] != (len(region),)):
         raise ValueError("colorings must be uint8 rows of width %d"
                          % len(region))
     return _lift(region, base, colors)
 
 
 def _lift(region, base, colors):
-    """lift_rows on a base and a block of rows it has checked."""
+    """lift_rows on a base and a block of rows it has checked.
+
+    A block of fewer than _WALK_EDGES row edges goes through _walk a row
+    at a time.  A larger one sums the steps along the sweep's closed
+    walk as arrays, and only its first bad row, if any, goes through
+    _walk, which raises that row's error.
+    """
+    if _walks(region, base, len(colors)):
+        heights = [_walk(region, base, row) for row in colors.tolist()]
+        return np.array(heights, dtype=np.int32).reshape(colors.shape)
     edges, walk, arrive, detours, missing = _sweep(region, base)
     steps = _STEP.take(colors.take(walk, axis=1).view("<u2"))
     sums = np.add.accumulate(steps, axis=1, dtype=np.int32)
@@ -212,32 +231,73 @@ def _lift(region, base, colors):
     return sums.take(arrive, axis=1)
 
 
+# A block of rows goes through _walk when rows x edges is below _WALK_EDGES.
+# The walk costs one Python step per row and edge, about 0.12 us on a 2-core
+# Xeon VM; the array lift about 7 us for a block of a few rows.  A one-row
+# height_cocycle, whose walk builds no arrays, breaks even near 64 to 84
+# edges on boxes in d = 1..3, a lift_rows block, whose walk converts its
+# heights to an array, near 30 to 40 row edges.  So a one-row lift of F_2
+# (40 edges) or F_1 in d = 3 (54) walks, one of F_3 (84) or F_5 (220)
+# takes the arrays, and so does every block of the command line but the
+# last few rows of a file or a handful of samples.
+_WALK_EDGES = 64
+
+
+def _walks(region, base, rows):
+    """True when a block of rows colorings lifts through _walk."""
+    return rows * len(_sweep(region, base)[0]) < _WALK_EDGES
+
+
+# the height step of an edge from color a to color b, at 3 * a + b
+_WALK_STEP = tuple((0, 1, -1)[(b - a) % 3] for a in range(3)
+                   for b in range(3))
+
+
+def _walk(region, base, values):
+    """The heights of one coloring, values its colors in site order, as a
+    list in site order.
+
+    The scalar sweep: colors must lie in {0, 1, 2}; then, along the
+    sweep's edges in order, each tree edge sets the height of the site
+    it reaches from its parent's by the edge's step, and every other
+    edge must step by the same amount between the heights set so far.
+    Raises height_cocycle's error at the first failure, and then for a
+    region the sweep does not cover.
+    """
+    if max(values) > 2:
+        raise ValueError("colors must lie in {0, 1, 2}")
+    edges, *_, missing = _sweep(region, base)
+    heights = [0] * len(values)
+    for i, j, tree in edges:
+        step = _WALK_STEP[3 * values[i] + values[j]]
+        if not step:
+            raise ValueError("equal colors %d across an edge: improper "
+                             "coloring" % values[i])
+        if tree:
+            heights[j] = heights[i] + step
+        elif heights[j] != heights[i] + step:
+            raise ValueError("not a valid 3-coloring height at %r"
+                             % (region.sites[j],))
+    if missing:
+        raise ValueError("region is disconnected: %d of %d sites "
+                         "unreachable from %r" % (missing, len(region), base))
+    return heights
+
+
 def _raise_first_bad_row(region, base, colors, steps, sums):
     """Raise height_cocycle's error for the first row without heights.
 
-    The first bad row's tree heights are those the scalar sweep holds
-    until its first failure, so that failure is at the first edge, in
-    sweep order, with a zero step or a step the heights disagree with.
+    That row is the first with a zero step past the base's loop, a color
+    above 2 or a detour its sums disagree with, or the first row of a
+    region the sweep does not cover; _walk raises its error.
     """
-    edges, walk, arrive, detours, missing = _sweep(region, base)
+    detours, missing = _sweep(region, base)[3:]
     bad = (~steps[:, 1:].all(axis=1) | (colors.max(axis=1) > 2)
            | (sums.take(detours[0], axis=1)
               != sums.take(detours[1], axis=1)).any(axis=1))
     r = 0 if missing else int(bad.argmax())
-    values = colors[r].tolist()
-    if max(values) > 2:
-        raise ValueError("colors must lie in {0, 1, 2}")
-    heights = sums[r].take(arrive).tolist()
-    for i, j in edges:
-        step = (0, 1, -1)[(values[j] - values[i]) % 3]
-        if not step:
-            raise ValueError("equal colors %d across an edge: improper "
-                             "coloring" % values[i])
-        if heights[j] != heights[i] + step:
-            raise ValueError("not a valid 3-coloring height at %r"
-                             % (region.sites[j],))
-    raise ValueError("region is disconnected: %d of %d sites unreachable "
-                     "from %r" % (missing, len(region), base))
+    _walk(region, base, colors[r].tolist())
+    raise AssertionError("row %d lifts by the walk but not by its sums" % r)
 
 
 def height_cocycle(x, base):
@@ -248,7 +308,10 @@ def height_cocycle(x, base):
     (impossible for a proper coloring of a simply connected region).
     """
     region = x.region
-    _check_base(region, base)
+    check_base(region, base)
+    if _walks(region, base, 1):
+        heights = _walk(region, base, x.values)
+        return HeightField(region, base, zip(region.sites, heights), x)
     row = np.frombuffer(x.values, dtype=np.uint8).reshape(1, len(region))
     row = _lift(region, base, row)[0]
     field = HeightField(region, base, zip(region.sites, row.tolist()), x)
@@ -364,26 +427,33 @@ def _plan(region):
 def sample_rows(region, seeds):
     """One sampled 3-coloring of region per seed, as a uint8 array.
 
-    Row i is sample_coloring(region, seeds[i]).  The seeded draws of the
-    whole block come from one in-place array splitmix64, bit-identical
-    to util.counter_rng.  Both paths keep the filled sites as one-hot
-    bytes 1, 2 and 4, with the pad byte 8 at position -1, and give each
-    site its one-hot color by one lookup in _PICK_HOT at 16 * draw OR'd
-    with its earlier neighbors' bytes.  A small block (every
-    sample_coloring call) fills its rows one at a time in a Python loop
-    over the region's _plan, and maps them back to colors 0, 1 and 2
-    with one bytes.translate; a large one, where that loop would cost
-    more (see _CALL_STEPS), fills a site at a time for every seed at
-    once (_fill_sites).  Both give the same rows and raise for the first
-    blocked seed, at its first blocked site.
+    Row i is sample_coloring(region, seeds[i]).  The seeded draws are
+    util.counter_rng's, bit for bit: each seed is mixed once by
+    splitmix64, as a Python int by util.splitmix64 on the small path and
+    as an array on the large one, and the mixed seeds plus the cached
+    counters 0..m-1 are mixed again by one in-place array splitmix64.
+    Both paths keep the filled sites as one-hot bytes 1, 2 and 4, with
+    the pad byte 8 at position -1, and give each site its one-hot color
+    by one lookup in _PICK_HOT at 16 * draw OR'd with its earlier
+    neighbors' bytes.  A small block (every sample_coloring call) fills
+    its rows one at a time in a Python loop over the region's _plan, and
+    maps them back to colors 0, 1 and 2 with one bytes.translate; a
+    large one, where that loop would cost more (see _CALL_STEPS), fills
+    a site at a time for every seed at once (_fill_sites).  Both give
+    the same rows and raise for the first blocked seed, at its first
+    blocked site.
     """
-    seeds = np.array([s & _MASK for s in seeds], dtype=np.uint64)
+    seeds = [s & _MASK for s in seeds]
     m = len(region)
-    draws = _splitmix64(_splitmix64(seeds)[:, None]
-                        + np.arange(m, dtype=np.uint64))
-    keys = np.remainder(draws, 6, out=draws).astype(np.uint8) << 4
     steps, table = _plan(region), region.earlier_neighbor_table()
-    if len(seeds) * len(steps) >= _CALL_STEPS * (table.shape[1] + 1) * m:
+    large = len(seeds) * len(steps) >= _CALL_STEPS * (table.shape[1] + 1) * m
+    if large:
+        mixed = _splitmix64(np.array(seeds, dtype=np.uint64))
+    else:
+        mixed = np.array([splitmix64(s) for s in seeds], dtype=np.uint64)
+    draws = _splitmix64(mixed[:, None] + _counters(m))
+    keys = np.remainder(draws, 6, out=draws).astype(np.uint8) << 4
+    if large:
         return _fill_sites(region, keys)
     keys, pick, rows = keys.tobytes(), _PICK_HOT, []
     for i in range(len(seeds)):
@@ -397,6 +467,14 @@ def sample_rows(region, seeds):
         rows.append(hot[:m])
     rows = b"".join(rows).translate(_COLORS)
     return np.frombuffer(rows, dtype=np.uint8).reshape(len(seeds), m)
+
+
+@functools.lru_cache(maxsize=32)
+def _counters(m):
+    """The counters 0..m-1 of a row's draws, as a read-only uint64 array."""
+    counters = np.arange(m, dtype=np.uint64)
+    counters.flags.writeable = False
+    return counters
 
 
 def _fill_sites(region, keys):

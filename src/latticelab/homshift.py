@@ -1302,7 +1302,7 @@ def _line_blocks(text):
         start = end
 
 
-def pattern_set_from_jsonl(text):
+def pattern_set_from_jsonl(text, budget=None):
     """Inverse of pattern_set_to_jsonl; returns (PatternSet, header dict).
 
     The lines are split a block of text at a time (_line_blocks), and
@@ -1312,7 +1312,9 @@ def pattern_set_from_jsonl(text):
     which accepts or rejects each line exactly as it would in the whole
     file; errors come in file order.  A box region is built only once
     the first record has as many values as the box the header states
-    has sites.
+    has sites, and once its sites are ticked on a BudgetCounter(budget),
+    so that a header stating a huge box raises BudgetError before the
+    box is built, with or without records.
     """
     blocks = _line_blocks(text)
     first = next(blocks, None)
@@ -1341,6 +1343,8 @@ def pattern_set_from_jsonl(text):
     if records and size is not None and size != m:
         raise ValueError("header region has %d sites but the first record "
                          "has %d values" % (size, m))
+    if size is not None:
+        BudgetCounter(budget).tick(size)
     region = lattice.region_from_descriptor(header["region"])
     # Pattern checks the length of each loose record; every grid one has
     # m values, as the first record has

@@ -366,6 +366,49 @@ def test_height_gap(capsys):
     assert json.loads(stdout.splitlines()[0])["gap"] == 8
 
 
+def _header_only(path, n, d):
+    """path: a pattern file of K3 on F_n in d dimensions with no records."""
+    path.write_text(json.dumps({"alphabet": ["0", "1", "2"], "count": 0,
+                                "region": {"kind": "F", "n": n, "d": d}},
+                               separators=(",", ":")) + "\n")
+    return path
+
+
+def test_height_cocycle_checks_the_base_of_a_file_without_records(
+        tmp_path, capsys):
+    sample = tmp_path / "sample.jsonl"
+    assert run(capsys, ["height", "sample", "--n", "1", "--d", "2",
+                        "--out", str(sample)])[0] == 0
+    for path, base in ((sample, "7,7"),
+                       (_header_only(tmp_path / "d2.jsonl", 1, 2), "7,7"),
+                       (_header_only(tmp_path / "d4.jsonl", 1, 4), "0,0")):
+        assert run(capsys, ["height", "cocycle", "--in", str(path), "--base",
+                            base]) == \
+            (2, "", "usage error: base (%s) outside the region\n"
+             % base.replace(",", ", "))
+    code, stdout, _ = run(capsys, ["height", "cocycle", "--in",
+                                   str(tmp_path / "d4.jsonl"), "--base",
+                                   "0,0,0,0"])
+    assert (code, stdout) == (0, '{"base":[0,0,0,0],"count":0,"seed":0}\n')
+
+
+@pytest.mark.parametrize("argv", [
+    ["height", "cocycle"],
+    ["extend", "--op", "path", "--source", "0,1", "--target", "1,2", "--k",
+     "1"]], ids=["cocycle", "extend"])
+def test_a_huge_header_runs_out_of_budget_before_its_box_is_built(tmp_path,
+                                                                    argv):
+    # F_30 in d = 4 has 61^4 = 13 845 841 sites, past the default budget;
+    # building the box took 3 s and 1.4 GB
+    path = _header_only(tmp_path / "huge.jsonl", 30, 4)
+    start = time.perf_counter()
+    rc, peak_kb, out, err = _child(*argv, "--in", str(path))
+    assert time.perf_counter() - start < 2
+    assert (rc, out, err) == (3, "", "budget exceeded: search exceeded the "
+                              "node budget of 10000000\n")
+    assert peak_kb <= 100 * 1024
+
+
 def test_budget_exit_code(capsys):
     code, _, stderr = run(capsys, ["count", "hom", "--graph", "K3",
                                    "--n", "2", "--d", "3",

@@ -439,12 +439,27 @@ def colorings(draw):
     return Pattern(region, bytes(values)), base
 
 
+# _WALK_EDGES at 0 sends every block to the array lift, and at 10**6, above
+# every block drawn here, every block through the walk
+LIFT_PATHS = (0, 10 ** 6)
+
+
+def on_both_paths(fn):
+    """[fn() with every block lifted by the arrays, then by the walk]."""
+    out = []
+    for walk_edges in LIFT_PATHS:
+        with mock.patch.object(ht, "_WALK_EDGES", walk_edges):
+            out.append(fn())
+    return out
+
+
 @given(colorings())
 @settings(max_examples=400, deadline=None)
 def test_cocycle_matches_tuple_lift(case):
     x, base = case
-    got = outcome(lambda: height_cocycle(x, base).heights)
-    assert got == outcome(tuple_lift, x, base)
+    want = outcome(tuple_lift, x, base)
+    assert on_both_paths(lambda: outcome(
+        lambda: height_cocycle(x, base).heights)) == [want, want]
 
 
 def test_sweep_conflict_matches_tuple_lift():
@@ -581,6 +596,11 @@ def lift_blocks(draw):
 def test_lift_rows_match_tuple_lift(case):
     region, base, rows = case
     want = tuple_lifts(region, base, rows)
+    on_both_paths(lambda: check_lift_rows(region, base, rows, want))
+
+
+def check_lift_rows(region, base, rows, want):
+    """lift_rows on rows against want, their tuple_lifts."""
     if isinstance(want, list):
         got = lift_rows(region, base, rows)
         assert got.dtype == np.int32 and got.tolist() == want
@@ -628,9 +648,36 @@ def test_lift_rows_report_the_first_bad_row():
     assert lift_rows(ring, (0, 0), rows[:2]).tolist() == \
         tuple_lifts(ring, (0, 0), rows[:2])
     assert lift_rows(ring, (0, 0), rows[:0]).shape == (0, len(ring))
-    for wrong in (rows.astype(np.int64), rows[:, 1:]):
+    for wrong in (rows.astype(np.int64), rows[:, 1:], rows.tolist()):
         with pytest.raises(ValueError, match="uint8 rows of width 8"):
             lift_rows(ring, (0, 0), wrong)
+    with pytest.raises(ValueError, match="uint8 rows of width 9"):
+        lift_rows(box_F(1, 2), (0, 0), [[0] * 9])
+
+
+def test_walk_and_array_lift_agree_on_the_ring():
+    """Every proper coloring of the ring, some winding: the same int32
+    block, or the same first bad row and message, on both paths."""
+    ring = Region(RING)
+    rows = np.array([[dict(zip(RING, values))[s] for s in ring.sites]
+                     for values in itertools.product(range(3),
+                                                     repeat=len(RING))
+                     if all(values[k] != values[k - 1]
+                            for k in range(len(RING)))], dtype=np.uint8)
+    for base in RING:
+        winding = [r for r, row in enumerate(rows)
+                   if isinstance(outcome(tuple_lift, Pattern(
+                       ring, row.tobytes()), base), tuple)]
+        assert 0 < len(winding) < len(rows)
+        flat = np.delete(rows, winding, axis=0)
+        array, walk = on_both_paths(lambda: ht._lift(ring, base, flat))
+        assert array.dtype == walk.dtype == np.int32
+        assert np.array_equal(array, walk)
+        assert array.tolist() == tuple_lifts(ring, base, flat)
+        bad = np.concatenate([flat[:5], rows[winding[-1:]], flat])
+        assert on_both_paths(lambda: outcome(lift_rows, ring, base, bad)) \
+            == [outcome(tuple_lift, Pattern(ring, rows[winding[-1]].tobytes()),
+                        base)] * 2
 
 
 SEEDS = st.one_of(st.integers(0, 2 ** 16), st.integers(-2 ** 70, -1),
@@ -639,9 +686,11 @@ SEEDS = st.one_of(st.integers(0, 2 ** 16), st.integers(-2 ** 70, -1),
 
 # seed blocks on both sides of the threshold between the sampler's paths:
 # in d <= 3 a site takes one or two plan steps, so blocks of fewer than
-# 2 * _CALL_STEPS seeds take the scalar loop and of 4 * _CALL_STEPS or more
-# the numpy path
+# 2 * _CALL_STEPS seeds take the scalar loop, which mixes each seed as an int,
+# and of 4 * _CALL_STEPS or more the numpy path; single seeds, as
+# sample_coloring draws them, come up often
 SEED_BLOCKS = st.one_of(
+    st.lists(SEEDS, min_size=1, max_size=1),
     st.lists(SEEDS, min_size=1, max_size=2 * ht._CALL_STEPS - 1),
     st.lists(SEEDS, min_size=4 * ht._CALL_STEPS,
              max_size=8 * ht._CALL_STEPS + 8))
@@ -655,6 +704,10 @@ def numpy_path(region, n):
 
 @given(small_regions(), SEED_BLOCKS)
 @settings(max_examples=300, deadline=None)
+@example(box_F(1, 2), [-1])
+@example(rectangle((2, 3, 2), (0, -1, 0)), [2 ** 63 - 2])
+@example(rectangle((7,), (-3,)), [2 ** 64 + 5])
+@example(box_F(1, 3), [-2 ** 70, 2 ** 63 - 1, 2 ** 64 - 1])
 def test_sample_rows_match_raster_sampler(region, seeds):
     want = []
     for seed in seeds:

@@ -16,7 +16,13 @@ holds:
 - the commands of the benchmark's `pipeline` workload, with its inputs
   drawn from random.Random(1);
 - `height cocycle` on the three files of the cocycle pins in
-  tests/test_cli.py, whose heights reach every record layout.
+  tests/test_cli.py, whose heights reach every record layout, and on
+  two files it rejects: one whose third record is improper, and one of a
+  ring of eight sites around a hole whose coloring winds around it;
+- `height sample` in d = 1, 3 and 4 at seeds -1, 2**63 and 2**64 + 5,
+  and `verify lipschitz` on 3 and 20 samples in d = 1..3: one-seed and
+  small blocks, which take the scalar sampler (but 20 seeds in d = 1)
+  and, the smallest, the row walk of the lift.
 
 One line per command says `same`, or names what differs of the exit
 code, stdout, stderr and the `out` file; the exit status is 1 on any
@@ -35,6 +41,10 @@ import tempfile
 TEST_CLI = pathlib.Path(__file__).resolve().parents[1] / "tests" / "test_cli.py"
 SEED = 1
 CLI = ("-m", "latticelab.cli")
+# a cycle of eight sites around a hole, and a proper coloring of it that
+# winds once around, so that it has no heights
+RING = [(0, 0), (0, 1), (0, 2), (1, 2), (2, 2), (2, 1), (2, 0), (1, 0)]
+WINDING = [0, 1, 2, 0, 1, 2, 0, 2]
 EDGES13 = "".join("%d %d\n" % (i, i + 1) for i in range(9)) + \
     "10 11\n11 12\n10 12\n"
 
@@ -115,6 +125,17 @@ def make_inputs(tree, d):
         subset(checker3, d / (name + ".jsonl"),
                sorted(rng.sample(range(count), size)))
     subset(checker3, d / "F3.jsonl", range(0, count, 32))
+    lines = (d / "F3.jsonl").read_text().splitlines()
+    values = json.loads(lines[3])["values"]
+    lines[3] = json.dumps({"values": [values[0]] * len(values)})
+    (d / "improper.jsonl").write_text("\n".join(lines) + "\n")
+    ring = {"alphabet": ["0", "1", "2"], "count": 1,
+            "region": {"kind": "general", "d": 2,
+                       "sites": [list(s) for s in sorted(RING)]}}
+    winding = dict(zip(RING, WINDING))
+    (d / "winding.jsonl").write_text(
+        json.dumps(ring) + "\n" + json.dumps(
+            {"values": [winding[s] for s in sorted(RING)]}) + "\n")
     edges = [(u, v) for u in range(3) for v in range(3) if u != v]
     draws = {"path": "%d,%d" % rng.choice(edges),
              "embed": "%d,%d" % rng.choice(edges),
@@ -163,7 +184,17 @@ def commands(draws):
              "verify tiling --file {dir}/fill.json" + seed]
     cmds += ["height cocycle --in {dir}/F3.jsonl --base=0,0 --out out",
              "height cocycle --in {dir}/F5.jsonl --base=-5,-5 --out out",
-             "height cocycle --in {dir}/stripe.jsonl --base=-2,-2 --out out"]
+             "height cocycle --in {dir}/stripe.jsonl --base=-2,-2 --out out",
+             "height cocycle --in {dir}/improper.jsonl --base=0,0 --out out",
+             "height cocycle --in {dir}/winding.jsonl --base=1,0 --out out"]
+    for d, n in ((1, 4), (3, 2), (4, 1)):
+        for s in (-1, 2 ** 63, 2 ** 64 + 5):
+            cmds.append("height sample --n %d --d %d --seed=%d --out out"
+                        % (n, d, s))
+    for d in (1, 2, 3):
+        for samples in (3, 20):
+            cmds.append("verify lipschitz --n 2 --d %d --samples %d%s"
+                        % (d, samples, seed))
     return cmds
 
 
