@@ -296,12 +296,9 @@ def cmd_entropy(args):
     if args.what == "dimers":
         lines.append("m,n,count")
         counter = BudgetCounter(args.budget)  # one budget for the table
-        for m in range(1, args.max + 1):
-            for n in range(m, args.max + 1):
-                count = entropy_mod.count_dimer_tilings_kasteleyn(m, n,
-                                                                  counter)
-                with _all_digits():
-                    lines.append("%d,%d,%d" % (m, n, count))
+        for m, n, count in entropy_mod.dimer_table(args.max, counter):
+            with _all_digits():
+                lines.append("%d,%d,%d" % (m, n, count))
     elif args.what == "strips":
         H = _load_graph(args)
         widths = _parse_widths(args.widths)

@@ -647,14 +647,15 @@ def count_hom_torus(H, n, d=2):
 
 def count_dimer_tilings_dp(m, n):
     """Exact domino tilings of the m x n rectangle by tiling.count_tilings,
-    the longer side along the first axis so the frontier spans the shorter."""
+    which sweeps the longer side outermost, so the frontier spans the
+    shorter."""
     if m < 0 or n < 0:
         raise ValueError("sides must be nonnegative")
     if m == 0 or n == 0:
         return 1
     if (m * n) % 2 == 1:
         return 0
-    return count_tilings(dominoes(), rectangle((max(m, n), min(m, n))))
+    return count_tilings(dominoes(), rectangle((m, n)))
 
 
 def _cosine_polynomial(m):
@@ -726,9 +727,34 @@ def count_dimer_tilings_kasteleyn(m, n, counter=None):
     if m < 1 or n < 1:
         raise ValueError("sides must be positive")
     (counter or BudgetCounter()).tick(dimer_units(m, n))
-    f = _cosine_polynomial(m)
-    g = [c * (-1) ** i for i, c in enumerate(_cosine_polynomial(n))]
-    return _abs_resultant(f, g)
+    return _abs_resultant(_cosine_polynomial(m),
+                          _negated_roots(_cosine_polynomial(n)))
+
+
+def _negated_roots(f):
+    """The polynomial whose roots are those of f negated, up to sign."""
+    return [c * (-1) ** i for i, c in enumerate(f)]
+
+
+def dimer_table(size, counter=None):
+    """(m, n, count) for 1 <= m <= n <= size, row by row: the domino
+    tilings of each rectangle, as count_dimer_tilings_kasteleyn takes
+    them, with each cosine polynomial built once for the table.
+
+    counter (a BudgetCounter; a fresh one at the default budget when
+    None) is ticked dimer_units(m, n) before each entry's resultant, and
+    a polynomial is built when its first entry is reached, after that
+    entry's charge.
+    """
+    counter = counter or BudgetCounter()
+    polys = {}  # side -> its cosine polynomial and the negated one
+    for m in range(1, size + 1):
+        for n in range(m, size + 1):
+            counter.tick(dimer_units(m, n))
+            if n not in polys:
+                f = _cosine_polynomial(n)
+                polys[n] = f, _negated_roots(f)
+            yield m, n, _abs_resultant(polys[m][0], polys[n][1])
 
 
 def dimer_units(m, n):

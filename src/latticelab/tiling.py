@@ -9,9 +9,13 @@ least two prototiles there is a marker family of box tilings recognizable
 by two single-tile boundary rings.
 
 Any region, rectangle or not, is counted exactly by a frontier dynamic
-program over its sites in lexicographic order; find_tiling decides with
-it whether a region has a tiling and then reads one off, so a region
-with none is a certified negative.
+program over its sites in lexicographic order, with the region's axes
+first ordered by bounding-box side, longest first (ties in their order),
+so that the frontier spans the shorter sides: a 2 x L and an L x 2 strip
+both carry a 2-site frontier.  find_tiling decides with it whether a
+region has a tiling and then reads one off, in the same frame, so a
+region with none is a certified negative, and the tiling is the first
+one in prototile order in that frame, mapped back to the caller's axes.
 """
 
 import itertools
@@ -474,15 +478,34 @@ def flexible_tile_fill(F, n, k, K, W):
 # counting
 
 
-def _placement_masks(F, region):
-    """For each site position, the prototiles that fit with that site as
-    their least cell, as (proto index, mask) pairs.  Bit k of a mask is the
-    site k positions after the anchor."""
+def _long_axis_first(F, region):
+    """The tile set and the region with the region's axes ordered by its
+    bounding-box sides, longest first (ties in their order), and that
+    order: axis t of the result is axis order[t] of the inputs.  A count
+    is the same in either frame, and the sweep's frontier spans the
+    shorter sides.  The inputs themselves when the order is the identity
+    or the region is empty."""
+    order = list(range(F.d))
     if not len(region):
-        return []
+        return F, region, order
     if region.d != F.d:
         raise ValueError("dimension mismatch: %d-dimensional tiles on a "
                          "%d-dimensional region" % (F.d, region.d))
+    lo, hi = region.bounds()
+    order.sort(key=lambda t: lo[t] - hi[t])
+    if order == sorted(order):
+        return F, region, order
+    return (TileSet([[p[t] for t in order] for p in F.protos]),
+            lattice.Region(region.coords[:, order]), order)
+
+
+def _placement_masks(F, region):
+    """For each site position, the prototiles that fit with that site as
+    their least cell, as (proto index, mask) pairs.  Bit k of a mask is the
+    site k positions after the anchor.  The tiles and the region have one
+    dimension (_long_axis_first checks it)."""
+    if not len(region):
+        return []
     out = [[] for _ in range(len(region))]
     for k, proto in enumerate(F.protos):
         # cells[pos, c]: how far the c-th cell of the tile anchored at pos
@@ -533,10 +556,12 @@ def _frontier_count(F, fits, counter):
 
 
 def count_tilings(F, region, budget=None):
-    """Exact number of perfect tilings of the region (frontier DP).
+    """Exact number of perfect tilings of the region (frontier DP), swept
+    with the region's longest axis outermost (_long_axis_first).
 
     Each expanded frontier state ticks the search budget.
     """
+    F, region, _ = _long_axis_first(F, region)
     return _frontier_count(F, _placement_masks(F, region),
                            BudgetCounter(budget))
 
@@ -544,18 +569,22 @@ def count_tilings(F, region, budget=None):
 def find_tiling(F, region, budget=None):
     """A perfect tiling of the region, or None when it has none.
 
-    The frontier DP of count_tilings decides existence, so None is an
-    exact negative, not a search giving up.  The tiling is then read off
-    depth-first over the same states, trying prototiles in order and
-    remembering dead states, so it is the first one in that order.  The
-    walk expands each state at most once, and only states the count
-    expanded, so it needs no budget of its own; it keeps only the current
-    branch and the dead states, not a parent pointer for every state.
+    The count and the walk run in the frame of count_tilings, the
+    region's axes longest first.  The frontier DP decides existence, so
+    None is an exact negative, not a search giving up.  The tiling is
+    then read off depth-first over the same states, trying prototiles in
+    order and remembering dead states, so it is the first one in
+    prototile order in that frame.  The walk expands each state at most
+    once, and only states the count expanded, so it needs no budget of
+    its own; it keeps only the current branch and the dead states, not a
+    parent pointer for every state.  Each anchor is mapped back to the
+    caller's axes, and the tiling is validated there.
     """
-    fits = _placement_masks(F, region)
-    if not _frontier_count(F, fits, BudgetCounter(budget)):
+    tiles, turned, order = _long_axis_first(F, region)
+    fits = _placement_masks(tiles, turned)
+    if not _frontier_count(tiles, fits, BudgetCounter(budget)):
         return None
-    size = len(region)
+    size = len(turned)
     dead = set()
     branch = [(0, 0, 0)]  # (p, mask, index of the next fit to try)
     while branch[-1][0] < size:
@@ -570,7 +599,9 @@ def find_tiling(F, region, budget=None):
                 break
         else:
             dead.add((p, mask))
-    placements = [(fits[p][i - 1][0], tuple(c - 1 for c in region.sites[p]))
+    back = [order.index(t) for t in range(F.d)]
+    placements = [(fits[p][i - 1][0],
+                   tuple(turned.sites[p][t] - 1 for t in back))
                   for p, _, i in branch[:-1]]
     tiling = Tiling(F, region, placements)
     tiling.validate()

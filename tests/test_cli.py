@@ -639,6 +639,32 @@ def test_oversized_and_empty_requests_fail_fast(argv, message):
     assert (rc, out, err) == (2, "", "usage error: %s\n" % message)
 
 
+@pytest.mark.parametrize("dims, turned", [("2x60", "60x2"),
+                                          ("2x5000", "5000x2")])
+def test_count_tilings_sweeps_the_long_side(dims, turned):
+    # the frontier spans the short side whichever side --dims names first;
+    # swept along the first axis, 2x60 did not finish in 60 s of CPU
+    counts = []
+    for argv in (dims, turned):
+        start = time.perf_counter()
+        rc, _, out, err = _child("count", "tilings", "--tileset", "dominoes",
+                                 "--dims", argv)
+        assert time.perf_counter() - start < 5
+        assert (rc, err) == (0, "")
+        counts.append(json.loads(out)["count"])
+    assert counts[0] == counts[1]
+
+
+def test_tile_reads_back_a_turned_rectangle(tmp_path):
+    # 5x12 is not certified by a construction, and is swept as 12x5
+    out = tmp_path / "tile.json"
+    rc, _, _, err = _child("tile", "--tileset", "squares23", "--dims", "5x12",
+                           "--out", str(out))
+    assert (rc, err) == (0, "")
+    rc, _, stdout, err = _child("verify", "tiling", "--file", str(out))
+    assert (rc, err) == (0, "") and '"ok":true' in stdout
+
+
 def test_count_torus_petersen_n4_on_orbits(tmp_path):
     # 7 590 periodic states fall into 14 orbits of the dihedral group of
     # the column times Aut(petersen); on every state it took about 87 s

@@ -27,6 +27,7 @@ from latticelab import homshift as hs
 from latticelab import tiling as tl
 from latticelab.cli import main
 from latticelab.lattice import box_F, rectangle
+from latticelab.util import BudgetCounter, BudgetError
 
 K3 = hs.complete_graph(3)
 C5 = hs.cycle_graph(5)
@@ -857,6 +858,35 @@ def test_dimer_counts_are_charged_before_they_run(capsys):
                      "--budget", str(budget)]) == code
         out = capsys.readouterr().out
         assert (out.count("\n") == 12) if code == 0 else out == ""
+
+
+def test_dimer_table_builds_each_polynomial_once(monkeypatch):
+    built = []
+    cosine = en._cosine_polynomial
+    monkeypatch.setattr(en, "_cosine_polynomial",
+                        lambda m: built.append(m) or cosine(m))
+    table = list(en.dimer_table(9))
+    assert sorted(built) == list(range(1, 10))
+    monkeypatch.undo()
+    assert table == [(m, n, en.count_dimer_tilings_kasteleyn(m, n))
+                     for m in range(1, 10) for n in range(m, 10)]
+
+
+def test_dimer_table_runs_out_where_the_entry_loop_did():
+    # each entry is charged before its resultant, in the order of the
+    # table, as one count_dimer_tilings_kasteleyn call per entry was
+    entries = [(m, n) for m in range(1, 7) for n in range(m, 7)]
+    for budget in (0, 1, 20, 57, 85):  # the whole table takes 86 units
+        counter, done = BudgetCounter(budget), []
+        with pytest.raises(BudgetError):
+            for m, n in entries:
+                en.count_dimer_tilings_kasteleyn(m, n, counter)
+                done.append((m, n))
+        counter, table = BudgetCounter(budget), []
+        with pytest.raises(BudgetError):
+            for m, n, _ in en.dimer_table(6, counter):
+                table.append((m, n))
+        assert table == done and counter.nodes > budget
 
 
 def leibniz_det(a):

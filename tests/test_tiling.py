@@ -392,10 +392,13 @@ def tiling_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_count_matches_backtracking(case):
     F, region = case
-    counter = BudgetCounter()
-    want = oracle_count(F, region, set(), counter)
+    want = oracle_count(F, region, set(), BudgetCounter())
     assert tl.count_tilings(F, region) == want
-    # the DP expands at most one state per backtracking node
+    # the DP expands at most one state per node of the backtracking run
+    # in its own sweep order, the region's longest axis outermost
+    counter = BudgetCounter()
+    tiles, turned, _ = tl._long_axis_first(F, region)
+    assert oracle_count(tiles, turned, set(), counter) == want
     assert tl.count_tilings(F, region, budget=max(1, counter.nodes)) == want
     biggest = max(math.prod(p) for p in F.protos)
     if want and len(region) > biggest:
@@ -405,6 +408,57 @@ def test_count_matches_backtracking(case):
     assert (found is None) == (want == 0)
     if found is not None:
         assert found.region == region and found.validate()
+
+
+def permuted(F, region, perm):
+    """The tile set and the region with axis t taken from axis perm[t]."""
+    tiles = tl.TileSet([[p[t] for t in perm] for p in F.protos])
+    if not len(region):
+        return tiles, region
+    return tiles, Region(region.coords[:, list(perm)])
+
+
+@given(tiling_cases())
+@settings(max_examples=200, deadline=None)
+def test_count_is_the_same_under_axis_permutations(case):
+    F, region = case
+    want = oracle_count(F, region, set(), BudgetCounter())
+    for perm in itertools.permutations(range(F.d)):
+        tiles, turned = permuted(F, region, perm)
+        assert tl.count_tilings(tiles, turned) == want
+        found = tl.find_tiling(tiles, turned)
+        assert (found is None) == (want == 0)
+        if found is not None:
+            # read back in the caller's frame, with the caller's tiles
+            assert found.tiles == tiles and found.region == turned
+            assert found.validate()
+
+
+def test_long_axis_first_orders_the_bounding_box():
+    F = tl.TileSet([(1, 2, 3), (3, 1, 1)])
+    tiles, region, order = tl._long_axis_first(F, rectangle((2, 5, 2),
+                                                            (0, -3, 7)))
+    assert order == [1, 0, 2]  # ties keep their order
+    assert tiles.protos == ((2, 1, 3), (1, 3, 1))
+    assert region == rectangle((5, 2, 2), (-3, 0, 7))
+    # square, already long-first and empty regions come back as they are
+    for box in (rectangle((3, 3)), rectangle((4, 1)), Region([])):
+        tiles, region, order = tl._long_axis_first(DOM, box)
+        assert (tiles, region, order) == (DOM, box, [0, 1])
+        assert tiles is DOM and region is box
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        tl._long_axis_first(DOM, rectangle((2, 2, 2)))
+
+
+def test_find_tiling_reads_back_in_the_sweep_frame():
+    # the 5 x 12 rectangle is swept as 12 x 5; its first tiling there,
+    # mapped back, is the mirror of the 12 x 5 one
+    S = tl.tile_preset("squares23")
+    wide, tall = tl.find_tiling(S, rectangle((5, 12))), \
+        tl.find_tiling(S, rectangle((12, 5)))
+    assert wide.validate() and wide.region == rectangle((5, 12))
+    assert wide.placements == tuple(sorted((p, o[::-1])
+                                           for p, o in tall.placements))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,10 @@ holds:
 - `height sample` in d = 1, 3 and 4 at seeds -1, 2**63 and 2**64 + 5,
   and `verify lipschitz` on 3 and 20 samples in d = 1..3: one-seed and
   small blocks, which take the scalar sampler (but 20 seeds in d = 1)
-  and, the smallest, the row walk of the lift.
+  and, the smallest, the row walk of the lift;
+- `count tilings` on the dominoes 4x10 and the dominoes3 2x2x6 boxes and
+  `tile` on the squares23 5x12 rectangle, which the frontier DP sweeps
+  with their longest axis outermost, so their axes are turned.
 
 One line per command says `same`, or names what differs of the exit
 code, stdout, stderr and the `out` file; the exit status is 1 on any
@@ -195,6 +198,9 @@ def commands(draws):
         for samples in (3, 20):
             cmds.append("verify lipschitz --n 2 --d %d --samples %d%s"
                         % (d, samples, seed))
+    cmds += ["count tilings --tileset dominoes --dims 4x10" + seed,
+             "count tilings --tileset dominoes3 --dims 2x2x6" + seed,
+             "tile --tileset squares23 --dims 5x12 --out out" + seed]
     return cmds
 
 
