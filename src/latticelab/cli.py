@@ -21,7 +21,7 @@ from . import height as height_mod
 from . import homshift
 from . import lattice
 from . import tiling as tiling_mod
-from .util import BudgetCounter, BudgetError, NegativeResult, canonical_json
+from .util import BudgetError, NegativeResult, canonical_json
 
 EXIT_OK = 0
 
@@ -284,7 +284,7 @@ def cmd_count(args):
         if len(dims) != 2:
             raise ValueError("dimers need two dims, got %r" % (args.dims,))
         value = entropy_mod.count_dimer_tilings_kasteleyn(
-            dims[0], dims[1], BudgetCounter(args.budget))
+            dims[0], dims[1], entropy_mod.dimer_counter(args.budget))
         params = {"what": "dimers", "dims": list(dims)}
     params["count"] = value
     _emit(args, _record(args, params))
@@ -295,7 +295,7 @@ def cmd_entropy(args):
     lines = ["# seed=%d" % args.seed]
     if args.what == "dimers":
         lines.append("m,n,count")
-        counter = BudgetCounter(args.budget)  # one budget for the table
+        counter = entropy_mod.dimer_counter(args.budget)  # one for the table
         for m, n, count in entropy_mod.dimer_table(args.max, counter):
             with _all_digits():
                 lines.append("%d,%d,%d" % (m, n, count))

@@ -721,12 +721,12 @@ def count_dimer_tilings_kasteleyn(m, n, counter=None):
     the subresultant remainder sequence, in integer arithmetic.  An
     odd-area rectangle has the factor 0 + 0: returns 0.
 
-    Before anything is built, counter (a BudgetCounter; a fresh one at the
-    default budget when None) is ticked dimer_units(m, n).
+    Before anything is built, counter (a BudgetCounter; dimer_counter()
+    when None) is ticked dimer_units(m, n).
     """
     if m < 1 or n < 1:
         raise ValueError("sides must be positive")
-    (counter or BudgetCounter()).tick(dimer_units(m, n))
+    (counter or dimer_counter()).tick(dimer_units(m, n))
     return _abs_resultant(_cosine_polynomial(m),
                           _negated_roots(_cosine_polynomial(n)))
 
@@ -741,12 +741,11 @@ def dimer_table(size, counter=None):
     tilings of each rectangle, as count_dimer_tilings_kasteleyn takes
     them, with each cosine polynomial built once for the table.
 
-    counter (a BudgetCounter; a fresh one at the default budget when
-    None) is ticked dimer_units(m, n) before each entry's resultant, and
-    a polynomial is built when its first entry is reached, after that
-    entry's charge.
+    counter (a BudgetCounter; dimer_counter() when None) is ticked
+    dimer_units(m, n) before each entry's resultant, and a polynomial is
+    built when its first entry is reached, after that entry's charge.
     """
-    counter = counter or BudgetCounter()
+    counter = counter or dimer_counter()
     polys = {}  # side -> its cosine polynomial and the negated one
     for m in range(1, size + 1):
         for n in range(m, size + 1):
@@ -755,6 +754,11 @@ def dimer_table(size, counter=None):
                 f = _cosine_polynomial(n)
                 polys[n] = f, _negated_roots(f)
             yield m, n, _abs_resultant(polys[m][0], polys[n][1])
+
+
+def dimer_counter(budget=None):
+    """A BudgetCounter of dimer resultant units (dimer_units)."""
+    return BudgetCounter(budget, "resultant unit", "dimer count")
 
 
 def dimer_units(m, n):

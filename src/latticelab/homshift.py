@@ -311,10 +311,11 @@ def is_hom(H, pattern):
 
 # Prefixes one search step extends at once, in units of H.n children: a
 # step takes prefixes while their children total at most ENGINE_BLOCK *
-# H.n.  It also sets how far a step reaches (a segment spans at most K
-# sites, K the largest k with Delta(H)^(k-1) <= ENGINE_BLOCK, so that
-# one prefix never has more children than that) and how much a
-# segment's memo holds (_memo_bound).
+# H.n.  It also sets how far a step reaches (a segment has at most K
+# branching sites, K the largest k with Delta(H)^(k-1) <= ENGINE_BLOCK,
+# so that one prefix never has more children than H.n * ENGINE_BLOCK),
+# how many contexts an expansion takes at once (_Segment.chunk) and how
+# much a segment's memo holds (_memo_bound).
 ENGINE_BLOCK = 1024
 
 
@@ -362,16 +363,19 @@ class _Segment:
     contexts met, sorted by key, and for each a row of table: where its
     words start in words, how many there are (the segment's values of
     every extension, in lexicographic order), and the nodes the one-site
-    search ticks on the way, dead ends included.
+    search ticks on the way, dead ends included.  free of the segment's
+    sites branch (take every vertex of H); the others are fixed or tied
+    and take one value at most.
     """
 
-    def __init__(self, H, earlier, root, source, a, b, degree):
+    def __init__(self, H, earlier, root, source, a, b, free, degree):
         self.a, self.b = a, b
         self.adj = H.matrix()
         self.full = _memo_bound(H, b - a)
         prev = earlier[a:b].tolist()
+        src = source[a:b].tolist()
         cols = sorted({j for row in prev for j in row if 0 <= j < a}
-                      | {source[p] for p in range(a, b) if 0 <= source[p] < a})
+                      | {j for j in src if 0 <= j < a})
         self.cols = np.array(cols, dtype=np.intp)
         q = H.n
         self.weights = (q ** np.arange(len(cols) - 1, -1, -1, dtype=np.int64)
@@ -380,12 +384,14 @@ class _Segment:
         at = {j: i for i, j in enumerate(cols)}
         at.update((p, len(cols) + p - a) for p in range(a, b))
         self.steps = [(at[p], [at[j] for j in row if j >= 0],
-                       at[source[p]] if source[p] >= 0 else -1)
-                      for p, row in zip(range(a, b), prev)]
+                       at[t] if t >= 0 else -1)
+                      for p, row, t in zip(range(a, b), prev, src)]
         self.fill = root[a:b]
-        # a context has at most q * degree^(b-a-1) words, so one expansion
-        # of this many builds at most ENGINE_BLOCK * q rows at a time
-        self.chunk = max(1, ENGINE_BLOCK // degree ** (b - a - 1))
+        # every branching site but the first follows an earlier neighbour
+        # on its line (_fold_fixed), so a context has at most
+        # q * degree^(free-1) words, and one expansion of this many
+        # builds at most ENGINE_BLOCK * q rows at a time
+        self.chunk = max(1, ENGINE_BLOCK // degree ** max(free - 1, 0))
         self.clear()
 
     def clear(self):
@@ -476,22 +482,46 @@ def _segment_bounds(region, reach):
     return tuple(starts + [len(region)]) if starts else ()
 
 
+def _fold_fixed(bounds, source):
+    """The segments of a search: bounds (from _segment_bounds) with each
+    segment whose sites are all fixed (source[p] == p) joined to the one
+    before it, since it cannot branch; and each segment's branching sites
+    (source[p] < 0).  A segment is then a stretch of one run, followed by
+    whole fixed stretches (on a box, the fixed lines of a shell), so its
+    branching sites all lie on that first stretch: at most reach, each
+    but the first with the site before it as an earlier neighbour."""
+    bounds = np.asarray(bounds, dtype=np.intp)
+    if len(bounds) < 2:
+        return (), ()
+    starts = bounds[:-1]
+    moving = np.add.reduceat(source != np.arange(len(source)), starts) > 0
+    moving[0] = True
+    starts = starts[moving]
+    free = np.add.reduceat(source < 0, starts)
+    return tuple(np.append(starts, bounds[-1]).tolist()), tuple(free.tolist())
+
+
 def _hom_blocks(H, region, root, source, counter):
     """The homomorphisms region -> H that follow source, in canonical order.
 
     Yields uint8 arrays of whole rows (one per homomorphism, one column
     per site), lexicographically sorted when concatenated.  Site pos takes
-    every vertex of H (source[pos] == -1), the root's value (== pos) or
-    the row's value at site source[pos] < pos, if it is adjacent to the
-    row's values at all earlier neighbours.  Prefixes grow from the row
-    root a segment at a time (_segment_bounds): each step looks its
-    prefixes' contexts up in the segment's memo (_Segment.find) and takes
-    prefixes while their children total at most ENGINE_BLOCK * H.n (one
-    at least), leaving the rest pending; the children are the prefixes,
-    each repeated once per word of its context, with the words written
-    in.  Blocks go depth first, one pending block per segment at most.
-    Each step ticks the nodes the one-site search ticks on its prefixes:
-    one per prefix of every length it extends, dead ends included.
+    every vertex of H (source[pos] == -1, a branching site), the root's
+    value (== pos, a fixed site) or the row's value at site
+    source[pos] < pos (a tied site), if it is adjacent to the row's
+    values at all earlier neighbours; source is an integer array.
+    Prefixes grow from the row root a segment at a time: stretches of
+    lattice lines with at most K branching sites each (_segment_bounds),
+    a segment of fixed sites alone joined to the one before it
+    (_fold_fixed), so that a fixed shell line costs no step of its own.
+    Each step looks its prefixes' contexts up in the segment's memo
+    (_Segment.find) and takes prefixes while their children total at most
+    ENGINE_BLOCK * H.n (one at least), leaving the rest pending; the
+    children are the prefixes, each repeated once per word of its
+    context, with the words written in.  Blocks go depth first, one
+    pending block per segment at most.  Each step ticks the nodes the
+    one-site search ticks on its prefixes: one per prefix of every length
+    it extends, dead ends included.
     """
     m = len(region)
     degree = max(1, int(H.matrix().sum(axis=1).max(initial=0)))
@@ -501,8 +531,8 @@ def _hom_blocks(H, region, root, source, counter):
         while degree ** reach <= ENGINE_BLOCK:
             reach += 1
     earlier = region.earlier_neighbor_table()
-    bounds = _segment_bounds(region, reach)
-    segments = [None] * (len(bounds) - 1)      # built when first reached
+    bounds, free = _fold_fixed(_segment_bounds(region, reach), source)
+    segments = [None] * len(free)               # built when first reached
     cap = ENGINE_BLOCK * H.n
     stack = [(0, root.reshape(1, m), None)]
     while stack:
@@ -512,7 +542,7 @@ def _hom_blocks(H, region, root, source, counter):
             continue
         if segments[s] is None:
             segments[s] = _Segment(H, earlier, root, source, bounds[s],
-                                   bounds[s + 1], degree)
+                                   bounds[s + 1], free[s], degree)
         seg = segments[s]
         if keys is None:
             keys = seg.key(rows)
@@ -534,7 +564,7 @@ def _hom_blocks(H, region, root, source, counter):
 def _check_boundary(H, region, boundary):
     """The engine's (root, source) for a partial assignment {site: vertex}."""
     root = np.zeros(len(region), dtype=np.uint8)
-    source = [-1] * len(region)
+    source = np.full(len(region), -1, dtype=np.intp)
     for site, v in dict(boundary or {}).items():
         if site not in region:
             raise ValueError("boundary site %r outside region" % (site,))
@@ -548,9 +578,14 @@ def _check_boundary(H, region, boundary):
 
 
 def _stack_rows(blocks, m):
-    blocks = list(blocks)
-    return (np.concatenate(blocks) if blocks
-            else np.empty((0, m), dtype=np.uint8))
+    """The rows of uint8 blocks of width m, stacked in one array: each
+    block is copied into one growing buffer as it comes, so that the
+    rows are held once, not once in the blocks and once stacked."""
+    data, count = bytearray(), 0
+    for block in blocks:
+        data += np.ascontiguousarray(block).data
+        count += len(block)
+    return np.frombuffer(data, dtype=np.uint8).reshape(count, m)
 
 
 def enumerate_hom(H, region, boundary=None, budget=None):
@@ -674,7 +709,7 @@ def hat_set(H, n, d, budget=None):
     source = np.full(len(region), -1)
     source[shell] = np.where(shell == lead, -1, lead)
     rows = _stack_rows(_hom_blocks(H, region, np.zeros(len(region), np.uint8),
-                                   source.tolist(), BudgetCounter(budget)),
+                                   source, BudgetCounter(budget)),
                        len(region))
     return PatternSet.view(region, rows, {"family": "periodic_shell",
                                           "n": n, "d": d})
@@ -1312,9 +1347,9 @@ def pattern_set_from_jsonl(text, budget=None):
     which accepts or rejects each line exactly as it would in the whole
     file; errors come in file order.  A box region is built only once
     the first record has as many values as the box the header states
-    has sites, and once its sites are ticked on a BudgetCounter(budget),
-    so that a header stating a huge box raises BudgetError before the
-    box is built, with or without records.
+    has sites, and once its sites are ticked on a BudgetCounter(budget)
+    of sites, so that a header stating a huge box raises BudgetError
+    before the box is built, with or without records.
     """
     blocks = _line_blocks(text)
     first = next(blocks, None)
@@ -1344,7 +1379,7 @@ def pattern_set_from_jsonl(text, budget=None):
         raise ValueError("header region has %d sites but the first record "
                          "has %d values" % (size, m))
     if size is not None:
-        BudgetCounter(budget).tick(size)
+        BudgetCounter(budget, "site", "pattern-file header region").tick(size)
     region = lattice.region_from_descriptor(header["region"])
     # Pattern checks the length of each loose record; every grid one has
     # m values, as the first record has

@@ -526,9 +526,10 @@ def _advance(p, mask, tile):
     return p + skip, covered >> skip
 
 
-def _frontier_count(F, fits, counter):
+def _frontier_count(F, fits, budget):
     """Exact tiling count by a frontier dynamic program over site positions,
-    from the region's placement masks fits (_placement_masks).
+    from the region's placement masks fits (_placement_masks).  Each
+    expanded state ticks a BudgetCounter(budget) of frontier states.
 
     A state is (p, mask): sites before position p are covered, site p is
     not, and bit k of mask marks site p + k covered.  The tile covering
@@ -537,6 +538,7 @@ def _frontier_count(F, fits, counter):
     expanded in increasing order.  A region whose size is not a multiple
     of the gcd of the tile volumes has no tiling, and no state is expanded.
     """
+    counter = BudgetCounter(budget, "frontier state", "tiling count")
     size = len(fits)
     if size % math.gcd(*(math.prod(proto) for proto in F.protos)):
         return 0
@@ -562,8 +564,7 @@ def count_tilings(F, region, budget=None):
     Each expanded frontier state ticks the search budget.
     """
     F, region, _ = _long_axis_first(F, region)
-    return _frontier_count(F, _placement_masks(F, region),
-                           BudgetCounter(budget))
+    return _frontier_count(F, _placement_masks(F, region), budget)
 
 
 def find_tiling(F, region, budget=None):
@@ -582,7 +583,7 @@ def find_tiling(F, region, budget=None):
     """
     tiles, turned, order = _long_axis_first(F, region)
     fits = _placement_masks(tiles, turned)
-    if not _frontier_count(tiles, fits, BudgetCounter(budget)):
+    if not _frontier_count(tiles, fits, budget):
         return None
     size = len(turned)
     dead = set()

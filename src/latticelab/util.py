@@ -8,7 +8,7 @@ DEFAULT_BUDGET = 10_000_000
 
 
 class BudgetError(RuntimeError):
-    """Raised when a search exceeds its node budget."""
+    """Raised when a computation exceeds its budget."""
 
 
 class NegativeResult(RuntimeError):
@@ -30,17 +30,23 @@ def default_budget():
 
 
 class BudgetCounter:
-    """Counts search nodes and raises BudgetError past the limit."""
+    """Counts units of work and raises BudgetError past the limit.
 
-    def __init__(self, budget=None):
+    unit names what is counted and work what counts it, in the error's
+    message: "<work> exceeded the <unit> budget of <budget>".  The
+    default is a search's nodes.
+    """
+
+    def __init__(self, budget=None, unit="node", work="search"):
         self.budget = default_budget() if budget is None else budget
+        self.unit, self.work = unit, work
         self.nodes = 0
 
     def tick(self, amount=1):
         self.nodes += amount
         if self.nodes > self.budget:
-            raise BudgetError(
-                "search exceeded the node budget of %d" % self.budget)
+            raise BudgetError("%s exceeded the %s budget of %d"
+                              % (self.work, self.unit, self.budget))
 
 
 _MASK = (1 << 64) - 1

@@ -404,8 +404,8 @@ def test_a_huge_header_runs_out_of_budget_before_its_box_is_built(tmp_path,
     start = time.perf_counter()
     rc, peak_kb, out, err = _child(*argv, "--in", str(path))
     assert time.perf_counter() - start < 2
-    assert (rc, out, err) == (3, "", "budget exceeded: search exceeded the "
-                              "node budget of 10000000\n")
+    assert (rc, out, err) == (3, "", "budget exceeded: pattern-file header "
+                              "region exceeded the site budget of 10000000\n")
     assert peak_kb <= 100 * 1024
 
 
@@ -415,6 +415,21 @@ def test_budget_exit_code(capsys):
                                    "--budget", "100"])
     assert code == 3
     assert "budget" in stderr
+
+
+@pytest.mark.parametrize("argv, line", [
+    ("enumerate --family checker --n 4 --budget 100000",
+     "search exceeded the node budget of 100000"),
+    ("count tilings --dims 20x20 --budget 100",
+     "tiling count exceeded the frontier state budget of 100"),
+    ("count dimers --dims 40x40 --budget 100",
+     "dimer count exceeded the resultant unit budget of 100"),
+    ("entropy dimers --max 10 --budget 100",
+     "dimer count exceeded the resultant unit budget of 100")],
+    ids=["search", "tilings", "dimers", "dimer-table"])
+def test_a_budget_exit_names_its_unit(capsys, argv, line):
+    assert run(capsys, argv.split()) == \
+        (3, "", "budget exceeded: %s\n" % line)
 
 
 def test_budget_is_the_same_at_every_worker_count(capsys):
@@ -508,6 +523,10 @@ ENUMERATE_SHA256 = {
         "8e87d10fc4841bb9d2465a8a883f1f9935a237fccf20b5b205ac6871c4e0111c",
     "--family checker --n 2 --graph petersen":
         "e7e3dd6b45e3086198870dae8558daeaf83ea59f600c93bb4bf77605b0ae7038",
+    "--family tilde --n 3":
+        "65482fb4283e44a83bb8f070b3c07985c591be456a2180c0f7697b8f6ba34b75",
+    "--family checker --n 2 --d 3":
+        "e83243180898961eed0f7db38d0713b80aab1b35c15fecc3dbe716c5534d76e9",
 }
 
 

@@ -208,12 +208,22 @@ def hat_ties(n, d):
             for i in p[1:]}
 
 
+def marker_shells(n, d):
+    """The marker family's fixed sites on F_{n+1}: the (0, 1) shell
+    outside and the (0, 2) shell on F_n."""
+    fixed = hs.checkerboard_shell(0, 1, n + 1, d)
+    fixed.update(hs.checkerboard_shell(0, 2, n, d))
+    return fixed
+
+
 @st.composite
 def segment_instances(draw):
     """An instance whose search spans several segments: a box or rectangle
     up to 6 x 6 in d = 2, F_1 in d = 3 or a line longer than K; with fixed
-    sites, a fixed checkerboard shell, or ties, some of them (as in the
-    periodic-shell family) to a site on an earlier line."""
+    sites, a fixed checkerboard shell, whole lattice lines fixed to a
+    checkerboard (the engine folds them into the segment before them), or
+    ties, some of them (as in the periodic-shell family) to a site on an
+    earlier line."""
     shape = draw(st.sampled_from(["rect", "F", "F1d3", "line"]))
     if shape == "line":
         H = draw(st.sampled_from(LINE_GRAPHS))
@@ -230,12 +240,17 @@ def segment_instances(draw):
                   "F1d3": lambda: box_F(1, 3)}[shape]()
     shell = box_boundary(region)
     fixed, ties = {}, {}
-    mode = draw(st.sampled_from(["free", "sites", "shell", "periodic", "tied"]))
+    mode = draw(st.sampled_from(["free", "sites", "shell", "lines", "periodic",
+                                 "tied"]))
     if mode == "sites":
         for site in draw(st.lists(st.sampled_from(region.sites), max_size=4)):
             fixed[site] = draw(st.integers(0, H.n - 1))
-    elif mode == "shell" and H.ordered_edges():
+    elif mode in ("shell", "lines") and H.ordered_edges():
         v0, v1 = draw(st.sampled_from(H.ordered_edges()))
+        if mode == "lines":     # a line: the sites that differ in the last axis
+            heads = sorted({s[:-1] for s in region.sites})
+            lines = draw(st.sets(st.sampled_from(heads), min_size=1))
+            shell = [s for s in region.sites if s[:-1] in lines]
         fixed = {s: (v0 if parity(s) == 0 else v1) for s in shell}
     elif mode == "periodic":
         lead = {}
@@ -269,6 +284,9 @@ def run_engine(H, region, fixed, ties, budget):
           {s: parity(s) for s in box_boundary(lattice.rectangle((6, 6)))}, {}))
 @example((hs.cycle_graph(200), lattice.rectangle((2, 12)),
           {(1, j): j % 2 for j in range(1, 13)}, {}))
+@example((hs.complete_graph(3), box_F(2, 2), hs.checkerboard_shell(0, 1, 2, 2),
+          {}))
+@example((hs.complete_graph(3), box_F(3, 2), marker_shells(2, 2), {}))
 def test_segment_steps_match_scalar_search(memo, case):
     H, region, fixed, ties = case
     oracle = scalar_dfs(H, region, fixed, ties=ties)
@@ -294,37 +312,68 @@ def test_segment_steps_match_scalar_search(memo, case):
                     hs.count_hom_dfs(H, region, fixed, budget=nodes - 1)
 
 
+@pytest.mark.parametrize("n, fixed, ties, segments, free", [
+    (3, hs.checkerboard_shell(0, 1, 3, 2), {},
+     (0, 7, 14, 21, 28, 35, 49), (0, 5, 5, 5, 5, 5)),
+    (3, marker_shells(2, 2), {}, (0, 14, 21, 28, 49), (0, 3, 3, 3)),
+    (2, {}, hat_ties(2, 2), (0, 5, 10, 15, 20, 25), (2, 4, 3, 3, 0))],
+    ids=["checker", "marker", "hat"])
+def test_fixed_lines_join_the_segment_before_them(n, fixed, ties, segments,
+                                                  free):
+    # one segment per line of F_n (n <= 5), but a line whose sites are
+    # all fixed joins the segment before it, unless it is the first: C_3
+    # has a segment fewer.  A tied line keeps its own segment.
+    K3 = hs.complete_graph(3)
+    region = box_F(n, 2)
+    bounds = hs._segment_bounds(region, reach(K3))
+    assert bounds == tuple(range(0, len(region) + 1, 2 * n + 1))
+    source = hs._check_boundary(K3, region, fixed)[1]
+    for site, earlier in ties.items():
+        source[region.index(site)] = region.index(earlier)
+    assert hs._fold_fixed(bounds, source) == (segments, free)
+
+
 def test_engine_memory_is_bounded_by_its_segments():
-    # F_12 runs out of its budget deep in the box, with a pending block at
-    # most per segment; the bound below follows from the design alone
+    # F_12, free and with a fixed checkerboard shell, runs out of its
+    # budget deep in the box, with a pending block at most per segment;
+    # the bound below follows from the design alone
     K3 = hs.complete_graph(3)
     region = box_F(12, 2)
     region.earlier_neighbor_table()     # the region's tables, built first
     k = reach(K3)
-    segments = 25 * -(-25 // k)         # a 25-site line is ceil(25 / K) of them
-    assert len(hs._segment_bounds(region, k)) - 1 == segments
+    lines = -(-25 // k)                 # a 25-site line is ceil(25 / K) segments
     block = hs.ENGINE_BLOCK * K3.n * len(region)    # bytes of one block
-    # a memo of L-site words is cleared, before an expansion, when it
-    # holds C contexts or W words, (C, W) = _memo_bound(H, L), and one
-    # expansion adds at most ENGINE_BLOCK contexts and ENGINE_BLOCK * H.n
-    # words; so it holds fewer than C + ENGINE_BLOCK contexts (an int64
-    # key and an int64 start, count and ticks each) and fewer than
-    # W + ENGINE_BLOCK * H.n words of L <= K bytes
-    memo = max((c + hs.ENGINE_BLOCK) * 4 * 8
-               + (w + hs.ENGINE_BLOCK * K3.n) * length
-               for length in range(1, k + 1)
-               for c, w in [hs._memo_bound(K3, length)])
-    # a block and a memo per segment, and one more of each for a step's
-    # working arrays and a memo's copy while it grows
-    bound = (segments + 1) * (block + memo)
-    tracemalloc.start()
-    try:
-        with pytest.raises(BudgetError):
-            hs.count_hom_dfs(K3, region, budget=10 ** 6)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < bound
+    # a fixed line joins the segment before it, but the first has none
+    for fixed, segments in (({}, 25 * lines),
+                            (hs.checkerboard_shell(0, 1, 12, 2),
+                             25 * lines - 2 * lines + 1)):
+        bounds, free = hs._fold_fixed(hs._segment_bounds(region, k),
+                                      hs._check_boundary(K3, region, fixed)[1])
+        assert len(free) == segments and max(free) <= k
+        # a memo of L-site words is cleared, before an expansion, when it
+        # holds C contexts or W words, (C, W) = _memo_bound(H, L), and one
+        # expansion adds at most ENGINE_BLOCK contexts and ENGINE_BLOCK *
+        # H.n words (a context has at most H.n * Delta^(f-1) words, f <= K
+        # its segment's branching sites); so it holds fewer than
+        # C + ENGINE_BLOCK contexts (an int64 key and an int64 start, count
+        # and ticks each) and fewer than W + ENGINE_BLOCK * H.n words of
+        # L bytes, L a segment's length: at most K, more with a fixed line
+        # folded in
+        memo = max((c + hs.ENGINE_BLOCK) * 4 * 8
+                   + (w + hs.ENGINE_BLOCK * K3.n) * length
+                   for length in set(np.diff(bounds).tolist())
+                   for c, w in [hs._memo_bound(K3, length)])
+        # a block and a memo per segment, and one more of each for a
+        # step's working arrays and a memo's copy while it grows
+        bound = (segments + 1) * (block + memo)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError):
+                hs.count_hom_dfs(K3, region, fixed, budget=10 ** 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 @st.composite

@@ -25,7 +25,9 @@ holds:
   and, the smallest, the row walk of the lift;
 - `count tilings` on the dominoes 4x10 and the dominoes3 2x2x6 boxes and
   `tile` on the squares23 5x12 rectangle, which the frontier DP sweeps
-  with their longest axis outermost, so their axes are turned.
+  with their longest axis outermost, so their axes are turned;
+- `enumerate --family checker --n 4` at a budget of 100 000 nodes, which
+  the search runs out of partway through the box (exit 3).
 
 One line per command says `same`, or names what differs of the exit
 code, stdout, stderr and the `out` file; the exit status is 1 on any
@@ -200,7 +202,9 @@ def commands(draws):
                         % (d, samples, seed))
     cmds += ["count tilings --tileset dominoes --dims 4x10" + seed,
              "count tilings --tileset dominoes3 --dims 2x2x6" + seed,
-             "tile --tileset squares23 --dims 5x12 --out out" + seed]
+             "tile --tileset squares23 --dims 5x12 --out out" + seed,
+             "enumerate --family checker --n 4 --budget 100000 --out out"
+             + seed]
     return cmds
 
 
