@@ -7,6 +7,14 @@ neighbour lists, built only when asked for, so the cost follows the number
 of compatible column pairs built.  The states and pairs are counted as
 walks first, a count stopping once it is past its cap.
 
+What depends on H alone is built once per graph and kept on the graph
+object (homshift.per_graph), so every operator over one H shares it and it
+goes with H: the adjacency tables, the tree of free columns, grown a width
+at a time as wider operators are built, and the walk counts behind the
+size checks.  The checks keep counts, not verdicts: each compares them
+with the caps of the moment.  Each operator builds its own states, orbits,
+lumped matrix and neighbour lists.
+
 Counts run on the orbits of a group G of symmetries of the transfer matrix
 T: the reflections (and, for a periodic column, rotations) of a column,
 times the automorphisms of H.  The orbits form an equitable partition of
@@ -46,7 +54,7 @@ import math
 import numpy as np
 
 from .lattice import box_F, rectangle
-from .homshift import count_hom_dfs, hat_set, marker_set
+from .homshift import count_hom_dfs, hat_set, marker_set, per_graph
 from .tiling import count_tilings, dominoes
 from .util import BudgetCounter
 
@@ -59,26 +67,44 @@ POWER_TOL = 1e-12  # relative change that ends strip_entropy's iteration
 POWER_MAX_ITER = 100_000
 
 
-def _walk_total(nbrs, start, steps, cap):
-    """Number of walks of the given number of steps in an undirected graph,
-    v ~ each u in nbrs[v], with start[v] of them starting at each v; None
-    when the count stops early, past cap.
+class _Walks:
+    """Walk totals in an undirected graph, v ~ each u in nbrs[v], with
+    start[v] walks starting at each v: totals[t] is the number of walks of
+    t steps, and the walks ending at each vertex after the last step taken
+    are kept, so a count grows one step at a time as it is asked for.
 
     After the first step every walk ends on an edge it can step back
     along, and adding that step maps the walks of t steps one to one into
     those of t + 1, so from t = 1 on the total never falls: a total past
-    cap before the last step proves the count past cap, and it stops
-    there."""
-    walks = list(start)
-    for t in range(1, steps + 1):
-        walks = [sum(walks[u] for u in row) for row in nbrs]
-        if t < steps and sum(walks) > cap:
-            return None
-    return sum(walks)
+    a cap before the last step asked for proves the count past the cap,
+    and growth stops there."""
+
+    def __init__(self, nbrs, start):
+        self.nbrs = nbrs
+        self.walks = list(start)
+        self.totals = [sum(self.walks)]
+
+    def total(self, steps, cap):
+        """The number of walks of the given number of steps; None when a
+        total of at least one step and fewer than steps is past cap, which
+        proves this one past it too."""
+        totals = self.totals
+        while len(totals) <= steps:
+            if len(totals) > 1 and totals[-1] > cap:
+                return None
+            self.walks = [sum(self.walks[u] for u in row) for row in self.nbrs]
+            totals.append(sum(self.walks))
+        return None if steps > 1 and totals[steps - 1] > cap else totals[steps]
+
+
+def _walk_total(nbrs, start, steps, cap):
+    """_Walks(nbrs, start).total(steps, cap): the walks of the given number
+    of steps, or None when the count stops early, past cap."""
+    return _Walks(nbrs, start).total(steps, cap)
 
 
 def _check_total(total, cap, what):
-    """ValueError when a _walk_total count is past cap, the count stated
+    """ValueError when a _Walks count is past cap, the count stated
     exactly only when it was taken to the end."""
     if total is None or total > cap:
         raise ValueError("transfer state space too large: %s %s"
@@ -102,17 +128,28 @@ def _lists(lists):
 
 
 class _Columns:
-    """The free columns of width w over H (the walks of w - 1 steps), in
-    lexicographic order, with what it takes to find a column's index.
+    """What every transfer operator over H shares, built once per graph
+    and kept on it (see _columns): the free columns over H (the walks in
+    H) of every width asked for so far, in lexicographic order, with what
+    it takes to find a column's index or its compatible columns, and the
+    walk counts behind TransferOperator.check.
 
     A column of length t + 1 extends one of length t by each neighbour of
     its last value in increasing order, so the extensions of the column at
     index i of length t are the columns from starts[t - 1][i] on, and a
     column's index is read off its values one row at a time: see index.
-    slot[u, v] is the rank of v among the neighbours of u.
+    The columns of width w are the level w - 1 of this tree, and its
+    levels 0 .. w - 1 are the same in any wider tree, so the tree grows a
+    level at a time, as a wider width is asked for.  slot[u, v] is the
+    rank of v among the neighbours of u.
+
+    The counts are kept as counts, not verdicts: states counts the free
+    columns (walks in H) and pairs the compatible pairs of them (walks in
+    the graph of adjacent value pairs), each grown to the width asked for,
+    and a check compares them with the caps of the moment.
     """
 
-    def __init__(self, H, width):
+    def __init__(self, H):
         q = H.n
         self.nbr = _lists(H.adj)
         self.slot = np.zeros((q, q), dtype=np.intp)
@@ -124,10 +161,24 @@ class _Columns:
                               for x in range(q) for y in range(q)])
         self.common_slot = self.slot[
             np.repeat(np.arange(q * q) % q, self.common[0]), self.common[2]]
-        deg, nbr_start, nbr = self.nbr
-        columns = np.arange(q, dtype=np.uint8)[:, None]
+        self.levels = [np.arange(q, dtype=np.uint8)[:, None]]
         self.starts = []
-        for _ in range(width - 1):
+        self.states = _Walks(H.adj, [1] * q)
+        # Compatible column pairs are the walks on the undirected graph of
+        # adjacent pairs (x, y) of row values, x * q + y, where (x, y) ~
+        # (u, v) when u ~ x, v ~ y and u ~ v.
+        self.pairs = _Walks(
+            [[u * q + v for u in H.adj[x] for v in H.adj[y]
+              if H.has_edge(u, v)] if H.has_edge(x, y) else []
+             for x in range(q) for y in range(q)],
+            [int(H.has_edge(x, y)) for x in range(q) for y in range(q)])
+
+    def rows(self, width):
+        """The free columns of the given width, as a read-only uint8
+        array, growing the tree to it."""
+        deg, nbr_start, nbr = self.nbr
+        while len(self.levels) < width:
+            columns = self.levels[-1]
             last = columns[:, -1].astype(np.intp)
             children = deg[last]
             self.starts.append(np.cumsum(children) - children)
@@ -135,21 +186,30 @@ class _Columns:
             columns = np.hstack([columns[owner],
                                  nbr[nbr_start[last[owner]] + slot]
                                  .astype(np.uint8)[:, None]])
-        self.rows = columns
+            columns.flags.writeable = False
+            self.levels.append(columns)
+        return self.levels[width - 1]
 
     def index(self, rows):
         """The index among the free columns of each row, a walk in H."""
         index = rows[:, 0].astype(np.intp)
-        for t, start in enumerate(self.starts):
+        for t, start in enumerate(self.starts[:rows.shape[1] - 1]):
             index = start[index] + self.slot[rows[:, t], rows[:, t + 1]]
         return index
 
 
+@per_graph
+def _columns(H):
+    """The _Columns of H, kept on H for every operator over it."""
+    return _Columns(H)
+
+
 def _compatible_columns(columns, lefts):
-    """For each row of lefts, a free column of the width of columns, the
-    free columns that may sit beside it: two index arrays (owner, right),
-    owner the row of lefts and right the index among columns.rows, sorted
-    by owner and then by right.
+    """For each row of lefts, a free column over the graph of columns (a
+    _Columns, grown to the width of lefts), the free columns that may sit
+    beside it: two index arrays (owner, right), owner the row of lefts and
+    right the index among the free columns of that width, sorted by owner
+    and then by right.
 
     The right columns are grown one row at a time: a prefix extends by
     each value adjacent both to the left column's value in that row and to
@@ -163,7 +223,7 @@ def _compatible_columns(columns, lefts):
     owner, slot = _segments(deg[lefts[0]])
     value = nbr[nbr_start[lefts[0][owner]] + slot]
     right = value
-    for t, child_start in enumerate(columns.starts, 1):
+    for t, child_start in enumerate(columns.starts[:len(lefts) - 1], 1):
         kind = lefts[t][owner] * q + value
         pick, slot = _segments(count[kind])
         entry = start[kind[pick]] + slot
@@ -267,21 +327,26 @@ def _components(size, images):
 class _Sparse:
     """A nonnegative integer matrix as CSR arrays: row i holds data[k] (1
     when data is None) at column indices[k], for k in indptr[i] .. the
-    next; degree is the largest row sum."""
+    next; degree is the largest row sum.  The rows with entries, where
+    they start, and how many come before each row are kept for product."""
 
     def __init__(self, counts, indices, degree, data=None):
         self.indptr = np.concatenate(([0], np.cumsum(counts)))
         self.indices = indices
         self.data = data
         self.degree = degree
-        self._nonempty = counts > 0
+        nonempty = counts > 0
+        self._rows = np.flatnonzero(nonempty)
+        self._firsts = self.indptr[self._rows]
+        self._rank = np.concatenate(([0], np.cumsum(nonempty)))
 
     def product(self, x):
         """self @ x, gathering at most GATHER_LIMIT entries of x at once (a
         row with more entries than that is gathered alone).
 
         Rows without entries are left at 0: np.add.reduceat would give
-        them the next row's first term.
+        them the next row's first term, so it sums the rows with entries
+        only, those of _rows[_rank[lo]:_rank[hi]] in rows lo .. hi - 1.
         """
         out = np.zeros_like(x)
         step = max(1, GATHER_LIMIT // max(1, x[0].size))
@@ -295,9 +360,9 @@ class _Sparse:
             if self.data is not None:
                 terms *= self.data[first:last].reshape(
                     (-1,) + (1,) * (x.ndim - 1))
-            rows = self._nonempty[lo:hi]
-            out[lo:hi][rows] = np.add.reduceat(
-                terms, self.indptr[lo:hi][rows] - first, axis=0)
+            rows = slice(self._rank[lo], self._rank[hi])
+            out[self._rows[rows]] = np.add.reduceat(
+                terms, self._firsts[rows] - first, axis=0)
             lo = hi
         return out
 
@@ -312,6 +377,12 @@ class TransferOperator:
     pairs, which are built before the periodic ones are filtered out, are
     counted as walks and checked against MAX_TRANSFER_STATES and
     MAX_TRANSFER_PAIRS before anything is built; see check.
+
+    Built once per graph and shared by every operator over H (the
+    _Columns kept on H): the adjacency tables, the free columns of each
+    width, with the tree that indexes them, and the walk counts the
+    checks compare with the caps on every call.  Built once per operator:
+    the states, the orbits and the two forms of T below.
 
     Two forms of T are built when first asked for:
 
@@ -338,8 +409,8 @@ class TransferOperator:
         self.H = H
         self.width = width
         self.boundary = boundary
-        self._columns = _Columns(H, width)
-        columns = self._columns.rows
+        self._columns = _columns(H)
+        columns = self._columns.rows(width)
         # the index among the states of each free column, -1 for one that
         # is not a state
         self._state_of = np.arange(len(columns))
@@ -357,25 +428,16 @@ class TransferOperator:
         """The constructor's argument and size checks, run before anything
         is built: ValueError for a bad boundary or width, or when the free
         columns or their compatible pairs are past MAX_TRANSFER_STATES or
-        MAX_TRANSFER_PAIRS."""
+        MAX_TRANSFER_PAIRS.  The counts are the ones kept on H, grown to
+        the width when need be; the caps are read on every call."""
         if boundary not in ("free", "periodic"):
             raise ValueError("boundary must be 'free' or 'periodic'")
         if width < 1:
             raise ValueError("width must be positive")
-        q = H.n
-        _check_total(_walk_total(H.adj, [1] * q, width - 1,
-                                 MAX_TRANSFER_STATES),
+        columns = _columns(H)
+        _check_total(columns.states.total(width - 1, MAX_TRANSFER_STATES),
                      MAX_TRANSFER_STATES, "states")
-        # Compatible column pairs are the walks on the undirected graph of
-        # adjacent pairs (x, y) of row values, x * q + y, where (x, y) ~
-        # (u, v) when u ~ x, v ~ y and u ~ v.
-        pair_nbrs = [[u * q + v for u in H.adj[x] for v in H.adj[y]
-                      if H.has_edge(u, v)] if H.has_edge(x, y) else []
-                     for x in range(q) for y in range(q)]
-        _check_total(_walk_total(pair_nbrs,
-                                 [int(H.has_edge(x, y))
-                                  for x in range(q) for y in range(q)],
-                                 width - 1, MAX_TRANSFER_PAIRS),
+        _check_total(columns.pairs.total(width - 1, MAX_TRANSFER_PAIRS),
                      MAX_TRANSFER_PAIRS, "compatible column pairs")
 
     def size(self):
@@ -417,8 +479,8 @@ class TransferOperator:
         if self.boundary == "periodic":
             maps.append(np.roll(states, 1, axis=1))
         maps += [perm[states] for perm in self._automorphisms()]
-        images = [self._state_of[self._columns.index(m)] for m in maps]
-        root = _components(self.size(), images)
+        images = self._state_of[self._columns.index(np.concatenate(maps))]
+        root = _components(self.size(), np.split(images, len(maps)))
         reps = np.flatnonzero(root == np.arange(self.size()))
         orbit = np.searchsorted(reps, root)
         return reps, np.bincount(orbit), orbit
@@ -432,12 +494,26 @@ class TransferOperator:
 
     @functools.cached_property
     def _lumped(self):
-        """B, with the orbits numbered as in _orbits."""
+        """B, with the orbits numbered as in _orbits.
+
+        The representatives' neighbours are built and merged into B a
+        block of representatives at a time: a column has at most as many
+        compatible columns as there are free columns, so a block of
+        GATHER_LIMIT // (free columns) representatives builds at most
+        GATHER_LIMIT pairs.  The blocks' entries follow each other in
+        order, so B is the one the whole set of pairs would give."""
         reps, _, orbit = self._orbits
-        owner, right = self._neighbours(self.states[reps])
         k = len(reps)
-        pairs, data = np.unique(owner * k + orbit[right], return_counts=True)
-        degree = int(np.bincount(owner, minlength=k).max())
+        block = max(1, GATHER_LIMIT // len(self._state_of))
+        pairs, data, degree = [], [], 0
+        for lo in range(0, k, block):
+            owner, right = self._neighbours(self.states[reps[lo:lo + block]])
+            keys, counts = np.unique((owner + lo) * k + orbit[right],
+                                     return_counts=True)
+            pairs.append(keys)
+            data.append(counts)
+            degree = max(degree, int(np.bincount(owner, minlength=1).max()))
+        pairs, data = np.concatenate(pairs), np.concatenate(data)
         return _Sparse(np.bincount(pairs // k, minlength=k), pairs % k,
                        degree, data)
 

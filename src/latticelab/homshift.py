@@ -50,6 +50,7 @@ class TargetGraph:
         self._np_matrix = None
         self._powers = [np.eye(self.n, dtype=bool)]
         self._repeat = None
+        self._kept = {}  # the values of per_graph functions on this graph
 
     def has_edge(self, u, v):
         return v in self.adj_sets[u]
@@ -96,6 +97,28 @@ class TargetGraph:
     def __repr__(self):
         return "TargetGraph(%d vertices, %d edges)" % (
             self.n, np.triu(self.matrix()).sum())
+
+
+def per_graph(fn):
+    """fn(H, *args), computed once per graph H and arguments and kept on H,
+    as H keeps matrix() and walks(): a value lives as long as its graph,
+    and no table outside the graph keeps one alive.  cache_clear() makes
+    every graph compute its values anew (the old ones stay on their graph
+    unused)."""
+    token = [object()]
+
+    @functools.wraps(fn)
+    def kept(H, *args):
+        key = (token[0], args)
+        if key not in H._kept:
+            H._kept[key] = fn(H, *args)
+        return H._kept[key]
+
+    def cache_clear():
+        token[0] = object()
+
+    kept.cache_clear = cache_clear
+    return kept
 
 
 def complete_graph(q):
@@ -265,7 +288,7 @@ def _edge_positions(region):
     return first, later
 
 
-@functools.lru_cache(maxsize=8)
+@per_graph
 def _pair_table(H):
     """ok[u << 8 | v] for every pair of byte values: whether u ~ v in H
     (False when u or v is no vertex of H)."""
@@ -841,7 +864,7 @@ def _fill_rows(region, rows, k, layers):
     return big, out
 
 
-@functools.lru_cache(maxsize=32)
+@per_graph
 def _walk_layers(H, source, target, k, d):
     """path_extend's ring layers: ring t is the checkerboard of steps t and
     t + 1 of the lexicographically least walk that starts along source and
@@ -1009,14 +1032,14 @@ def flexible_fill(H, target, n, K, W, base, d=None):
     return Pattern(region, values.tobytes())
 
 
-@functools.lru_cache(maxsize=8)
+@per_graph
 def _ring_layers(H, d):
     """The residue cube {0,1}^d and the values of its homs to H (ring layers)."""
     cube = lattice.rectangle((2,) * d, (-1,) * d)
     return cube, tuple(p.values for p in enumerate_hom(H, cube))
 
 
-@functools.lru_cache(maxsize=8)
+@per_graph
 def _layer_fits(H, cube, pool):
     """fits[i][u] is the set of pool layers, as a bitset over their
     positions in pool, whose values at every cube neighbour of residue i

@@ -8,6 +8,7 @@ resultant vs Bareiss elimination on the Sylvester matrix, an inline
 Cayley-graph search for the torus.
 """
 
+import gc
 import itertools
 import json
 import math
@@ -16,6 +17,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -1056,6 +1058,109 @@ def test_walk_total_stops_past_its_cap():
                                          "compatible column pairs$"):
         en.TransferOperator.check(K5, 8)
     en.TransferOperator.check(K3, 15, "periodic")
+
+
+def fresh(H):
+    """A new graph equal to H, sharing nothing kept on H."""
+    return hs.TargetGraph(H.labels, [(H.labels[u], H.labels[v])
+                                     for u, v in H.ordered_edges()])
+
+
+def sparse_arrays(matrix):
+    return [a.tolist() for a in (matrix.indptr, matrix.indices,
+                                 matrix.data) if a is not None]
+
+
+def transfer_results(H, width, boundary):
+    """What the operators of one width give: B's and T's CSR arrays, a
+    strip count, a trace and the printed strip entropy, or the error."""
+    op = outcome(en.TransferOperator, H, width, boundary)
+    if isinstance(op, tuple) or op.size() > 800:
+        return op if isinstance(op, tuple) else op.size()
+    return (op.size(), sparse_arrays(op._lumped), sparse_arrays(op._full),
+            op.count_strip(7), op.trace_power(6),
+            outcome(lambda: "%.12g" % en.strip_entropy(H, width, boundary)))
+
+
+@given(st.sampled_from(GRAPHS), st.sampled_from(["free", "periodic"]),
+       st.lists(st.one_of(st.integers(1, 7), st.just(40)), min_size=2,
+                max_size=6),
+       st.sampled_from(["drawn", "ascending", "descending"]))
+@settings(max_examples=60, deadline=None)
+def test_operators_on_a_shared_graph_match_fresh_graphs(H, boundary, widths,
+                                                        order):
+    # one graph object for the whole sequence, as a command holds one:
+    # its column tree, tables and walk counts are reused, grown, or asked
+    # for a width past a cap (40), and every result equals the one a
+    # graph of its own gives
+    if order != "drawn":
+        widths = sorted(widths, reverse=order == "descending")
+    shared = fresh(H)
+    for width in widths:
+        assert transfer_results(shared, width, boundary) == \
+            transfer_results(fresh(H), width, boundary)
+
+
+@pytest.mark.parametrize("name", ["K3", "C5", "petersen", "full2"])
+@pytest.mark.parametrize("cap", ["MAX_TRANSFER_STATES", "MAX_TRANSFER_PAIRS"])
+def test_a_checked_graph_meets_lowered_caps(monkeypatch, name, cap):
+    # check keeps counts, not verdicts: a graph that passed at a width
+    # gets the error a fresh graph gets once a cap is lowered, worded the
+    # same, whether the count stopped early or was taken to the end
+    H = hs.graph_preset(name)
+    check = en.TransferOperator.check
+    columns = en._Columns(hs.graph_preset(name))
+    walks = columns.states if cap == "MAX_TRANSFER_STATES" else columns.pairs
+    for width, boundary in ((5, "free"), (3, "periodic"), (4, "free")):
+        check(H, width, boundary)
+        totals = [walks.total(s, math.inf) for s in (width - 2, width - 1)]
+        limits = sorted({max(0, t + e) for t in totals for e in (-1, 0, 1)})
+        raised = 0
+        for limit in limits:
+            monkeypatch.setattr(en, cap, limit)
+            got = outcome(check, H, width, boundary)
+            assert got == outcome(check, hs.graph_preset(name), width,
+                                  boundary)
+            raised += got is not None
+            for bad in ((width, "wrapped"), (0, boundary)):
+                assert outcome(check, H, *bad) == \
+                    outcome(check, hs.graph_preset(name), *bad)
+        assert raised
+        monkeypatch.undo()
+        assert check(H, width, boundary) is None
+
+
+@pytest.mark.parametrize("width, boundary", [(6, "free"), (7, "periodic"),
+                                             (9, "free")])
+def test_lumped_blocks_give_the_one_block_matrix(monkeypatch, width,
+                                                 boundary):
+    # at a small GATHER_LIMIT B is merged from many blocks of
+    # representatives, and its CSR arrays are the one-block ones
+    want = sparse_arrays(en.TransferOperator(K3, width, boundary)._lumped)
+    for limit in (1, 400, 2000):
+        monkeypatch.setattr(en, "GATHER_LIMIT", limit)
+        op = en.TransferOperator(fresh(K3), width, boundary)
+        assert sparse_arrays(op._lumped) == want
+        assert op._lumped.degree == op._full.degree
+
+
+def test_a_dropped_graph_is_collected():
+    # what the transfer operators, the row checks and the extensions keep
+    # of a graph is kept on the graph, so nothing keeps a dropped one
+    H = hs.complete_graph(3)
+    assert en.count_hom_box(H, 2, 2) == 580986
+    assert "%.12g" % en.strip_entropy(H, 4, "periodic") == "0.462989385247"
+    rows = hs.checkerboard_set(H, 0, 1, 1, 2).rows
+    assert hs.hom_rows(H, box_F(1, 2), rows).all()
+    big, out = hs.path_extend_rows(H, box_F(1, 2), rows, (0, 1), (1, 2), 5)
+    assert hs.hom_rows(H, big, out).all()
+    hats = hs.hat_set(H, 1, 2)
+    big, _, out = hs.hat_extend_rows(H, hats.region, hats.rows, 4)
+    assert hs.hom_rows(H, big, out).all()
+    ref = weakref.ref(H)
+    del H
+    gc.collect()
+    assert ref() is None
 
 
 @pytest.mark.parametrize("argv, rows", [

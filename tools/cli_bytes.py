@@ -27,7 +27,16 @@ holds:
   `tile` on the squares23 5x12 rectangle, which the frontier DP sweeps
   with their longest axis outermost, so their axes are turned;
 - `enumerate --family checker --n 4` at a budget of 100 000 nodes, which
-  the search runs out of partway through the box (exit 3).
+  the search runs out of partway through the box (exit 3);
+- the transfer-operator routes: `entropy strips` free and periodic to
+  width 12 on K3 and C5 (C5 has no periodic columns of width 3: exit
+  2), to width 5 on petersen, and on an edge list with a loop and a
+  second component; `count hom` and `count torus` on K3, K4, C5 and
+  petersen; `entropy ratio --nmax 3`; the widths past the caps
+  `entropy strips --widths 40`, `count hom --n 8` and `count hom --graph
+  K4 --n 4` (exit 2);
+- the argv of every op of the benchmark's `counts` workload, read from
+  OLD_TREE's perfbench/workloads.py.
 
 One line per command says `same`, or names what differs of the exit
 code, stdout, stderr and the `out` file; the exit status is 1 on any
@@ -52,6 +61,8 @@ RING = [(0, 0), (0, 1), (0, 2), (1, 2), (2, 2), (2, 1), (2, 0), (1, 0)]
 WINDING = [0, 1, 2, 0, 1, 2, 0, 2]
 EDGES13 = "".join("%d %d\n" % (i, i + 1) for i in range(9)) + \
     "10 11\n11 12\n10 12\n"
+# a path 0 - 1 - 2 with a loop at 2, and a triangle beside it
+LOOPED = "0 1\n1 2\n2 2\n5 6\n6 7\n7 5\n"
 
 # Run by OLD_TREE: the cocycle files of 1000 sampled colourings of F_5 with
 # the striped one and its mirror, and of the striped colouring of F_2.
@@ -71,6 +82,15 @@ for path, n in ((sys.argv[1], 5), (sys.argv[2], 2)):
                                       for r in rows])
     with open(path, "w") as fh:
         fh.write(homshift.pattern_set_to_jsonl(ps, homshift.complete_graph(3)))
+"""
+
+# Run by OLD_TREE in its perfbench directory: the argv (without --seed) of
+# every op of the counts workload, as JSON.
+COUNTS_ARGVS = """
+import json
+import workloads
+
+print(json.dumps([spec[1] for spec in workloads.Counts(0, ".")._specs()]))
 """
 
 
@@ -100,12 +120,14 @@ def subset(src, dst, idx):
 
 
 def make_inputs(tree, d):
-    """The shared input files, made in d by tree; the pipeline's draws."""
-    def run(*args):
-        p = python(tree, args, d)
+    """The shared input files, made in d by tree; the pipeline's draws and
+    the counts workload's argv."""
+    def run(*args, cwd=d):
+        p = python(tree, args, cwd)
         if p.returncode:
             sys.exit("making inputs: %s: %s" % (" ".join(args[:4]),
                                                 p.stderr.decode().strip()))
+        return p.stdout
 
     def cli(cmd):
         run(*CLI, *cmd.split())
@@ -121,6 +143,7 @@ def make_inputs(tree, d):
     (d / "blocks.json").write_text(json.dumps(
         {"blocks": [{"site": [4, 4], "tiling": tiling}]}))
     (d / "edges13.txt").write_text(EDGES13)
+    (d / "looped.txt").write_text(LOOPED)
 
     rng = random.Random(SEED)
     checker3 = d / "checker3.jsonl"
@@ -148,7 +171,9 @@ def make_inputs(tree, d):
              "tilings": (("dominoes", "%dx%d" % (4 * rng.randint(1, 6),
                                                  4 * rng.randint(1, 6))),
                          ("squares23", "36x36"), ("dominoes3", "8x8x8")),
-             "seed": rng.randrange(1 << 31)}
+             "seed": rng.randrange(1 << 31),
+             "counts": json.loads(run("-c", COUNTS_ARGVS,
+                                      cwd=pathlib.Path(tree) / "perfbench"))}
     for tileset, dims in draws["tilings"]:
         cli("tile --tileset %s --dims %s --out tile-%s.json"
             % (tileset, dims, tileset))
@@ -205,6 +230,23 @@ def commands(draws):
              "tile --tileset squares23 --dims 5x12 --out out" + seed,
              "enumerate --family checker --n 4 --budget 100000 --out out"
              + seed]
+    for graph in ("K3", "C5"):
+        cmds += ["entropy strips --graph %s --widths %s" % (graph, w)
+                 for w in ("1..12", "2..12 --boundary periodic")]
+    cmds += ["entropy strips --graph C5 --widths 2,4,6,8,10,12 "
+             "--boundary periodic",
+             "entropy strips --graph petersen --widths 1..5"]
+    cmds += ["entropy strips --edges {dir}/looped.txt --widths 1..8" + b
+             for b in ("", " --boundary periodic")]
+    for graph, n in (("K3", 4), ("K4", 3), ("C5", 4), ("petersen", 3)):
+        cmds += ["count %s --graph %s --n %d%s" % (what, graph, n, seed)
+                 for what in ("hom", "torus")]
+    cmds += ["count hom --graph petersen --n 4" + seed,
+             "entropy ratio --nmax 3" + seed,
+             "entropy strips --widths 40" + seed,
+             "count hom --n 8" + seed,
+             "count hom --graph K4 --n 4" + seed]
+    cmds += [" ".join(argv) + seed for argv in draws["counts"]]
     return cmds
 
 
