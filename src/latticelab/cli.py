@@ -128,17 +128,19 @@ def _marker_colors(H, args):
 
 
 def _emit(args, text, summary=None):
-    """Write text, a str or ASCII byte blocks, to --out or stdout.
+    """Write text, a str or blocks of ASCII bytes (bytes-like objects, as
+    homshift.record_block gives them), to --out or stdout.
 
-    --out is written in binary mode: byte blocks go out as they come and
-    a str once as UTF-8, the bytes stdout gets as a text stream."""
+    --out is written in binary mode: the blocks go out as they come,
+    without a copy, and a str once as UTF-8, the bytes stdout gets as a
+    text stream."""
     out = getattr(args, "out", None)
     if out:
         with open(out, "wb") as fh:
             fh.writelines([text.encode()] if isinstance(text, str) else text)
     else:
         sys.stdout.writelines([text] if isinstance(text, str)
-                              else (block.decode("ascii") for block in text))
+                              else (str(block, "ascii") for block in text))
     if summary is not None:
         print(summary)
 
@@ -302,7 +304,8 @@ def cmd_entropy(args):
     elif args.what == "strips":
         H = _load_graph(args)
         widths = _parse_widths(args.widths)
-        for w in widths:  # refuse a width past the caps before any row
+        # refuse a width past the caps or without states before any row
+        for w in widths:
             entropy_mod.TransferOperator.check(H, w, args.boundary)
         lines.append("width,entropy")
         for w in widths:
@@ -432,7 +435,7 @@ def cmd_height(args):
         for start in range(0, len(ps), step):
             heights = height_mod.lift_rows(ps.region, base,
                                            ps.rows[start:start + step])
-            blocks.append(homshift.encode_rows(heights, "heights"))
+            blocks.append(homshift.record_block(heights, "heights"))
         _emit(args, blocks)
         return EXIT_OK
     # gap: quasiflat gap of the two reference colorings

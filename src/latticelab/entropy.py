@@ -54,7 +54,7 @@ import math
 import numpy as np
 
 from .lattice import box_F, rectangle
-from .homshift import count_hom_dfs, hat_set, marker_set, per_graph
+from .homshift import count_hom_dfs, hat_set, marker_set, per_graph, reserve
 from .tiling import count_tilings, dominoes
 from .util import BudgetCounter
 
@@ -328,7 +328,8 @@ class _Sparse:
     """A nonnegative integer matrix as CSR arrays: row i holds data[k] (1
     when data is None) at column indices[k], for k in indptr[i] .. the
     next; degree is the largest row sum.  The rows with entries, where
-    they start, and how many come before each row are kept for product."""
+    they start, and how many come before each row are kept for product,
+    and so is the buffer it gathers into, reused by every call."""
 
     def __init__(self, counts, indices, degree, data=None):
         self.indptr = np.concatenate(([0], np.cumsum(counts)))
@@ -339,6 +340,7 @@ class _Sparse:
         self._rows = np.flatnonzero(nonempty)
         self._firsts = self.indptr[self._rows]
         self._rank = np.concatenate(([0], np.cumsum(nonempty)))
+        self._terms = np.empty(0)
 
     def product(self, x):
         """self @ x, gathering at most GATHER_LIMIT entries of x at once (a
@@ -347,16 +349,27 @@ class _Sparse:
         Rows without entries are left at 0: np.add.reduceat would give
         them the next row's first term, so it sums the rows with entries
         only, those of _rows[_rank[lo]:_rank[hi]] in rows lo .. hi - 1.
+        The terms are gathered into _terms, grown when too small, so that
+        no call pays for fresh pages of a gather of up to GATHER_LIMIT
+        entries.
         """
         out = np.zeros_like(x)
-        step = max(1, GATHER_LIMIT // max(1, x[0].size))
+        width = x[0].size
+        step = max(1, GATHER_LIMIT // max(1, width))
+        if self._terms.dtype != x.dtype:
+            self._terms = np.empty(0, dtype=x.dtype)
         lo = 0
         while lo < len(out):
             first = self.indptr[lo]
             hi = max(lo + 1, int(np.searchsorted(self.indptr, first + step,
                                                  "right")) - 1)
             last = self.indptr[hi]
-            terms = x[self.indices[first:last]]
+            size = (last - first) * width
+            if len(self._terms) < size:
+                self._terms = np.empty(size, dtype=x.dtype)
+            terms = self._terms[:size].reshape((last - first,) + x.shape[1:])
+            # (mode "clip", as every index is in range: "raise" copies out)
+            x.take(self.indices[first:last], 0, terms, "clip")
             if self.data is not None:
                 terms *= self.data[first:last].reshape(
                     (-1,) + (1,) * (x.ndim - 1))
@@ -418,27 +431,33 @@ class TransferOperator:
             keep = H.matrix()[columns[:, -1], columns[:, 0]]
             self._state_of = np.where(keep, np.cumsum(keep) - 1, -1)
             columns = columns[keep]
-        if not len(columns):
-            raise ValueError("no valid column states for width %d (%s)"
-                             % (width, boundary))
         self.states = columns
 
     @staticmethod
     def check(H, width, boundary="free"):
         """The constructor's argument and size checks, run before anything
-        is built: ValueError for a bad boundary or width, or when the free
+        is built: ValueError for a bad boundary or width, when the free
         columns or their compatible pairs are past MAX_TRANSFER_STATES or
-        MAX_TRANSFER_PAIRS.  The counts are the ones kept on H, grown to
-        the width when need be; the caps are read on every call."""
+        MAX_TRANSFER_PAIRS, or when the width has no states.  The counts
+        are the ones kept on H, grown to the width when need be; the caps
+        are read on every call.  The periodic columns of width w are the
+        closed walks of length w in H, trace(A^w) of them for A the
+        adjacency matrix, so there are some exactly when the diagonal of
+        H.walks(w) has a True entry (the powers are kept on H)."""
         if boundary not in ("free", "periodic"):
             raise ValueError("boundary must be 'free' or 'periodic'")
         if width < 1:
             raise ValueError("width must be positive")
         columns = _columns(H)
-        _check_total(columns.states.total(width - 1, MAX_TRANSFER_STATES),
-                     MAX_TRANSFER_STATES, "states")
+        states = columns.states.total(width - 1, MAX_TRANSFER_STATES)
+        _check_total(states, MAX_TRANSFER_STATES, "states")
         _check_total(columns.pairs.total(width - 1, MAX_TRANSFER_PAIRS),
                      MAX_TRANSFER_PAIRS, "compatible column pairs")
+        if boundary == "periodic":
+            states = H.walks(width).diagonal().any()
+        if not states:
+            raise ValueError("no valid column states for width %d (%s)"
+                             % (width, boundary))
 
     def size(self):
         return len(self.states)
@@ -500,22 +519,35 @@ class TransferOperator:
         block of representatives at a time: a column has at most as many
         compatible columns as there are free columns, so a block of
         GATHER_LIMIT // (free columns) representatives builds at most
-        GATHER_LIMIT pairs.  The blocks' entries follow each other in
-        order, so B is the one the whole set of pairs would give."""
+        GATHER_LIMIT pairs.  Each block's merged pairs are split into its
+        rows' entry counts and the entries' columns as it is made, and
+        written into B's arrays, which grow in place (homshift.reserve),
+        so B's entries are held once.  The blocks' entries follow each
+        other in order, so B is the one the whole set of pairs would
+        give."""
         reps, _, orbit = self._orbits
         k = len(reps)
         block = max(1, GATHER_LIMIT // len(self._state_of))
-        pairs, data, degree = [], [], 0
+        counts = np.zeros(k, dtype=np.int64)
+        columns = np.empty(0, dtype=np.int64)
+        data = np.empty(0, dtype=np.int64)
+        end, degree = 0, 0
         for lo in range(0, k, block):
-            owner, right = self._neighbours(self.states[reps[lo:lo + block]])
-            keys, counts = np.unique((owner + lo) * k + orbit[right],
-                                     return_counts=True)
-            pairs.append(keys)
-            data.append(counts)
+            some = reps[lo:lo + block]
+            owner, right = self._neighbours(self.states[some])
+            keys, times = np.unique(owner * k + orbit[right],
+                                    return_counts=True)
+            row = keys // k
+            counts[lo:lo + len(some)] = np.bincount(row, minlength=len(some))
+            reserve(columns, end + len(keys))
+            reserve(data, end + len(keys))
+            np.subtract(keys, row * k, out=columns[end:end + len(keys)])
+            data[end:end + len(keys)] = times
+            end += len(keys)
             degree = max(degree, int(np.bincount(owner, minlength=1).max()))
-        pairs, data = np.concatenate(pairs), np.concatenate(data)
-        return _Sparse(np.bincount(pairs // k, minlength=k), pairs % k,
-                       degree, data)
+        columns.resize(end, refcheck=False)
+        data.resize(end, refcheck=False)
+        return _Sparse(counts, columns, degree, data)
 
     def apply(self, vec):
         """The product T @ vec, for a vector or a matrix: float64 for a

@@ -353,7 +353,9 @@ def _site_step(adj, rows, pos, prev, src):
     """Extend rows at column pos, whose earlier neighbours are the
     columns prev: by every vertex of H (src < 0) or by the row's value
     at column src, if it is adjacent to the row's values at all of prev.
-    Returns the children and each child's parent row."""
+    Returns the children and each child's parent row; when src >= 0 and
+    every row extends, the children are the rows, written in place, and
+    the parents None."""
     if src < 0:
         if prev:
             ok = adj[rows[:, prev[0]]]
@@ -365,16 +367,19 @@ def _site_step(adj, rows, pos, prev, src):
         child = rows.take(parent, axis=0)
         child[:, pos] = choice
         return child, parent
-    # flat[v * H.n + u] is adj[v, u]; v is the value column src holds
-    flat = adj.ravel()
-    offsets = rows[:, src].astype(np.intp) * len(adj)
-    ok = np.ones(len(rows), dtype=bool)
-    for j in prev:
-        ok &= flat[offsets + rows[:, j]]
-    parent = ok.nonzero()[0]
-    child = rows.take(parent, axis=0)
-    child[:, pos] = child[:, src]
-    return child, parent
+    parent = None
+    if prev:
+        # flat[v * H.n + u] is adj[v, u]; v is the value column src holds
+        flat = adj.ravel()
+        offsets = rows[:, src].astype(np.intp) * len(adj)
+        ok = flat[offsets + rows[:, prev[0]]]
+        for j in prev[1:]:
+            ok &= flat[offsets + rows[:, j]]
+        if not ok.all():
+            parent = ok.nonzero()[0]
+            rows = rows.take(parent, axis=0)
+    rows[:, pos] = rows[:, src]
+    return rows, parent
 
 
 class _Segment:
@@ -383,10 +388,13 @@ class _Segment:
     How a prefix of length a extends through the segment depends only on
     its context: its values at cols, the earlier neighbours and tie
     sources of the segment's sites that lie before a.  The memo holds the
-    contexts met, sorted by key, and for each a row of table: where its
-    words start in words, how many there are (the segment's values of
-    every extension, in lexicographic order), and the nodes the one-site
-    search ticks on the way, dead ends included.  free of the segment's
+    contexts met, each with a row of table, its slot: where its words
+    start in words, how many there are (the segment's values of every
+    extension, in lexicographic order), and the nodes the one-site search
+    ticks on the way, dead ends included.  table and words only grow, in
+    order of learning, and keys holds the contexts' keys sorted, with the
+    slot of each in slots; so a slot stays valid until the memo is
+    cleared.  free of the segment's
     sites branch (take every vertex of H); the others are fixed or tied
     and take one value at most.
     """
@@ -420,6 +428,7 @@ class _Segment:
     def clear(self):
         self.keys = np.empty(0, dtype=np.int64 if self.weights is not None
                              else "V%d" % len(self.cols))
+        self.slots = np.empty(0, dtype=np.intp)
         self.table = np.empty((0, 3), dtype=np.int64)
         self.words = np.empty((0, self.b - self.a), dtype=np.uint8)
 
@@ -433,8 +442,8 @@ class _Segment:
     def _slots(self, keys):
         if not len(self.keys):
             return np.zeros(len(keys), dtype=np.intp), np.zeros(len(keys), bool)
-        slot = np.minimum(self.keys.searchsorted(keys), len(self.keys) - 1)
-        return slot, self.keys[slot] == keys
+        at = np.minimum(self.keys.searchsorted(keys), len(self.keys) - 1)
+        return self.slots[at], self.keys[at] == keys
 
     def find(self, rows, keys):
         """The memo slots of the first rows' contexts, up to the first
@@ -444,17 +453,24 @@ class _Segment:
         children of words (ENGINE_BLOCK * H.n) or the memo is full."""
         slot, known = self._slots(keys)
         if not known[0]:
-            new, first = np.unique(keys[~known], return_index=True)
-            at = (~known).nonzero()[0][first]
-            order = first.argsort(kind="stable")
+            # the distinct contexts missed, sorted, and the first row of each
+            miss = np.flatnonzero(~known)
+            order = keys[miss].argsort(kind="stable")
+            new = keys[miss[order]]
+            lead = np.empty(len(new), dtype=bool)
+            lead[0] = True
+            lead[1:] = new[1:] != new[:-1]
+            new, at = new[lead], miss[order[lead]]
+            first = at.argsort() if len(new) > self.chunk else None
             learned = 0
             for lo in range(0, len(new), self.chunk):
                 if lo and (learned >= ENGINE_BLOCK * len(self.adj)
                            or self._full()):
                     break
-                pick = np.sort(order[lo:lo + self.chunk])
-                learned += self._learn(
-                    rows.take(at[pick], axis=0)[:, self.cols], new[pick])
+                pick = (slice(None) if first is None
+                        else np.sort(first[lo:lo + self.chunk]))
+                learned += self._learn(rows[at[pick, None], self.cols],
+                                       new[pick])
             slot, known = self._slots(keys)
         return slot if known.all() else slot[:known.argmin()]
 
@@ -465,9 +481,9 @@ class _Segment:
                 or len(self.words) >= self.full[1])
 
     def _learn(self, ctx, keys):
-        """Expand the distinct contexts ctx one site at a time and add them
-        to the memo, clearing it first when full; returns the number of
-        words added."""
+        """Expand the distinct contexts ctx, with their keys in increasing
+        order, one site at a time and add them to the memo, clearing it
+        first when full; returns the number of words added."""
         width = len(self.cols)
         rows = np.empty((len(ctx), width + len(self.fill)), dtype=np.uint8)
         rows[:, :width] = ctx
@@ -477,7 +493,8 @@ class _Segment:
         for pos, prev, src in self.steps:
             reached.append(origin)
             rows, parent = _site_step(self.adj, rows, pos, prev, src)
-            origin = origin[parent]
+            if parent is not None:
+                origin = origin[parent]
         if self._full():
             self.clear()
         count = np.bincount(origin, minlength=len(ctx))
@@ -485,11 +502,18 @@ class _Segment:
         table[:, 0] = len(self.words) + count.cumsum() - count
         table[:, 1] = count
         table[:, 2] = np.bincount(np.concatenate(reached), minlength=len(ctx))
-        keys = np.concatenate([self.keys, keys])
-        order = keys.argsort(kind="stable")
-        self.keys = keys[order]
-        self.table = np.concatenate([self.table, table])[order]
-        self.words = np.concatenate([self.words, rows[:, width:]])
+        words = rows[:, width:]
+        if len(self.keys):
+            keys = np.concatenate([self.keys, keys])
+            order = keys.argsort(kind="stable")
+            self.keys = keys[order]
+            self.slots = np.concatenate([self.slots, np.arange(
+                len(self.table), len(keys), dtype=np.intp)])[order]
+            self.table = np.concatenate([self.table, table])
+            self.words = np.concatenate([self.words, words])
+        else:  # the keys come sorted
+            self.keys, self.slots = keys, np.arange(len(keys), dtype=np.intp)
+            self.table, self.words = table, np.ascontiguousarray(words)
         return len(rows)
 
 
@@ -537,14 +561,19 @@ def _hom_blocks(H, region, root, source, counter):
     lattice lines with at most K branching sites each (_segment_bounds),
     a segment of fixed sites alone joined to the one before it
     (_fold_fixed), so that a fixed shell line costs no step of its own.
-    Each step looks its prefixes' contexts up in the segment's memo
-    (_Segment.find) and takes prefixes while their children total at most
-    ENGINE_BLOCK * H.n (one at least), leaving the rest pending; the
-    children are the prefixes, each repeated once per word of its
-    context, with the words written in.  Blocks go depth first, one
-    pending block per segment at most.  Each step ticks the nodes the
-    one-site search ticks on its prefixes: one per prefix of every length
-    it extends, dead ends included.
+    A pending block's rows are looked up in the segment's memo
+    (_Segment.find) once: the block keeps the slots of its rows up to the
+    first context the memo lacks and their running word totals, and is
+    looked up again only when its first row is past them.  The slots stay
+    valid meanwhile: a segment's memo changes only in lookups of its own
+    pending block, since every block above it on the stack belongs to a
+    later segment.  Each step takes the block's rows while their children
+    total at most ENGINE_BLOCK * H.n (one at least), found by one search
+    in the running totals, and leaves the rest pending; the children are
+    the rows, each repeated once per word of its context, with the words
+    written in.  Blocks go depth first, one pending block per segment at
+    most.  Each step ticks the nodes the one-site search ticks on its
+    rows: one per prefix of every length it extends, dead ends included.
     """
     m = len(region)
     degree = max(1, int(H.matrix().sum(axis=1).max(initial=0)))
@@ -557,9 +586,12 @@ def _hom_blocks(H, region, root, source, counter):
     bounds, free = _fold_fixed(_segment_bounds(region, reach), source)
     segments = [None] * len(free)               # built when first reached
     cap = ENGINE_BLOCK * H.n
+    # a pending block: its segment, its rows, and what its lookup found
+    # (the rows' keys, slots and running word totals, the words of rows
+    # already taken), or None before one
     stack = [(0, root.reshape(1, m), None)]
     while stack:
-        s, rows, keys = stack.pop()
+        s, rows, found = stack.pop()
         if s == len(segments):
             yield rows
             continue
@@ -567,19 +599,22 @@ def _hom_blocks(H, region, root, source, counter):
             segments[s] = _Segment(H, earlier, root, source, bounds[s],
                                    bounds[s + 1], free[s], degree)
         seg = segments[s]
-        if keys is None:
-            keys = seg.key(rows)
-        slot = seg.find(rows, keys)
-        total = seg.table[slot, 1].cumsum()
-        t = max(1, int(total.searchsorted(cap, side="right")))
+        keys, slot, ends, done = found or (seg.key(rows), (), None, 0)
+        if not len(slot):
+            slot = seg.find(rows, keys)
+            ends = seg.table[slot, 1].cumsum()
+            done = 0
+        t = max(1, int(ends.searchsorted(done + cap, side="right")))
         if t < len(rows):
-            stack.append((s, rows[t:], keys[t:]))
+            stack.append((s, rows[t:], (keys[t:], slot[t:], ends[t:],
+                                        ends[t - 1])))
         start, count, ticks = seg.table[slot[:t]].T
         counter.tick(int(ticks.sum()))
-        if total[t - 1]:
-            parent = np.arange(t).repeat(count)
-            child = rows.take(parent, axis=0)
-            word = np.arange(total[t - 1]) + (start - total[:t] + count)[parent]
+        words = int(ends[t - 1]) - done
+        if words:
+            child = rows[:t].repeat(count, axis=0)
+            word = np.arange(words) + (start + count + done
+                                       - ends[:t]).repeat(count)
             child[:, seg.a:seg.b] = seg.words.take(word, axis=0)
             stack.append((s + 1, child, None))
 
@@ -600,15 +635,27 @@ def _check_boundary(H, region, boundary):
     return root, source
 
 
+def reserve(data, size):
+    """Grow data, a 1-D array that owns its buffer, in place
+    (ndarray.resize) to hold at least size entries, by an eighth at
+    least, as a bytearray grows.  The caller cuts it to its entries at
+    the end, in place too, so that no slack is left."""
+    if size > len(data):
+        data.resize(max(size, len(data) + len(data) // 8), refcheck=False)
+
+
 def _stack_rows(blocks, m):
     """The rows of uint8 blocks of width m, stacked in one array: each
-    block is copied into one growing buffer as it comes, so that the
-    rows are held once, not once in the blocks and once stacked."""
-    data, count = bytearray(), 0
+    block is copied into one buffer as it comes (see reserve), so that
+    the rows are held once, not once in the blocks and once stacked, and
+    the array's base holds exactly its rows."""
+    data, count = np.empty(0, dtype=np.uint8), 0
     for block in blocks:
-        data += np.ascontiguousarray(block).data
+        reserve(data, (count + len(block)) * m)
+        data[count * m:(count + len(block)) * m] = block.reshape(-1)
         count += len(block)
-    return np.frombuffer(data, dtype=np.uint8).reshape(count, m)
+    data.resize(count * m, refcheck=False)
+    return data.reshape(count, m)
 
 
 def enumerate_hom(H, region, boundary=None, budget=None):
@@ -1244,19 +1291,38 @@ _DECODE_CHARS = 1 << 18  # pattern-file text split into lines at once
 
 def encode_rows(rows, key="values"):
     """The records '{"<key>":[v,...]}' of the integer rows, one line each,
-    with the bytes of canonical_json({key: row}).
+    with the bytes of canonical_json({key: row}); see record_block."""
+    return bytes(record_block(rows, key))
 
-    Each value is laid out as a comma, a sign column when the block holds
-    a negative value, and one column per digit of the widest magnitude,
-    the first comma on the head's "[", so every byte of the (n, L) output
-    is one plane written by one strided pass.  A nonnegative value's sign
-    and every leading zero are left NUL, and one compress drops them when
-    the values differ in width; a block whose values share one width (as
-    every pattern file on a graph of at most ten vertices) has none.
+
+def record_block(rows, key="values"):
+    """encode_rows, as a C-contiguous uint8 array of the (n, L) records
+    when they share one length L, else as bytes.
+
+    A block of one-digit values, 0 to 9 (as every pattern file on a graph
+    of at most ten vertices), has each value and the comma after it
+    written as one little-endian 16-bit word, v + 0x2c30, through a
+    strided view past the head; the tail then overwrites the last comma.
+    Any other block has each value laid out as a comma, a sign column
+    when the block holds a negative value, and one column per digit of
+    the widest magnitude, the first comma on the head's "[", so every
+    byte of the (n, L) output is one plane written by one strided pass.
+    A nonnegative value's sign and every leading zero are left NUL, and
+    one compress drops them when the values differ in width.
     """
     n, m = rows.shape
     lo, hi = (int(rows.min()), int(rows.max())) if rows.size else (0, 0)
     head = np.frombuffer(b'{"%s":[' % key.encode(), dtype=np.uint8)
+    if rows.size and 0 <= lo and hi <= 9:
+        length = len(head) + 2 * m + len(_RECORD_TAIL) - 1
+        out = np.empty((n, length), dtype=np.uint8)
+        out[:, :len(head)] = head
+        pairs = np.ndarray((n, m), dtype="<u2", buffer=out, offset=len(head),
+                           strides=(length, 2))
+        np.add(rows, np.uint16(ord("0") | ord(",") << 8), out=pairs,
+               casting="unsafe")
+        out[:, -len(_RECORD_TAIL):] = _RECORD_TAIL
+        return out
     same = (lo < 0) == (hi < 0) and len(b"%d" % lo) == len(b"%d" % hi)
     sign = int(lo < 0)
     digits = len(b"%d" % max(-lo, hi))
@@ -1280,12 +1346,13 @@ def encode_rows(rows, key="values"):
         if k and not same:
             np.multiply(plane, rows != 0, out=plane, casting="unsafe")
         rows = high
-    return out.tobytes() if same else out.tobytes().translate(None, b"\0")
+    return out if same else out.tobytes().translate(None, b"\0")
 
 
 def pattern_set_jsonl_blocks(ps, H, seed=None):
-    """The bytes of the pattern file: the header line, then the records
-    of at most ENCODE_BLOCK patterns at a time."""
+    """The pattern file in blocks: the header line as bytes, then the
+    records of at most ENCODE_BLOCK patterns at a time, as record_block
+    gives them (bytes-like objects, written and joined without a copy)."""
     header = {
         "alphabet": list(H.labels),
         "count": len(ps),
@@ -1298,7 +1365,7 @@ def pattern_set_jsonl_blocks(ps, H, seed=None):
         header["seed"] = seed
     yield json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n"
     for start in range(0, len(ps), ENCODE_BLOCK):
-        yield encode_rows(ps.rows[start:start + ENCODE_BLOCK])
+        yield record_block(ps.rows[start:start + ENCODE_BLOCK])
 
 
 def pattern_set_to_jsonl(ps, H, seed=None):

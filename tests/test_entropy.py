@@ -329,7 +329,10 @@ def test_products_split_at_the_gather_limit(monkeypatch, limit):
     want = (object_count_strip(op, 30), object_trace_power(op, 12),
             object_trace_power(op, 41))
     monkeypatch.setattr(en, "GATHER_LIMIT", limit)
-    assert op.apply(x).tolist() == (dense @ x).tolist()
+    # one operator's gather buffer serves products of every shape and
+    # dtype in turn, a smaller one after a larger
+    for v in (x, x[:, 0] / 2, x[:, 1], x.astype(float)):
+        assert op.apply(v).tolist() == (dense @ v).tolist()
     assert (op.count_strip(30), op.trace_power(12), op.trace_power(41)) \
         == want
 
@@ -1111,7 +1114,9 @@ def test_a_checked_graph_meets_lowered_caps(monkeypatch, name, cap):
     check = en.TransferOperator.check
     columns = en._Columns(hs.graph_preset(name))
     walks = columns.states if cap == "MAX_TRANSFER_STATES" else columns.pairs
-    for width, boundary in ((5, "free"), (3, "periodic"), (4, "free")):
+    # (C5 and petersen have no periodic columns of width 3, which check
+    # refuses at any cap: width 4 has some on every graph here)
+    for width, boundary in ((5, "free"), (4, "periodic"), (4, "free")):
         check(H, width, boundary)
         totals = [walks.total(s, math.inf) for s in (width - 2, width - 1)]
         limits = sorted({max(0, t + e) for t in totals for e in (-1, 0, 1)})
@@ -1128,6 +1133,42 @@ def test_a_checked_graph_meets_lowered_caps(monkeypatch, name, cap):
         assert raised
         monkeypatch.undo()
         assert check(H, width, boundary) is None
+
+
+@pytest.mark.parametrize("H", GRAPHS, ids=["K3", "K4", "C4", "C5", "petersen",
+                                        "full2", "looped"])
+def test_check_refuses_a_periodic_width_without_states(H):
+    # a periodic width has trace(A^w) states, the closed walks of length
+    # w; check refuses one with none, with the constructor's old message,
+    # and passes every width the list operator finds states at
+    A = H.matrix().astype(object)
+    for width in range(1, 9):
+        closed = np.trace(np.linalg.matrix_power(A, width))
+        assert closed == len(oracle_column_states(H, width, True))
+        got = outcome(en.TransferOperator.check, fresh(H), width, "periodic")
+        if closed:
+            assert got is None
+            op = en.TransferOperator(fresh(H), width, "periodic")
+            assert op.size() == closed
+        else:
+            assert got == (ValueError, "no valid column states for width "
+                                       "%d (periodic)" % width)
+
+
+def test_strips_refuse_a_stateless_periodic_width_before_any_row(
+        monkeypatch, capsys):
+    # C5 has no periodic columns of width 3: the command refuses it
+    # before the wider widths before it are computed
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row computed before the widths were checked")
+
+    monkeypatch.setattr(en, "strip_entropy", no_rows)
+    assert main(["entropy", "strips", "--graph", "C5", "--boundary",
+                 "periodic", "--widths", "14,12,10,8,6,4,3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "usage error: no valid column states for width 3 " \
+                  "(periodic)\n"
 
 
 @pytest.mark.parametrize("width, boundary", [(6, "free"), (7, "periodic"),

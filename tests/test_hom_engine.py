@@ -312,6 +312,57 @@ def test_segment_steps_match_scalar_search(memo, case):
                     hs.count_hom_dfs(H, region, fixed, budget=nodes - 1)
 
 
+@pytest.mark.parametrize("block", [1, 2, 3])
+@settings(max_examples=60, deadline=None)
+@given(segment_instances())
+@example((hs.complete_graph(3), lattice.rectangle((3, 4)), {}, {}))
+@example((hs.complete_graph(3), box_F(2, 2), hs.checkerboard_shell(0, 1, 2, 2),
+          {}))
+@example((hs.complete_graph(3), box_F(2, 2), {}, hat_ties(2, 2)))
+def test_small_engine_blocks_match_scalar_search(block, case):
+    # with ENGINE_BLOCK small, steps take a few rows at a time, a block
+    # stays pending over many steps and its memo fills and is cleared
+    # while it does: the rows, the ticks and the point where a budget
+    # runs out are still the one-site search's
+    H, region, fixed, ties = case
+    oracle = scalar_dfs(H, region, fixed, ties=ties)
+    assume(oracle is not None)
+    want, nodes = oracle
+    with mock.patch.object(hs, "ENGINE_BLOCK", block):
+        got, ticks, largest = run_engine(H, region, fixed, ties, nodes)
+        assert got == want
+        assert ticks == nodes
+        assert largest <= block * H.n
+        if nodes:
+            with pytest.raises(BudgetError):
+                run_engine(H, region, fixed, ties, nodes - 1)
+
+
+def test_memo_clears_mid_block_keep_the_search(monkeypatch):
+    # the 3 x 4 rectangle at ENGINE_BLOCK 2: some lookup of the rest of a
+    # block (a view into it) clears the memo its earlier rows were found in
+    K3 = hs.complete_graph(3)
+    region = lattice.rectangle((3, 4))
+    want, nodes = scalar_dfs(K3, region, {})
+    cleared, find, clear = [], hs._Segment.find, hs._Segment.clear
+
+    def spy_find(seg, rows, keys):
+        seg.rest = rows.base is not None
+        try:
+            return find(seg, rows, keys)
+        finally:
+            seg.rest = False
+
+    def spy_clear(seg):
+        cleared.append(getattr(seg, "rest", False))
+        clear(seg)
+    monkeypatch.setattr(hs._Segment, "find", spy_find)
+    monkeypatch.setattr(hs._Segment, "clear", spy_clear)
+    monkeypatch.setattr(hs, "ENGINE_BLOCK", 2)
+    assert run_engine(K3, region, {}, {}, nodes)[:2] == (want, nodes)
+    assert any(cleared)
+
+
 @pytest.mark.parametrize("n, fixed, ties, segments, free", [
     (3, hs.checkerboard_shell(0, 1, 3, 2), {},
      (0, 7, 14, 21, 28, 35, 49), (0, 5, 5, 5, 5, 5)),
@@ -499,6 +550,26 @@ def test_pattern_set_is_a_read_only_view():
 def test_pattern_set_of_a_zero_site_region():
     ps = hs.enumerate_hom(hs.complete_graph(3), Region([]))
     assert len(ps) == 1 and [p.values for p in ps] == [b""]
+
+
+@pytest.mark.parametrize("make", [
+    lambda K3: hs.enumerate_hom(K3, box_F(2, 2)),
+    lambda K3: hs.checkerboard_set(K3, 0, 1, 3, 2),
+    lambda K3: hs.hat_set(K3, 2, 2),
+    lambda K3: hs.marker_set(K3, 0, 1, 2, 1, 2),
+    lambda K3: hs.enumerate_hom(K3, Region([])),
+    lambda K3: hs.enumerate_hom(K3, box_F(1, 2), {(0, 0): 0, (0, 1): 0})],
+    ids=["F2", "checker-3", "hat-2", "marker-1", "no-sites", "none"])
+def test_pattern_rows_are_held_without_slack(make):
+    # the blocks are stacked in one buffer that is cut to the rows at
+    # the end: the array that owns the rows' memory holds N * m bytes
+    ps = make(hs.complete_graph(3))
+    n, m = ps.rows.shape
+    base = ps.rows
+    while isinstance(base.base, np.ndarray):
+        base = base.base
+    assert base.flags.owndata
+    assert base.nbytes == n * m
 
 
 @settings(max_examples=200, deadline=None)

@@ -1316,24 +1316,34 @@ def test_jsonl_records_match_json_dumps(arrays):
                                     separators=(",", ":")) for p in ps]
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from([(0, 2), (0, 9), (3, 7), (-9, -1), (10, 99),
-                        (0, 120), (-50, 50), (-1000, 3), (100, 999),
-                        (-99, -10), (-2**63, 2**63 - 1), (0, 10**18),
-                        (-10**12, 7)]),
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.tuples(st.sampled_from([(0, 2), (0, 9), (3, 7), (-9, -1), (10, 99),
+                               (0, 120), (-50, 50), (-1000, 3), (100, 999),
+                               (-99, -10), (-2**63, 2**63 - 1), (0, 10**18),
+                               (-10**12, 7)]), st.just("heights")),
+    st.tuples(st.sampled_from([(0, 1), (0, 9), (0, 10), (0, 255)]),
+              st.just("values"))),
        st.integers(0, 5), st.integers(0, 7), st.randoms(use_true_random=False))
-def test_encode_rows_paths_match_canonical_json(bounds, n, m, rnd):
-    # single-digit, same-width negative and two-digit ranges are written
-    # as they are laid out; mixed widths and signs, up to the int64
-    # extremes, lose their NUL padding in the compress
-    lo, hi = bounds
-    dtype = np.int32 if -2**31 <= lo and hi < 2**31 else np.int64
+def test_encode_rows_paths_match_canonical_json(case, n, m, rnd):
+    # heights: single-digit, same-width negative and two-digit ranges are
+    # written as they are laid out; mixed widths and signs, up to the
+    # int64 extremes, lose their NUL padding in the compress.  values:
+    # uint8 pattern rows, one digit each (the 16-bit word store) and the
+    # ranges just past it
+    (lo, hi), key = case
+    dtype = (np.uint8 if key == "values" else
+             np.int32 if -2**31 <= lo and hi < 2**31 else np.int64)
     rows = np.array([[rnd.choice((lo, hi, rnd.randint(lo, hi)))
                       for _ in range(m)] for _ in range(n)],
                     dtype=dtype).reshape(n, m)
-    want = "".join(canonical_json({"heights": row}) + "\n"
+    want = "".join(canonical_json({key: row}) + "\n"
                    for row in rows.tolist()).encode()
-    assert hs.encode_rows(rows, "heights") == want
+    assert hs.encode_rows(rows, key) == want
+    block = hs.record_block(rows, key)
+    assert bytes(block) == want
+    if isinstance(block, np.ndarray):
+        assert block.dtype == np.uint8 and block.flags.c_contiguous
 
 
 def test_jsonl_general_region_round_trip():

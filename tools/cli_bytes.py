@@ -36,7 +36,12 @@ holds:
   `entropy strips --widths 40`, `count hom --n 8` and `count hom --graph
   K4 --n 4` (exit 2);
 - the argv of every op of the benchmark's `counts` workload, read from
-  OLD_TREE's perfbench/workloads.py.
+  OLD_TREE's perfbench/workloads.py;
+- `enumerate` and `height sample --n 3` to stdout, which decodes the
+  encoded blocks as text;
+- `enumerate` and `extend --op path` on edge lists of 10 vertices (the
+  Petersen graph: every value one digit) and 11 vertices (it and a
+  vertex 10 joined to 0 and 2: values of one and two digits).
 
 One line per command says `same`, or names what differs of the exit
 code, stdout, stderr and the `out` file; the exit status is 1 on any
@@ -63,6 +68,14 @@ EDGES13 = "".join("%d %d\n" % (i, i + 1) for i in range(9)) + \
     "10 11\n11 12\n10 12\n"
 # a path 0 - 1 - 2 with a loop at 2, and a triangle beside it
 LOOPED = "0 1\n1 2\n2 2\n5 6\n6 7\n7 5\n"
+# the Petersen graph, and it with a vertex 10 joined to 0 and 2
+EDGES10 = "".join("%d %d\n" % (i, (i + 1) % 5) for i in range(5)) + \
+    "".join("%d %d\n" % (5 + i, 5 + (i + 2) % 5) for i in range(5)) + \
+    "".join("%d %d\n" % (i, 5 + i) for i in range(5))
+EDGES11 = EDGES10 + "10 0\n10 2\n"
+# per edge list: its name, the checkerboard edge of its pattern file and
+# the target of the path extension of that file
+WIDE = (("edges10", "0,1", "2,3"), ("edges11", "10,0", "0,10"))
 
 # Run by OLD_TREE: the cocycle files of 1000 sampled colourings of F_5 with
 # the striped one and its mirror, and of the striped colouring of F_2.
@@ -144,6 +157,12 @@ def make_inputs(tree, d):
         {"blocks": [{"site": [4, 4], "tiling": tiling}]}))
     (d / "edges13.txt").write_text(EDGES13)
     (d / "looped.txt").write_text(LOOPED)
+    (d / "edges10.txt").write_text(EDGES10)
+    (d / "edges11.txt").write_text(EDGES11)
+    for name, edge, _ in WIDE:
+        v0, v1 = edge.split(",")
+        cli("enumerate --edges %s.txt --family checker --n 2 --v0 %s --v1 %s "
+            "--out checker-%s.jsonl" % (name, v0, v1, name))
 
     rng = random.Random(SEED)
     checker3 = d / "checker3.jsonl"
@@ -247,6 +266,18 @@ def commands(draws):
              "count hom --n 8" + seed,
              "count hom --graph K4 --n 4" + seed]
     cmds += [" ".join(argv) + seed for argv in draws["counts"]]
+    cmds += ["enumerate --family checker --n 2" + seed,
+             "enumerate --family hat --n 2 --seed 0",
+             "enumerate --graph petersen --family box --n 1 --d 1" + seed,
+             "height sample --n 3" + seed]
+    for name, edge, target in WIDE:
+        v0, v1 = edge.split(",")
+        cmds += ["enumerate --edges {dir}/%s.txt --family %s --v0 %s --v1 %s "
+                 "--out out%s" % (name, family, v0, v1, seed)
+                 for family in ("box --n 1 --d 1", "checker --n 2")]
+        cmds.append("extend --edges {dir}/%s.txt --op path --in "
+                    "{dir}/checker-%s.jsonl --source %s --target %s --k 5 "
+                    "--out out%s" % (name, name, edge, target, seed))
     return cmds
 
 
