@@ -97,12 +97,6 @@ class _Walks:
         return None if steps > 1 and totals[steps - 1] > cap else totals[steps]
 
 
-def _walk_total(nbrs, start, steps, cap):
-    """_Walks(nbrs, start).total(steps, cap): the walks of the given number
-    of steps, or None when the count stops early, past cap."""
-    return _Walks(nbrs, start).total(steps, cap)
-
-
 def _check_total(total, cap, what):
     """ValueError when a _Walks count is past cap, the count stated
     exactly only when it was taken to the end."""

@@ -12,10 +12,12 @@ Any region, rectangle or not, is counted exactly by a frontier dynamic
 program over its sites in lexicographic order, with the region's axes
 first ordered by bounding-box side, longest first (ties in their order),
 so that the frontier spans the shorter sides: a 2 x L and an L x 2 strip
-both carry a 2-site frontier.  find_tiling decides with it whether a
-region has a tiling and then reads one off, in the same frame, so a
-region with none is a certified negative, and the tiling is the first
-one in prototile order in that frame, mapped back to the caller's axes.
+both carry a 2-site frontier.  find_tiling walks the same states depth
+first in the same frame, and the walk alone decides: it remembers its
+dead states, so it expands each state at most once and ticks the budget
+as it does, and a walk that runs out of states is a certified negative.
+The tiling it finds is the first one in prototile order in that frame,
+mapped back to the caller's axes.
 """
 
 import itertools
@@ -236,32 +238,29 @@ def frobenius_decompose(lengths, L):
 # rectangle tiling
 
 
-def _grid_placements(proto_idx, proto, lo, hi):
-    """Grid-tile the box [lo, hi] by one prototile; sides must divide spans."""
-    d = len(proto)
-    for t in range(d):
-        span = hi[t] - lo[t] + 1
-        if span % proto[t] != 0:
-            raise ValueError("prototile %r does not divide span %d on axis %d"
-                             % (proto, span, t + 1))
-    steps = [range(lo[t] - 1, hi[t], proto[t]) for t in range(d)]
-    return [(proto_idx, o) for o in itertools.product(*steps)]
-
-
 def _proto_fits_grid(proto, lo, hi):
     return all((hi[t] - lo[t] + 1) % proto[t] == 0 for t in range(len(proto)))
 
 
-def _rect_condition(F, dims):
-    """Which tileability condition the rectangle satisfies: 1, 2 or None."""
-    M = F.M
-    if all(c % M == 0 for c in dims):
-        return 1, None
+def _grid_placements(proto_idx, proto, lo, hi):
+    """Grid-tile the box [lo, hi] by one prototile; sides must divide spans."""
+    if not _proto_fits_grid(proto, lo, hi):
+        t, span = next((t, hi[t] - lo[t] + 1) for t in range(len(proto))
+                       if (hi[t] - lo[t] + 1) % proto[t])
+        raise ValueError("prototile %r does not divide span %d on axis %d"
+                         % (proto, span, t + 1))
+    steps = [range(lo[t] - 1, hi[t], proto[t]) for t in range(len(proto))]
+    return [(proto_idx, o) for o in itertools.product(*steps)]
+
+
+def _long_axis(dims, N, M):
+    """The first axis whose side is >= N while the other sides are
+    multiples of M, or None."""
     for axis in range(len(dims)):
-        if dims[axis] >= M and all(dims[t] % M == 0
+        if dims[axis] >= N and all(dims[t] % M == 0
                                    for t in range(len(dims)) if t != axis):
-            return 2, axis
-    return None, None
+            return axis
+    return None
 
 
 def tile_rectangle(F, dims):
@@ -278,14 +277,14 @@ def tile_rectangle(F, dims):
     if any(c < 1 for c in dims):
         raise ValueError("sides must be positive")
     region = rectangle(dims)
-    cond, axis = _rect_condition(F, dims)
-    if cond is None:
+    if all(c % F.M == 0 for c in dims):
+        placements = _grid_placements(0, F.protos[0], (1,) * F.d, dims)
+        return Tiling(F, region, placements)
+    axis = _long_axis(dims, F.M, F.M)
+    if axis is None:
         raise ValueError("rectangle %r not certified tileable: needs all sides "
                          "multiples of %d, or one side >= %d and the rest "
                          "multiples of %d" % (dims, F.M, F.M, F.M))
-    if cond == 1:
-        placements = _grid_placements(0, F.protos[0], (1,) * F.d, dims)
-        return Tiling(F, region, placements)
     lengths = sorted(set(p[axis] for p in F.protos))
     combo = frobenius_decompose(lengths, dims[axis])
     if combo is None:
@@ -384,7 +383,7 @@ def partition_complement(n, n_prime, N, M, offset):
     for lo, hi in pieces:
         dims = tuple(hi[t] - lo[t] + 1 for t in range(d))
         off = tuple(lo[t] - 1 for t in range(d))
-        if not _slab_side_condition(dims, N, M):
+        if _long_axis(dims, N, M) is None:
             raise AssertionError("piece %r at %r violates the side condition"
                                  % (dims, off))
         volume += math.prod(dims)
@@ -392,15 +391,6 @@ def partition_complement(n, n_prime, N, M, offset):
     if volume != big ** d - (n * M) ** d:
         raise AssertionError("partition volume mismatch")
     return out
-
-
-def _slab_side_condition(dims, N, M):
-    """One side >= N, the rest multiples of M."""
-    for axis in range(len(dims)):
-        if dims[axis] >= N and all(dims[t] % M == 0
-                                   for t in range(len(dims)) if t != axis):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -526,10 +516,17 @@ def _advance(p, mask, tile):
     return p + skip, covered >> skip
 
 
-def _frontier_count(F, fits, budget):
-    """Exact tiling count by a frontier dynamic program over site positions,
-    from the region's placement masks fits (_placement_masks).  Each
-    expanded state ticks a BudgetCounter(budget) of frontier states.
+def _volumes_divide(F, size):
+    """Whether size is a multiple of the gcd of the tile volumes, which
+    every region with a tiling satisfies."""
+    return not size % math.gcd(*(math.prod(proto) for proto in F.protos))
+
+
+def count_tilings(F, region, budget=None):
+    """Exact number of perfect tilings of the region, by a frontier dynamic
+    program over its site positions, swept with the region's longest axis
+    outermost (_long_axis_first).  Each expanded state ticks a
+    BudgetCounter(budget) of frontier states.
 
     A state is (p, mask): sites before position p are covered, site p is
     not, and bit k of mask marks site p + k covered.  The tile covering
@@ -538,10 +535,12 @@ def _frontier_count(F, fits, budget):
     expanded in increasing order.  A region whose size is not a multiple
     of the gcd of the tile volumes has no tiling, and no state is expanded.
     """
+    F, region, _ = _long_axis_first(F, region)
     counter = BudgetCounter(budget, "frontier state", "tiling count")
-    size = len(fits)
-    if size % math.gcd(*(math.prod(proto) for proto in F.protos)):
+    size = len(region)
+    if not _volumes_divide(F, size):
         return 0
+    fits = _placement_masks(F, region)
     frontier = {0: {0: 1}}
     for p in range(size):
         layer = frontier.pop(p, None)
@@ -557,49 +556,46 @@ def _frontier_count(F, fits, budget):
     return frontier.get(size, {}).get(0, 0)
 
 
-def count_tilings(F, region, budget=None):
-    """Exact number of perfect tilings of the region (frontier DP), swept
-    with the region's longest axis outermost (_long_axis_first).
-
-    Each expanded frontier state ticks the search budget.
-    """
-    F, region, _ = _long_axis_first(F, region)
-    return _frontier_count(F, _placement_masks(F, region), budget)
-
-
 def find_tiling(F, region, budget=None):
     """A perfect tiling of the region, or None when it has none.
 
-    The count and the walk run in the frame of count_tilings, the
-    region's axes longest first.  The frontier DP decides existence, so
-    None is an exact negative, not a search giving up.  The tiling is
-    then read off depth-first over the same states, trying prototiles in
-    order and remembering dead states, so it is the first one in
-    prototile order in that frame.  The walk expands each state at most
-    once, and only states the count expanded, so it needs no budget of
-    its own; it keeps only the current branch and the dead states, not a
-    parent pointer for every state.  Each anchor is mapped back to the
-    caller's axes, and the tiling is validated there.
+    The walk runs over the states of count_tilings, in its frame, the
+    region's axes longest first, after the same volume test.  It goes
+    depth first, trying prototiles in order, and remembers the states
+    whose every branch is dead, so it expands each state at most once,
+    and only states the count would expand; each first visit ticks a
+    BudgetCounter(budget) of frontier states, as the count does.  A walk
+    that runs out of states has tried them all, so None is an exact
+    negative, not a search giving up; a tiling found is the first one in
+    prototile order in that frame.  The walk keeps only the current
+    branch and the dead states, not a parent pointer for every state.
+    Each anchor is mapped back to the caller's axes, and the tiling is
+    validated there.
     """
     tiles, turned, order = _long_axis_first(F, region)
-    fits = _placement_masks(tiles, turned)
-    if not _frontier_count(tiles, fits, budget):
-        return None
+    counter = BudgetCounter(budget, "frontier state", "tiling count")
     size = len(turned)
-    dead = set()
+    if not _volumes_divide(tiles, size):
+        return None
+    fits = _placement_masks(tiles, turned)
+    dead = {}  # position -> the masks of the dead states there
     branch = [(0, 0, 0)]  # (p, mask, index of the next fit to try)
     while branch[-1][0] < size:
         p, mask, i = branch.pop()
+        if not i:
+            counter.tick()
         for j in range(i, len(fits[p])):
             tile = fits[p][j][1]
             if mask & tile:
                 continue
-            child = _advance(p, mask, tile)
-            if child not in dead:
-                branch += [(p, mask, j + 1), child + (0,)]
+            q, key = _advance(p, mask, tile)
+            if key not in dead.get(q, ()):
+                branch += [(p, mask, j + 1), (q, key, 0)]
                 break
         else:
-            dead.add((p, mask))
+            dead.setdefault(p, set()).add(mask)
+            if not branch:
+                return None
     back = [order.index(t) for t in range(F.d)]
     placements = [(fits[p][i - 1][0],
                    tuple(turned.sites[p][t] - 1 for t in back))

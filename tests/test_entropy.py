@@ -1046,14 +1046,14 @@ def test_walk_total_stops_past_its_cap():
     K5 = hs.complete_graph(5)
     ones = [1] * 5
     # 5 * 4**t walks of t steps: past 1 000 from t = 4 on
-    assert en._walk_total(K5.adj, ones, 3, 1000) == 320
-    assert en._walk_total(K5.adj, ones, 4, 1000) == 1280  # on the last step
-    assert en._walk_total(K5.adj, ones, 5, 1000) is None
-    assert en._walk_total(K5.adj, ones, 10 ** 9, 1000) is None
+    assert en._Walks(K5.adj, ones).total(3, 1000) == 320
+    assert en._Walks(K5.adj, ones).total(4, 1000) == 1280  # on the last step
+    assert en._Walks(K5.adj, ones).total(5, 1000) is None
+    assert en._Walks(K5.adj, ones).total(10 ** 9, 1000) is None
     # no step taken: the count is exact, past the cap or not
     edge = hs.TargetGraph(["0", "1", "2"], [(0, 1)])
-    assert en._walk_total(edge.adj, [1] * 3, 0, 2) == 3
-    assert en._walk_total(edge.adj, [1] * 3, 5, 1) is None
+    assert en._Walks(edge.adj, [1] * 3).total(0, 2) == 3
+    assert en._Walks(edge.adj, [1] * 3).total(5, 1) is None
     with pytest.raises(ValueError, match="too large: more than 200000 "
                                          "states$"):
         en.TransferOperator(K3, 10 ** 6)

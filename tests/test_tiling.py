@@ -338,8 +338,20 @@ def test_find_tiling_reads_back_a_valid_tiling():
     assert t == tl.find_tiling(bars, rectangle((40, 1)))
     assert tl.find_tiling(DOM, rectangle((3, 3))) is None
     assert tl.find_tiling(DOM, Region([])).placements == ()
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match="^tiling count exceeded the "
+                                          "frontier state budget of 10$"):
         tl.find_tiling(DOM, rectangle((6, 6)), budget=10)
+
+
+@pytest.mark.parametrize("F, dims", [(DOM, (42, 42)),
+                                     (tl.tile_preset("bars235"), (12, 12))],
+                         ids=["dominoes-42x42", "bars235-12x12"])
+def test_find_tiling_walks_without_counting(F, dims):
+    # neither rectangle is certified by a construction, and counting
+    # either runs far past this budget (dominoes 14 x 14 alone expand
+    # over 10**5 frontier states); the walk needs one state per tile here
+    t = tl.find_tiling(F, rectangle(dims), budget=2000)
+    assert t.region == rectangle(dims) and t.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +416,21 @@ def test_count_matches_backtracking(case):
     if want and len(region) > biggest:
         with pytest.raises(BudgetError):
             tl.count_tilings(F, region, budget=1)
-    found = tl.find_tiling(F, region)
+    # the walk expands no state the count does not, so the same budget
+    # decides it
+    found = tl.find_tiling(F, region, budget=max(1, counter.nodes))
     assert (found is None) == (want == 0)
     if found is not None:
         assert found.region == region and found.validate()
+
+
+def test_find_tiling_exhausts_a_region_without_tilings():
+    # the 6 x 6 box without two corners of one colour has no domino
+    # tiling, and the walk proves it by running out of states
+    region = Region([s for s in rectangle((6, 6)).sites
+                     if s not in ((1, 1), (6, 6))])
+    assert oracle_count(DOM, region, set(), BudgetCounter()) == 0
+    assert tl.find_tiling(DOM, region) is None
 
 
 def permuted(F, region, perm):

@@ -26,6 +26,10 @@ holds:
 - `count tilings` on the dominoes 4x10 and the dominoes3 2x2x6 boxes and
   `tile` on the squares23 5x12 rectangle, which the frontier DP sweeps
   with their longest axis outermost, so their axes are turned;
+- `tile` on more rectangles that no construction certifies, which the
+  depth-first walk decides: dominoes 14x14, bars235 8x12, squares23 7x7,
+  which has no tiling (exit 1), and dominoes 6x6 at a budget of 10
+  states (exit 3);
 - `enumerate --family checker --n 4` at a budget of 100 000 nodes, which
   the search runs out of partway through the box (exit 3);
 - the transfer-operator routes: `entropy strips` free and periodic to
@@ -247,6 +251,10 @@ def commands(draws):
     cmds += ["count tilings --tileset dominoes --dims 4x10" + seed,
              "count tilings --tileset dominoes3 --dims 2x2x6" + seed,
              "tile --tileset squares23 --dims 5x12 --out out" + seed,
+             "tile --tileset dominoes --dims 14x14 --out out" + seed,
+             "tile --tileset bars235 --dims 8x12 --out out" + seed,
+             "tile --tileset squares23 --dims 7x7 --out out" + seed,
+             "tile --tileset dominoes --dims 6x6 --budget 10 --out out" + seed,
              "enumerate --family checker --n 4 --budget 100000 --out out"
              + seed]
     for graph in ("K3", "C5"):
