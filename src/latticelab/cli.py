@@ -3,7 +3,7 @@
 Subcommands: enumerate, extend, fill, tile, count, entropy, verify,
 height.  Exit codes: 0 = pass, 1 = certified negative (a counterexample,
 no tiling, an invalid tiling or fill, no extension), 2 = usage error (bad
-arguments or a malformed file), 3 = search budget exceeded, 4 = precision
+arguments or a malformed file), 3 = budget exceeded, 4 = precision
 failure, 5 = internal error.  Each failure, an argument error included,
 prints one line on stderr.  Every output starts with a header carrying
 the seed, and rerunning any command with the same arguments produces
@@ -270,7 +270,8 @@ def cmd_count(args):
             value = entropy_mod.count_hom_box(H, args.n, args.d,
                                               budget=args.budget)
         else:
-            value = entropy_mod.count_hom_torus(H, args.n, args.d)
+            value = entropy_mod.count_hom_torus(H, args.n, args.d,
+                                                budget=args.budget)
         source = "edges" if args.edges else "graph"
         params = {"what": args.what, source: getattr(args, source),
                   "n": args.n, "d": args.d}
@@ -304,12 +305,14 @@ def cmd_entropy(args):
     elif args.what == "strips":
         H = _load_graph(args)
         widths = _parse_widths(args.widths)
-        # refuse a width past the caps or without states before any row
+        # refuse a width past the budget or without states before any row
         for w in widths:
-            entropy_mod.TransferOperator.check(H, w, args.boundary)
+            entropy_mod.TransferOperator.check(H, w, args.boundary,
+                                               args.budget)
         lines.append("width,entropy")
         for w in widths:
-            h = entropy_mod.strip_entropy(H, w, boundary=args.boundary)
+            h = entropy_mod.strip_entropy(H, w, boundary=args.boundary,
+                                          budget=args.budget)
             lines.append("%d,%.12g" % (w, h))
     else:
         H = _load_graph(args)
@@ -452,7 +455,8 @@ def _add_common(sub, out=True):
     sub.add_argument("--seed", type=int, default=0,
                      help="seed recorded in output headers (default 0)")
     sub.add_argument("--budget", type=_positive, default=None,
-                     help="search node budget (default from environment)")
+                     help="work budget in the command's own unit, per width "
+                     "in entropy strips (README; default from environment)")
     sub.add_argument("--workers", type=_positive, default=1,
                      help="accepted for compatibility; has no effect")
     if out:

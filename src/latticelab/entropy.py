@@ -4,15 +4,16 @@ Transfer operators over valid column states give exact integer counts for
 two-dimensional boxes and tori and numerical per-site entropies for strips.
 An operator keeps its states as a uint8 array; its transitions are sparse
 neighbour lists, built only when asked for, so the cost follows the number
-of compatible column pairs built.  The states and pairs are counted as
-walks first, a count stopping once it is past its cap.
+of compatible column pairs built.  Each operator charges what it builds to
+a BudgetCounter of transfer entries: the values of the free columns, before
+any is built (they are counted as walks in H), the states' images under
+the symmetries, and the compatible column pairs, a block at a time.
 
 What depends on H alone is built once per graph and kept on the graph
 object (homshift.per_graph), so every operator over one H shares it and it
 goes with H: the adjacency tables, the tree of free columns, grown a width
 at a time as wider operators are built, and the walk counts behind the
-size checks.  The checks keep counts, not verdicts: each compares them
-with the caps of the moment.  Each operator builds its own states, orbits,
+charge for the free columns.  Each operator builds its own states, orbits,
 lumped matrix and neighbour lists.
 
 Counts run on the orbits of a group G of symmetries of the transfer matrix
@@ -58,8 +59,6 @@ from .homshift import count_hom_dfs, hat_set, marker_set, per_graph, reserve
 from .tiling import count_tilings, dominoes
 from .util import BudgetCounter
 
-MAX_TRANSFER_STATES = 200_000
-MAX_TRANSFER_PAIRS = 1 << 25  # compatible column pairs built at once
 GATHER_LIMIT = 1 << 20  # entries gathered at once by a sparse product
 AUT_MAX_NODES = 100_000  # vertex assignments tried by the Aut(H) search
 _WORD_LIMIT = 1 << 63  # exact counts below this bound run in int64
@@ -97,15 +96,6 @@ class _Walks:
         return None if steps > 1 and totals[steps - 1] > cap else totals[steps]
 
 
-def _check_total(total, cap, what):
-    """ValueError when a _Walks count is past cap, the count stated
-    exactly only when it was taken to the end."""
-    if total is None or total > cap:
-        raise ValueError("transfer state space too large: %s %s"
-                         % ("more than %d" % cap if total is None else total,
-                            what))
-
-
 def _segments(counts):
     """For segments of the given lengths laid end to end: the segment and
     the offset within it of every slot."""
@@ -126,7 +116,7 @@ class _Columns:
     and kept on it (see _columns): the free columns over H (the walks in
     H) of every width asked for so far, in lexicographic order, with what
     it takes to find a column's index or its compatible columns, and the
-    walk counts behind TransferOperator.check.
+    count of free columns behind TransferOperator.check's charge.
 
     A column of length t + 1 extends one of length t by each neighbour of
     its last value in increasing order, so the extensions of the column at
@@ -137,10 +127,9 @@ class _Columns:
     level at a time, as a wider width is asked for.  slot[u, v] is the
     rank of v among the neighbours of u.
 
-    The counts are kept as counts, not verdicts: states counts the free
-    columns (walks in H) and pairs the compatible pairs of them (walks in
-    the graph of adjacent value pairs), each grown to the width asked for,
-    and a check compares them with the caps of the moment.
+    states counts the free columns, the walks in H, grown to the width
+    asked for: it is kept as a count, not a verdict, so a check compares
+    it with the budget of the moment.
     """
 
     def __init__(self, H):
@@ -158,14 +147,6 @@ class _Columns:
         self.levels = [np.arange(q, dtype=np.uint8)[:, None]]
         self.starts = []
         self.states = _Walks(H.adj, [1] * q)
-        # Compatible column pairs are the walks on the undirected graph of
-        # adjacent pairs (x, y) of row values, x * q + y, where (x, y) ~
-        # (u, v) when u ~ x, v ~ y and u ~ v.
-        self.pairs = _Walks(
-            [[u * q + v for u in H.adj[x] for v in H.adj[y]
-              if H.has_edge(u, v)] if H.has_edge(x, y) else []
-             for x in range(q) for y in range(q)],
-            [int(H.has_edge(x, y)) for x in range(q) for y in range(q)])
 
     def rows(self, width):
         """The free columns of the given width, as a read-only uint8
@@ -380,16 +361,19 @@ class TransferOperator:
     States are the valid single-column colorings (a path for free vertical
     boundary, a cycle for periodic), kept in lexicographic order as the
     rows of the S x w uint8 array `states`.  Two columns are neighbours
-    when they may sit side by side.  The free columns and their compatible
-    pairs, which are built before the periodic ones are filtered out, are
-    counted as walks and checked against MAX_TRANSFER_STATES and
-    MAX_TRANSFER_PAIRS before anything is built; see check.
+    when they may sit side by side.
+
+    `counter`, made by check, is charged a transfer entry per value of a
+    free column (the states are filtered from them) before any is built,
+    per image of a state under each map of _orbits before any is made, and
+    per compatible pair as each block of at most GATHER_LIMIT pairs is
+    built (_build), so a build passes its budget by one block at most.
 
     Built once per graph and shared by every operator over H (the
     _Columns kept on H): the adjacency tables, the free columns of each
-    width, with the tree that indexes them, and the walk counts the
-    checks compare with the caps on every call.  Built once per operator:
-    the states, the orbits and the two forms of T below.
+    width, with the tree that indexes them, and the count of free columns
+    that check charges.  Built once per operator: the states, the orbits
+    and the two forms of T below.
 
     Two forms of T are built when first asked for:
 
@@ -411,8 +395,8 @@ class TransferOperator:
     primes below 2**31 rebuilt by the CRT; see _exact_sum.
     """
 
-    def __init__(self, H, width, boundary="free"):
-        self.check(H, width, boundary)
+    def __init__(self, H, width, boundary="free", budget=None):
+        self.counter = self.check(H, width, boundary, budget)
         self.H = H
         self.width = width
         self.boundary = boundary
@@ -428,30 +412,30 @@ class TransferOperator:
         self.states = columns
 
     @staticmethod
-    def check(H, width, boundary="free"):
-        """The constructor's argument and size checks, run before anything
-        is built: ValueError for a bad boundary or width, when the free
-        columns or their compatible pairs are past MAX_TRANSFER_STATES or
-        MAX_TRANSFER_PAIRS, or when the width has no states.  The counts
-        are the ones kept on H, grown to the width when need be; the caps
-        are read on every call.  The periodic columns of width w are the
-        closed walks of length w in H, trace(A^w) of them for A the
-        adjacency matrix, so there are some exactly when the diagonal of
-        H.walks(w) has a True entry (the powers are kept on H)."""
+    def check(H, width, boundary="free", budget=None):
+        """The operator's BudgetCounter of transfer entries (budget,
+        default_budget() when None), charged width entries per free column
+        before anything is built: ValueError for a bad boundary or width,
+        or when the width has no states, BudgetError past the budget.  The
+        free columns are counted as walks in H, a count kept on H, grown
+        to the width and stopped past budget // width.  The periodic
+        columns of width w are the closed walks of length w in H, so there
+        are some exactly when the diagonal of H.walks(w) has a True entry
+        (the powers are kept on H)."""
         if boundary not in ("free", "periodic"):
             raise ValueError("boundary must be 'free' or 'periodic'")
         if width < 1:
             raise ValueError("width must be positive")
-        columns = _columns(H)
-        states = columns.states.total(width - 1, MAX_TRANSFER_STATES)
-        _check_total(states, MAX_TRANSFER_STATES, "states")
-        _check_total(columns.pairs.total(width - 1, MAX_TRANSFER_PAIRS),
-                     MAX_TRANSFER_PAIRS, "compatible column pairs")
+        counter = BudgetCounter(budget, "transfer entry", "transfer build")
+        states = _columns(H).states.total(width - 1, counter.budget // width)
+        # a count that stopped early is past the budget
+        counter.tick(counter.budget + 1 if states is None else states * width)
         if boundary == "periodic":
             states = H.walks(width).diagonal().any()
         if not states:
             raise ValueError("no valid column states for width %d (%s)"
                              % (width, boundary))
+        return counter
 
     def size(self):
         return len(self.states)
@@ -469,11 +453,48 @@ class TransferOperator:
         keep = right >= 0
         return owner[keep], right[keep]
 
+    def _build(self, rows, orbit=None):
+        """The _Sparse matrix whose row i lists the compatible states of
+        rows[i] or, given orbit (the orbit of each state), the orbits they
+        fall in, with how many fall in each.  Its degree is the most pairs
+        of any row.
+
+        The pairs are built a block of rows at a time: a column has at
+        most as many compatible columns as there are free columns, so a
+        block of GATHER_LIMIT // (free columns) rows builds at most
+        GATHER_LIMIT pairs, charged to counter once built.  Each block's
+        entries go into the matrix's arrays, grown in place
+        (homshift.reserve), so they are held once."""
+        k = len(rows)  # with orbit, the rows are one state per orbit
+        block = max(1, GATHER_LIMIT // len(self._state_of))
+        counts = np.zeros(len(rows), dtype=np.int64)
+        columns = np.empty(0, dtype=np.int64)
+        data = None if orbit is None else np.empty(0, dtype=np.int64)
+        end, degree = 0, 0
+        for lo in range(0, len(rows), block):
+            owner, right = self._neighbours(rows[lo:lo + block])
+            some = min(block, len(rows) - lo)
+            self.counter.tick(len(owner))
+            degree = max(degree, int(np.bincount(owner, minlength=1).max()))
+            if orbit is not None:
+                keys, times = np.unique(owner * k + orbit[right],
+                                        return_counts=True)
+                owner, right = keys // k, keys % k
+            counts[lo:lo + some] = np.bincount(owner, minlength=some)
+            reserve(columns, end + len(right))
+            columns[end:end + len(right)] = right
+            if data is not None:
+                reserve(data, end + len(right))
+                data[end:end + len(right)] = times
+            end += len(right)
+        columns.resize(end, refcheck=False)
+        if data is not None:
+            data.resize(end, refcheck=False)
+        return _Sparse(counts, columns, degree, data)
+
     @functools.cached_property
     def _full(self):
-        owner, right = self._neighbours(self.states)
-        counts = np.bincount(owner, minlength=self.size())
-        return _Sparse(counts, right, int(counts.max()))
+        return self._build(self.states)
 
     @property
     def indptr(self):
@@ -486,12 +507,15 @@ class TransferOperator:
     @functools.cached_property
     def _orbits(self):
         """(reps, sizes, orbit): the least state of each G-orbit, in
-        increasing order, the orbit sizes, and the orbit of each state."""
-        states = self.states
+        increasing order, the orbit sizes, and the orbit of each state,
+        the images of the states charged before any is made."""
+        states, perms = self.states, self._automorphisms()
+        periodic = self.boundary == "periodic"
+        self.counter.tick((1 + periodic + len(perms)) * self.size())
         maps = [states[:, ::-1]]
-        if self.boundary == "periodic":
+        if periodic:
             maps.append(np.roll(states, 1, axis=1))
-        maps += [perm[states] for perm in self._automorphisms()]
+        maps += [perm[states] for perm in perms]
         images = self._state_of[self._columns.index(np.concatenate(maps))]
         root = _components(self.size(), np.split(images, len(maps)))
         reps = np.flatnonzero(root == np.arange(self.size()))
@@ -507,41 +531,10 @@ class TransferOperator:
 
     @functools.cached_property
     def _lumped(self):
-        """B, with the orbits numbered as in _orbits.
-
-        The representatives' neighbours are built and merged into B a
-        block of representatives at a time: a column has at most as many
-        compatible columns as there are free columns, so a block of
-        GATHER_LIMIT // (free columns) representatives builds at most
-        GATHER_LIMIT pairs.  Each block's merged pairs are split into its
-        rows' entry counts and the entries' columns as it is made, and
-        written into B's arrays, which grow in place (homshift.reserve),
-        so B's entries are held once.  The blocks' entries follow each
-        other in order, so B is the one the whole set of pairs would
-        give."""
+        """B, with the orbits numbered as in _orbits, from the
+        representatives' neighbours alone."""
         reps, _, orbit = self._orbits
-        k = len(reps)
-        block = max(1, GATHER_LIMIT // len(self._state_of))
-        counts = np.zeros(k, dtype=np.int64)
-        columns = np.empty(0, dtype=np.int64)
-        data = np.empty(0, dtype=np.int64)
-        end, degree = 0, 0
-        for lo in range(0, k, block):
-            some = reps[lo:lo + block]
-            owner, right = self._neighbours(self.states[some])
-            keys, times = np.unique(owner * k + orbit[right],
-                                    return_counts=True)
-            row = keys // k
-            counts[lo:lo + len(some)] = np.bincount(row, minlength=len(some))
-            reserve(columns, end + len(keys))
-            reserve(data, end + len(keys))
-            np.subtract(keys, row * k, out=columns[end:end + len(keys)])
-            data[end:end + len(keys)] = times
-            end += len(keys)
-            degree = max(degree, int(np.bincount(owner, minlength=1).max()))
-        columns.resize(end, refcheck=False)
-        data.resize(end, refcheck=False)
-        return _Sparse(counts, columns, degree, data)
+        return self._build(self.states[reps], orbit)
 
     def apply(self, vec):
         """The product T @ vec, for a vector or a matrix: float64 for a
@@ -709,25 +702,23 @@ def _crt(residues, primes):
 def count_hom_box(H, n, d, budget=None):
     """|Hom(F_n, H)|, exact.
 
-    Transfer matrices along one axis for d <= 2; guarded depth-first
-    search for d = 3.
+    Transfer matrices along one axis for d <= 2, charging budget in
+    transfer entries; depth-first search for d = 3, charging it in nodes.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     L = 2 * n + 1
-    if d == 1:
-        op = TransferOperator(H, 1, "free")
-        return op.count_strip(L)
-    if d == 2:
-        op = TransferOperator(H, L, "free")
+    if d in (1, 2):
+        op = TransferOperator(H, 1 if d == 1 else L, "free", budget)
         return op.count_strip(L)
     if d == 3:
         return count_hom_dfs(H, box_F(n, 3), budget=budget)
     raise ValueError("box counting supports d in {1, 2, 3}")
 
 
-def count_hom_torus(H, n, d=2):
-    """|Hom(T_n, H)| for the Cayley graph of (Z/2nZ)^d, exact.
+def count_hom_torus(H, n, d=2, budget=None):
+    """|Hom(T_n, H)| for the Cayley graph of (Z/2nZ)^d, exact, charging
+    budget in transfer entries.
 
     The side-2 torus has doubled edges; each unordered neighbor pair is
     constrained once, which imposes the same requirement.
@@ -736,10 +727,9 @@ def count_hom_torus(H, n, d=2):
         raise ValueError("torus needs n >= 1")
     side = 2 * n
     if d == 1:
-        return TransferOperator(H, 1, "free").trace_power(side)
+        return TransferOperator(H, 1, "free", budget).trace_power(side)
     if d == 2:
-        op = TransferOperator(H, side, "periodic")
-        return op.trace_power(side)
+        return TransferOperator(H, side, "periodic", budget).trace_power(side)
     raise ValueError("torus counting supports d in {1, 2}")
 
 
@@ -888,8 +878,9 @@ def dimer_units(m, n):
 # strip entropy
 
 
-def strip_entropy(H, width, boundary="free"):
-    """Per-site entropy (nats) of the width-w strip: log(lambda_max)/width.
+def strip_entropy(H, width, boundary="free", budget=None):
+    """Per-site entropy (nats) of the width-w strip: log(lambda_max)/width,
+    charging budget in transfer entries.
 
     Dominant eigenvalue by power iteration on the shifted operator T + I
     (the shift makes the iteration aperiodic; Perron-Frobenius gives
@@ -914,7 +905,7 @@ def strip_entropy(H, width, boundary="free"):
     the largest row sum of T, which are those of B; when they are one
     value r (T is r-regular), it is r, with no iteration.
     """
-    op = TransferOperator(H, width, boundary)
+    op = TransferOperator(H, width, boundary, budget)
     lumped = op._lumped
     if not lumped.degree:
         raise ArithmeticError("dominant eigenvalue not positive")
@@ -975,17 +966,20 @@ class EntropyReport:
 
 def entropy_ratio_report(H, n_max, d=2, budget=None):
     """Counts of Hom(F_n, H), the periodic-shell and marker subfamilies and
-    the torus, with per-site entropies and ratio exponents, for n <= n_max."""
+    the torus, with per-site entropies and ratio exponents, for n <= n_max.
+
+    Each count gets budget on its own: the box and torus counts in
+    transfer entries, the hat and marker searches in nodes."""
     if d != 2:
         raise ValueError("the ratio report is implemented for d = 2")
     v0, v1, v2 = canonical_marker_triple(H)
     rows = []
     for n in range(1, n_max + 1):
         size = (2 * n + 1) ** d
-        box = count_hom_box(H, n, d)
+        box = count_hom_box(H, n, d, budget=budget)
         hat = len(hat_set(H, n, d, budget=budget))
         tilde = len(marker_set(H, v0, v1, v2, n - 1, d, budget=budget))
-        torus = count_hom_torus(H, n, d)
+        torus = count_hom_torus(H, n, d, budget=budget)
         row = {
             "n": n,
             "|F_n|": size,

@@ -634,28 +634,40 @@ def test_strip_entropy_width_15_on_orbits():
     assert peak_kb <= 400 * 1024
 
 
-@pytest.mark.parametrize("argv, message", [
-    # the size guards stop counting once past their caps
-    (["entropy", "strips", "--widths", "1000000"],
-     "transfer state space too large: more than 200000 states"),
-    (["count", "hom", "--n", "1000000"],
-     "transfer state space too large: more than 200000 states"),
-    (["count", "torus", "--n", "1000000"],
-     "transfer state space too large: more than 200000 states"),
-    # every width is checked before the first row is computed
-    (["entropy", "strips", "--widths", "14..16"],
-     "transfer state space too large: 86093442 compatible column pairs"),
-    (["entropy", "strips", "--widths", "1..1000000000"],
-     "transfer state space too large: 86093442 compatible column pairs"),
-    (["entropy", "strips", "--widths", "5..3"],
-     "widths range '5..3' is empty"),
-], ids=["strips-1e6", "hom-1e6", "torus-1e6", "strips-14..16",
-        "strips-1..1e9", "strips-5..3"])
-def test_oversized_and_empty_requests_fail_fast(argv, message):
+BUDGET_LINE = ("budget exceeded: transfer build exceeded the transfer entry "
+               "budget of 10000000\n")
+
+
+@pytest.mark.parametrize("argv, rc, out, err, seconds", [
+    # the free columns are charged before any is built, an entry per
+    # value, their count stopping once past the budget
+    (["entropy", "strips", "--widths", "1000000"], 3, "", BUDGET_LINE, 2),
+    (["count", "hom", "--n", "1000000"], 3, "", BUDGET_LINE, 2),
+    (["count", "torus", "--n", "1000000"], 3, "", BUDGET_LINE, 2),
+    # fewer free columns than the budget, but more values: 3 * 2**21 of
+    # width 22, 3 * 2**20 of width 21 and 10 * 3**12 of width 13, so
+    # neither the columns nor their orbit images are built
+    (["entropy", "strips", "--widths", "22"], 3, "", BUDGET_LINE, 2),
+    (["count", "hom", "--n", "10"], 3, "", BUDGET_LINE, 2),
+    (["count", "hom", "--graph", "petersen", "--n", "6"], 3, "", BUDGET_LINE,
+     2),
+    # 9.2 M entries at width 16: every width prints
+    (["entropy", "strips", "--widths", "14..16"], 0,
+     "# seed=0\nwidth,entropy\n14,0.445602970278\n15,0.444626639254\n"
+     "16,0.44377656779\n", "", 10),
+    # every width is charged its free columns before the first row
+    (["entropy", "strips", "--widths", "1..1000000000"], 3, "", BUDGET_LINE,
+     2),
+    (["entropy", "strips", "--widths", "5..3"], 2, "",
+     "usage error: widths range '5..3' is empty\n", 2),
+], ids=["strips-1e6", "hom-1e6", "torus-1e6", "strips-22", "hom-10",
+        "hom-petersen-6", "strips-14..16", "strips-1..1e9", "strips-5..3"])
+def test_oversized_and_empty_requests_fail_fast(argv, rc, out, err, seconds):
     start = time.perf_counter()
-    rc, _, out, err = _child(*argv)
-    assert time.perf_counter() - start < 2
-    assert (rc, out, err) == (2, "", "usage error: %s\n" % message)
+    got, peak_kb, *printed = _child(*argv)
+    assert time.perf_counter() - start < seconds
+    assert (got, *printed) == (rc, out, err)
+    assert peak_kb <= 400 * 1024
 
 
 @pytest.mark.parametrize("dims, turned", [("2x60", "60x2"),

@@ -12,6 +12,7 @@ import gc
 import itertools
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -92,9 +93,16 @@ def test_transfer_states_are_valid_columns():
 
 
 def test_transfer_state_space_guard():
+    # 327 680 free columns of width 9 on K5, each with up to 4**9
+    # compatible ones: past a budget of fewer columns at once, and past
+    # the default budget in the pairs, a block at a time
     K5 = hs.complete_graph(5)
-    with pytest.raises(ValueError):
-        en.TransferOperator(K5, 9, "free")
+    with pytest.raises(BudgetError):
+        en.TransferOperator(K5, 9, "free", budget=300_000)
+    op = en.TransferOperator(K5, 9, "free")
+    with pytest.raises(BudgetError):
+        op.count_strip(2)
+    assert op.counter.nodes <= 10 ** 7 + en.GATHER_LIMIT
 
 
 def test_transfer_rejects_bad_boundary():
@@ -138,9 +146,6 @@ class ListTransfer:
         if not states:
             raise ValueError("no valid column states for width %d (%s)"
                              % (width, boundary))
-        if len(states) > en.MAX_TRANSFER_STATES:
-            raise ValueError("transfer state space too large: %d states"
-                             % len(states))
         self.state_values = states
         adj = H.adj_sets
         self.matrix = [[1 if all(a[i] in adj[b[i]] for i in range(width)) else 0
@@ -174,7 +179,7 @@ def outcome(fn, *args):
     """The value of fn(*args), or the type and message of what it raised."""
     try:
         return fn(*args)
-    except (ValueError, ArithmeticError) as err:
+    except (ValueError, ArithmeticError, BudgetError) as err:
         return (type(err), str(err))
 
 
@@ -216,23 +221,29 @@ def test_operator_errors_match_list_operator():
 
 
 def test_state_guard_fires_before_any_neighbour_list(monkeypatch, capsys):
+    # K5 has 5 * 4**8 = 327 680 free columns of width 9, charged nine
+    # entries each (2 949 120) before any column or neighbour list is built
     K5 = hs.complete_graph(5)
-    want = outcome(ListTransfer, K5, 9, "free")
-    assert "too large: 327680 states" in want[1]
 
-    def no_lists(*args):
-        raise AssertionError("neighbour lists built past the state guard")
+    def nothing_built(*args):
+        raise AssertionError("columns built past the budget")
 
-    monkeypatch.setattr(en, "_compatible_columns", no_lists)
-    assert outcome(en.TransferOperator, K5, 9, "free") == want
+    monkeypatch.setattr(en, "_compatible_columns", nothing_built)
+    monkeypatch.setattr(en._Columns, "rows", nothing_built)
+    with pytest.raises(BudgetError, match="^transfer build exceeded the "
+                                          "transfer entry budget of 2949119$"):
+        en.TransferOperator(K5, 9, "free", budget=2949119)
+    assert en.TransferOperator.check(K5, 9, budget=2949120).nodes == 2949120
     # far beyond anything that could be enumerated
-    with pytest.raises(ValueError, match="too large"):
+    with pytest.raises(BudgetError, match="budget of 10000000$"):
         en.TransferOperator(K3, 60, "periodic")
-    # few enough states, but 6 * 3**16 and 6 * 3**15 compatible pairs
+    monkeypatch.undo()
+    # 3 * 2**16 and 3 * 2**15 free columns, but more pairs of them
     for what in ("hom", "torus"):
-        assert main(["count", what, "--n", "8"]) == 2
+        assert main(["count", what, "--n", "8", "--budget", "1000000"]) == 3
         err = capsys.readouterr().err
-        assert "too large" in err and err.count("\n") == 1
+        assert err == ("budget exceeded: transfer build exceeded the "
+                       "transfer entry budget of 1000000\n")
 
 
 def test_apply_leaves_rows_without_neighbours_at_zero():
@@ -1054,13 +1065,16 @@ def test_walk_total_stops_past_its_cap():
     edge = hs.TargetGraph(["0", "1", "2"], [(0, 1)])
     assert en._Walks(edge.adj, [1] * 3).total(0, 2) == 3
     assert en._Walks(edge.adj, [1] * 3).total(5, 1) is None
-    with pytest.raises(ValueError, match="too large: more than 200000 "
-                                         "states$"):
-        en.TransferOperator(K3, 10 ** 6)
-    with pytest.raises(ValueError, match="too large: more than 33554432 "
-                                         "compatible column pairs$"):
-        en.TransferOperator.check(K5, 8)
-    en.TransferOperator.check(K3, 15, "periodic")
+    # a count stopped past the budget is charged past it
+    with pytest.raises(BudgetError, match="budget of 200000$"):
+        en.TransferOperator(K3, 10 ** 6, budget=200000)
+    # 5 * 4**7 free columns of width 8, eight entries each, the count
+    # taken to the end
+    with pytest.raises(BudgetError, match="budget of 655359$"):
+        en.TransferOperator.check(K5, 8, budget=655359)
+    assert en.TransferOperator.check(K5, 8, budget=655360).nodes == 655360
+    assert (en.TransferOperator.check(K3, 15, "periodic").nodes
+            == 3 * 2 ** 14 * 15)
 
 
 def fresh(H):
@@ -1094,7 +1108,7 @@ def test_operators_on_a_shared_graph_match_fresh_graphs(H, boundary, widths,
                                                         order):
     # one graph object for the whole sequence, as a command holds one:
     # its column tree, tables and walk counts are reused, grown, or asked
-    # for a width past a cap (40), and every result equals the one a
+    # for a width past the budget (40), and every result equals the one a
     # graph of its own gives
     if order != "drawn":
         widths = sorted(widths, reverse=order == "descending")
@@ -1104,35 +1118,78 @@ def test_operators_on_a_shared_graph_match_fresh_graphs(H, boundary, widths,
             transfer_results(fresh(H), width, boundary)
 
 
+def built(H, width, boundary, budget):
+    """The strip count and the trace of one operator at budget, which
+    charge its free columns, B's pairs and then T's, or the error."""
+    def both():
+        op = en.TransferOperator(H, width, boundary, budget)
+        return op.count_strip(3), op.trace_power(3)
+    return outcome(both)
+
+
 @pytest.mark.parametrize("name", ["K3", "C5", "petersen", "full2"])
-@pytest.mark.parametrize("cap", ["MAX_TRANSFER_STATES", "MAX_TRANSFER_PAIRS"])
-def test_a_checked_graph_meets_lowered_caps(monkeypatch, name, cap):
-    # check keeps counts, not verdicts: a graph that passed at a width
-    # gets the error a fresh graph gets once a cap is lowered, worded the
-    # same, whether the count stopped early or was taken to the end
+@pytest.mark.parametrize("charge", ["columns", "pairs"])
+def test_a_checked_graph_meets_lowered_budgets(name, charge):
+    # the free-column count kept on H is a count, not a verdict: a graph
+    # that was built at the default budget gets, at a lower one, the
+    # outcome a fresh graph gets, worded the same, whether the count
+    # stopped early or was taken to the end
     H = hs.graph_preset(name)
-    check = en.TransferOperator.check
-    columns = en._Columns(hs.graph_preset(name))
-    walks = columns.states if cap == "MAX_TRANSFER_STATES" else columns.pairs
+    walks = en._Columns(hs.graph_preset(name)).states
     # (C5 and petersen have no periodic columns of width 3, which check
-    # refuses at any cap: width 4 has some on every graph here)
+    # refuses at any budget: width 4 has some on every graph here)
     for width, boundary in ((5, "free"), (4, "periodic"), (4, "free")):
-        check(H, width, boundary)
-        totals = [walks.total(s, math.inf) for s in (width - 2, width - 1)]
+        op = en.TransferOperator(H, width, boundary)
+        want = op.count_strip(3)
+        lumped = op.counter.nodes
+        want = want, op.trace_power(3)
+        if charge == "columns":
+            totals = [walks.total(s, math.inf) * width
+                      for s in (width - 2, width - 1)]
+        else:
+            totals = [lumped, op.counter.nodes]
         limits = sorted({max(0, t + e) for t in totals for e in (-1, 0, 1)})
         raised = 0
         for limit in limits:
-            monkeypatch.setattr(en, cap, limit)
-            got = outcome(check, H, width, boundary)
-            assert got == outcome(check, hs.graph_preset(name), width,
-                                  boundary)
-            raised += got is not None
+            got = built(H, width, boundary, limit)
+            assert got == built(hs.graph_preset(name), width, boundary, limit)
+            assert got == want or got[0] is BudgetError
+            raised += got != want
             for bad in ((width, "wrapped"), (0, boundary)):
-                assert outcome(check, H, *bad) == \
-                    outcome(check, hs.graph_preset(name), *bad)
+                assert built(H, *bad, limit) == \
+                    built(hs.graph_preset(name), *bad, limit)
         assert raised
-        monkeypatch.undo()
-        assert check(H, width, boundary) is None
+        assert built(H, width, boundary, None) == want
+
+
+@given(st.sampled_from(GRAPHS), st.integers(1, 7),
+       st.sampled_from(["free", "periodic"]),
+       st.sampled_from(["trace_power", "count_strip"]))
+@settings(max_examples=100, deadline=None)
+def test_budget_charges_the_columns_images_and_pairs_built(H, width,
+                                                           boundary, method):
+    # the free columns are charged an entry per value, the orbits one per
+    # image of a state under each map (its reflection, its rotation when
+    # periodic, and each generator of Aut(H)); a trace builds T's pairs,
+    # all its neighbour lists hold, and a strip count B's, the
+    # representatives' compatible states, counted here from the states
+    op = outcome(en.TransferOperator, H, width, boundary)
+    assume(not isinstance(op, tuple))
+    run = operator.methodcaller(method, 4)
+    want = run(op)
+    maps = 1 + (boundary == "periodic") + len(op._automorphisms())
+    free = (len(en._columns(H).rows(width)) * width + maps * op.size())
+    if method == "trace_power":
+        pairs = len(op.indices)
+    else:
+        reps = op.states[op._orbits[0]]
+        pairs = int(H.matrix()[reps[:, None, :], op.states[None, :, :]]
+                    .all(axis=2).sum())
+    assert op.counter.nodes == free + pairs
+    assert run(en.TransferOperator(H, width, boundary, free + pairs)) == want
+    with pytest.raises(BudgetError, match="^transfer build exceeded the "
+                       "transfer entry budget of %d$" % (free + pairs - 1)):
+        run(en.TransferOperator(H, width, boundary, free + pairs - 1))
 
 
 @pytest.mark.parametrize("H", GRAPHS, ids=["K3", "K4", "C4", "C5", "petersen",
@@ -1147,7 +1204,8 @@ def test_check_refuses_a_periodic_width_without_states(H):
         assert closed == len(oracle_column_states(H, width, True))
         got = outcome(en.TransferOperator.check, fresh(H), width, "periodic")
         if closed:
-            assert got is None
+            assert got.nodes == \
+                len(oracle_column_states(H, width, False)) * width
             op = en.TransferOperator(fresh(H), width, "periodic")
             assert op.size() == closed
         else:

@@ -36,9 +36,11 @@ holds:
   width 12 on K3 and C5 (C5 has no periodic columns of width 3: exit
   2), to width 5 on petersen, and on an edge list with a loop and a
   second component; `count hom` and `count torus` on K3, K4, C5 and
-  petersen; `entropy ratio --nmax 3`; the widths past the caps
-  `entropy strips --widths 40`, `count hom --n 8` and `count hom --graph
-  K4 --n 4` (exit 2);
+  petersen; `entropy ratio --nmax 3`; transfer builds within the default
+  budget, `count hom --graph K4 --n 4` and `entropy strips --widths 16`,
+  and past it (exit 3), `entropy strips --widths 40`, `count hom --n 8`,
+  `count torus --n 8`, `entropy strips --widths 1..1000000000` and
+  `count hom --n 4` at a budget of 1 000 entries;
 - the argv of every op of the benchmark's `counts` workload, read from
   OLD_TREE's perfbench/workloads.py;
 - `enumerate` and `height sample --n 3` to stdout, which decodes the
@@ -272,7 +274,11 @@ def commands(draws):
              "entropy ratio --nmax 3" + seed,
              "entropy strips --widths 40" + seed,
              "count hom --n 8" + seed,
-             "count hom --graph K4 --n 4" + seed]
+             "count hom --graph K4 --n 4" + seed,
+             "entropy strips --widths 16" + seed,
+             "count torus --n 8" + seed,
+             "entropy strips --widths 1..1000000000" + seed,
+             "count hom --n 4 --budget 1000" + seed]
     cmds += [" ".join(argv) + seed for argv in draws["counts"]]
     cmds += ["enumerate --family checker --n 2" + seed,
              "enumerate --family hat --n 2 --seed 0",
