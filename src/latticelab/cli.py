@@ -21,7 +21,7 @@ from . import height as height_mod
 from . import homshift
 from . import lattice
 from . import tiling as tiling_mod
-from .util import BudgetError, NegativeResult, canonical_json
+from .util import BudgetCounter, BudgetError, NegativeResult, canonical_json
 
 EXIT_OK = 0
 
@@ -171,6 +171,17 @@ _BLOCK_SITES = 1 << 16
 
 def _block_rows(region):
     return max(1, _BLOCK_SITES // max(1, len(region)))
+
+
+def _charged_box(args):
+    """box_F(--n, --d), once its sites are charged to a site budget, so
+    that a box past the budget exits 3 before it is built.  A box of 2^63
+    sites or more is not charged: box_F refuses it, as one that does not
+    fit int64."""
+    size = lattice.descriptor_size({"kind": "F", "n": args.n, "d": args.d})
+    if size < 2 ** 63:
+        BudgetCounter(args.budget, "site", "box region").tick(size)
+    return lattice.box_F(args.n, args.d)
 
 
 def _tiling_text(args, t):
@@ -391,7 +402,7 @@ def cmd_verify(args):
     # lipschitz: height bound on freshly sampled colorings, a block of
     # seeds at a time.  On a box the sampler never blocks and every sample
     # lifts, so the first seed breaking the bound is the first failure.
-    region = lattice.box_F(args.n, args.d)
+    region = _charged_box(args)
     base = (0,) * args.d
     step = _block_rows(region)
     for start in range(0, args.samples, step):
@@ -419,7 +430,7 @@ def cmd_verify(args):
 
 def cmd_height(args):
     if args.what == "sample":
-        region = lattice.box_F(args.n, args.d)
+        region = _charged_box(args)
         p = height_mod.sample_coloring(region, args.seed)
         ps = homshift.PatternSet(region, [p])
         _emit(args, homshift.pattern_set_jsonl_blocks(
@@ -442,7 +453,7 @@ def cmd_height(args):
         _emit(args, blocks)
         return EXIT_OK
     # gap: quasiflat gap of the two reference colorings
-    region = lattice.box_F(args.n, args.d)
+    region = _charged_box(args)
     samples = [height_mod.striped_coloring(region),
                height_mod.checker_coloring(region)]
     gap = height_mod.quasiflat_gap(samples, list(region))

@@ -14,20 +14,25 @@ The lift, the sampler and the Lipschitz check work on blocks of rows,
 one coloring per row in site order, each on two paths: a small block in
 Python a row at a time, a large one in numpy, each block taking the
 path that costs less.  lift_rows follows a breadth-first sweep from the
-base, fixed once per (region, base): a small block, below _WALK_EDGES
-rows times edges, goes through a scalar walk over the sweep's edges in
-order, and a large one sums the signed steps of the sweep's tree as
-arrays and checks every other edge against the sums; the walk on its
-first bad row, if any, raises that row's error.  sample_rows draws the
-seeded choices of a block of seeds by splitmix64, each seed mixed
-first as a Python int on the small path and as an array on the large
-one, and fills the sites in raster order as one-hot bytes, each site
-one lookup in _PICK_HOT.  lipschitz_rows compares heights with the
-distance to the base.  height_cocycle, sample_coloring, lipschitz_check
-and quasiflat_gap are their one-row (or one-block) calls, and each batch
-call reports its first bad row with the message the one-row call gives.
-A HeightField keeps its heights mapping and, as an int array, its row,
-which lipschitz_check reads.
+base, fixed once per (region, base).  A small block, below _WALK_EDGES
+rows times edges (one row of height_cocycle below _WALK_EDGES_ONE_ROW
+edges), goes through a split walk a row at a time: one pass along the
+sweep's tree edges sets each height from its parent's with no branch,
+an edge between equal colors stepping by a sentinel above any true
+height, and a second pass checks every other edge.  A large block sums
+the signed steps of the sweep's tree as arrays and checks every other
+edge against the sums.  On a row that fails either, the ordered walk
+over all the sweep's edges raises the error it meets first, so both
+paths give the same message.  sample_rows draws the seeded choices of
+a block of seeds by splitmix64, each seed mixed first as a Python int
+on the small path and as an array on the large one, and fills the sites
+in raster order as one-hot bytes, each site one lookup in _PICK_HOT.
+lipschitz_rows compares heights with the distance to the base.
+height_cocycle, sample_coloring, lipschitz_check and quasiflat_gap are
+their one-row (or one-block) calls, and each batch call reports its
+first bad row with the message the one-row call gives.  A HeightField
+keeps its heights mapping and, as an int array, its row, which
+lipschitz_check reads.
 """
 
 import functools
@@ -69,6 +74,15 @@ class HeightField:
         self.heights = dict(heights)
         self.coloring = coloring
 
+    @classmethod
+    def _lifted(cls, region, base, heights, coloring):
+        """The field of the heights a lift made, a list in site order,
+        without the base check: the lift has found the base's sweep."""
+        field = cls.__new__(cls)
+        field.region, field.base, field.coloring = region, base, coloring
+        field.heights = dict(zip(region.sites, heights))
+        return field
+
     @functools.cached_property
     def row(self):
         sites = self.region.sites
@@ -108,15 +122,16 @@ class HeightField:
 def _sweep(region, base):
     """The breadth-first sweep of region from base, fixed once per pair.
 
-    Returns (edges, walk, arrive, detours, missing).  edges lists the
-    region's edges that the sweep reaches as (i, j, tree) triples of two
-    positions and a flag, each oriented and ordered as the sweep first
-    crosses it, tree true when the edge is the first to reach j, so that
-    it joins j to the sweep's tree; missing counts the sites it never
-    reaches.  walk is a closed walk from the base as flat (from, to)
-    position pairs: a loop at the base, then an Euler tour of the
-    sweep's tree that, on arriving at a site i, steps out and back along
-    each edge (i, j) of edges outside the tree.
+    Returns (edges, tree, others, walk, arrive, detours, missing).  edges
+    lists the region's edges that the sweep reaches as (i, j, is_tree)
+    triples of two positions and a flag, each oriented and ordered as the
+    sweep first crosses it, is_tree true when the edge is the first to
+    reach j, so that it joins j to the sweep's tree; tree and others are
+    the same edges as (i, j) pairs, split by the flag, each in sweep
+    order; missing counts the sites the sweep never reaches.  walk is a
+    closed walk from the base as flat (from, to) position pairs: a loop
+    at the base, then an Euler tour of the sweep's tree that, on arriving
+    at a site i, steps out and back along each edge (i, j) of others.
     Summing a coloring's signed steps along the walk, the prefix sum at
     position arrive[s] is the height of site s (0 for the base and for
     unreached sites), and at position detours[0][t] it is what the edge
@@ -130,26 +145,26 @@ def _sweep(region, base):
     rank[start] = 0
     order = [start]
     children = [[] for _ in range(len(region))]
-    others = [[] for _ in range(len(region))]
+    off_tree = [[] for _ in range(len(region))]
     edges = []
     for i in order:
         for j in table[i]:
-            tree = rank[j] is None
-            if tree:
+            is_tree = rank[j] is None
+            if is_tree:
                 rank[j] = len(order)
                 order.append(j)
                 children[i].append(j)
             elif rank[j] > rank[i]:
-                others[i].append(j)
+                off_tree[i].append(j)
             else:
                 continue  # crossed from j's side already
-            edges.append((i, j, tree))
+            edges.append((i, j, is_tree))
     walk = [start, start]
     arrive = [0] * len(region)
     detours = []
 
     def step_out(i):
-        for j in others[i]:
+        for j in off_tree[i]:
             detours.append((len(walk) // 2, j))
             walk.extend((i, j, j, i))
 
@@ -170,8 +185,10 @@ def _sweep(region, base):
     detours = tuple(np.array([[t for t, _ in detours],
                               [arrive[j] for _, j in detours]],
                              dtype=np.intp).reshape(2, len(detours)))
-    return (tuple(edges), np.array(walk), np.array(arrive), detours,
-            len(region) - len(order))
+    tree = tuple((i, j) for i, j, is_tree in edges if is_tree)
+    others = tuple((i, j) for i, j, is_tree in edges if not is_tree)
+    return (tuple(edges), tree, others, np.array(walk), np.array(arrive),
+            detours, len(region) - len(order))
 
 
 def check_base(region, base):
@@ -194,28 +211,29 @@ def lift_rows(region, base, colors):
     for an empty region, a base outside the region, or the first row
     that has no height field (a color above 2, equal colors across an
     edge, a sweep conflict or a disconnected region), with the message
-    height_cocycle gives that row.
+    height_cocycle gives that row.  A block of fewer than _WALK_EDGES
+    rows times sweep edges goes through _split_walk a row at a time, a
+    larger one through _sum_lift.
     """
     check_base(region, base)
     if (not isinstance(colors, np.ndarray) or colors.dtype != np.uint8
             or colors.shape[1:] != (len(region),)):
         raise ValueError("colorings must be uint8 rows of width %d"
                          % len(region))
-    return _lift(region, base, colors)
-
-
-def _lift(region, base, colors):
-    """lift_rows on a base and a block of rows it has checked.
-
-    A block of fewer than _WALK_EDGES row edges goes through _walk a row
-    at a time.  A larger one sums the steps along the sweep's closed
-    walk as arrays, and only its first bad row, if any, goes through
-    _walk, which raises that row's error.
-    """
-    if _walks(region, base, len(colors)):
-        heights = [_walk(region, base, row) for row in colors.tolist()]
+    sweep = _sweep(region, base)
+    if len(colors) * len(sweep[0]) < _WALK_EDGES:
+        heights = [_split_walk(region, base, row, sweep)
+                   for row in colors.tolist()]
         return np.array(heights, dtype=np.int32).reshape(colors.shape)
-    edges, walk, arrive, detours, missing = _sweep(region, base)
+    return _sum_lift(region, base, colors, sweep)
+
+
+def _sum_lift(region, base, colors, sweep):
+    """lift_rows on a large block, sweep being _sweep(region, base): the
+    sums of the steps along the sweep's closed walk, as arrays.  Only the
+    block's first bad row, if any, goes through _walk, which raises that
+    row's error."""
+    edges, _, _, walk, arrive, detours, missing = sweep
     steps = _STEP.take(colors.take(walk, axis=1).view("<u2"))
     sums = np.add.accumulate(steps, axis=1, dtype=np.int32)
     # each row has one zero step, the loop at the base; any other is an
@@ -231,49 +249,79 @@ def _lift(region, base, colors):
     return sums.take(arrive, axis=1)
 
 
-# A block of rows goes through _walk when rows x edges is below _WALK_EDGES.
-# The walk costs one Python step per row and edge, about 0.12 us on a 2-core
-# Xeon VM; the array lift about 7 us for a block of a few rows.  A one-row
-# height_cocycle, whose walk builds no arrays, breaks even near 64 to 84
-# edges on boxes in d = 1..3, a lift_rows block, whose walk converts its
-# heights to an array, near 30 to 40 row edges.  So a one-row lift of F_2
-# (40 edges) or F_1 in d = 3 (54) walks, one of F_3 (84) or F_5 (220)
-# takes the arrays, and so does every block of the command line but the
-# last few rows of a file or a handful of samples.
-_WALK_EDGES = 64
+# A lift takes _split_walk or _sum_lift, whichever costs less.  On a 2-core
+# Xeon VM the walk costs about 0.1 us per row and edge, the sums about 7 us
+# for a block of a few rows.  A lift_rows block also turns the walk's lists
+# into an int32 array, while height_cocycle also reads its dict off the sums'
+# row, so the two calls break even apart: a lift_rows block walks when rows x
+# edges is below _WALK_EDGES (measured near 35 to 45 row edges on boxes in
+# d = 1..3), a one-row height_cocycle when its edges are below
+# _WALK_EDGES_ONE_ROW (near 90 to 100).  So a one-row lift of F_2 (40 edges),
+# of F_1 in d = 3 (54) or of F_3 (84) walks and one of F_5 (220) takes the
+# sums, as does every block of the command line but the last few rows of a
+# file or a handful of samples.
+_WALK_EDGES = 40
+_WALK_EDGES_ONE_ROW = 100
 
 
-def _walks(region, base, rows):
-    """True when a block of rows colorings lifts through _walk."""
-    return rows * len(_sweep(region, base)[0]) < _WALK_EDGES
+# the height step of an edge from color a to color b, at [a][b]: +1 when
+# b = a + 1 mod 3, -1 when b = a + 2 mod 3, and _BAD for equal colors.  _BAD
+# exceeds twice the sites of any region, so a height set across such an
+# edge, and every height set from it, stays above any true height, which is
+# at most the number of sites.
+_BAD = 1 << 62
+_WALK_STEP = tuple(tuple((_BAD, 1, -1)[(b - a) % 3] for b in range(3))
+                   for a in range(3))
 
 
-# the height step of an edge from color a to color b, at 3 * a + b
-_WALK_STEP = tuple((0, 1, -1)[(b - a) % 3] for a in range(3)
-                   for b in range(3))
+def _split_walk(region, base, values, sweep):
+    """The heights of one coloring, values its colors in site order (a
+    list or bytes), as a list in site order; sweep is _sweep(region, base).
+
+    Two passes: along the sweep's tree edges in order, each sets the
+    height of the site it reaches from its parent's by the edge's step,
+    with no branch; then every other edge must step by its own amount.
+    A tree edge between equal colors steps by _BAD, so one check of the
+    largest height after the passes finds it.  On any failure, and for
+    a color above 2 or a region the sweep does not cover, the ordered
+    _walk lifts the row instead and raises the error it meets first.
+    """
+    _, tree, others, *_, missing = sweep
+    if max(values) > 2 or missing:
+        return _walk(region, base, values)
+    step = _WALK_STEP
+    heights = [0] * len(values)
+    for i, j in tree:
+        heights[j] = heights[i] + step[values[i]][values[j]]
+    for i, j in others:
+        if heights[j] - heights[i] != step[values[i]][values[j]]:
+            return _walk(region, base, values)
+    if max(heights) > len(values):
+        return _walk(region, base, values)
+    return heights
 
 
 def _walk(region, base, values):
     """The heights of one coloring, values its colors in site order, as a
-    list in site order.
+    list in site order, by the ordered sweep; the lift's error reporter.
 
-    The scalar sweep: colors must lie in {0, 1, 2}; then, along the
-    sweep's edges in order, each tree edge sets the height of the site
-    it reaches from its parent's by the edge's step, and every other
-    edge must step by the same amount between the heights set so far.
-    Raises height_cocycle's error at the first failure, and then for a
-    region the sweep does not cover.
+    Colors must lie in {0, 1, 2}; then, along the sweep's edges in
+    order, each tree edge sets the height of the site it reaches from
+    its parent's by the edge's step, and every other edge must step by
+    the same amount between the heights set so far.  Raises
+    height_cocycle's error at the first failure, and then for a region
+    the sweep does not cover.
     """
     if max(values) > 2:
         raise ValueError("colors must lie in {0, 1, 2}")
     edges, *_, missing = _sweep(region, base)
     heights = [0] * len(values)
-    for i, j, tree in edges:
-        step = _WALK_STEP[3 * values[i] + values[j]]
-        if not step:
+    for i, j, is_tree in edges:
+        step = _WALK_STEP[values[i]][values[j]]
+        if step == _BAD:
             raise ValueError("equal colors %d across an edge: improper "
                              "coloring" % values[i])
-        if tree:
+        if is_tree:
             heights[j] = heights[i] + step
         elif heights[j] != heights[i] + step:
             raise ValueError("not a valid 3-coloring height at %r"
@@ -291,7 +339,7 @@ def _raise_first_bad_row(region, base, colors, steps, sums):
     above 2 or a detour its sums disagree with, or the first row of a
     region the sweep does not cover; _walk raises its error.
     """
-    detours, missing = _sweep(region, base)[3:]
+    detours, missing = _sweep(region, base)[5:]
     bad = (~steps[:, 1:].all(axis=1) | (colors.max(axis=1) > 2)
            | (sums.take(detours[0], axis=1)
               != sums.take(detours[1], axis=1)).any(axis=1))
@@ -306,15 +354,21 @@ def height_cocycle(x, base):
     The one-row call of lift_rows: raises for improper colorings, a
     disconnected region, a base outside the region, or a sweep conflict
     (impossible for a proper coloring of a simply connected region).
+    The base is checked only when the region's sweep from it cannot be
+    found, so that the errors are check_base's.
     """
     region = x.region
-    check_base(region, base)
-    if _walks(region, base, 1):
-        heights = _walk(region, base, x.values)
-        return HeightField(region, base, zip(region.sites, heights), x)
+    try:
+        sweep = _sweep(region, base)
+    except (KeyError, TypeError):  # no such site, or an unhashable base
+        check_base(region, base)
+        raise
+    if len(sweep[0]) < _WALK_EDGES_ONE_ROW:
+        heights = _split_walk(region, base, x.values, sweep)
+        return HeightField._lifted(region, base, heights, x)
     row = np.frombuffer(x.values, dtype=np.uint8).reshape(1, len(region))
-    row = _lift(region, base, row)[0]
-    field = HeightField(region, base, zip(region.sites, row.tolist()), x)
+    row = _sum_lift(region, base, row, sweep)[0]
+    field = HeightField._lifted(region, base, row.tolist(), x)
     field.row = row
     return field
 

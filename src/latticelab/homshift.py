@@ -208,6 +208,15 @@ class Pattern:
         return "Pattern(%s, %s)" % (self.region.kind, list(self.values))
 
 
+def _row_pattern(region, values):
+    """Pattern(region, values) without its length check, for values,
+    bytes, that the caller knows to hold one value per site."""
+    p = object.__new__(Pattern)
+    p.region = region
+    p.values = values
+    return p
+
+
 class PatternSet:
     """A canonically ordered set of patterns sharing one region.
 
@@ -248,12 +257,16 @@ class PatternSet:
     def __len__(self):
         return len(self.rows)
 
+    # _wrap checked the width of the rows, so one row, read by iteration
+    # or at an int index, is a Pattern without its length check
     def __iter__(self):
         region, m, data = self.region, self.rows.shape[1], self.rows.tobytes()
         for i in range(len(self.rows)):
-            yield Pattern(region, data[i * m:(i + 1) * m])
+            yield _row_pattern(region, data[i * m:(i + 1) * m])
 
     def __getitem__(self, i):
+        if type(i) is int:  # not a bool, which numpy takes as a mask
+            return _row_pattern(self.region, self.rows[i].tobytes())
         if isinstance(i, slice):
             return tuple(Pattern(self.region, row.tobytes())
                          for row in self.rows[i])

@@ -409,6 +409,41 @@ def test_a_huge_header_runs_out_of_budget_before_its_box_is_built(tmp_path,
     assert peak_kb <= 100 * 1024
 
 
+@pytest.mark.parametrize("argv", [
+    ["height", "sample", "--n", "3000"], ["height", "gap", "--n", "3000"],
+    ["verify", "lipschitz", "--n", "3000"]],
+    ids=["sample", "gap", "lipschitz"])
+def test_a_box_past_the_site_budget_is_never_built(argv):
+    # F_3000 in d = 2 has 6001^2 = 36 012 001 sites, charged before the box
+    # is built; built uncharged, `height sample` and `height gap` took about
+    # 50 s and 4.9 GB before a MemoryError
+    start = time.perf_counter()
+    rc, peak_kb, out, err = _child(*argv)
+    assert time.perf_counter() - start < 2
+    assert (rc, out, err) == (3, "", "budget exceeded: box region exceeded "
+                              "the site budget of 10000000\n")
+    assert peak_kb <= 200 * 1024
+
+
+def test_a_box_within_the_site_budget_runs(capsys):
+    # F_2 has 25 sites
+    for what in (["height", "sample"], ["height", "gap"],
+                 ["verify", "lipschitz"]):
+        code, out, _ = run(capsys, what + ["--n", "2", "--budget", "25"])
+        assert code == 0 and out
+
+
+@pytest.mark.parametrize("n, d", [(10 ** 19, 1), (10 ** 10, 3)])
+def test_a_box_past_int64_is_a_usage_error_at_any_budget(capsys, n, d):
+    # (2n + 1)^d >= 2^63 sites: box_F refuses the box before any charge
+    for budget in ("10", "%d" % 10 ** 40):
+        code, out, err = run(capsys, ["height", "gap", "--n", str(n),
+                                      "--d", str(d), "--budget", budget])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: region box ")
+        assert err.endswith(" does not fit int64\n")
+
+
 def test_budget_exit_code(capsys):
     code, _, stderr = run(capsys, ["count", "hom", "--graph", "K3",
                                    "--n", "2", "--d", "3",
@@ -425,8 +460,10 @@ def test_budget_exit_code(capsys):
     ("count dimers --dims 40x40 --budget 100",
      "dimer count exceeded the resultant unit budget of 100"),
     ("entropy dimers --max 10 --budget 100",
-     "dimer count exceeded the resultant unit budget of 100")],
-    ids=["search", "tilings", "dimers", "dimer-table"])
+     "dimer count exceeded the resultant unit budget of 100"),
+    ("height gap --n 2 --budget 24",
+     "box region exceeded the site budget of 24")],
+    ids=["search", "tilings", "dimers", "dimer-table", "box"])
 def test_a_budget_exit_names_its_unit(capsys, argv, line):
     assert run(capsys, argv.split()) == \
         (3, "", "budget exceeded: %s\n" % line)

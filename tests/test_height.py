@@ -439,8 +439,9 @@ def colorings(draw):
     return Pattern(region, bytes(values)), base
 
 
-# _WALK_EDGES at 0 sends every block to the array lift, and at 10**6, above
-# every block drawn here, every block through the walk
+# _WALK_EDGES and _WALK_EDGES_ONE_ROW at 0 send every block to the array
+# lift, and at 10**6, above every block drawn here, every block through the
+# walk
 LIFT_PATHS = (0, 10 ** 6)
 
 
@@ -448,7 +449,8 @@ def on_both_paths(fn):
     """[fn() with every block lifted by the arrays, then by the walk]."""
     out = []
     for walk_edges in LIFT_PATHS:
-        with mock.patch.object(ht, "_WALK_EDGES", walk_edges):
+        with mock.patch.object(ht, "_WALK_EDGES", walk_edges), \
+                mock.patch.object(ht, "_WALK_EDGES_ONE_ROW", walk_edges):
             out.append(fn())
     return out
 
@@ -670,7 +672,7 @@ def test_walk_and_array_lift_agree_on_the_ring():
                        ring, row.tobytes()), base), tuple)]
         assert 0 < len(winding) < len(rows)
         flat = np.delete(rows, winding, axis=0)
-        array, walk = on_both_paths(lambda: ht._lift(ring, base, flat))
+        array, walk = on_both_paths(lambda: lift_rows(ring, base, flat))
         assert array.dtype == walk.dtype == np.int32
         assert np.array_equal(array, walk)
         assert array.tolist() == tuple_lifts(ring, base, flat)
@@ -678,6 +680,113 @@ def test_walk_and_array_lift_agree_on_the_ring():
         assert on_both_paths(lambda: outcome(lift_rows, ring, base, bad)) \
             == [outcome(tuple_lift, Pattern(ring, rows[winding[-1]].tobytes()),
                         base)] * 2
+
+
+# ---------------------------------------------------------------------------
+# the split walk against the ordered walk, which reports its errors
+
+
+# the striped coloring of F_2 with (-2, -2) set to 0 and (1, -2) to 1: from
+# the origin the sweep meets an edge between colors 1 off its tree before
+# one between colors 0 on it
+TWO_FAULTS = bytearray(sum(s) % 3 for s in box_F(2, 2).sites)
+TWO_FAULTS[0], TWO_FAULTS[15] = 0, 1
+TWO_FAULTS = bytes(TWO_FAULTS)
+# the ring with a tail of three sites off (0, 2), its coloring winding around
+# and the last two tail sites equal, so that from (0, 0) the sweep meets the
+# winding's conflict at (2, 2) before the equal colors on its tree
+TAILED_RING = Region(RING + [(0, 3), (0, 4), (0, 5)])
+TAILED_WINDING = bytes(dict(zip(RING + [(0, 3), (0, 4), (0, 5)],
+                                WINDING + [0, 1, 1]))[s]
+                       for s in TAILED_RING.sites)
+
+
+@st.composite
+def faulty_colorings(draw):
+    """(region, base, values): a coloring, sampled, striped, winding or
+    random, of a box, the tailed ring or a small region (some
+    disconnected), with up to three faults, each a value copied from a
+    neighbour (equal colors across an edge) or any value up to 5."""
+    kind = draw(st.sampled_from(["small", "box", "ring"]))
+    region = {"small": lambda: draw(small_regions()),
+              "box": lambda: box_F(2, 2),
+              "ring": lambda: TAILED_RING}[kind]()
+    sites, n = region.sites, len(region)
+    how = draw(st.sampled_from(["sampled", "striped", "random"]
+                               + ["winding"] * (kind == "ring")))
+    if how == "winding":
+        values = bytearray(TAILED_WINDING)
+    elif how == "striped":
+        values = bytearray(sum(s) % 3 for s in sites)
+    elif how == "sampled":
+        try:
+            values = bytearray(raster_sample(region, draw(st.integers(0, 99))))
+        except RuntimeError:
+            values = bytearray(n)
+    else:
+        values = bytearray(draw(st.lists(st.integers(0, 2), min_size=n,
+                                         max_size=n)))
+    table = region.neighbor_table().tolist()
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, n - 1))
+        nbrs = [j for j in table[k] if j >= 0]
+        if nbrs and draw(st.booleans()):
+            values[k] = values[draw(st.sampled_from(nbrs))]
+        else:
+            values[k] = draw(st.integers(0, 5))
+    return region, draw(st.sampled_from(sites)), bytes(values)
+
+
+@given(faulty_colorings())
+@example((box_F(2, 2), (0, 0), TWO_FAULTS))
+@example((TAILED_RING, (0, 0), TAILED_WINDING))
+@settings(max_examples=400, deadline=None)
+def test_split_walk_matches_the_ordered_walk(case):
+    """The same heights, or the same error type and message, on bytes
+    (as height_cocycle passes them) and on lists (as lift_rows does)."""
+    region, base, values = case
+    sweep = ht._sweep(region, base)
+    want = outcome(ht._walk, region, base, values)
+    for row in (values, list(values)):
+        assert outcome(ht._split_walk, region, base, row, sweep) == want
+
+
+def test_split_walk_names_the_first_fault_in_sweep_order():
+    box = box_F(2, 2)
+    edges = ht._sweep(box, (0, 0))[0]
+    equal = [(is_tree, TWO_FAULTS[i]) for i, j, is_tree in edges
+             if TWO_FAULTS[i] == TWO_FAULTS[j]]
+    assert equal[0] == (False, 1) and (True, 0) in equal
+    for path in on_both_paths(lambda: outcome(
+            height_cocycle, Pattern(box, TWO_FAULTS), (0, 0))):
+        assert path == (ValueError, "equal colors 1 across an edge: "
+                                    "improper coloring")
+    for path in on_both_paths(lambda: outcome(
+            height_cocycle, Pattern(TAILED_RING, TAILED_WINDING), (0, 0))):
+        assert path == (ValueError,
+                        "not a valid 3-coloring height at (2, 2)")
+
+
+@pytest.mark.parametrize("sites, base, kind, message", [
+    ([(1,), (2,), (3,)], (9,), ValueError, "base (9,) outside the region"),
+    ([(1,), (2,), (3,)], (1, 1), ValueError,
+     "base (1, 1) outside the region"),
+    ([(1,), (2,), (3,)], [1, 2], ValueError,
+     "base [1, 2] outside the region"),
+    ([(1,), (2,), (3,)], [1], TypeError, "unhashable type: 'list'"),
+    ([], (0,), ValueError, "empty region has no heights"),
+], ids=["outside", "wrong-length", "unhashable-wrong-length", "unhashable",
+        "empty"])
+def test_cocycle_base_errors_are_check_bases(sites, base, kind, message):
+    """height_cocycle checks the base only when the sweep from it fails,
+    and then raises what check_base raises."""
+    region = Region(sites)
+    x = Pattern(region, bytes([0, 1, 2][:len(region)]))
+    for call in (lambda: height_cocycle(x, base),
+                 lambda: ht.check_base(region, base)):
+        with pytest.raises(kind) as err:
+            call()
+        assert str(err.value) == message
 
 
 SEEDS = st.one_of(st.integers(0, 2 ** 16), st.integers(-2 ** 70, -1),

@@ -329,6 +329,26 @@ def test_pattern_set_is_sorted_and_deduplicated():
     assert [p.values for p in ps] == [bytes([0, 1, 0]), bytes([0, 2, 0])]
 
 
+def test_pattern_set_reads_its_rows_as_patterns():
+    """Iteration and int, numpy int and slice indices give each row's
+    Pattern, whose length they do not check again; an index that names
+    no single row still fails."""
+    region = box_F(1, 1)
+    ps = hs.PatternSet(region, [hs.Pattern(region, bytes(v)) for v in
+                                ([0, 1, 0], [0, 2, 0], [1, 0, 1])])
+    want = [hs.Pattern(region, row.tobytes()) for row in ps.rows]
+    assert list(ps) == want
+    assert [ps[i] for i in range(-3, 3)] == want * 2
+    assert [ps[np.int64(i)] for i in range(3)] == want
+    assert ps[1:] == tuple(want[1:])
+    assert all(type(p.values) is bytes for p in [*ps, ps[0], ps[-1]])
+    with pytest.raises(IndexError):
+        ps[3]
+    # numpy reads a bool as a mask, here of all three rows
+    with pytest.raises(ValueError, match="length 9 != region size 3"):
+        ps[True]
+
+
 # ---------------------------------------------------------------------------
 # tau and the retraction
 

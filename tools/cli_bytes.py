@@ -17,12 +17,16 @@ holds:
   drawn from random.Random(1);
 - `height cocycle` on the three files of the cocycle pins in
   tests/test_cli.py, whose heights reach every record layout, and on
-  two files it rejects: one whose third record is improper, and one of a
-  ring of eight sites around a hole whose coloring winds around it;
+  three files it rejects: one whose third record is improper, one of a
+  ring of eight sites around a hole whose coloring winds around it, and
+  one record on F_2 with two faults, an edge between equal colors off
+  the sweep's tree met before one on it, so that its message names the
+  fault the sweep meets first;
 - `height sample` in d = 1, 3 and 4 at seeds -1, 2**63 and 2**64 + 5,
   and `verify lipschitz` on 3 and 20 samples in d = 1..3: one-seed and
   small blocks, which take the scalar sampler (but 20 seeds in d = 1)
-  and, the smallest, the row walk of the lift;
+  and, the smallest, the row walk of the lift, and `height gap` and
+  `verify lipschitz` on boxes past int64 (exit 2);
 - `count tilings` on the dominoes 4x10 and the dominoes3 2x2x6 boxes and
   `tile` on the squares23 5x12 rectangle, which the frontier DP sweeps
   with their longest axis outermost, so their axes are turned;
@@ -70,6 +74,11 @@ CLI = ("-m", "latticelab.cli")
 # winds once around, so that it has no heights
 RING = [(0, 0), (0, 1), (0, 2), (1, 2), (2, 2), (2, 1), (2, 0), (1, 0)]
 WINDING = [0, 1, 2, 0, 1, 2, 0, 2]
+# the striped coloring of F_2 in site order with (-2, -2) set to 0 and
+# (1, -2) to 1: from the origin the sweep meets an edge between colors 1 off
+# its tree before one between colors 0 on it
+TWO_FAULTS = [(i + j) % 3 for i in range(-2, 3) for j in range(-2, 3)]
+TWO_FAULTS[0], TWO_FAULTS[15] = 0, 1
 EDGES13 = "".join("%d %d\n" % (i, i + 1) for i in range(9)) + \
     "10 11\n11 12\n10 12\n"
 # a path 0 - 1 - 2 with a loop at 2, and a triangle beside it
@@ -189,6 +198,10 @@ def make_inputs(tree, d):
     (d / "winding.jsonl").write_text(
         json.dumps(ring) + "\n" + json.dumps(
             {"values": [winding[s] for s in sorted(RING)]}) + "\n")
+    (d / "faults.jsonl").write_text(
+        json.dumps({"alphabet": ["0", "1", "2"], "count": 1,
+                    "region": {"kind": "F", "n": 2, "d": 2}}) + "\n"
+        + json.dumps({"values": TWO_FAULTS}) + "\n")
     edges = [(u, v) for u in range(3) for v in range(3) if u != v]
     draws = {"path": "%d,%d" % rng.choice(edges),
              "embed": "%d,%d" % rng.choice(edges),
@@ -241,7 +254,8 @@ def commands(draws):
              "height cocycle --in {dir}/F5.jsonl --base=-5,-5 --out out",
              "height cocycle --in {dir}/stripe.jsonl --base=-2,-2 --out out",
              "height cocycle --in {dir}/improper.jsonl --base=0,0 --out out",
-             "height cocycle --in {dir}/winding.jsonl --base=1,0 --out out"]
+             "height cocycle --in {dir}/winding.jsonl --base=1,0 --out out",
+             "height cocycle --in {dir}/faults.jsonl --base=0,0 --out out"]
     for d, n in ((1, 4), (3, 2), (4, 1)):
         for s in (-1, 2 ** 63, 2 ** 64 + 5):
             cmds.append("height sample --n %d --d %d --seed=%d --out out"
@@ -250,6 +264,8 @@ def commands(draws):
         for samples in (3, 20):
             cmds.append("verify lipschitz --n 2 --d %d --samples %d%s"
                         % (d, samples, seed))
+    cmds += ["height gap --n 99999999999999999999" + seed,
+             "verify lipschitz --n 10000000000 --d 3" + seed]
     cmds += ["count tilings --tileset dominoes --dims 4x10" + seed,
              "count tilings --tileset dominoes3 --dims 2x2x6" + seed,
              "tile --tileset squares23 --dims 5x12 --out out" + seed,
