@@ -175,12 +175,10 @@ def _block_rows(region):
 
 def _charged_box(args):
     """box_F(--n, --d), once its sites are charged to a site budget, so
-    that a box past the budget exits 3 before it is built.  A box of 2^63
-    sites or more is not charged: box_F refuses it, as one that does not
-    fit int64."""
+    that a box past the budget exits 3 before it is built, as a pattern
+    file's header region does."""
     size = lattice.descriptor_size({"kind": "F", "n": args.n, "d": args.d})
-    if size < 2 ** 63:
-        BudgetCounter(args.budget, "site", "box region").tick(size)
+    BudgetCounter(args.budget, "site", "box region").tick(size)
     return lattice.box_F(args.n, args.d)
 
 
@@ -605,6 +603,9 @@ def main(argv=None):
     try:
         return args.func(args)
     except Exception as exc:
+        # free the failed call's frames first: after a MemoryError they hold
+        # the memory that printing the line needs
+        exc.__traceback__ = None
         kinds, code, prefix = next(row for row in _EXITS
                                    if isinstance(exc, row[0]))
         message = str(exc)

@@ -12,21 +12,20 @@ L1 envelope of the forced heights decides whether it can, no search.
 
 The lift, the sampler and the Lipschitz check work on blocks of rows,
 one coloring per row in site order, each on two paths: a small block in
-Python a row at a time, a large one in numpy, each block taking the
-path that costs less.  lift_rows follows a breadth-first sweep from the
-base, fixed once per (region, base).  A small block, below _WALK_EDGES
-rows times edges (one row of height_cocycle below _WALK_EDGES_ONE_ROW
-edges), goes through a split walk a row at a time: one pass along the
-sweep's tree edges sets each height from its parent's with no branch,
-an edge between equal colors stepping by a sentinel above any true
-height, and a second pass checks every other edge.  A large block sums
-the signed steps of the sweep's tree as arrays and checks every other
-edge against the sums.  On a row that fails either, the ordered walk
-over all the sweep's edges raises the error it meets first, so both
-paths give the same message.  sample_rows draws the seeded choices of
-a block of seeds by splitmix64, each seed mixed first as a Python int
-on the small path and as an array on the large one, and fills the sites
-in raster order as one-hot bytes, each site one lookup in _PICK_HOT.
+Python a row at a time, a large one in numpy, each block taking the path
+that costs less.  lift_rows follows a breadth-first sweep from the base,
+fixed once per (region, base).  A small block, below _WALK_EDGES rows
+times edges, goes through a split walk a row at a time: one pass along
+the sweep's tree edges sets each height from its parent's with no
+branch, an edge between equal colors stepping by a sentinel above any
+true height, and a second pass checks every other edge.  A large block
+sums the signed steps of the sweep's tree as arrays and checks every
+other edge against the sums.  On a row that fails either, the ordered
+walk over all the sweep's edges raises the error it meets first, so both
+paths give the same message.  sample_rows draws the seeded choices of a
+block of seeds by splitmix64, each seed mixed first as a Python int on
+the small path and as an array on the large one, and fills the sites in
+raster order as one-hot bytes, each site one lookup in _PICK_HOT.
 lipschitz_rows compares heights with the distance to the base.
 height_cocycle, sample_coloring, lipschitz_check and quasiflat_gap are
 their one-row (or one-block) calls, and each batch call reports its
@@ -128,15 +127,17 @@ def _sweep(region, base):
     sweep first crosses it, is_tree true when the edge is the first to
     reach j, so that it joins j to the sweep's tree; tree and others are
     the same edges as (i, j) pairs, split by the flag, each in sweep
-    order; missing counts the sites the sweep never reaches.  walk is a
-    closed walk from the base as flat (from, to) position pairs: a loop
-    at the base, then an Euler tour of the sweep's tree that, on arriving
-    at a site i, steps out and back along each edge (i, j) of others.
-    Summing a coloring's signed steps along the walk, the prefix sum at
-    position arrive[s] is the height of site s (0 for the base and for
-    unreached sites), and at position detours[0][t] it is what the edge
-    (i, j) of the t-th detour says the height of j is; that height is
-    the prefix sum at detours[1][t].
+    order, for a region the split walk takes (fewer than _WALK_EDGES
+    edges), and None for a larger one; missing counts the sites the
+    sweep never reaches.  walk is a closed walk from the base as flat
+    (from, to) position pairs: a loop at the base, then an Euler tour of
+    the sweep's tree that, on arriving at a site i, steps out and back
+    along each edge (i, j) outside the tree.  Summing a coloring's signed
+    steps along the walk, the prefix sum at position arrive[s] is the
+    height of site s (0 for the base and for unreached sites), and at
+    position detours[0][t] it is what the edge (i, j) of the t-th detour
+    says the height of j is; that height is the prefix sum at
+    detours[1][t].
     """
     table = [[j for j in row if j >= 0]
              for row in region.neighbor_table().tolist()]
@@ -185,8 +186,10 @@ def _sweep(region, base):
     detours = tuple(np.array([[t for t, _ in detours],
                               [arrive[j] for _, j in detours]],
                              dtype=np.intp).reshape(2, len(detours)))
-    tree = tuple((i, j) for i, j, is_tree in edges if is_tree)
-    others = tuple((i, j) for i, j, is_tree in edges if not is_tree)
+    tree = others = None
+    if len(edges) < _WALK_EDGES:
+        tree = tuple((i, j) for i, j, is_tree in edges if is_tree)
+        others = tuple((i, j) for i, j, is_tree in edges if not is_tree)
     return (tuple(edges), tree, others, np.array(walk), np.array(arrive),
             detours, len(region) - len(order))
 
@@ -251,17 +254,16 @@ def _sum_lift(region, base, colors, sweep):
 
 # A lift takes _split_walk or _sum_lift, whichever costs less.  On a 2-core
 # Xeon VM the walk costs about 0.1 us per row and edge, the sums about 7 us
-# for a block of a few rows.  A lift_rows block also turns the walk's lists
-# into an int32 array, while height_cocycle also reads its dict off the sums'
-# row, so the two calls break even apart: a lift_rows block walks when rows x
-# edges is below _WALK_EDGES (measured near 35 to 45 row edges on boxes in
-# d = 1..3), a one-row height_cocycle when its edges are below
-# _WALK_EDGES_ONE_ROW (near 90 to 100).  So a one-row lift of F_2 (40 edges),
-# of F_1 in d = 3 (54) or of F_3 (84) walks and one of F_5 (220) takes the
-# sums, as does every block of the command line but the last few rows of a
-# file or a handful of samples.
-_WALK_EDGES = 40
-_WALK_EDGES_ONE_ROW = 100
+# for a block of a few rows, so a block walks when rows x edges is below
+# _WALK_EDGES.  Timed on boxes in d = 1..3, a lift_rows block breaks even
+# near 35 to 45 row edges and a one-row height_cocycle, whose sums also
+# read its dict off their row, near 90 to 100 edges.  Every lift the
+# benchmark makes takes the cheaper path at any constant between the two:
+# one-row F_2 lifts, and blocks of 24 row edges or of 80 and more.  So a
+# one-row lift of F_2 (40 edges) or of F_1 in d = 3 (54) walks and one of
+# F_3 (84) or F_5 (220) takes the sums, as does every block of the command
+# line but the last few rows of a file or a handful of samples.
+_WALK_EDGES = 64
 
 
 # the height step of an edge from color a to color b, at [a][b]: +1 when
@@ -363,7 +365,7 @@ def height_cocycle(x, base):
     except (KeyError, TypeError):  # no such site, or an unhashable base
         check_base(region, base)
         raise
-    if len(sweep[0]) < _WALK_EDGES_ONE_ROW:
+    if len(sweep[0]) < _WALK_EDGES:
         heights = _split_walk(region, base, x.values, sweep)
         return HeightField._lifted(region, base, heights, x)
     row = np.frombuffer(x.values, dtype=np.uint8).reshape(1, len(region))

@@ -10,6 +10,7 @@ import sys
 import tempfile
 import time
 import unittest.mock
+import weakref
 
 import numpy as np
 import pytest
@@ -434,14 +435,42 @@ def test_a_box_within_the_site_budget_runs(capsys):
 
 
 @pytest.mark.parametrize("n, d", [(10 ** 19, 1), (10 ** 10, 3)])
-def test_a_box_past_int64_is_a_usage_error_at_any_budget(capsys, n, d):
-    # (2n + 1)^d >= 2^63 sites: box_F refuses the box before any charge
-    for budget in ("10", "%d" % 10 ** 40):
-        code, out, err = run(capsys, ["height", "gap", "--n", str(n),
-                                      "--d", str(d), "--budget", budget])
-        assert (code, out) == (2, "")
-        assert err.startswith("usage error: region box ")
-        assert err.endswith(" does not fit int64\n")
+def test_a_box_past_int64_is_charged_then_refused(capsys, n, d):
+    # (2n + 1)^d >= 2^63 sites: past the default budget the charge stops
+    # the box, and within a budget that holds it box_F refuses it
+    argv = ["height", "gap", "--n", str(n), "--d", str(d)]
+    assert run(capsys, argv) == (3, "", "budget exceeded: box region "
+                                 "exceeded the site budget of 10000000\n")
+    code, out, err = run(capsys, argv + ["--budget", "%d" % 10 ** 40])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: region box ")
+    assert err.endswith(" does not fit int64\n")
+
+
+def test_an_error_line_is_printed_after_the_failed_call_is_freed(
+        monkeypatch):
+    # at an address-space limit, `height gap --n 1000` ran out of memory in
+    # the lift; printing its line with the lift's frames still held failed,
+    # and the process exited 1 with no line
+    held = []
+
+    def fail(samples, displacements):
+        frame_local = np.zeros(3)
+        held.append(weakref.ref(frame_local))
+        raise MemoryError()
+
+    freed = []
+
+    class Stderr(io.StringIO):
+        def write(self, text):
+            freed.append(held[0]() is None)
+            return super().write(text)
+
+    monkeypatch.setattr(height, "quasiflat_gap", fail)
+    monkeypatch.setattr(sys, "stderr", Stderr())
+    assert main(["height", "gap", "--n", "1"]) == 5
+    assert sys.stderr.getvalue() == "internal error: MemoryError: \n"
+    assert freed and all(freed)
 
 
 def test_budget_exit_code(capsys):

@@ -1,5 +1,6 @@
 """Height lifts of 3-colorings: construction, bounds, gaps, window gluing."""
 
+import contextlib
 import itertools
 import json
 import pickle
@@ -439,18 +440,28 @@ def colorings(draw):
     return Pattern(region, bytes(values)), base
 
 
-# _WALK_EDGES and _WALK_EDGES_ONE_ROW at 0 send every block to the array
-# lift, and at 10**6, above every block drawn here, every block through the
-# walk
+# _WALK_EDGES at 0 sends every block to the array lift, and at 10**6, above
+# every block drawn here, every block through the walk
 LIFT_PATHS = (0, 10 ** 6)
+
+
+@contextlib.contextmanager
+def lift_path(walk_edges):
+    """_WALK_EDGES at walk_edges, every sweep built anew under it: a sweep
+    splits its edges for the walk only below it."""
+    with mock.patch.object(ht, "_WALK_EDGES", walk_edges):
+        ht._sweep.cache_clear()
+        try:
+            yield
+        finally:
+            ht._sweep.cache_clear()
 
 
 def on_both_paths(fn):
     """[fn() with every block lifted by the arrays, then by the walk]."""
     out = []
     for walk_edges in LIFT_PATHS:
-        with mock.patch.object(ht, "_WALK_EDGES", walk_edges), \
-                mock.patch.object(ht, "_WALK_EDGES_ONE_ROW", walk_edges):
+        with lift_path(walk_edges):
             out.append(fn())
     return out
 
@@ -745,10 +756,18 @@ def test_split_walk_matches_the_ordered_walk(case):
     """The same heights, or the same error type and message, on bytes
     (as height_cocycle passes them) and on lists (as lift_rows does)."""
     region, base, values = case
-    sweep = ht._sweep(region, base)
-    want = outcome(ht._walk, region, base, values)
-    for row in (values, list(values)):
-        assert outcome(ht._split_walk, region, base, row, sweep) == want
+    with lift_path(LIFT_PATHS[1]):
+        sweep = ht._sweep(region, base)
+        want = outcome(ht._walk, region, base, values)
+        for row in (values, list(values)):
+            assert outcome(ht._split_walk, region, base, row, sweep) == want
+
+
+def test_only_a_sweep_the_walk_can_take_is_split():
+    # F_3 has 84 edges, F_2 40
+    assert ht._sweep(box_F(3, 2), (0, 0))[1:3] == (None, None)
+    tree, others = ht._sweep(box_F(2, 2), (0, 0))[1:3]
+    assert (len(tree), len(others)) == (24, 16)
 
 
 def test_split_walk_names_the_first_fault_in_sweep_order():

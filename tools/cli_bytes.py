@@ -26,7 +26,8 @@ holds:
   and `verify lipschitz` on 3 and 20 samples in d = 1..3: one-seed and
   small blocks, which take the scalar sampler (but 20 seeds in d = 1)
   and, the smallest, the row walk of the lift, and `height gap` and
-  `verify lipschitz` on boxes past int64 (exit 2);
+  `verify lipschitz` on boxes past int64 at a budget that holds them
+  (exit 2);
 - `count tilings` on the dominoes 4x10 and the dominoes3 2x2x6 boxes and
   `tile` on the squares23 5x12 rectangle, which the frontier DP sweeps
   with their longest axis outermost, so their axes are turned;
@@ -264,8 +265,10 @@ def commands(draws):
         for samples in (3, 20):
             cmds.append("verify lipschitz --n 2 --d %d --samples %d%s"
                         % (d, samples, seed))
-    cmds += ["height gap --n 99999999999999999999" + seed,
-             "verify lipschitz --n 10000000000 --d 3" + seed]
+    cmds += ["height gap --n 99999999999999999999 --budget %d%s"
+             % (10 ** 50, seed),
+             "verify lipschitz --n 10000000000 --d 3 --budget %d%s"
+             % (10 ** 50, seed)]
     cmds += ["count tilings --tileset dominoes --dims 4x10" + seed,
              "count tilings --tileset dominoes3 --dims 2x2x6" + seed,
              "tile --tileset squares23 --dims 5x12 --out out" + seed,
