@@ -454,7 +454,7 @@ def cmd_height(args):
     region = _charged_box(args)
     samples = [height_mod.striped_coloring(region),
                height_mod.checker_coloring(region)]
-    gap = height_mod.quasiflat_gap(samples, list(region))
+    gap = height_mod.quasiflat_gap(samples, region.coords)
     _emit(args, _record(args, {"check": "quasiflat_gap", "n": args.n,
                                "d": args.d, "gap": gap}))
     return EXIT_OK

@@ -14,18 +14,23 @@ The lift, the sampler and the Lipschitz check work on blocks of rows,
 one coloring per row in site order, each on two paths: a small block in
 Python a row at a time, a large one in numpy, each block taking the path
 that costs less.  lift_rows follows a breadth-first sweep from the base,
-fixed once per (region, base).  A small block, below _WALK_EDGES rows
-times edges, goes through a split walk a row at a time: one pass along
-the sweep's tree edges sets each height from its parent's with no
-branch, an edge between equal colors stepping by a sentinel above any
-true height, and a second pass checks every other edge.  A large block
-sums the signed steps of the sweep's tree as arrays and checks every
-other edge against the sums.  On a row that fails either, the ordered
-walk over all the sweep's edges raises the error it meets first, so both
-paths give the same message.  sample_rows draws the seeded choices of a
-block of seeds by splitmix64, each seed mixed first as a Python int on
-the small path and as an array on the large one, and fills the sites in
-raster order as one-hot bytes, each site one lookup in _PICK_HOT.
+fixed once per (region, base) and built by numpy a layer at a time: the
+edges it reaches as position arrays in the order it crosses them, each
+flagged when it joins the sweep's tree, and each site's parent with the
+tables of its ancestors 2, 4, 8, ... steps up.  A small block, below
+_WALK_EDGES rows times edges, goes through a split walk a row at a time:
+one pass along the sweep's tree edges sets each height from its
+parent's with no branch, an edge between equal colors stepping by a
+sentinel above any true height, and a second pass checks every other
+edge.  A large block sums each site's step from its parent up the tree
+as arrays, one table of ancestors at a time, and checks that the sums
+step by exactly one across every edge.  On a row that fails either, the
+ordered walk over all the sweep's edges raises the error it meets first,
+so both paths give the same message.  sample_rows draws the seeded
+choices of a block of seeds by splitmix64, each seed mixed first as a
+Python int on the small path and as an array on the large one, and fills
+the sites in raster order as one-hot bytes, each site one lookup in
+_PICK_HOT.
 lipschitz_rows compares heights with the distance to the base.
 height_cocycle, sample_coloring, lipschitz_check and quasiflat_gap are
 their one-row (or one-block) calls, and each batch call reports its
@@ -34,6 +39,7 @@ keeps its heights mapping and, as an int array, its row, which
 lipschitz_check reads.
 """
 
+import collections
 import functools
 
 import numpy as np
@@ -43,13 +49,11 @@ from .homshift import Pattern, _distinct_rows, is_hom, enumerate_hom
 from .util import _MASK, splitmix64
 
 
-# signed height step of an edge from color a to color b, at index a + 256 b
-# (a little-endian uint16 of the two colors): +1 when b = a + 1 mod 3, -1
-# when b = a + 2 mod 3, and 0 for equal colors or a color above 2, so that
-# stepping back along an edge always negates the step.
-_STEP = np.zeros(1 << 16, dtype=np.int8)
-_STEP.reshape(256, 256)[:3, :3] = [[(0, 1, -1)[(b - a) % 3] for a in range(3)]
-                                   for b in range(3)]
+# the height step of an edge from color a to color b, both in {0, 1, 2}, at
+# (b - a) mod 256: +1 when b = a + 1 mod 3, -1 when b = a + 2 mod 3, and 0 for
+# equal colors.
+_STEP = np.zeros(256, dtype=np.int32)
+_STEP[[1, 254]], _STEP[[2, 255]] = 1, -1
 
 
 class HeightField:
@@ -117,81 +121,82 @@ class HeightField:
         return "HeightField(%s, base=%s)" % (self.region.kind, self.base)
 
 
+_Sweep = collections.namedtuple(
+    "_Sweep", "ends is_tree parent ancestors missing tree others")
+
+
 @functools.lru_cache(maxsize=32)
 def _sweep(region, base):
     """The breadth-first sweep of region from base, fixed once per pair.
 
-    Returns (edges, tree, others, walk, arrive, detours, missing).  edges
-    lists the region's edges that the sweep reaches as (i, j, is_tree)
-    triples of two positions and a flag, each oriented and ordered as the
-    sweep first crosses it, is_tree true when the edge is the first to
-    reach j, so that it joins j to the sweep's tree; tree and others are
-    the same edges as (i, j) pairs, split by the flag, each in sweep
-    order, for a region the split walk takes (fewer than _WALK_EDGES
-    edges), and None for a larger one; missing counts the sites the
-    sweep never reaches.  walk is a closed walk from the base as flat
-    (from, to) position pairs: a loop at the base, then an Euler tour of
-    the sweep's tree that, on arriving at a site i, steps out and back
-    along each edge (i, j) outside the tree.  Summing a coloring's signed
-    steps along the walk, the prefix sum at position arrive[s] is the
-    height of site s (0 for the base and for unreached sites), and at
-    position detours[0][t] it is what the edge (i, j) of the t-th detour
-    says the height of j is; that height is the prefix sum at
-    detours[1][t].
+    Built a layer at a time from the neighbour table: the rows of the
+    layer's sites, flattened in (site, column) order, list the edges it
+    crosses; the first edge to reach a site not yet reached joins it to
+    the sweep's tree, and the new sites take their ranks in that order.
+    An edge is kept when it leads to a site of higher rank, so each edge
+    the sweep reaches appears once, oriented and ordered as the sweep
+    first crosses it.  Returns a _Sweep of
+    - ends: those edges' positions (i, j), a 2 x E intp array;
+    - is_tree: E bools, true for the edge that first reaches j;
+    - parent: each site's parent on the tree, an intp array, the base
+      and every site the sweep never reaches being its own;
+    - ancestors: the tables A_0 = parent and A_(k+1) = A_k[A_k], enough
+      of them that their 2^k steps up cover the tree's depth;
+    - missing: the number of sites the sweep never reaches;
+    - tree, others: the edges (i, j) as tuples, split by the flag, each
+      in sweep order, for a region the split walk takes (fewer than
+      _WALK_EDGES edges), and None for a larger one.
+    Raises KeyError for a base outside the region.
     """
-    table = [[j for j in row if j >= 0]
-             for row in region.neighbor_table().tolist()]
-    start = region.index(base)
-    rank = [None] * len(region)
+    start = _position(region, base)
+    if start < 0:
+        raise KeyError(base)
+    table = region.neighbor_table()
+    rank = np.full(len(region), -1, dtype=np.intp)
     rank[start] = 0
-    order = [start]
-    children = [[] for _ in range(len(region))]
-    off_tree = [[] for _ in range(len(region))]
-    edges = []
-    for i in order:
-        for j in table[i]:
-            is_tree = rank[j] is None
-            if is_tree:
-                rank[j] = len(order)
-                order.append(j)
-                children[i].append(j)
-            elif rank[j] > rank[i]:
-                off_tree[i].append(j)
-            else:
-                continue  # crossed from j's side already
-            edges.append((i, j, is_tree))
-    walk = [start, start]
-    arrive = [0] * len(region)
-    detours = []
-
-    def step_out(i):
-        for j in off_tree[i]:
-            detours.append((len(walk) // 2, j))
-            walk.extend((i, j, j, i))
-
-    step_out(start)
-    stack = [(start, iter(children[start]))]
-    while stack:
-        i, below = stack[-1]
-        j = next(below, None)
-        if j is None:
-            stack.pop()
-            if stack:
-                walk.extend((i, stack[-1][0]))
-        else:
-            arrive[j] = len(walk) // 2
-            walk.extend((i, j))
-            step_out(j)
-            stack.append((j, iter(children[j])))
-    detours = tuple(np.array([[t for t, _ in detours],
-                              [arrive[j] for _, j in detours]],
-                             dtype=np.intp).reshape(2, len(detours)))
+    parent = np.arange(len(region))
+    layer, reached, blocks = np.array([start]), 1, []
+    while len(layer):  # one block of edges per layer
+        i = np.repeat(layer, table.shape[1])
+        j = table[layer].ravel()
+        inside = j >= 0
+        i, j = i[inside], j[inside]
+        new = np.flatnonzero(rank[j] < 0)
+        first = new[np.sort(np.unique(j[new], return_index=True)[1])]
+        layer = j[first]
+        rank[layer] = np.arange(reached, reached + len(layer))
+        parent[layer] = i[first]
+        reached += len(layer)
+        is_tree = np.zeros(len(j), dtype=bool)
+        is_tree[first] = True
+        keep = rank[j] > rank[i]
+        blocks.append((i[keep], j[keep], is_tree[keep]))
+    i, j, is_tree = map(np.concatenate, zip(*blocks))
+    ancestors = [parent]
+    while 2 ** len(ancestors) < len(blocks) - 1:  # the tree's depth
+        ancestors.append(ancestors[-1].take(ancestors[-1]))
     tree = others = None
-    if len(edges) < _WALK_EDGES:
-        tree = tuple((i, j) for i, j, is_tree in edges if is_tree)
-        others = tuple((i, j) for i, j, is_tree in edges if not is_tree)
-    return (tuple(edges), tree, others, np.array(walk), np.array(arrive),
-            detours, len(region) - len(order))
+    if len(is_tree) < _WALK_EDGES:
+        tree = tuple(zip(i[is_tree].tolist(), j[is_tree].tolist()))
+        others = tuple(zip(i[~is_tree].tolist(), j[~is_tree].tolist()))
+    return _Sweep(np.stack([i, j]), is_tree, parent, tuple(ancestors),
+                  len(region) - reached, tree, others)
+
+
+def _position(region, base):
+    """region.index(base), or -1 for a site outside the region, without
+    the region's tuple of sites or their dict: like `base in region`, a
+    base without a length, or of the region's dimension but unhashable,
+    raises TypeError."""
+    if len(base) != region.d:
+        return -1
+    hash(base)
+    try:
+        pos = int(region.positions([base])[0])
+    except (TypeError, ValueError, OverflowError):  # no int64 site
+        return -1
+    return pos if pos >= 0 and tuple(region.coords[pos].tolist()) == base \
+        else -1
 
 
 def check_base(region, base):
@@ -199,32 +204,41 @@ def check_base(region, base):
     region, or a base outside it."""
     if region.d is None:
         raise ValueError("empty region has no heights")
-    if base not in region:
+    if _position(region, base) < 0:
         raise ValueError("base %r outside the region" % (base,))
+
+
+def _base_sweep(region, base):
+    """_sweep(region, base), or check_base's error for a base without one;
+    a base with a sweep is not checked again."""
+    try:
+        return _sweep(region, base)
+    except (KeyError, TypeError):  # no such site, or an unhashable base
+        check_base(region, base)
+        raise
 
 
 def lift_rows(region, base, colors):
     """The heights of N colorings of region, zero at base.
 
     colors is an N x |region| uint8 array, one coloring per row in site
-    order; the result is an N x |region| int32 array.  The heights are
-    the sums of the steps +1 (color up by 1 mod 3) and -1 (up by 2) along
-    the breadth-first tree from the base, and every other edge the sweep
-    reaches must then step by its own color change.  Raises ValueError
-    for an empty region, a base outside the region, or the first row
-    that has no height field (a color above 2, equal colors across an
-    edge, a sweep conflict or a disconnected region), with the message
-    height_cocycle gives that row.  A block of fewer than _WALK_EDGES
-    rows times sweep edges goes through _split_walk a row at a time, a
-    larger one through _sum_lift.
+    order; the result is a C-ordered N x |region| int32 array.  The
+    heights are the sums of the steps +1 (color up by 1 mod 3) and -1
+    (up by 2) along the breadth-first tree from the base, and every
+    other edge the sweep reaches must then step by its own color
+    change.  Raises ValueError for an empty region, a base outside the
+    region, or the first row that has no height field (a color above 2,
+    equal colors across an edge, a sweep conflict or a disconnected
+    region), with the message height_cocycle gives that row.  A block
+    of fewer than _WALK_EDGES rows times sweep edges goes through
+    _split_walk a row at a time, a larger one through _sum_lift.
     """
-    check_base(region, base)
+    sweep = _base_sweep(region, base)
     if (not isinstance(colors, np.ndarray) or colors.dtype != np.uint8
             or colors.shape[1:] != (len(region),)):
         raise ValueError("colorings must be uint8 rows of width %d"
                          % len(region))
-    sweep = _sweep(region, base)
-    if len(colors) * len(sweep[0]) < _WALK_EDGES:
+    if len(colors) * len(sweep.is_tree) < _WALK_EDGES:
         heights = [_split_walk(region, base, row, sweep)
                    for row in colors.tolist()]
         return np.array(heights, dtype=np.int32).reshape(colors.shape)
@@ -232,37 +246,45 @@ def lift_rows(region, base, colors):
 
 
 def _sum_lift(region, base, colors, sweep):
-    """lift_rows on a large block, sweep being _sweep(region, base): the
-    sums of the steps along the sweep's closed walk, as arrays.  Only the
-    block's first bad row, if any, goes through _walk, which raises that
-    row's error."""
-    edges, _, _, walk, arrive, detours, missing = sweep
-    steps = _STEP.take(colors.take(walk, axis=1).view("<u2"))
-    sums = np.add.accumulate(steps, axis=1, dtype=np.int32)
-    # each row has one zero step, the loop at the base; any other is an
-    # edge between equal colors or from a color above 2.  Such a color
-    # makes none only at a base without neighbors: the whole region, or
-    # one that leaves sites missing.
-    broken = (steps.size - np.count_nonzero(steps) > len(colors)
-              or np.count_nonzero(sums.take(detours[0], axis=1)
-                                  != sums.take(detours[1], axis=1)))
-    if len(colors) and (broken or missing
-                        or not edges and colors.max() > 2):
-        _raise_first_bad_row(region, base, colors, steps, sums)
-    return sums.take(arrive, axis=1)
+    """lift_rows on a large block, sweep being _sweep(region, base), as
+    arrays on a site-major copy of the block.  One gather of each site's
+    parent's colors gives the step of the tree edge into each site, and
+    adding h[A] once per ancestor table A sums those steps up the tree
+    to the base.  A step is the color change mod 3, so with colors in
+    {0, 1, 2} the sums across any edge differ by its color change mod 3:
+    they differ by exactly one where the edge steps by its own change,
+    between unequal colors, and every edge the sweep reaches must.  Only
+    the block's first bad row, if any, goes through _walk, which raises
+    that row's error."""
+    colors_t = np.ascontiguousarray(colors.T)
+    heights = _STEP.take(colors_t - colors_t.take(sweep.parent, axis=0))
+    for up in sweep.ancestors:
+        heights += heights.take(up, axis=0)
+    ends = heights.take(sweep.ends, axis=0)
+    bad = np.abs(ends[1] - ends[0]) != 1
+    if len(colors) and (colors.max() > 2 or np.count_nonzero(bad)
+                        or sweep.missing):
+        # the first row with a color above 2 or a bad edge, or any row of
+        # a region the sweep does not cover
+        bad = bad.any(axis=0) | (colors.max(axis=1) > 2)
+        r = 0 if sweep.missing else int(bad.argmax())
+        _walk(region, base, colors[r].tolist())
+        raise AssertionError("row %d lifts by the walk but not by its sums"
+                             % r)
+    return np.ascontiguousarray(heights.T)
 
 
 # A lift takes _split_walk or _sum_lift, whichever costs less.  On a 2-core
-# Xeon VM the walk costs about 0.1 us per row and edge, the sums about 7 us
-# for a block of a few rows, so a block walks when rows x edges is below
-# _WALK_EDGES.  Timed on boxes in d = 1..3, a lift_rows block breaks even
-# near 35 to 45 row edges and a one-row height_cocycle, whose sums also
-# read its dict off their row, near 90 to 100 edges.  Every lift the
-# benchmark makes takes the cheaper path at any constant between the two:
-# one-row F_2 lifts, and blocks of 24 row edges or of 80 and more.  So a
-# one-row lift of F_2 (40 edges) or of F_1 in d = 3 (54) walks and one of
-# F_3 (84) or F_5 (220) takes the sums, as does every block of the command
-# line but the last few rows of a file or a handful of samples.
+# Xeon VM the walk costs about 0.12 us per row and edge, the sums about 8 to
+# 10 us for a block of a few rows of a small box, so a block walks when rows
+# x edges is below _WALK_EDGES.  Timed on boxes in d = 1..3, a lift_rows
+# block breaks even near 45 to 65 row edges and a one-row height_cocycle,
+# whose sums also read its dict off their row, near 140 edges.  Every lift
+# the benchmark makes takes the cheaper path at any constant from 41 to 80:
+# one-row F_2 lifts (40 edges), and blocks of 24 row edges or of 80 and
+# more.  So a one-row lift of F_2 or of F_1 in d = 3 (54 edges) walks and
+# one of F_3 (84) or F_5 (220) takes the sums, as does every block of the
+# command line but the last few rows of a file or a handful of samples.
 _WALK_EDGES = 64
 
 
@@ -288,14 +310,13 @@ def _split_walk(region, base, values, sweep):
     a color above 2 or a region the sweep does not cover, the ordered
     _walk lifts the row instead and raises the error it meets first.
     """
-    _, tree, others, *_, missing = sweep
-    if max(values) > 2 or missing:
+    if max(values) > 2 or sweep.missing:
         return _walk(region, base, values)
     step = _WALK_STEP
     heights = [0] * len(values)
-    for i, j in tree:
+    for i, j in sweep.tree:
         heights[j] = heights[i] + step[values[i]][values[j]]
-    for i, j in others:
+    for i, j in sweep.others:
         if heights[j] - heights[i] != step[values[i]][values[j]]:
             return _walk(region, base, values)
     if max(heights) > len(values):
@@ -316,9 +337,9 @@ def _walk(region, base, values):
     """
     if max(values) > 2:
         raise ValueError("colors must lie in {0, 1, 2}")
-    edges, *_, missing = _sweep(region, base)
+    sweep = _sweep(region, base)
     heights = [0] * len(values)
-    for i, j, is_tree in edges:
+    for i, j, is_tree in zip(*sweep.ends.tolist(), sweep.is_tree.tolist()):
         step = _WALK_STEP[values[i]][values[j]]
         if step == _BAD:
             raise ValueError("equal colors %d across an edge: improper "
@@ -327,27 +348,12 @@ def _walk(region, base, values):
             heights[j] = heights[i] + step
         elif heights[j] != heights[i] + step:
             raise ValueError("not a valid 3-coloring height at %r"
-                             % (region.sites[j],))
-    if missing:
+                             % (tuple(region.coords[j].tolist()),))
+    if sweep.missing:
         raise ValueError("region is disconnected: %d of %d sites "
-                         "unreachable from %r" % (missing, len(region), base))
+                         "unreachable from %r"
+                         % (sweep.missing, len(region), base))
     return heights
-
-
-def _raise_first_bad_row(region, base, colors, steps, sums):
-    """Raise height_cocycle's error for the first row without heights.
-
-    That row is the first with a zero step past the base's loop, a color
-    above 2 or a detour its sums disagree with, or the first row of a
-    region the sweep does not cover; _walk raises its error.
-    """
-    detours, missing = _sweep(region, base)[5:]
-    bad = (~steps[:, 1:].all(axis=1) | (colors.max(axis=1) > 2)
-           | (sums.take(detours[0], axis=1)
-              != sums.take(detours[1], axis=1)).any(axis=1))
-    r = 0 if missing else int(bad.argmax())
-    _walk(region, base, colors[r].tolist())
-    raise AssertionError("row %d lifts by the walk but not by its sums" % r)
 
 
 def height_cocycle(x, base):
@@ -360,12 +366,8 @@ def height_cocycle(x, base):
     found, so that the errors are check_base's.
     """
     region = x.region
-    try:
-        sweep = _sweep(region, base)
-    except (KeyError, TypeError):  # no such site, or an unhashable base
-        check_base(region, base)
-        raise
-    if len(sweep[0]) < _WALK_EDGES:
+    sweep = _base_sweep(region, base)
+    if len(sweep.is_tree) < _WALK_EDGES:
         heights = _split_walk(region, base, x.values, sweep)
         return HeightField._lifted(region, base, heights, x)
     row = np.frombuffer(x.values, dtype=np.uint8).reshape(1, len(region))
@@ -578,20 +580,21 @@ def sample_coloring(region, seed):
 
 def striped_coloring(region):
     """The maximal-slope coloring: coordinate sum mod 3."""
-    return Pattern(region, bytes((region.coords.sum(axis=1) % 3).tolist()))
+    return Pattern(region, (region.coords.sum(axis=1) % 3).astype(np.uint8))
 
 
 def checker_coloring(region):
     """The flat coloring: site parity, colors 0 and 1 only."""
-    return Pattern(region, bytes((region.coords.sum(axis=1) % 2).tolist()))
+    return Pattern(region, (region.coords.sum(axis=1) % 2).astype(np.uint8))
 
 
 def quasiflat_gap(samples, displacements):
     """Largest height difference between two samples at one displacement.
 
     All samples must be proper colorings of one region containing the
-    origin; heights are taken with base at the origin.  The result is
-    max over ordered sample pairs (y, y') and displacements i of
+    origin; heights are taken with base at the origin.  displacements
+    are sites, or an (M, d) int array of them.  The result is max over
+    ordered sample pairs (y, y') and displacements i of
     height_{y'}(i) - height_y(i) - a lower bound for the corresponding
     supremum of any coloring family containing the samples.
     """
@@ -600,18 +603,24 @@ def quasiflat_gap(samples, displacements):
         return 0
     region = samples[0].region
     base = (0,) * region.d
-    if base not in region:
+    if _position(region, base) < 0:
         raise ValueError("region must contain the origin")
     for p in samples:
         if p.region != region:
             raise ValueError("samples live on different regions")
-    displacements = list(displacements)
-    for i in displacements:
-        if i not in region:
-            raise ValueError("displacement %r outside the region" % (i,))
+    if not isinstance(displacements, np.ndarray):
+        displacements = list(displacements)
+    displacements = np.asarray(displacements)
+    if displacements.size and displacements.dtype.kind not in "iu":
+        raise ValueError("displacements must be int sites, not %s"
+                         % displacements.dtype)
+    at = region.positions(displacements)
+    if len(at) and at.min() < 0:
+        raise ValueError("displacement %r outside the region"
+                         % (tuple(displacements[at.argmin()].tolist()),))
     rows = np.frombuffer(b"".join(p.values for p in samples), dtype=np.uint8)
     heights = lift_rows(region, base, rows.reshape(len(samples), len(region)))
-    cols = heights[:, [region.index(i) for i in displacements]]
+    cols = heights[:, at]
     if not cols.size:
         return 0
     return max(0, int((cols.max(axis=0) - cols.min(axis=0)).max()))

@@ -367,6 +367,15 @@ def test_height_gap(capsys):
     assert json.loads(stdout.splitlines()[0])["gap"] == 8
 
 
+def test_height_gap_on_a_large_box_in_a_child():
+    # F_300 has 361 201 sites; a sweep of per-site Python lists, with the
+    # region's tuple of sites and their dict, peaked at 444 MB
+    rc, peak_kb, out, err = _child("height", "gap", "--n", "300")
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["gap"] == 600
+    assert peak_kb <= 300 * 1024
+
+
 def _header_only(path, n, d):
     """path: a pattern file of K3 on F_n in d dimensions with no records."""
     path.write_text(json.dumps({"alphabet": ["0", "1", "2"], "count": 0,

@@ -221,6 +221,31 @@ def test_quasiflat_gap_input_validation():
         quasiflat_gap(samples, [(0, 0)])
     with pytest.raises(ValueError, match="displacement"):
         quasiflat_gap([striped_coloring(box)], [(9, 9)])
+    # an array's row is named as a site
+    with pytest.raises(ValueError,
+                       match=r"^displacement \(9, -9\) outside the region$"):
+        quasiflat_gap([striped_coloring(box)],
+                      np.array([[0, 0], [9, -9], [7, 7]]))
+    # a coordinate that is no int64 is refused, not rounded
+    for bad in ([(0.5, 0)], [(2 ** 70, 0)], np.zeros((1, 2))):
+        with pytest.raises(ValueError, match="must be int sites"):
+            quasiflat_gap([striped_coloring(box)], bad)
+
+
+def test_the_base_is_found_without_the_regions_sites():
+    """check_base and the lift find the base by Region.positions, as
+    `base in region` would, and build no tuple of sites or site dict: a
+    coordinate that is a float off the grid, a string, or past int64
+    lies outside."""
+    region = Region(box_F(3, 2).coords)
+    for base in [(0.5, 0), ("0", "0"), (2 ** 70, 0), (0, 0, 0)]:
+        with pytest.raises(ValueError, match="outside the region"):
+            ht.check_base(region, base)
+    for base in [(0, 0), (np.int64(1), -1), (0.0, 2.0)]:
+        ht.check_base(region, base)
+    samples = [striped_coloring(region), checker_coloring(region)]
+    assert quasiflat_gap(samples, region.coords) == 6
+    assert "sites" not in vars(region) and "_index" not in vars(region)
 
 
 def test_ufp_refuted_at_thin_margin():
@@ -712,19 +737,13 @@ TAILED_WINDING = bytes(dict(zip(RING + [(0, 3), (0, 4), (0, 5)],
                        for s in TAILED_RING.sites)
 
 
-@st.composite
-def faulty_colorings(draw):
-    """(region, base, values): a coloring, sampled, striped, winding or
-    random, of a box, the tailed ring or a small region (some
-    disconnected), with up to three faults, each a value copied from a
+def faulty_values(draw, region):
+    """A coloring of region, sampled, striped, winding (on the tailed
+    ring) or random, with up to three faults, each a value copied from a
     neighbour (equal colors across an edge) or any value up to 5."""
-    kind = draw(st.sampled_from(["small", "box", "ring"]))
-    region = {"small": lambda: draw(small_regions()),
-              "box": lambda: box_F(2, 2),
-              "ring": lambda: TAILED_RING}[kind]()
     sites, n = region.sites, len(region)
     how = draw(st.sampled_from(["sampled", "striped", "random"]
-                               + ["winding"] * (kind == "ring")))
+                               + ["winding"] * (region == TAILED_RING)))
     if how == "winding":
         values = bytearray(TAILED_WINDING)
     elif how == "striped":
@@ -745,7 +764,36 @@ def faulty_colorings(draw):
             values[k] = values[draw(st.sampled_from(nbrs))]
         else:
             values[k] = draw(st.integers(0, 5))
-    return region, draw(st.sampled_from(sites)), bytes(values)
+    return bytes(values)
+
+
+def faulty_region(draw):
+    """A small region (some disconnected), F_2 or the tailed ring."""
+    kind = draw(st.sampled_from(["small", "box", "ring"]))
+    return {"small": lambda: draw(small_regions()),
+            "box": lambda: box_F(2, 2),
+            "ring": lambda: TAILED_RING}[kind]()
+
+
+@st.composite
+def faulty_colorings(draw):
+    """(region, base, values): one faulty_values coloring of a
+    faulty_region."""
+    region = faulty_region(draw)
+    values = faulty_values(draw, region)
+    return region, draw(st.sampled_from(region.sites)), values
+
+
+@st.composite
+def faulty_blocks(draw):
+    """(region, base, rows): one to six faulty_values colorings of one
+    faulty_region, as a uint8 block."""
+    region = faulty_region(draw)
+    base = draw(st.sampled_from(region.sites))
+    rows = [faulty_values(draw, region)
+            for _ in range(draw(st.integers(1, 6)))]
+    block = np.frombuffer(b"".join(rows), dtype=np.uint8)
+    return region, base, block.reshape(len(rows), len(region))
 
 
 @given(faulty_colorings())
@@ -763,17 +811,113 @@ def test_split_walk_matches_the_ordered_walk(case):
             assert outcome(ht._split_walk, region, base, row, sweep) == want
 
 
+@given(faulty_blocks())
+@settings(max_examples=300, deadline=None)
+def test_lift_rows_give_the_walks_heights_or_its_first_error(case):
+    """Every row's heights by _walk, or the error _walk raises for the
+    first row without heights, on both sides of _WALK_EDGES."""
+    region, base, rows = case
+    want = []
+    for row in rows.tolist():
+        heights = outcome(ht._walk, region, base, row)
+        if isinstance(heights, tuple):
+            want = heights
+            break
+        want.append(heights)
+    assert on_both_paths(lambda: outcome(
+        lambda: lift_rows(region, base, rows).tolist())) == [want, want]
+
+
+def sweep_oracle(region, base):
+    """The breadth-first sweep of region from base by a Python queue:
+    (edges, missing), edges the (i, j, is_tree) triples of the edges the
+    sweep reaches, each oriented and ordered as it first crosses them,
+    and missing the number of sites it never reaches."""
+    table = [[j for j in row if j >= 0]
+             for row in region.neighbor_table().tolist()]
+    start = region.index(base)
+    rank = [None] * len(region)
+    rank[start] = 0
+    order = [start]
+    edges = []
+    for i in order:
+        for j in table[i]:
+            is_tree = rank[j] is None
+            if is_tree:
+                rank[j] = len(order)
+                order.append(j)
+            elif rank[j] < rank[i]:
+                continue  # crossed from j's side already
+            edges.append((i, j, is_tree))
+    return edges, len(region) - len(order)
+
+
+@st.composite
+def sweep_regions(draw):
+    """Boxes F_n in d = 1..4, rectangles, and general site sets of a small
+    grid, some of them disconnected."""
+    d = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["box", "rect", "general"]))
+    if kind == "box":
+        return box_F(draw(st.integers(0, {1: 12, 2: 3, 3: 1, 4: 1}[d])), d)
+    side = {1: 16, 2: 6, 3: 3, 4: 2}[d]
+    if kind == "rect":
+        dims = tuple(draw(st.integers(1, side)) for _ in range(d))
+        return rectangle(dims, tuple(draw(st.integers(-3, 3))
+                                     for _ in range(d)))
+    cells = list(itertools.product(range(side), repeat=d))
+    return Region(draw(st.sets(st.sampled_from(cells), min_size=1)))
+
+
+@given(sweep_regions())
+@settings(max_examples=150, deadline=None)
+def test_sweep_matches_the_queue_oracle_at_every_base(region):
+    for base in region.sites:
+        edges, missing = sweep_oracle(region, base)
+        sweep = ht._sweep(region, base)
+        assert sweep.ends.shape == (2, len(edges))
+        assert list(zip(*sweep.ends.tolist(), sweep.is_tree.tolist())) \
+            == edges
+        assert sweep.missing == missing
+        # the tree's parents, and the ancestor tables that double them
+        parent = list(range(len(region)))
+        for i, j, is_tree in edges:
+            if is_tree:
+                parent[j] = i
+        assert sweep.parent.tolist() == parent
+        assert sweep.ancestors[0] is sweep.parent
+        for low, high in zip(sweep.ancestors, sweep.ancestors[1:]):
+            assert high.tolist() == low[low].tolist()
+        # twice the last table's steps up reach the base from every site
+        # the sweep reaches, and no fewer tables would
+        reached = {region.index(base)} | {j for _, j, t in edges if t}
+        up = [region.index(base) if s in reached else s
+              for s in range(len(region))]
+        top = sweep.ancestors[-1]
+        assert top[top].tolist() == up
+        if len(sweep.ancestors) > 1:
+            below = sweep.ancestors[-2]
+            assert below[below].tolist() != up
+
+
 def test_only_a_sweep_the_walk_can_take_is_split():
     # F_3 has 84 edges, F_2 40
-    assert ht._sweep(box_F(3, 2), (0, 0))[1:3] == (None, None)
-    tree, others = ht._sweep(box_F(2, 2), (0, 0))[1:3]
-    assert (len(tree), len(others)) == (24, 16)
+    sweep = ht._sweep(box_F(3, 2), (0, 0))
+    assert (sweep.tree, sweep.others) == (None, None)
+    sweep = ht._sweep(box_F(2, 2), (0, 0))
+    assert (len(sweep.tree), len(sweep.others)) == (24, 16)
+    edges = list(zip(*sweep.ends.tolist()))
+    assert list(sweep.tree) == list(itertools.compress(edges, sweep.is_tree))
+    assert list(sweep.others) == list(itertools.compress(
+        edges, ~sweep.is_tree))
 
 
 def test_split_walk_names_the_first_fault_in_sweep_order():
     box = box_F(2, 2)
-    edges = ht._sweep(box, (0, 0))[0]
-    equal = [(is_tree, TWO_FAULTS[i]) for i, j, is_tree in edges
+    sweep = ht._sweep(box, (0, 0))
+    equal = [(is_tree, TWO_FAULTS[i])
+             for i, j, is_tree in zip(*sweep.ends.tolist(),
+                                      sweep.is_tree.tolist())
              if TWO_FAULTS[i] == TWO_FAULTS[j]]
     assert equal[0] == (False, 1) and (True, 0) in equal
     for path in on_both_paths(lambda: outcome(

@@ -21,13 +21,16 @@ holds:
   ring of eight sites around a hole whose coloring winds around it, and
   one record on F_2 with two faults, an edge between equal colors off
   the sweep's tree met before one on it, so that its message names the
-  fault the sweep meets first;
+  fault the sweep meets first; and on a general region of two
+  components, which it refuses as disconnected (exit 2);
 - `height sample` in d = 1, 3 and 4 at seeds -1, 2**63 and 2**64 + 5,
   and `verify lipschitz` on 3 and 20 samples in d = 1..3: one-seed and
   small blocks, which take the scalar sampler (but 20 seeds in d = 1)
   and, the smallest, the row walk of the lift, and `height gap` and
   `verify lipschitz` on boxes past int64 at a budget that holds them
   (exit 2);
+- `height gap` on F_40 and on F_6 in d = 3, and `verify lipschitz --n 12
+  --samples 400`, large blocks that the lift sums as arrays;
 - `count tilings` on the dominoes 4x10 and the dominoes3 2x2x6 boxes and
   `tile` on the squares23 5x12 rectangle, which the frontier DP sweeps
   with their longest axis outermost, so their axes are turned;
@@ -75,6 +78,9 @@ CLI = ("-m", "latticelab.cli")
 # winds once around, so that it has no heights
 RING = [(0, 0), (0, 1), (0, 2), (1, 2), (2, 2), (2, 1), (2, 0), (1, 0)]
 WINDING = [0, 1, 2, 0, 1, 2, 0, 2]
+# two components: a 2 x 2 square at the origin and a bar of three sites,
+# colored by parity
+SPLIT = [(0, 0), (0, 1), (1, 0), (1, 1), (4, 0), (4, 1), (4, 2)]
 # the striped coloring of F_2 in site order with (-2, -2) set to 0 and
 # (1, -2) to 1: from the origin the sweep meets an edge between colors 1 off
 # its tree before one between colors 0 on it
@@ -199,6 +205,10 @@ def make_inputs(tree, d):
     (d / "winding.jsonl").write_text(
         json.dumps(ring) + "\n" + json.dumps(
             {"values": [winding[s] for s in sorted(RING)]}) + "\n")
+    (d / "split.jsonl").write_text(
+        json.dumps(dict(ring, region={"kind": "general", "d": 2,
+                                      "sites": [list(s) for s in SPLIT]}))
+        + "\n" + json.dumps({"values": [sum(s) % 2 for s in SPLIT]}) + "\n")
     (d / "faults.jsonl").write_text(
         json.dumps({"alphabet": ["0", "1", "2"], "count": 1,
                     "region": {"kind": "F", "n": 2, "d": 2}}) + "\n"
@@ -256,7 +266,8 @@ def commands(draws):
              "height cocycle --in {dir}/stripe.jsonl --base=-2,-2 --out out",
              "height cocycle --in {dir}/improper.jsonl --base=0,0 --out out",
              "height cocycle --in {dir}/winding.jsonl --base=1,0 --out out",
-             "height cocycle --in {dir}/faults.jsonl --base=0,0 --out out"]
+             "height cocycle --in {dir}/faults.jsonl --base=0,0 --out out",
+             "height cocycle --in {dir}/split.jsonl --base=0,0 --out out"]
     for d, n in ((1, 4), (3, 2), (4, 1)):
         for s in (-1, 2 ** 63, 2 ** 64 + 5):
             cmds.append("height sample --n %d --d %d --seed=%d --out out"
@@ -265,6 +276,8 @@ def commands(draws):
         for samples in (3, 20):
             cmds.append("verify lipschitz --n 2 --d %d --samples %d%s"
                         % (d, samples, seed))
+    cmds += ["height gap --n 40" + seed, "height gap --n 6 --d 3" + seed,
+             "verify lipschitz --n 12 --samples 400" + seed]
     cmds += ["height gap --n 99999999999999999999 --budget %d%s"
              % (10 ** 50, seed),
              "verify lipschitz --n 10000000000 --d 3 --budget %d%s"
